@@ -60,28 +60,40 @@ double LogisticRegression::loss_and_grad(std::span<const double> w,
   return total_loss * inv;
 }
 
+double LogisticRegression::evaluate(std::span<const double> w,
+                                    const Dataset& data,
+                                    std::span<const std::size_t> batch,
+                                    bool loss,
+                                    std::vector<std::int32_t>* out) const {
+  if (out) out->resize(batch.size());
+  Vector logits(num_classes_);
+  double total = 0.0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    logits_for(w, data.features.row(batch[i]), logits);
+    if (loss) total += softmax_cross_entropy(logits, data.labels[batch[i]]);
+    if (out) (*out)[i] = static_cast<std::int32_t>(argmax(logits));
+  }
+  return loss ? total / static_cast<double>(batch.size()) : 0.0;
+}
+
 double LogisticRegression::loss(std::span<const double> w, const Dataset& data,
                                 std::span<const std::size_t> batch) const {
   assert(!batch.empty());
-  Vector logits(num_classes_);
-  double total = 0.0;
-  for (std::size_t idx : batch) {
-    logits_for(w, data.features.row(idx), logits);
-    total += softmax_cross_entropy(logits, data.labels[idx]);
-  }
-  return total / static_cast<double>(batch.size());
+  return evaluate(w, data, batch, /*loss=*/true, nullptr);
 }
 
 void LogisticRegression::predict(std::span<const double> w,
                                  const Dataset& data,
                                  std::span<const std::size_t> batch,
                                  std::vector<std::int32_t>& out) const {
-  out.resize(batch.size());
-  Vector logits(num_classes_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    logits_for(w, data.features.row(batch[i]), logits);
-    out[i] = static_cast<std::int32_t>(argmax(logits));
-  }
+  evaluate(w, data, batch, /*loss=*/false, &out);
+}
+
+double LogisticRegression::loss_and_predict(
+    std::span<const double> w, const Dataset& data,
+    std::span<const std::size_t> batch, std::vector<std::int32_t>& out) const {
+  assert(!batch.empty());
+  return evaluate(w, data, batch, /*loss=*/true, &out);
 }
 
 }  // namespace fed

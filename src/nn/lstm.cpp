@@ -1,7 +1,9 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "nn/loss.h"
@@ -12,6 +14,358 @@ namespace fed {
 namespace {
 // Gate block offsets within the 4H pre-activation vector.
 enum Gate { kInput = 0, kForget = 1, kCandidate = 2, kOutput = 3 };
+
+// Most rows (samples x steps) one run holds. Training keeps about 2 KB of
+// activations per row (hidden 16, two layers) on every pool thread at
+// once, so this bounds the process's peak memory. Sequences longer than
+// this run one sample at a time.
+constexpr std::size_t kRunRows = 64;
+
+std::size_t layer_input_dim(const LstmConfig& c, std::size_t layer) {
+  return layer == 0 ? c.embed_dim : c.hidden_dim;
+}
+
+std::size_t layer_param_count(const LstmConfig& c, std::size_t layer) {
+  const std::size_t h = c.hidden_dim;
+  return 4 * h * layer_input_dim(c, layer) + 4 * h * h + 4 * h;
+}
+
+// Grows `buf` to hold a rows x cols matrix and views that prefix.
+MatrixView shape(Vector& buf, std::size_t rows, std::size_t cols) {
+  if (buf.size() < rows * cols) buf.resize(rows * cols);
+  return {std::span<double>(buf).first(rows * cols), rows, cols};
+}
+
+// Rows [begin, begin + count) of `m`.
+ConstMatrixView row_range(const ConstMatrixView& m, std::size_t begin,
+                          std::size_t count) {
+  return {{m.data() + begin * m.cols(), count * m.cols()}, count, m.cols()};
+}
+
+Matrix transposed(const ConstMatrixView& a) {
+  Matrix at(a.cols(), a.rows());
+  transpose(a, at);
+  return at;
+}
+
+// Calls fn(run, length) for each run of `batch`: consecutive samples of
+// equal sequence length, at most kRunRows rows of them, in batch order.
+template <class Fn>
+void for_each_run(const Dataset& data, std::span<const std::size_t> batch,
+                  Fn&& fn) {
+  std::size_t begin = 0;
+  while (begin < batch.size()) {
+    const std::size_t length = data.tokens[batch[begin]].size();
+    if (length == 0) {
+      throw std::invalid_argument("LstmClassifier: empty token sequence");
+    }
+    const std::size_t cap = std::max<std::size_t>(1, kRunRows / length);
+    std::size_t end = begin + 1;
+    while (end < batch.size() && end - begin < cap &&
+           data.tokens[batch[end]].size() == length) {
+      ++end;
+    }
+    fn(batch.subspan(begin, end - begin), length);
+    begin = end;
+  }
+}
+
+// One call's weights and scratch, reused by every run of the call.
+//
+// Row layout of a run of B samples of length T: row s*T + (T-1-t) holds
+// sample s at step t, so each sample's rows run newest step first. That
+// is the order BPTT accumulates parameter gradients in (sample
+// ascending, timestep descending), which lets one ger_batch over all
+// rows reproduce the sample-by-sample sums bit for bit.
+class LstmPass {
+ public:
+  LstmPass(const LstmConfig& config, std::span<const double> w, bool train);
+
+  // Forward pass over one run; returns its B x C logits.
+  MatrixView forward(const Dataset& data, std::span<const std::size_t> run,
+                     std::size_t length);
+  // After forward(): adds the run's losses to `total` sample by sample
+  // and its gradient sums to `grad`.
+  void backward(const Dataset& data, std::span<const std::size_t> run,
+                std::span<double> grad, double& total);
+
+ private:
+  struct Layer {
+    std::size_t in;      // input width
+    std::size_t offset;  // of [Wx | Wh | b] in the flat vector
+    ConstMatrixView wx;  // 4H x in
+    ConstMatrixView wh;  // 4H x H
+    std::span<const double> b;
+    Matrix wx_t, wh_t;  // transposed copies: the forward's B operands
+    Vector h, c;        // B x H: recurrent state
+    // Training only: the run's activations, rows x width in the layout
+    // above, for BPTT. `hidden` is also the input the next layer's Wx
+    // gradient needs.
+    Vector gates, cell, tanh_cell, hidden;
+  };
+
+  std::size_t row(std::size_t s, std::size_t t) const {
+    return s * steps_ + (steps_ - 1 - t);
+  }
+  std::span<const double> embedding_row(std::int32_t token) const;
+
+  const LstmConfig& config_;
+  const bool train_;
+  std::span<const double> embedding_;  // trainable table, else empty
+  std::vector<Layer> layers_;
+  std::size_t out_offset_ = 0;
+  ConstMatrixView w_out_;  // C x H
+  std::span<const double> b_out_;
+  Matrix w_out_t_;
+
+  std::size_t samples_ = 0, steps_ = 0;  // shape of the current run
+  Vector inputs_;      // rows x E: token embeddings (training only)
+  Vector x_step_;      // B x E: token embeddings of one step
+  Vector zx_, zh_;     // B x 4H: Wx x and Wh h of one step
+  Vector logits_;      // B x C
+  Vector dz_step_;     // B x 4H: gate pre-activation gradients of one step
+  Vector dh_, dc_;     // B x H: BPTT running gradients
+  Vector below_[2];    // rows x in: gradients sent to the layer below
+  Vector zeros_;       // H zeros: c_{-1}
+};
+
+LstmPass::LstmPass(const LstmConfig& config, std::span<const double> w,
+                   bool train)
+    : config_(config),
+      train_(train),
+      w_out_({}, 0, 0),
+      zeros_(config.hidden_dim, 0.0) {
+  const std::size_t h = config.hidden_dim;
+  std::size_t off = 0;
+  if (config.trainable_embedding) {
+    embedding_ = w.subspan(0, config.vocab_size * config.embed_dim);
+    off += embedding_.size();
+  }
+  layers_.reserve(config.num_layers);
+  for (std::size_t l = 0; l < config.num_layers; ++l) {
+    const std::size_t in = layer_input_dim(config, l);
+    ConstMatrixView wx(w.subspan(off, 4 * h * in), 4 * h, in);
+    ConstMatrixView wh(w.subspan(off + 4 * h * in, 4 * h * h), 4 * h, h);
+    auto b = w.subspan(off + 4 * h * in + 4 * h * h, 4 * h);
+    layers_.push_back(Layer{.in = in,
+                            .offset = off,
+                            .wx = wx,
+                            .wh = wh,
+                            .b = b,
+                            .wx_t = transposed(wx),
+                            .wh_t = transposed(wh),
+                            .h = {},
+                            .c = {},
+                            .gates = {},
+                            .cell = {},
+                            .tanh_cell = {},
+                            .hidden = {}});
+    off += layer_param_count(config, l);
+  }
+  out_offset_ = off;
+  w_out_ = ConstMatrixView(w.subspan(off, config.num_classes * h),
+                           config.num_classes, h);
+  b_out_ = w.subspan(off + config.num_classes * h, config.num_classes);
+  w_out_t_ = transposed(w_out_);
+}
+
+std::span<const double> LstmPass::embedding_row(std::int32_t token) const {
+  if (token < 0 || static_cast<std::size_t>(token) >= config_.vocab_size) {
+    throw std::out_of_range("LstmClassifier: token out of range");
+  }
+  if (config_.trainable_embedding) {
+    return embedding_.subspan(
+        static_cast<std::size_t>(token) * config_.embed_dim,
+        config_.embed_dim);
+  }
+  return config_.frozen_embedding->lookup(token);
+}
+
+MatrixView LstmPass::forward(const Dataset& data,
+                             std::span<const std::size_t> run,
+                             std::size_t length) {
+  const std::size_t h = config_.hidden_dim;
+  samples_ = run.size();
+  steps_ = length;
+  const std::size_t rows = train_ ? samples_ * steps_ : 0;
+
+  MatrixView x = shape(inputs_, rows, config_.embed_dim);
+  MatrixView x_step = shape(x_step_, samples_, config_.embed_dim);
+  MatrixView zx = shape(zx_, samples_, 4 * h);
+  MatrixView zh = shape(zh_, samples_, 4 * h);
+  for (Layer& lay : layers_) {
+    zero(shape(lay.h, samples_, h).flat());
+    zero(shape(lay.c, samples_, h).flat());
+  }
+  for (std::size_t t = 0; t < steps_; ++t) {
+    for (std::size_t s = 0; s < samples_; ++s) {
+      copy(embedding_row(data.tokens[run[s]][t]), x_step.row(s));
+      if (train_) copy(x_step.row(s), x.row(row(s, t)));
+    }
+    ConstMatrixView in = x_step;
+    for (Layer& lay : layers_) {
+      // z = (Wx x) + (Wh h) + b, the two sums kept apart.
+      MatrixView hs = shape(lay.h, samples_, h);
+      MatrixView cs = shape(lay.c, samples_, h);
+      gemm(in, lay.wx_t, zx);
+      gemm(hs, lay.wh_t, zh);
+      MatrixView gates = shape(lay.gates, rows, 4 * h);
+      MatrixView cell = shape(lay.cell, rows, h);
+      MatrixView tanh_cell = shape(lay.tanh_cell, rows, h);
+      MatrixView hidden = shape(lay.hidden, rows, h);
+      for (std::size_t s = 0; s < samples_; ++s) {
+        const double* zx_s = zx.row(s).data();
+        const double* zh_s = zh.row(s).data();
+        double* h_s = hs.row(s).data();
+        double* c_s = cs.row(s).data();
+        const auto z = [&](Gate g, std::size_t j) {
+          const std::size_t k = g * h + j;
+          return (zx_s[k] + zh_s[k]) + lay.b[k];
+        };
+        for (std::size_t j = 0; j < h; ++j) {
+          const double gi = sigmoid(z(kInput, j));
+          const double gf = sigmoid(z(kForget, j));
+          const double gg = std::tanh(z(kCandidate, j));
+          const double go = sigmoid(z(kOutput, j));
+          const double c_new = gf * c_s[j] + gi * gg;
+          const double tc = std::tanh(c_new);
+          const double h_new = go * tc;
+          c_s[j] = c_new;
+          h_s[j] = h_new;
+          if (train_) {
+            const std::size_t r = row(s, t);
+            gates(r, kInput * h + j) = gi;
+            gates(r, kForget * h + j) = gf;
+            gates(r, kCandidate * h + j) = gg;
+            gates(r, kOutput * h + j) = go;
+            cell(r, j) = c_new;
+            tanh_cell(r, j) = tc;
+            hidden(r, j) = h_new;
+          }
+        }
+      }
+      in = hs;  // feeds the next layer
+    }
+  }
+
+  MatrixView logits = shape(logits_, samples_, config_.num_classes);
+  gemm(shape(layers_.back().h, samples_, h), w_out_t_, logits);
+  for (std::size_t s = 0; s < samples_; ++s) {
+    add(logits.row(s), b_out_, logits.row(s));
+  }
+  return logits;
+}
+
+void LstmPass::backward(const Dataset& data,
+                        std::span<const std::size_t> run,
+                        std::span<double> grad, double& total) {
+  const std::size_t h = config_.hidden_dim;
+  const std::size_t c_out = config_.num_classes;
+  const std::size_t rows = samples_ * steps_;
+
+  // Output head. logits become dL/dlogits in place.
+  MatrixView dlogits = shape(logits_, samples_, c_out);
+  for (std::size_t s = 0; s < samples_; ++s) {
+    total += softmax_cross_entropy_grad(dlogits.row(s), data.labels[run[s]]);
+  }
+  ger_batch(dlogits, shape(layers_.back().h, samples_, h),
+            MatrixView(grad.subspan(out_offset_, c_out * h), c_out, h));
+  auto g_bout = grad.subspan(out_offset_ + c_out * h, c_out);
+  for (std::size_t s = 0; s < samples_; ++s) {
+    add(g_bout, dlogits.row(s), g_bout);
+  }
+
+  // Seed BPTT: dh of the top layer at the final step.
+  MatrixView dh = shape(dh_, samples_, h);
+  MatrixView dc = shape(dc_, samples_, h);
+  gemm(dlogits, w_out_, dh);
+
+  // Gradient arriving at each step's output from the layer above; none
+  // for the top layer.
+  std::optional<ConstMatrixView> above;
+  for (std::size_t lq = layers_.size(); lq > 0; --lq) {
+    const std::size_t l = lq - 1;
+    Layer& lay = layers_[l];
+    const ConstMatrixView cell = shape(lay.cell, rows, h);
+    const ConstMatrixView tanh_cell = shape(lay.tanh_cell, rows, h);
+    const ConstMatrixView hidden = shape(lay.hidden, rows, h);
+    const ConstMatrixView in =
+        shape(l == 0 ? inputs_ : layers_[l - 1].hidden, rows, lay.in);
+    // dz overwrites the gate values in place: each element is read just
+    // before its gradient is written.
+    MatrixView dz = shape(lay.gates, rows, 4 * h);
+    MatrixView dz_step = shape(dz_step_, samples_, 4 * h);
+    if (above) zero(dh.flat());
+    zero(dc.flat());
+
+    for (std::size_t tq = steps_; tq > 0; --tq) {
+      const std::size_t t = tq - 1;
+      for (std::size_t s = 0; s < samples_; ++s) {
+        const std::size_t r = row(s, t);
+        const double* from_above = above ? above->row(r).data() : nullptr;
+        // Step t-1 is the next row; c_{-1} = 0.
+        const double* cprev = t > 0 ? cell.row(r + 1).data() : zeros_.data();
+        double* dh_s = dh.row(s).data();
+        double* dc_s = dc.row(s).data();
+        double* dz_r = dz.row(r).data();
+        for (std::size_t j = 0; j < h; ++j) {
+          const double gi = dz_r[kInput * h + j];
+          const double gf = dz_r[kForget * h + j];
+          const double gg = dz_r[kCandidate * h + j];
+          const double go = dz_r[kOutput * h + j];
+          const double tc = tanh_cell(r, j);
+          const double dht =
+              from_above != nullptr ? dh_s[j] + from_above[j] : dh_s[j];
+          const double dct = dc_s[j] + dht * go * (1.0 - tc * tc);
+          const double d_go = dht * tc;
+          const double d_gi = dct * gg;
+          const double d_gg = dct * gi;
+          const double d_gf = dct * cprev[j];
+          dz_r[kInput * h + j] = d_gi * gi * (1.0 - gi);
+          dz_r[kForget * h + j] = d_gf * gf * (1.0 - gf);
+          dz_r[kCandidate * h + j] = d_gg * (1.0 - gg * gg);
+          dz_r[kOutput * h + j] = d_go * go * (1.0 - go);
+          dc_s[j] = dct * gf;  // flows to c_{t-1}
+        }
+        copy(dz.row(r), dz_step.row(s));
+      }
+      // dh_{t-1} through Wh.
+      gemm(dz_step, lay.wh, dh);
+    }
+
+    // Parameter gradients, sample by sample and newest step first.
+    MatrixView g_wx(grad.subspan(lay.offset, 4 * h * lay.in), 4 * h, lay.in);
+    MatrixView g_wh(grad.subspan(lay.offset + 4 * h * lay.in, 4 * h * h),
+                    4 * h, h);
+    auto g_b = grad.subspan(lay.offset + 4 * h * lay.in + 4 * h * h, 4 * h);
+    ger_batch(dz, in, g_wx);
+    // Wh sees h_{t-1}, the next row; h_{-1} = 0 adds nothing at t = 0.
+    for (std::size_t s = 0; s < samples_ && steps_ > 1; ++s) {
+      ger_batch(row_range(dz, s * steps_, steps_ - 1),
+                row_range(hidden, s * steps_ + 1, steps_ - 1), g_wh);
+    }
+    for (std::size_t r = 0; r < rows; ++r) add(g_b, dz.row(r), g_b);
+
+    // Input gradients, to the layer below or the embedding.
+    if (l == 0 && !config_.trainable_embedding) break;
+    MatrixView below = shape(below_[l % 2], rows, lay.in);
+    gemm(dz, lay.wx, below);
+    above = below;
+  }
+
+  if (config_.trainable_embedding) {
+    for (std::size_t s = 0; s < samples_; ++s) {
+      const auto& seq = data.tokens[run[s]];
+      for (std::size_t t = 0; t < steps_; ++t) {
+        auto g_row = grad.subspan(
+            static_cast<std::size_t>(seq[t]) * config_.embed_dim,
+            config_.embed_dim);
+        add(g_row, above->row(row(s, t)), g_row);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 LstmClassifier::LstmClassifier(LstmConfig config) : config_(std::move(config)) {
@@ -33,45 +387,9 @@ LstmClassifier::LstmClassifier(LstmConfig config) : config_(std::move(config)) {
   }
   param_count_ = c.trainable_embedding ? c.vocab_size * c.embed_dim : 0;
   for (std::size_t l = 0; l < c.num_layers; ++l) {
-    param_count_ += layer_param_count(l);
+    param_count_ += layer_param_count(c, l);
   }
   param_count_ += c.num_classes * c.hidden_dim + c.num_classes;
-}
-
-std::size_t LstmClassifier::layer_param_count(std::size_t layer) const {
-  const std::size_t h = config_.hidden_dim;
-  const std::size_t in = layer_input_dim(layer);
-  return 4 * h * in + 4 * h * h + 4 * h;
-}
-
-LstmClassifier::Views LstmClassifier::view(std::span<const double> w) const {
-  assert(w.size() == param_count_);
-  Views v{.embedding = {},
-          .layers = {},
-          .w_out = ConstMatrixView({}, 0, 0),
-          .b_out = {}};
-  const std::size_t h = config_.hidden_dim;
-  std::size_t off = 0;
-  if (config_.trainable_embedding) {
-    v.embedding = w.subspan(0, config_.vocab_size * config_.embed_dim);
-    off += v.embedding.size();
-  }
-  v.layers.reserve(config_.num_layers);
-  for (std::size_t l = 0; l < config_.num_layers; ++l) {
-    const std::size_t in = layer_input_dim(l);
-    ConstMatrixView wx(w.subspan(off, 4 * h * in), 4 * h, in);
-    off += 4 * h * in;
-    ConstMatrixView wh(w.subspan(off, 4 * h * h), 4 * h, h);
-    off += 4 * h * h;
-    auto b = w.subspan(off, 4 * h);
-    off += 4 * h;
-    v.layers.push_back({wx, wh, b});
-  }
-  v.w_out = ConstMatrixView(w.subspan(off, config_.num_classes * h),
-                            config_.num_classes, h);
-  off += config_.num_classes * h;
-  v.b_out = w.subspan(off, config_.num_classes);
-  return v;
 }
 
 void LstmClassifier::init_parameters(std::span<double> w, Rng& rng) const {
@@ -84,7 +402,7 @@ void LstmClassifier::init_parameters(std::span<double> w, Rng& rng) const {
     }
   }
   for (std::size_t l = 0; l < config_.num_layers; ++l) {
-    const std::size_t in = layer_input_dim(l);
+    const std::size_t in = layer_input_dim(config_, l);
     const double sx = 1.0 / std::sqrt(static_cast<double>(in));
     const double sh = 1.0 / std::sqrt(static_cast<double>(h));
     for (std::size_t i = 0; i < 4 * h * in; ++i) {
@@ -106,258 +424,68 @@ void LstmClassifier::init_parameters(std::span<double> w, Rng& rng) const {
   assert(off == param_count_);
 }
 
-void LstmClassifier::LayerTrace::resize(std::size_t t, std::size_t h,
-                                        std::size_t in) {
-  gate_i = Matrix(t, h);
-  gate_f = Matrix(t, h);
-  gate_g = Matrix(t, h);
-  gate_o = Matrix(t, h);
-  cell = Matrix(t, h);
-  hidden = Matrix(t, h);
-  input = Matrix(t, in);
-}
-
-void LstmClassifier::embed(const Views& p, std::int32_t tok,
-                           std::span<double> dst) const {
-  if (tok < 0 || static_cast<std::size_t>(tok) >= config_.vocab_size) {
-    throw std::out_of_range("LstmClassifier: token out of range");
-  }
-  if (config_.trainable_embedding) {
-    copy(p.embedding.subspan(static_cast<std::size_t>(tok) * config_.embed_dim,
-                             config_.embed_dim),
-         dst);
-  } else {
-    copy(config_.frozen_embedding->lookup(tok), dst);
-  }
-}
-
-void LstmClassifier::forward(const Views& p,
-                             std::span<const std::int32_t> seq,
-                             std::vector<LayerTrace>* traces,
-                             std::span<double> final_hidden) const {
-  const std::size_t h = config_.hidden_dim;
-  const std::size_t t_len = seq.size();
-  assert(t_len > 0);
-
-  if (traces) {
-    traces->resize(config_.num_layers);
-    for (std::size_t l = 0; l < config_.num_layers; ++l) {
-      (*traces)[l].resize(t_len, h, layer_input_dim(l));
-    }
-  }
-
-  // Per-layer running state.
-  std::vector<Vector> h_prev(config_.num_layers, Vector(h, 0.0));
-  std::vector<Vector> c_prev(config_.num_layers, Vector(h, 0.0));
-  Vector x(config_.embed_dim);
-  Vector z(4 * h);
-  Vector layer_in;  // input to the current layer at this timestep
-
-  for (std::size_t t = 0; t < t_len; ++t) {
-    embed(p, seq[t], x);
-    layer_in = x;
-    for (std::size_t l = 0; l < config_.num_layers; ++l) {
-      const LayerView& lay = p.layers[l];
-      // z = Wx * in + Wh * h_prev + b
-      gemv(lay.wx, layer_in, z);
-      gemv_accumulate(lay.wh, h_prev[l], z);
-      add(z, lay.b, z);
-      Vector& cp = c_prev[l];
-      Vector& hp = h_prev[l];
-      if (traces) copy(layer_in, (*traces)[l].input.row(t));
-      for (std::size_t j = 0; j < h; ++j) {
-        const double gi = sigmoid(z[kInput * h + j]);
-        const double gf = sigmoid(z[kForget * h + j]);
-        const double gg = std::tanh(z[kCandidate * h + j]);
-        const double go = sigmoid(z[kOutput * h + j]);
-        const double c_new = gf * cp[j] + gi * gg;
-        const double h_new = go * std::tanh(c_new);
-        if (traces) {
-          LayerTrace& tr = (*traces)[l];
-          tr.gate_i(t, j) = gi;
-          tr.gate_f(t, j) = gf;
-          tr.gate_g(t, j) = gg;
-          tr.gate_o(t, j) = go;
-          tr.cell(t, j) = c_new;
-          tr.hidden(t, j) = h_new;
-        }
-        cp[j] = c_new;
-        hp[j] = h_new;
-      }
-      layer_in = hp;  // feeds the next layer
-    }
-  }
-  copy(h_prev.back(), final_hidden);
-}
-
 double LstmClassifier::loss_and_grad(std::span<const double> w,
                                      const Dataset& data,
                                      std::span<const std::size_t> batch,
                                      std::span<double> grad) const {
   assert(w.size() == param_count_ && grad.size() == param_count_);
   assert(!batch.empty());
-  const Views p = view(w);
   zero(grad);
-
-  const std::size_t h = config_.hidden_dim;
-  const std::size_t c_out = config_.num_classes;
-
-  // Gradient block views (mutable).
-  std::size_t off = config_.trainable_embedding
-                        ? config_.vocab_size * config_.embed_dim
-                        : 0;
-  std::span<double> g_embed =
-      config_.trainable_embedding ? grad.subspan(0, off) : std::span<double>{};
-  std::vector<std::size_t> layer_off(config_.num_layers);
-  for (std::size_t l = 0; l < config_.num_layers; ++l) {
-    layer_off[l] = off;
-    off += layer_param_count(l);
-  }
-  MatrixView g_wout(grad.subspan(off, c_out * h), c_out, h);
-  auto g_bout = grad.subspan(off + c_out * h, c_out);
-
-  std::vector<LayerTrace> traces;
-  Vector final_hidden(h), logits(c_out);
-  Vector dz(4 * h);
-  std::vector<Vector> dh(config_.num_layers, Vector(h));
-  std::vector<Vector> dc(config_.num_layers, Vector(h));
-  Vector dinput;  // gradient flowing to the layer below / embedding
-
+  LstmPass pass(config_, w, /*train=*/true);
   double total_loss = 0.0;
-  for (std::size_t idx : batch) {
-    const auto& seq = data.tokens[idx];
-    if (seq.empty()) {
-      throw std::invalid_argument("LstmClassifier: empty token sequence");
-    }
-    const std::size_t t_len = seq.size();
-    forward(p, seq, &traces, final_hidden);
-
-    gemv(p.w_out, final_hidden, logits);
-    add(logits, p.b_out, logits);
-    total_loss += softmax_cross_entropy_grad(logits, data.labels[idx]);
-
-    // Output head gradients.
-    ger(1.0, logits, final_hidden, g_wout);
-    add(g_bout, logits, g_bout);
-
-    // Seed BPTT: dh of top layer at final step; everything else zero.
-    for (std::size_t l = 0; l < config_.num_layers; ++l) {
-      zero(dh[l]);
-      zero(dc[l]);
-    }
-    gemv_transposed(p.w_out, logits, dh.back());
-
-    // dinput_from_above[t]: gradient arriving at layer l's output at
-    // timestep t from layer l+1. Stored per timestep for the layer being
-    // processed next. Initialized empty for the top layer.
-    Matrix from_above;  // t_len x h, zero when processing top layer
-    for (std::size_t lq = config_.num_layers; lq > 0; --lq) {
-      const std::size_t l = lq - 1;
-      const LayerView& lay = p.layers[l];
-      const LayerTrace& tr = traces[l];
-      const std::size_t in_dim = layer_input_dim(l);
-
-      MatrixView g_wx(grad.subspan(layer_off[l], 4 * h * in_dim), 4 * h,
-                      in_dim);
-      MatrixView g_wh(grad.subspan(layer_off[l] + 4 * h * in_dim, 4 * h * h),
-                      4 * h, h);
-      auto g_b = grad.subspan(layer_off[l] + 4 * h * in_dim + 4 * h * h, 4 * h);
-
-      Matrix to_below(t_len, in_dim);  // grads w.r.t. this layer's inputs
-
-      Vector dh_run = dh[l];  // running dL/dh_t, includes head seed for top
-      Vector dc_run = dc[l];
-      for (std::size_t tq = t_len; tq > 0; --tq) {
-        const std::size_t t = tq - 1;
-        // Add the gradient arriving from the layer above at this step.
-        if (from_above.rows() == t_len) {
-          add(dh_run, from_above.row(t), dh_run);
-        }
-        const double* cprev_row = nullptr;
-        Vector zeros;  // c_{-1} = 0
-        if (t > 0) {
-          cprev_row = tr.cell.row(t - 1).data();
-        } else {
-          zeros.assign(h, 0.0);
-          cprev_row = zeros.data();
-        }
-        for (std::size_t j = 0; j < h; ++j) {
-          const double gi = tr.gate_i(t, j);
-          const double gf = tr.gate_f(t, j);
-          const double gg = tr.gate_g(t, j);
-          const double go = tr.gate_o(t, j);
-          const double ct = tr.cell(t, j);
-          const double tc = std::tanh(ct);
-          const double dht = dh_run[j];
-          const double dct = dc_run[j] + dht * go * (1.0 - tc * tc);
-          const double d_go = dht * tc;
-          const double d_gi = dct * gg;
-          const double d_gg = dct * gi;
-          const double d_gf = dct * cprev_row[j];
-          dz[kInput * h + j] = d_gi * gi * (1.0 - gi);
-          dz[kForget * h + j] = d_gf * gf * (1.0 - gf);
-          dz[kCandidate * h + j] = d_gg * (1.0 - gg * gg);
-          dz[kOutput * h + j] = d_go * go * (1.0 - go);
-          dc_run[j] = dct * gf;  // flows to c_{t-1}
-        }
-        // Parameter gradients.
-        ger(1.0, dz, tr.input.row(t), g_wx);
-        if (t > 0) {
-          ger(1.0, dz, tr.hidden.row(t - 1), g_wh);
-        }  // h_{-1} = 0: no Wh contribution at t = 0
-        add(g_b, dz, g_b);
-        // Input gradient (to embedding or the layer below).
-        auto to_below_row = to_below.row(t);
-        gemv_transposed(lay.wx, dz, to_below_row);
-        // dh_{t-1} through Wh.
-        gemv_transposed(lay.wh, dz, dh_run);
-      }
-      from_above = std::move(to_below);
-    }
-
-    // Embedding gradients (layer 0 inputs).
-    if (config_.trainable_embedding) {
-      for (std::size_t t = 0; t < t_len; ++t) {
-        auto row = g_embed.subspan(
-            static_cast<std::size_t>(seq[t]) * config_.embed_dim,
-            config_.embed_dim);
-        add(row, from_above.row(t), row);
-      }
-    }
-  }
-
+  for_each_run(data, batch,
+               [&](std::span<const std::size_t> run, std::size_t length) {
+                 pass.forward(data, run, length);
+                 pass.backward(data, run, grad, total_loss);
+               });
   const double inv = 1.0 / static_cast<double>(batch.size());
   scale(grad, inv);
   return total_loss * inv;
 }
 
+double LstmClassifier::evaluate(std::span<const double> w, const Dataset& data,
+                                std::span<const std::size_t> batch, bool loss,
+                                std::vector<std::int32_t>* out) const {
+  LstmPass pass(config_, w, /*train=*/false);
+  if (out) out->resize(batch.size());
+  double total = 0.0;
+  std::size_t done = 0;
+  for_each_run(data, batch,
+               [&](std::span<const std::size_t> run, std::size_t length) {
+                 const MatrixView logits = pass.forward(data, run, length);
+                 for (std::size_t s = 0; s < run.size(); ++s) {
+                   if (loss) {
+                     total += softmax_cross_entropy(logits.row(s),
+                                                    data.labels[run[s]]);
+                   }
+                   if (out) {
+                     (*out)[done + s] =
+                         static_cast<std::int32_t>(argmax(logits.row(s)));
+                   }
+                 }
+                 done += run.size();
+               });
+  return loss ? total / static_cast<double>(batch.size()) : 0.0;
+}
+
 double LstmClassifier::loss(std::span<const double> w, const Dataset& data,
                             std::span<const std::size_t> batch) const {
   assert(!batch.empty());
-  const Views p = view(w);
-  Vector final_hidden(config_.hidden_dim), logits(config_.num_classes);
-  double total = 0.0;
-  for (std::size_t idx : batch) {
-    forward(p, data.tokens[idx], nullptr, final_hidden);
-    gemv(p.w_out, final_hidden, logits);
-    add(logits, p.b_out, logits);
-    total += softmax_cross_entropy(logits, data.labels[idx]);
-  }
-  return total / static_cast<double>(batch.size());
+  return evaluate(w, data, batch, /*loss=*/true, nullptr);
 }
 
 void LstmClassifier::predict(std::span<const double> w, const Dataset& data,
                              std::span<const std::size_t> batch,
                              std::vector<std::int32_t>& out) const {
-  const Views p = view(w);
-  out.resize(batch.size());
-  Vector final_hidden(config_.hidden_dim), logits(config_.num_classes);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    forward(p, data.tokens[batch[i]], nullptr, final_hidden);
-    gemv(p.w_out, final_hidden, logits);
-    add(logits, p.b_out, logits);
-    out[i] = static_cast<std::int32_t>(argmax(logits));
-  }
+  evaluate(w, data, batch, /*loss=*/false, &out);
+}
+
+double LstmClassifier::loss_and_predict(std::span<const double> w,
+                                        const Dataset& data,
+                                        std::span<const std::size_t> batch,
+                                        std::vector<std::int32_t>& out) const {
+  assert(!batch.empty());
+  return evaluate(w, data, batch, /*loss=*/true, &out);
 }
 
 }  // namespace fed

@@ -12,6 +12,18 @@
 //   for each layer l: [Wx_l (4H x in_l) | Wh_l (4H x H) | b_l (4H)]
 //   [W_out (C x H) | b_out (C)]
 // Gate order inside the 4H blocks: input, forget, candidate, output.
+//
+// Batched execution. Every call splits its batch into runs: consecutive
+// samples of equal length, at most 64 timesteps in all (five 12-step
+// samples), which bounds the activations training keeps. A run of B
+// samples steps through time together: at each timestep every layer
+// computes its B x 4H pre-activations with two gemms, (B x in)(in x 4H)
+// for the input and (B x H)(H x 4H) for the recurrence, and BPTT runs one
+// (B x 4H)(4H x H) product per step. The pre-activation keeps its two
+// sums apart, z = (Wx x) + (Wh h) + b, so every value is bitwise what a
+// sample-by-sample pass computes; gradients are accumulated sample by
+// sample, newest step first (the summation-order contract in
+// tensor/ops.h). All scratch lives in the call.
 
 #pragma once
 
@@ -53,49 +65,16 @@ class LstmClassifier final : public Model {
   void predict(std::span<const double> w, const Dataset& data,
                std::span<const std::size_t> batch,
                std::vector<std::int32_t>& out) const override;
+  double loss_and_predict(std::span<const double> w, const Dataset& data,
+                          std::span<const std::size_t> batch,
+                          std::vector<std::int32_t>& out) const override;
 
  private:
-  struct LayerView {
-    ConstMatrixView wx;  // 4H x in
-    ConstMatrixView wh;  // 4H x H
-    std::span<const double> b;  // 4H
-  };
-  struct Views {
-    std::span<const double> embedding;  // vocab*embed or empty
-    std::vector<LayerView> layers;
-    ConstMatrixView w_out;
-    std::span<const double> b_out;
-  };
-  struct GradViews {
-    std::span<double> embedding;
-    std::vector<std::size_t> layer_offsets;  // offset of each layer block
-    std::span<double> all;
-    std::size_t out_offset;
-  };
-
-  // Per-timestep activations recorded by the forward pass (one layer).
-  struct LayerTrace {
-    // Each is T x H, row t = timestep t.
-    Matrix gate_i, gate_f, gate_g, gate_o, cell, hidden;
-    // T x in: the inputs this layer saw (embeddings or lower hidden).
-    Matrix input;
-    void resize(std::size_t t, std::size_t h, std::size_t in);
-  };
-
-  std::size_t layer_input_dim(std::size_t layer) const {
-    return layer == 0 ? config_.embed_dim : config_.hidden_dim;
-  }
-  std::size_t layer_param_count(std::size_t layer) const;
-  Views view(std::span<const double> w) const;
-
-  // Runs the forward pass for one token sequence; fills traces (if given)
-  // and writes the final top-layer hidden state into `final_hidden`.
-  void forward(const Views& p, std::span<const std::int32_t> seq,
-               std::vector<LayerTrace>* traces,
-               std::span<double> final_hidden) const;
-  // Embeds token `tok` into dst using either the trainable block of w or
-  // the frozen table.
-  void embed(const Views& p, std::int32_t tok, std::span<double> dst) const;
+  // Mean loss (when `loss` is set) and predictions (when `out` is set)
+  // from one forward pass over the batch.
+  double evaluate(std::span<const double> w, const Dataset& data,
+                  std::span<const std::size_t> batch, bool loss,
+                  std::vector<std::int32_t>* out) const;
 
   LstmConfig config_;
   std::size_t param_count_ = 0;

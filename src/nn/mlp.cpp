@@ -106,29 +106,38 @@ double Mlp::loss_and_grad(std::span<const double> w, const Dataset& data,
   return total * inv;
 }
 
+double Mlp::evaluate(std::span<const double> w, const Dataset& data,
+                     std::span<const std::size_t> batch, bool loss,
+                     std::vector<std::int32_t>* out) const {
+  const Blocks p = view(w);
+  if (out) out->resize(batch.size());
+  Vector hidden(hidden_dim_), logits(num_classes_);
+  double total = 0.0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    forward(p, data.features.row(batch[i]), hidden, logits);
+    if (loss) total += softmax_cross_entropy(logits, data.labels[batch[i]]);
+    if (out) (*out)[i] = static_cast<std::int32_t>(argmax(logits));
+  }
+  return loss ? total / static_cast<double>(batch.size()) : 0.0;
+}
+
 double Mlp::loss(std::span<const double> w, const Dataset& data,
                  std::span<const std::size_t> batch) const {
   assert(!batch.empty());
-  const Blocks p = view(w);
-  Vector hidden(hidden_dim_), logits(num_classes_);
-  double total = 0.0;
-  for (std::size_t idx : batch) {
-    forward(p, data.features.row(idx), hidden, logits);
-    total += softmax_cross_entropy(logits, data.labels[idx]);
-  }
-  return total / static_cast<double>(batch.size());
+  return evaluate(w, data, batch, /*loss=*/true, nullptr);
 }
 
 void Mlp::predict(std::span<const double> w, const Dataset& data,
                   std::span<const std::size_t> batch,
                   std::vector<std::int32_t>& out) const {
-  const Blocks p = view(w);
-  out.resize(batch.size());
-  Vector hidden(hidden_dim_), logits(num_classes_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    forward(p, data.features.row(batch[i]), hidden, logits);
-    out[i] = static_cast<std::int32_t>(argmax(logits));
-  }
+  evaluate(w, data, batch, /*loss=*/false, &out);
+}
+
+double Mlp::loss_and_predict(std::span<const double> w, const Dataset& data,
+                             std::span<const std::size_t> batch,
+                             std::vector<std::int32_t>& out) const {
+  assert(!batch.empty());
+  return evaluate(w, data, batch, /*loss=*/true, &out);
 }
 
 }  // namespace fed

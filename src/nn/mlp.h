@@ -28,8 +28,16 @@ class Mlp final : public Model {
   void predict(std::span<const double> w, const Dataset& data,
                std::span<const std::size_t> batch,
                std::vector<std::int32_t>& out) const override;
+  double loss_and_predict(std::span<const double> w, const Dataset& data,
+                          std::span<const std::size_t> batch,
+                          std::vector<std::int32_t>& out) const override;
 
  private:
+  // Mean loss (when `loss` is set) and predictions (when `out` is set)
+  // from one forward pass per sample.
+  double evaluate(std::span<const double> w, const Dataset& data,
+                  std::span<const std::size_t> batch, bool loss,
+                  std::vector<std::int32_t>* out) const;
   struct Blocks {
     ConstMatrixView w1;
     std::span<const double> b1;

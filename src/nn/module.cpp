@@ -18,6 +18,23 @@ double Model::loss(std::span<const double> w, const Dataset& data,
   return loss_and_grad(w, data, batch, scratch);
 }
 
+std::size_t count_correct(const Dataset& data,
+                          std::span<const std::size_t> batch,
+                          std::span<const std::int32_t> pred) {
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (pred[i] == data.labels[batch[i]]) ++correct;
+  }
+  return correct;
+}
+
+double Model::loss_and_predict(std::span<const double> w, const Dataset& data,
+                               std::span<const std::size_t> batch,
+                               std::vector<std::int32_t>& out) const {
+  predict(w, data, batch, out);
+  return loss(w, data, batch);
+}
+
 double Model::dataset_loss(std::span<const double> w,
                            const Dataset& data) const {
   if (data.empty()) return 0.0;
@@ -40,11 +57,7 @@ std::size_t Model::correct_count(std::span<const double> w,
   const auto batch = full_batch(data.size());
   std::vector<std::int32_t> pred;
   predict(w, data, batch, pred);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (pred[i] == data.labels[batch[i]]) ++correct;
-  }
-  return correct;
+  return count_correct(data, batch, pred);
 }
 
 double Model::accuracy(std::span<const double> w, const Dataset& data) const {

@@ -47,6 +47,15 @@ class Model {
                        std::span<const std::size_t> batch,
                        std::vector<std::int32_t>& out) const = 0;
 
+  // Mean loss and predicted labels of the batch, bitwise what loss() and
+  // predict() return. The default calls both; a model overrides it to
+  // share one forward pass (global evaluation calls it on every train
+  // split).
+  virtual double loss_and_predict(std::span<const double> w,
+                                  const Dataset& data,
+                                  std::span<const std::size_t> batch,
+                                  std::vector<std::int32_t>& out) const;
+
   // ---- convenience over whole datasets ----
 
   // Mean loss over all samples of `data` (0.0 when empty).
@@ -63,5 +72,11 @@ class Model {
 
 // Returns 0..size-1 as a batch covering a whole dataset.
 std::vector<std::size_t> full_batch(std::size_t size);
+
+// Number of predictions equal to their sample's label (pred[i] is the
+// prediction for sample batch[i]).
+std::size_t count_correct(const Dataset& data,
+                          std::span<const std::size_t> batch,
+                          std::span<const std::int32_t> pred);
 
 }  // namespace fed

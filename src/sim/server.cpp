@@ -22,9 +22,12 @@ PerClientEval evaluate_client(const Model& model, const ClientData& client,
   out.train_total = client.train.size();
   out.test_total = client.test.size();
   if (out.train_total > 0) {
-    out.train_loss_sum = model.dataset_loss(w, client.train) *
+    // One pass gives both the loss and the predictions.
+    const auto batch = full_batch(out.train_total);
+    std::vector<std::int32_t> pred;
+    out.train_loss_sum = model.loss_and_predict(w, client.train, batch, pred) *
                          static_cast<double>(out.train_total);
-    out.train_correct = model.correct_count(w, client.train);
+    out.train_correct = count_correct(client.train, batch, pred);
   }
   if (out.test_total > 0) {
     out.test_correct = model.correct_count(w, client.test);

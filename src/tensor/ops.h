@@ -42,25 +42,54 @@ void hadamard(std::span<const double> a, std::span<const double> b,
 void zero(std::span<double> x);
 
 // ---- matrix ops -----------------------------------------------------------
+//
+// Summation-order contract. Each kernel fixes the order in which every
+// output element's terms are added, and the models' bit-identity
+// (TrainHistory equal across threads, shards and kernel rewrites) rests
+// on it. No kernel reassociates, skips zero terms, or fuses a multiply
+// into an add, so NaN and Inf in any operand reach the output. Below,
+// "sum from 0.0" means acc = 0.0, then acc = acc + term for each term in
+// the order given, which is what dot() does.
 
 // y = A x           (A: m x n, x: n, y: m)
+//   y[r] = 0.0 + (sum from 0.0 over c ascending of A[r][c] * x[c])
 void gemv(const ConstMatrixView& a, std::span<const double> x,
           std::span<double> y);
 // y = A^T x         (A: m x n, x: m, y: n)
+//   y[c] = sum from 0.0 over r ascending of x[r] * A[r][c]
 void gemv_transposed(const ConstMatrixView& a, std::span<const double> x,
                      std::span<double> y);
 // y += A x
+//   y[r] = y[r] + (sum from 0.0 over c ascending of A[r][c] * x[c])
 void gemv_accumulate(const ConstMatrixView& a, std::span<const double> x,
                      std::span<double> y);
 // y += A^T x
+//   y[c] = y[c] + x[0] * A[0][c] + x[1] * A[1][c] + ...  (r ascending,
+//   each term added to y directly)
 void gemv_transposed_accumulate(const ConstMatrixView& a,
                                 std::span<const double> x,
                                 std::span<double> y);
-// C = A B           (A: m x k, B: k x n, C: m x n). Blocked ikj loop.
+// C = A B           (A: m x k, B: k x n, C: m x n)
+//   C[i][j] = sum from 0.0 over p ascending of A[i][p] * B[p][j]
+// Rows of C are independent, so row i of gemm(X, W^T) is bitwise
+// gemv(W, X.row(i)) and row i of gemm(D, W) is bitwise
+// gemv_transposed(W, D.row(i)). Register-blocked: each tile keeps 2 x 8
+// sums in registers and streams a row of B per step of p.
 void gemm(const ConstMatrixView& a, const ConstMatrixView& b, MatrixView c);
 // A += alpha * x y^T  (rank-1 update; A: m x n, x: m, y: n)
+//   A[r][c] = A[r][c] + (alpha * x[r]) * y[c]
 void ger(double alpha, std::span<const double> x, std::span<const double> y,
          MatrixView a);
+// C += X^T Y        (X: K x m, Y: K x n, C: m x n) — K rank-1 updates
+// applied in row order, each term added to C directly:
+//   C[i][j] = ((C[i][j] + X[0][i] * Y[0][j]) + X[1][i] * Y[1][j]) + ...
+// Bitwise equal to ger(1.0, X.row(k), Y.row(k), C) for k = 0..K-1, so a
+// caller picks the accumulation order by the order of its rows.
+// Register-blocked: each tile of C stays in registers (4 x 4) for all K.
+void ger_batch(const ConstMatrixView& x, const ConstMatrixView& y,
+               MatrixView c);
+// At = A^T          (A: m x n, At: n x m). Exact copy, no arithmetic.
+void transpose(const ConstMatrixView& a, MatrixView at);
 
 // ---- nonlinearities --------------------------------------------------------
 

@@ -72,6 +72,8 @@ class MatrixView {
       : data_(data), rows_(rows), cols_(cols) {
     assert(data.size() == rows * cols);
   }
+  // A view of a whole Matrix.
+  MatrixView(Matrix& m) : MatrixView(m.storage(), m.rows(), m.cols()) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -95,6 +97,7 @@ class MatrixView {
   }
 
   std::span<double> flat() { return data_; }
+  double* data() const { return data_.data(); }
 
  private:
   std::span<double> data_;
@@ -109,6 +112,11 @@ class ConstMatrixView {
       : data_(data), rows_(rows), cols_(cols) {
     assert(data.size() == rows * cols);
   }
+  // Read-only views of a whole Matrix or of a mutable view.
+  ConstMatrixView(const Matrix& m)
+      : ConstMatrixView(m.storage(), m.rows(), m.cols()) {}
+  ConstMatrixView(const MatrixView& m)
+      : ConstMatrixView({m.data(), m.rows() * m.cols()}, m.rows(), m.cols()) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -122,6 +130,8 @@ class ConstMatrixView {
     assert(r < rows_);
     return data_.subspan(r * cols_, cols_);
   }
+
+  const double* data() const { return data_.data(); }
 
  private:
   std::span<const double> data_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "data/sequence.h"
@@ -11,12 +13,17 @@
 namespace fed {
 namespace {
 
+// Each test gets its own directory, named from the test and the process:
+// ctest runs every test as its own process, in parallel under -j.
 class LeafJsonTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::filesystem::remove_all("/tmp/fedprox_leaf_test");
-  }
-  const std::string prefix = "/tmp/fedprox_leaf_test/data";
+  void SetUp() override { std::filesystem::remove_all(dir); }
+  void TearDown() override { std::filesystem::remove_all(dir); }
+  const std::string dir =
+      ::testing::TempDir() + "fedprox_leaf_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid());
+  const std::string prefix = dir + "/data";
 };
 
 TEST_F(LeafJsonTest, DenseRoundTripIsExact) {
@@ -103,7 +110,7 @@ TEST_F(LeafJsonTest, ImportValidatesLabels) {
 }
 
 TEST_F(LeafJsonTest, MissingMetadataThrows) {
-  EXPECT_THROW(import_leaf("/tmp/fedprox_leaf_test/nothing"),
+  EXPECT_THROW(import_leaf(dir + "/nothing"),
                std::runtime_error);
 }
 

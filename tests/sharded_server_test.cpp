@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/registry.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
@@ -112,6 +113,30 @@ TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossThreadCounts) {
   const TrainHistory single = run(c);
   c.threads = 4;
   expect_bit_identical(single, run(c));
+}
+
+TEST_F(ShardedDeterminismTest, LstmHistoryIsBitIdenticalAcrossThreadsAndShards) {
+  // The same grid on the Shakespeare next-char LSTM, whose local solves
+  // and evaluation run the batched recurrent kernels.
+  const Workload w = make_workload("shakespeare", 31, 0.15);
+  TrainerConfig c = fedprox_config(w.best_mu);
+  c.rounds = 3;
+  c.devices_per_round = 4;
+  c.systems.epochs = 1;
+  c.systems.straggler_fraction = 0.5;
+  c.batch_size = w.batch_size;
+  c.learning_rate = w.learning_rate;
+  c.seed = 31;
+  const auto run_with = [&](std::size_t threads, std::size_t shards) {
+    c.threads = threads;
+    c.shards = shards;
+    return Trainer(*w.model, w.data, c).run();
+  };
+  const TrainHistory baseline = run_with(1, 1);
+  ASSERT_EQ(baseline.rounds.size(), 4u);
+  expect_bit_identical(baseline, run_with(1, 4));
+  expect_bit_identical(baseline, run_with(4, 1));
+  expect_bit_identical(baseline, run_with(4, 4));
 }
 
 TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalUnderFaultsAndQuorum) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "support/rng.h"
 #include "tensor/tensor.h"
@@ -109,6 +112,150 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
                       std::make_tuple(1, 20, 5), std::make_tuple(13, 1, 9)));
+
+// ---- bitwise kernel contracts (tensor/ops.h) -------------------------------
+//
+// Shapes cover every tile tail: odd and even rows around the 2-row gemm
+// and 4-row ger_batch blocks, columns on both sides of 8 (so the 4/2/1
+// column tails all run), and empty inner dimensions.
+
+Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t key) {
+  Rng rng = make_stream(77, StreamKind::kTest, key, rows * 1000 + cols);
+  Matrix m(rows, cols);
+  for (double& v : m.storage()) v = rng.normal();
+  return m;
+}
+
+// Same bits, so NaN == NaN with the same payload and -0.0 != 0.0.
+void expect_bitwise_equal(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.storage()[i]),
+              std::bit_cast<std::uint64_t>(want.storage()[i]))
+        << "element " << i << ": " << got.storage()[i] << " vs "
+        << want.storage()[i];
+  }
+}
+
+const std::size_t kRowShapes[] = {1, 2, 3, 4, 5, 7, 9};
+const std::size_t kColShapes[] = {1, 2, 3, 5, 7, 8, 9, 15, 16, 17};
+const std::size_t kInnerShapes[] = {0, 1, 3, 8, 13};
+
+TEST(KernelContract, GemmIsSumFromZeroInAscendingOrder) {
+  for (const std::size_t m : kRowShapes) {
+    for (const std::size_t n : kColShapes) {
+      for (const std::size_t k : kInnerShapes) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+        const Matrix a = random_matrix(m, k, 1), b = random_matrix(k, n, 2);
+        Matrix c(m, n, 99.0), want(m, n);
+        gemm(a, b, c);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t p = 0; p < k; ++p) acc += a(i, p) * b(p, j);
+            want(i, j) = acc;
+          }
+        }
+        expect_bitwise_equal(c, want);
+      }
+    }
+  }
+}
+
+TEST(KernelContract, GemmRowsMatchGemvAndGemvTransposed) {
+  for (const std::size_t m : kRowShapes) {
+    for (const std::size_t n : kColShapes) {
+      const std::size_t k = 11;
+      const Matrix x = random_matrix(m, k, 3);
+      // gemm(X, W^T) row i == gemv(W, X.row(i)).
+      const Matrix w = random_matrix(n, k, 4);
+      Matrix w_t(k, n);
+      transpose(w, w_t);
+      Matrix c(m, n), want(m, n);
+      gemm(x, w_t, c);
+      for (std::size_t i = 0; i < m; ++i) gemv(w, x.row(i), want.row(i));
+      expect_bitwise_equal(c, want);
+      // gemm(D, V) row i == gemv_transposed(V, D.row(i)).
+      const Matrix v = random_matrix(k, n, 5);
+      gemm(x, v, c);
+      for (std::size_t i = 0; i < m; ++i) {
+        gemv_transposed(v, x.row(i), want.row(i));
+      }
+      expect_bitwise_equal(c, want);
+    }
+  }
+}
+
+TEST(KernelContract, GerBatchEqualsRowByRowGer) {
+  for (const std::size_t m : kRowShapes) {
+    for (const std::size_t n : kColShapes) {
+      for (const std::size_t rows : kInnerShapes) {
+        SCOPED_TRACE(::testing::Message() << rows << ": " << m << "x" << n);
+        const Matrix x = random_matrix(rows, m, 6), y = random_matrix(rows, n, 7);
+        const Matrix start = random_matrix(m, n, 8);
+        Matrix c = start, want = start;
+        ger_batch(x, y, c);
+        for (std::size_t k = 0; k < rows; ++k) ger(1.0, x.row(k), y.row(k), want);
+        expect_bitwise_equal(c, want);
+      }
+    }
+  }
+}
+
+TEST(KernelContract, TransposeIsExact) {
+  const Matrix a = random_matrix(5, 9, 9);
+  Matrix at(9, 5);
+  transpose(a, at);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 9; ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(at(c, r)),
+                std::bit_cast<std::uint64_t>(a(r, c)));
+    }
+  }
+}
+
+TEST(KernelContract, GemmPropagatesNanAndInfThroughZeroTerms) {
+  // A zero in A must still multiply B's NaN/Inf: 0 * NaN and 0 * Inf are
+  // NaN, so every column they sit in comes out NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t n : kColShapes) {
+    const std::size_t m = 3, k = 4;
+    Matrix a(m, k, 0.0), b(k, n, 1.0), c(m, n);
+    a(1, 2) = 2.0;
+    b(2, 0) = nan;
+    b(3, n - 1) = inf;
+    gemm(a, b, c);
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_TRUE(std::isnan(c(i, 0))) << "row " << i << " n " << n;
+      EXPECT_TRUE(std::isnan(c(i, n - 1))) << "row " << i << " n " << n;
+      for (std::size_t j = 1; j + 1 < n; ++j) {
+        EXPECT_EQ(c(i, j), i == 1 ? 2.0 : 0.0);
+      }
+    }
+  }
+}
+
+TEST(KernelContract, GerBatchPropagatesNanAndInf) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix x(2, 5, 0.0), y(2, 9, 0.0), c(5, 9, 1.0);
+  y(0, 3) = nan;
+  x(1, 4) = inf;
+  ger_batch(x, y, c);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) {
+      const bool poisoned = j == 3 || i == 4;
+      EXPECT_EQ(std::isnan(c(i, j)), poisoned) << i << "," << j;
+    }
+  }
+}
+
+TEST(KernelContract, GerBatchShapeMismatchThrows) {
+  Matrix x(3, 2), y(4, 2), c(2, 2);
+  EXPECT_THROW(ger_batch(x, y, c), std::invalid_argument);
+}
 
 TEST(MatrixOps, GemmShapeMismatchThrows) {
   Matrix a(2, 3), b(2, 2), c(2, 2);
