@@ -1,75 +1,87 @@
-// Checkpoint/resume demo: train half the rounds, save the global model,
-// reload it, and finish training in a second Trainer. Because every
-// random stream is keyed by (seed, round, device), the resumed run
-// continues the exact same trajectory: the split run ends bit-identical
-// to an unbroken run.
+// Checkpoint/resume demo: train with durable FPC1 checkpoints, let the
+// server crash mid-run, and continue from the newest checkpoint with
+// Trainer::resume(). The checkpoint carries everything the run needs —
+// the weights, the adaptive-mu controller state, the churned device
+// population and the history so far — and every random stream is keyed
+// by (seed, round, device), so the resumed run ends bit-identical to an
+// unbroken one. Exits non-zero unless it does.
 //
 //   ./checkpoint_resume [--rounds 40]
 
-#include <cstdio>
+#include <algorithm>
+#include <filesystem>
 #include <iostream>
 
+#include "core/checkpoint.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "support/cli.h"
-#include "support/csv.h"
-#include "support/serialize.h"
 
 int main(int argc, char** argv) {
   using namespace fed;
   CliFlags flags(argc, argv);
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 40));
-  const std::size_t half = rounds / 2;
-  const std::string path = "/tmp/fedprox_checkpoint.bin";
+  if (rounds < 2) {
+    std::cerr << "checkpoint_resume: --rounds must be at least 2\n";
+    return 1;
+  }
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "fedprox_checkpoint_resume")
+          .string();
+  std::filesystem::remove_all(dir);
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/8);
-  auto base = [&] {
-    TrainerConfig c = fedprox_config(/*mu=*/1.0);
-    c.devices_per_round = 10;
-    c.systems.epochs = 20;
-    c.systems.straggler_fraction = 0.5;
-    c.learning_rate = w.learning_rate;
-    c.seed = 8;
-    c.eval_every = rounds;
-    return c;
-  };
+  TrainerConfig config = fedprox_config(/*mu=*/1.0);
+  config.rounds = rounds;
+  config.devices_per_round = 10;
+  config.systems.epochs = 20;
+  config.systems.straggler_fraction = 0.5;
+  config.learning_rate = w.learning_rate;
+  config.seed = 8;
+  config.eval_every = 1;  // adaptive mu moves on evaluated rounds
+  config.adaptive_mu = {.enabled = true, .initial_mu = 1.0, .step = 0.1};
+  config.churn.arrive = 0.05;
+  config.churn.depart = 0.05;
 
   // Unbroken reference run.
-  TrainerConfig whole = base();
-  whole.rounds = rounds;
-  const TrainHistory reference = Trainer(*w.model, w.data, whole).run();
+  const TrainHistory reference = Trainer(*w.model, w.data, config).run();
 
-  // First half, then checkpoint.
-  TrainerConfig first = base();
-  first.rounds = half;
-  const TrainHistory part1 = Trainer(*w.model, w.data, first).run();
-  save_checkpoint(path, part1.final_parameters);
-  std::cout << "saved " << part1.final_parameters.size()
-            << "-parameter checkpoint after round " << half << " to " << path
-            << "\n";
+  // The same run, checkpointing as it goes, dies mid-aggregation.
+  TrainerConfig crashing = config;
+  crashing.checkpoint.dir = dir;
+  crashing.checkpoint.every = std::max<std::size_t>(rounds / 4, 1);
+  crashing.crash.at_round = rounds / 2 + 1;
+  try {
+    (void)Trainer(*w.model, w.data, crashing).run();
+  } catch (const ServerCrashed& crash) {
+    std::cout << crash.what() << "\n";
+  }
 
-  // Resume: load, warm-start, continue with the round counter offset so
-  // the (seed, round, device) streams line up with the unbroken run.
-  TrainerConfig second = base();
-  second.rounds = rounds - half;
-  second.first_round = half;
-  second.initial_parameters =
-      load_checkpoint(path, w.model->parameter_count());
-  const TrainHistory part2 = Trainer(*w.model, w.data, second).run();
+  // A fresh trainer picks the run up from the newest checkpoint.
+  const auto newest = latest_checkpoint(dir);
+  if (!newest) {
+    std::cerr << "checkpoint_resume: no checkpoint under " << dir << "\n";
+    return 1;
+  }
+  std::cout << "resuming from " << *newest << "\n";
+  const TrainHistory resumed = Trainer(*w.model, w.data, config).resume(*newest);
+  std::filesystem::remove_all(dir);
 
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < reference.final_parameters.size(); ++i) {
-    max_diff = std::max(max_diff,
-                        std::abs(reference.final_parameters[i] -
-                                 part2.final_parameters[i]));
+  bool identical = reference.final_parameters == resumed.final_parameters &&
+                   reference.rounds.size() == resumed.rounds.size();
+  for (std::size_t i = 0; identical && i < reference.rounds.size(); ++i) {
+    identical = reference.rounds[i].mu == resumed.rounds[i].mu &&
+                reference.rounds[i].train_loss == resumed.rounds[i].train_loss &&
+                reference.rounds[i].contributors ==
+                    resumed.rounds[i].contributors;
   }
   std::cout << "final loss (unbroken run):  "
             << *reference.final_metrics().train_loss << "\n"
             << "final loss (resumed run):   "
-            << *part2.final_metrics().train_loss << "\n"
-            << "max |param difference|:     " << max_diff << "\n"
-            << (max_diff == 0.0 ? "resume is bit-exact\n"
-                                : "WARNING: trajectories diverged\n");
-  std::remove(path.c_str());
-  return max_diff == 0.0 ? 0 : 1;
+            << *resumed.final_metrics().train_loss << "\n"
+            << "final mu (unbroken/resumed): " << reference.rounds.back().mu
+            << " / " << resumed.rounds.back().mu << "\n"
+            << (identical ? "resume is bit-exact\n"
+                          : "WARNING: trajectories diverged\n");
+  return identical ? 0 : 1;
 }

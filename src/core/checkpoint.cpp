@@ -99,7 +99,6 @@ std::uint64_t config_fingerprint(const TrainerConfig& config,
   fp.mix(config.churn.depart);
   fp.mix(static_cast<std::uint64_t>(config.churn.initial));
   fp.mix(static_cast<std::uint64_t>(config.churn.min_active));
-  fp.mix(static_cast<std::uint64_t>(config.first_round));
   fp.mix(static_cast<std::uint64_t>(population));
   fp.mix(static_cast<std::uint64_t>(parameter_count));
   return fp.value();

@@ -40,10 +40,10 @@ class RoundDriver {
     RoundTrace trace;
   };
 
-  // Executes training round `t` (0-based, already offset by first_round)
-  // under proximal coefficient `mu`, updating `w` in place. Fills every
-  // metric/trace field except the evaluation ones and round_seconds,
-  // which the caller charges (evaluation cadence is its call).
+  // Executes training round `t` (0-based) under proximal coefficient
+  // `mu`, updating `w` in place. Fills every metric/trace field except
+  // the evaluation ones and round_seconds, which the caller charges
+  // (evaluation cadence is its call).
   RoundOutput run_round(std::size_t t, double mu, Vector& w);
 
   // Global evaluation + optional dissimilarity, charged to

@@ -133,10 +133,13 @@ TrainHistory Trainer::resume(const std::string& checkpoint_path) {
         "settings (threads/shards/transport may differ; everything else "
         "must match)");
   }
-  const std::size_t total_end = config_.first_round + config_.rounds;
-  if (state.next_round == 0 || state.next_round > total_end + 1) {
+  if (state.next_round == 0 || state.next_round > config_.rounds + 1) {
     throw std::runtime_error(
         "Trainer::resume: checkpoint round lies outside this run");
+  }
+  if (state.parameters.size() != model_.parameter_count()) {
+    throw std::runtime_error(
+        "Trainer::resume: checkpoint parameter dimension mismatch");
   }
   return run_impl(&state);
 }
@@ -152,27 +155,15 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
 
   const std::size_t d = model_.parameter_count();
 
-  // The first `t` the round loop executes and the run's last round id.
-  // A resumed run continues at the checkpointed boundary; everything
-  // before it is already in the restored history.
-  const std::size_t total_end = config_.first_round + config_.rounds;
+  // The first `t` the round loop executes: 0, or for a resumed run the
+  // checkpointed boundary — everything before it is already in the
+  // restored history.
   const std::size_t start_t =
-      restored ? static_cast<std::size_t>(restored->next_round) - 1
-               : config_.first_round;
+      restored ? static_cast<std::size_t>(restored->next_round) - 1 : 0;
 
   Vector w(d);
   if (restored) {
-    if (restored->parameters.size() != d) {
-      throw std::runtime_error(
-          "Trainer::resume: checkpoint parameter dimension mismatch");
-    }
     w = restored->parameters;
-  } else if (config_.initial_parameters) {
-    if (config_.initial_parameters->size() != d) {
-      throw std::invalid_argument(
-          "Trainer: initial_parameters dimension mismatch");
-    }
-    w = *config_.initial_parameters;
   } else {
     Rng init_rng = make_stream(config_.seed, StreamKind::kModelInit);
     model_.init_parameters(w, init_rng);
@@ -224,9 +215,9 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   if (!observers_.empty()) {
     RunInfo info;
     info.algorithm = to_string(config_.algorithm);
-    info.rounds = total_end - start_t;  // rounds this run will execute
+    info.rounds = config_.rounds - start_t;  // rounds this run will execute
     // Resumed: the checkpointed round — the first executed round is + 1.
-    info.first_round = restored ? start_t : config_.first_round;
+    info.first_round = start_t;
     info.devices_per_round = config_.devices_per_round;
     info.num_clients = data_.num_clients();
     info.parameter_count = d;
@@ -263,14 +254,11 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   // Round 0 metrics: the initial model (the paper's plots start at w^0).
   // A resumed run already recorded it — its history carries over whole.
   if (!restored) {
-    Span round_span("round", "trainer", "round",
-                    static_cast<std::int64_t>(config_.first_round));
+    Span round_span("round", "trainer", "round", 0);
     Stopwatch round_timer;
     RoundMetrics m;
-    m.round = config_.first_round;
     m.mu = mu;
     RoundTrace trace;
-    trace.round = config_.first_round;
     driver.evaluate(w, m, trace);
     trace.round_seconds = round_timer.seconds();
     history.rounds.push_back(m);
@@ -279,7 +267,7 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
     if (theory && m.dissimilarity_b) mu = theory->update(*m.dissimilarity_b);
   }
 
-  for (std::size_t t = start_t; t < total_end; ++t) {
+  for (std::size_t t = start_t; t < config_.rounds; ++t) {
     Span round_span("round", "trainer", "round",
                     static_cast<std::int64_t>(t + 1));
     Stopwatch round_timer;
@@ -287,7 +275,7 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
     RoundDriver::RoundOutput out = driver.run_round(t, mu, w);
 
     const bool do_eval =
-        ((t + 1) % config_.eval_every == 0) || (t + 1 == total_end);
+        ((t + 1) % config_.eval_every == 0) || (t + 1 == config_.rounds);
     if (do_eval) driver.evaluate(w, out.metrics, out.trace);
     history.rounds.push_back(out.metrics);
 
@@ -310,7 +298,6 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
       state.fingerprint = fingerprint;
       state.seed = config_.seed;
       state.next_round = t + 2;  // 1-based id of the next round to execute
-      state.first_round = config_.first_round;
       state.mu = mu;
       if (adaptive) {
         const AdaptiveMu::State s = adaptive->state();

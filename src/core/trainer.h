@@ -153,12 +153,6 @@ struct TrainerConfig {
   // (core/checkpoint.h). Both are inert by default.
   CheckpointConfig checkpoint;
   CrashPlan crash;
-  // Warm start: when set, training begins from these parameters instead
-  // of the model's seeded initialization (e.g. a loaded checkpoint).
-  // `first_round` offsets the round counter so selection/straggler/batch
-  // streams continue where the checkpointed run left off.
-  std::optional<Vector> initial_parameters;
-  std::size_t first_round = 0;
 
   // The per-round config a ModelBroadcast carries to every selected
   // device — the trainer-level hyper-parameters plus the round's

@@ -78,6 +78,13 @@ void write_text_exposition(const std::string& path,
 // not an error (returns 0) so first runs and resumes share one code
 // path. Malformed lines are skipped rather than fatal — the file may
 // predate this build.
+//
+// Counters across a resume mean "work performed, including replayed
+// rounds". The file may have been published after the checkpoint the
+// run resumes from; the rounds in between are counted once by the
+// crashed run and again when the resumed run replays them — the same
+// way they appear in both appended JSONL trace segments, which is what
+// trace_lint's cross-check sums.
 std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
                                           const std::string& path);
 

@@ -292,8 +292,9 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry)
       checkpoint_generations_(registry.gauge("fed_checkpoint_generations")),
       round_seconds_(registry.histogram("fed_round_seconds")),
       solve_seconds_(registry.histogram("fed_client_solve_seconds")) {
-  // Pre-register every fault kind so on_fault is a lock-free add and the
-  // exposition shows explicit zeros for kinds that never fired.
+  // Pre-register every fault kind so committing a round is a lock-free
+  // add and the exposition shows explicit zeros for kinds that never
+  // fired.
   for (std::size_t k = 0; k < kFaultKinds; ++k) {
     const auto kind = static_cast<FaultEvent::Kind>(k);
     faults_by_kind_[k] =
@@ -340,13 +341,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry)
                     "Wall seconds per client local solve.");
 }
 
-void MetricsObserver::on_fault(const FaultEvent& event) {
-  // Buffered, not committed: a round the server never finishes must not
-  // leak partial counts into the registry (see the class comment).
-  const auto k = static_cast<std::size_t>(event.kind);
-  if (k < kFaultKinds) ++pending_.faults[k];
-}
-
 void MetricsObserver::on_client_result(std::size_t round,
                                        const ClientResult& result) {
   (void)round;
@@ -359,8 +353,13 @@ void MetricsObserver::on_round_end(const RoundMetrics& metrics,
                                    const RoundTrace& trace) {
   // Commit the round's buffered observations together with its
   // trace-derived counters — one atomic-enough unit per completed round.
+  // Fault kinds come from the trace columns, indexed by FaultEvent::Kind.
+  const CommFaultStats& f = trace.faults;
+  const std::array<std::size_t, kFaultKinds> faults = {
+      f.drops,          f.corruptions,  f.timeouts, f.duplicates,
+      f.failed_devices, f.quorum_drops, f.departs,  trace.degraded ? 1u : 0u};
   for (std::size_t k = 0; k < kFaultKinds; ++k) {
-    if (pending_.faults[k]) faults_by_kind_[k]->add(pending_.faults[k]);
+    if (faults[k]) faults_by_kind_[k]->add(faults[k]);
   }
   clients_.add(pending_.clients);
   stragglers_.add(pending_.stragglers);

@@ -215,19 +215,21 @@ std::string metric_selector(const std::string& name,
 //              fed_checkpoint_generations
 //   histograms fed_round_seconds, fed_client_solve_seconds
 //
-// Commit discipline: the mid-round hooks (on_fault, on_client_result)
-// only buffer into a per-round pending block; everything is committed to
-// the registry at on_round_end, atomically with the round's trace-fed
-// counters. A round the server never finishes — a crash mid-aggregation
-// (core/checkpoint.h) — therefore commits nothing, so exposition
-// counters always reconcile exactly with the summed per-round trace
-// lines, across crashes and resumes (trace_lint's cross-check relies on
-// this).
+// Commit discipline: the mid-round hook (on_client_result) only buffers
+// into a per-round pending block; everything is committed to the
+// registry at on_round_end, atomically with the round's trace-fed
+// counters. Every fault kind is counted from the round's trace columns
+// (RoundTrace::faults plus `degraded`), not from on_fault events: a
+// duplicate the quorum cut later revokes fires an event but is no
+// duplicate in the trace. A round the server never finishes — a crash
+// mid-aggregation (core/checkpoint.h) — therefore commits nothing, so
+// exposition counters always reconcile exactly with the summed
+// per-round trace lines, across crashes and resumes (trace_lint's
+// cross-check relies on this).
 class MetricsObserver final : public TrainingObserver {
  public:
   explicit MetricsObserver(MetricsRegistry& registry);
 
-  void on_fault(const FaultEvent& event) override;
   void on_client_result(std::size_t round, const ClientResult& result) override;
   void on_round_end(const RoundMetrics& metrics,
                     const RoundTrace& trace) override;
@@ -261,7 +263,6 @@ class MetricsObserver final : public TrainingObserver {
 
   // The current round's uncommitted observations (round thread only).
   struct PendingRound {
-    std::array<std::uint64_t, kFaultKinds> faults{};
     std::uint64_t clients = 0;
     std::uint64_t stragglers = 0;
     std::vector<double> solve_seconds;

@@ -35,7 +35,7 @@ namespace fed {
 struct RunInfo {
   std::string algorithm;           // "FedAvg" / "FedProx" / "FedDane"
   std::size_t rounds = 0;          // T (training rounds this run)
-  std::size_t first_round = 0;     // warm-start offset
+  std::size_t first_round = 0;     // 0, or the resumed checkpoint round
   std::size_t devices_per_round = 0;
   std::size_t num_clients = 0;
   std::size_t parameter_count = 0;

@@ -3,102 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "support/csv.h"
+#include <stdexcept>
 
 namespace fed {
-
-namespace {
-constexpr char kMagic[4] = {'F', 'P', 'X', '1'};
-
-void ensure_parent(const std::string& path) {
-  auto parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) ensure_directory(parent.string());
-}
-}  // namespace
-
-void save_checkpoint(const std::string& path, const Vector& w) {
-  ensure_parent(path);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("save_checkpoint: cannot open " + path);
-  out.write(kMagic, sizeof(kMagic));
-  const std::uint64_t dim = w.size();
-  out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  out.write(reinterpret_cast<const char*>(w.data()),
-            static_cast<std::streamsize>(w.size() * sizeof(double)));
-  if (!out) throw std::runtime_error("save_checkpoint: write failed: " + path);
-}
-
-Vector load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("load_checkpoint: bad magic in " + path);
-  }
-  std::uint64_t dim = 0;
-  in.read(reinterpret_cast<char*>(&dim), sizeof(dim));
-  if (!in) throw std::runtime_error("load_checkpoint: truncated header");
-  Vector w(dim);
-  in.read(reinterpret_cast<char*>(w.data()),
-          static_cast<std::streamsize>(dim * sizeof(double)));
-  if (!in || in.gcount() != static_cast<std::streamsize>(dim * sizeof(double))) {
-    throw std::runtime_error("load_checkpoint: truncated payload");
-  }
-  in.peek();
-  if (!in.eof()) {
-    throw std::runtime_error("load_checkpoint: trailing bytes in " + path);
-  }
-  return w;
-}
-
-Vector load_checkpoint(const std::string& path, std::size_t expected_dim) {
-  Vector w = load_checkpoint(path);
-  if (w.size() != expected_dim) {
-    throw std::runtime_error("load_checkpoint: dimension mismatch (" +
-                             std::to_string(w.size()) + " vs expected " +
-                             std::to_string(expected_dim) + ")");
-  }
-  return w;
-}
-
-namespace {
-const std::vector<std::string> kHistoryHeader = {
-    "round",        "evaluated",        "train_loss",
-    "train_accuracy", "test_accuracy",  "grad_variance",
-    "dissimilarity_b", "dissimilarity_measured", "mu",
-    "mean_gamma",   "gamma_measured",   "contributors",
-    "stragglers"};
-}  // namespace
-
-void save_history(const std::string& path, const TrainHistory& history) {
-  CsvWriter csv(path, kHistoryHeader);
-  // Disengaged optionals serialize as 0 with their presence flag cleared,
-  // keeping the on-disk schema identical to the pre-optional format.
-  const auto fmt = [](const std::optional<double>& v) {
-    std::ostringstream out;
-    out.precision(17);
-    out << v.value_or(0.0);
-    return out.str();
-  };
-  for (const auto& m : history.rounds) {
-    std::ostringstream mu;
-    mu.precision(17);
-    mu << m.mu;
-    csv.write_row({std::to_string(m.round), m.evaluated() ? "1" : "0",
-                   fmt(m.train_loss), fmt(m.train_accuracy),
-                   fmt(m.test_accuracy), fmt(m.grad_variance),
-                   fmt(m.dissimilarity_b),
-                   m.dissimilarity_b.has_value() ? "1" : "0", mu.str(),
-                   fmt(m.mean_gamma), m.mean_gamma.has_value() ? "1" : "0",
-                   std::to_string(m.contributors),
-                   std::to_string(m.stragglers)});
-  }
-}
 
 namespace {
 
@@ -385,7 +292,7 @@ ClientUpdate decode_update(std::span<const std::uint8_t> buffer) {
 namespace {
 
 constexpr char kCheckpointMagic[4] = {'F', 'P', 'C', '1'};
-constexpr std::uint64_t kCheckpointVersion = 1;
+constexpr std::uint64_t kCheckpointVersion = 2;
 
 // FNV-1a over a byte range: the checkpoint's integrity trailer. Bit
 // flips inside the float64 payload decode "successfully" (they just
@@ -412,7 +319,6 @@ WireBuffer encode_checkpoint_state(const CheckpointState& state) {
   w.u64(state.fingerprint);
   w.u64(state.seed);
   w.u64(state.next_round);
-  w.u64(state.first_round);
   w.f64(state.mu);
   w.flag(state.has_adaptive);
   w.f64(state.adaptive_mu);
@@ -471,7 +377,6 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   state.fingerprint = r.u64();
   state.seed = r.u64();
   state.next_round = r.u64();
-  state.first_round = r.u64();
   state.mu = r.f64();
   state.has_adaptive = r.flag();
   state.adaptive_mu = r.f64();
@@ -522,43 +427,6 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   }
   r.finish();
   return state;
-}
-
-TrainHistory load_history(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_history: cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("load_history: empty file " + path);
-  }
-  TrainHistory history;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream row(line);
-    while (std::getline(row, cell, ',')) cells.push_back(cell);
-    if (cells.size() != kHistoryHeader.size()) {
-      throw std::runtime_error("load_history: malformed row in " + path);
-    }
-    RoundMetrics m;
-    m.round = std::stoull(cells[0]);
-    if (cells[1] == "1") {
-      m.train_loss = std::stod(cells[2]);
-      m.train_accuracy = std::stod(cells[3]);
-      m.test_accuracy = std::stod(cells[4]);
-    }
-    if (cells[7] == "1") {
-      m.grad_variance = std::stod(cells[5]);
-      m.dissimilarity_b = std::stod(cells[6]);
-    }
-    m.mu = std::stod(cells[8]);
-    if (cells[10] == "1") m.mean_gamma = std::stod(cells[9]);
-    m.contributors = std::stoull(cells[11]);
-    m.stragglers = std::stoull(cells[12]);
-    history.rounds.push_back(m);
-  }
-  return history;
 }
 
 }  // namespace fed

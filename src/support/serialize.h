@@ -1,11 +1,7 @@
-// Binary serialization: model checkpoints, training histories, and the
-// wire codecs for the federation messages (comm/message.h) that
-// SerializedTransport round-trips every payload through.
-//
-// Checkpoint format (little-endian):
-//   magic "FPX1" | u64 dimension | dimension * f64 parameters
-// History format: the experiment CSV schema (support for reading back the
-// same files bench drivers write).
+// Binary serialization: the wire codecs for the federation messages
+// (comm/message.h) that SerializedTransport round-trips every payload
+// through, and the FPC1 crash-recovery checkpoint (core/checkpoint.h) —
+// the one way a run is saved and continued.
 //
 // Wire formats (little-endian, doubles round-trip bit-exactly). Every
 // envelope carries the message's TraceContext right after `round` — the
@@ -34,9 +30,9 @@
 //     u8 has_nonfinite | f64 nonfinite | ExactSum::kLimbs * u64 limbs
 //   so a shard's partial sum reaches the root bit-exactly — rounding
 //   happens once, at the root's finalize, never on the wire.
-//   CheckpointState  magic "FPC1" | u64 version
+//   CheckpointState  magic "FPC1" | u64 version (2)
 //                    | u64 fingerprint | u64 seed
-//                    | u64 next_round | u64 first_round | f64 mu
+//                    | u64 next_round | f64 mu
 //                    | u8 has_adaptive | f64 mu | f64 last_loss
 //                    |   u8 has_last | u64 consecutive_decreases
 //                    | u8 has_theory | f64 mu | f64 b_sq_ema
@@ -48,12 +44,13 @@
 //                    | u64 fnv1a over every preceding byte
 //   (round record: u64 round | u8 evaluated | 3 * f64 eval metrics
 //    | u8 has_dissimilarity | 2 * f64 | f64 mu | u8 has_gamma | f64
-//    | u64 contributors | u64 stragglers — the history CSV schema,
-//    with doubles bit-exact instead of decimal.)
+//    | u64 contributors | u64 stragglers — one RoundMetrics, doubles
+//    bit-exact.)
 // Decoders reject bad magic, truncation, trailing bytes, and corrupt
 // boolean/scheme flags with std::runtime_error; the FPC1 decoder
 // additionally rejects any frame whose trailing checksum does not match,
-// so a torn or bit-flipped checkpoint can never be resumed from.
+// so a torn or bit-flipped checkpoint can never be resumed from, and any
+// frame of another layout version.
 
 #pragma once
 
@@ -66,21 +63,6 @@
 #include "tensor/tensor.h"
 
 namespace fed {
-
-// Writes `w` to `path` (parent directories created). Throws on I/O error.
-void save_checkpoint(const std::string& path, const Vector& w);
-
-// Reads a checkpoint; throws std::runtime_error on missing file, bad
-// magic, truncation, or trailing bytes.
-Vector load_checkpoint(const std::string& path);
-
-// Like load_checkpoint, but also validates the dimension.
-Vector load_checkpoint(const std::string& path, std::size_t expected_dim);
-
-// Serializes every round of `history` (evaluated or not) to a CSV at
-// `path` and reads it back. Round-trip is exact for the recorded fields.
-void save_history(const std::string& path, const TrainHistory& history);
-TrainHistory load_history(const std::string& path);
 
 // ---------------------------------------------------------------------------
 // Federation payload codecs.
@@ -149,7 +131,6 @@ struct CheckpointState {
   std::uint64_t fingerprint = 0;  // config_fingerprint of the producing run
   std::uint64_t seed = 0;
   std::uint64_t next_round = 0;   // first round the resumed run executes
-  std::uint64_t first_round = 0;  // the producing run's warm-start offset
   double mu = 0.0;                // effective mu for next_round
 
   // AdaptiveMu / DissimilarityMu mutable state (core/adaptive_mu.h).

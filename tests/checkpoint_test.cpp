@@ -5,8 +5,8 @@
 // uninterrupted TrainHistory bit-for-bit, including under channel
 // faults, open-world churn, and a different thread/shard count after the
 // resume. Also covers the telemetry resume semantics the bench layer
-// relies on: JsonlTraceSink append mode and counter seeding from a
-// published exposition file.
+// relies on: JsonlTraceSink append mode, counter seeding from a
+// published exposition file, and counters that count replayed rounds.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +71,6 @@ class CheckpointTest : public ::testing::Test {
     state.fingerprint = 0x1234abcd5678ef01ull;
     state.seed = 42;
     state.next_round = 9;
-    state.first_round = 2;
     state.mu = 0.75;
     state.has_adaptive = true;
     state.adaptive_mu = 0.5;
@@ -127,7 +126,6 @@ TEST_F(CheckpointTest, StateRoundTripsBitExact) {
   EXPECT_EQ(back.fingerprint, state.fingerprint);
   EXPECT_EQ(back.seed, state.seed);
   EXPECT_EQ(back.next_round, state.next_round);
-  EXPECT_EQ(back.first_round, state.first_round);
   EXPECT_EQ(back.mu, state.mu);
   EXPECT_TRUE(back.has_adaptive);
   EXPECT_EQ(back.adaptive_mu, state.adaptive_mu);
@@ -368,6 +366,88 @@ TEST_F(CheckpointTest, FingerprintMismatchRefusesToResume) {
   same.threads = 8;  // neutral knobs must NOT be caught
   const TrainHistory ok = Trainer(model, data(), same).resume(*newest);
   EXPECT_FALSE(ok.rounds.empty());
+}
+
+TEST_F(CheckpointTest, ResumeRejectsAWrongLengthParameterVector) {
+  // The parameter vector is read from disk: a frame whose fingerprint
+  // matches but whose weights do not fit the model must be refused, not
+  // trained on.
+  LogisticRegression model(data().input_dim, data().num_classes);
+  const TrainerConfig c = config();
+  CheckpointState state = sample_state();
+  state.fingerprint =
+      config_fingerprint(c, data().num_clients(), model.parameter_count());
+  state.seed = c.seed;
+  state.next_round = 5;
+  state.parameters = Vector(model.parameter_count() + 1, 0.0);
+  state.population = data().num_clients();
+  state.active.assign((data().num_clients() + 7) / 8, 0xff);
+  const std::string path = dir_ + "/ckpt-000000000004.fpc";
+  save_checkpoint_state(path, state);
+  try {
+    (void)Trainer(model, data(), c).resume(path);
+    FAIL() << "a wrong-length parameter vector was resumed from";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("dimension"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CheckpointTest, ResumedCountersIncludeReplayedRounds) {
+  // Counters mean "work performed, including replayed rounds": the
+  // crashed run published its exposition past the newest checkpoint, the
+  // resumed run seeds from it and replays those rounds, so the counters
+  // match the round lines of both appended JSONL segments.
+  LogisticRegression model(data().input_dim, data().num_classes);
+  const std::string trace_path = dir_ + "/trace.jsonl";
+  const std::string metrics_path = dir_ + "/metrics.prom";
+  TrainerConfig c = config();  // 12 rounds
+  c.checkpoint.dir = dir_ + "/ckpt";
+  c.checkpoint.every = 4;
+  {
+    TrainerConfig crashing = c;
+    crashing.crash.at_round = 11;  // newest checkpoint: round 8
+    MetricsRegistry registry;
+    MetricsObserver metrics(registry);
+    MetricsExporter exporter(registry, metrics_path);
+    JsonlTraceSink sink(trace_path);
+    TraceObserver trace(sink);
+    Trainer trainer(model, data(), crashing);
+    trainer.add_observer(metrics);
+    trainer.add_observer(exporter);
+    trainer.add_observer(trace);
+    EXPECT_THROW((void)trainer.run(), ServerCrashed);
+    exporter.flush();  // rounds 0-10 published, 9 and 10 past the checkpoint
+  }
+  MetricsRegistry registry;
+  EXPECT_GT(seed_counters_from_exposition(registry, metrics_path), 0u);
+  {
+    MetricsObserver metrics(registry);
+    JsonlTraceSink sink(trace_path, RotationPolicy{},
+                        JsonlTraceSink::OpenMode::kAppend);
+    TraceObserver trace(sink);
+    Trainer trainer(model, data(), c);
+    trainer.add_observer(metrics);
+    trainer.add_observer(trace);
+    const auto newest = latest_checkpoint(c.checkpoint.dir);
+    ASSERT_TRUE(newest.has_value());
+    (void)trainer.resume(*newest);
+  }
+
+  std::ifstream in(trace_path);
+  std::string line;
+  std::size_t headers = 0;
+  std::size_t round_lines = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"run\":", 0) == 0) {
+      ++headers;
+    } else if (!line.empty()) {
+      ++round_lines;
+    }
+  }
+  EXPECT_EQ(headers, 2u);
+  EXPECT_EQ(round_lines, 11u + 4u);  // rounds 0-10, then 9-12 replayed
+  EXPECT_EQ(registry.counter("fed_rounds_total").value(), round_lines);
 }
 
 TEST_F(CheckpointTest, JsonlSinkAppendKeepsEarlierSegments) {

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "comm/transport.h"
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "support/log.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -88,9 +90,14 @@ class CommFaultTest : public ::testing::Test {
     std::vector<HealthIncident> incidents;
   };
 
+  // Runs `config` on logistic regression, started from `init` in every
+  // coordinate when given (else the model's own zero init).
   static RunArtifacts run(TrainerConfig config,
-                          MetricsRegistry* registry = nullptr) {
-    LogisticRegression model(data().input_dim, data().num_classes);
+                          MetricsRegistry* registry = nullptr,
+                          std::optional<double> init = std::nullopt) {
+    LogisticRegression logistic(data().input_dim, data().num_classes);
+    testing::ConstantInitModel constant(logistic, init.value_or(0.0));
+    const Model& model = init ? static_cast<const Model&>(constant) : logistic;
     Trainer trainer(model, data(), config);
     TraceCollector traces;
     FaultEventCollector events;
@@ -269,10 +276,9 @@ TEST_F(CommFaultTest, AllDroppedRoundKeepsParametersAndReportsDegraded) {
   c.eval_every = 1;
   c.faults = FaultProfile{.drop = 1.0};
   c.recovery = RecoveryConfig{.max_retries = 1};
-  c.initial_parameters = Vector(model.parameter_count(), 0.125);
 
   MetricsRegistry registry;
-  const RunArtifacts a = run(c, &registry);
+  const RunArtifacts a = run(c, &registry, 0.125);
 
   EXPECT_EQ(a.history.final_parameters,
             Vector(model.parameter_count(), 0.125));
@@ -314,9 +320,8 @@ TEST_F(CommFaultTest, FedAvgAllStragglersDegradesWithoutChannelFaults) {
   c.learning_rate = 0.05;
   c.seed = 47;
   c.threads = 1;
-  c.initial_parameters = Vector(model.parameter_count(), -0.5);
 
-  const RunArtifacts a = run(c);
+  const RunArtifacts a = run(c, nullptr, -0.5);
   EXPECT_EQ(a.history.final_parameters,
             Vector(model.parameter_count(), -0.5));
   for (std::size_t i = 1; i < a.traces.size(); ++i) {
@@ -360,6 +365,47 @@ TEST_F(CommFaultTest, QuorumCutsLateArrivalsDeterministically) {
   expect_bit_identical(a.history, b.history);
 }
 
+// Regression: fed_comm_faults_total is committed from the trace columns.
+// A duplicated update the quorum cut later revokes fires a kDuplicate
+// event but is no duplicate in the trace; counting events let the
+// counter run ahead of the trace it must reconcile with.
+TEST_F(CommFaultTest, FaultCountersEqualTheSummedTraceColumns) {
+  TrainerConfig c = chaos_config();
+  c.rounds = 20;
+  c.faults = FaultProfile{.drop = 0.1, .duplicate = 0.5, .delay_ms = 50.0};
+  c.recovery = RecoveryConfig{.max_retries = 2, .quorum = 0.5};
+  MetricsRegistry registry;
+  const RunArtifacts a = run(c, &registry);
+
+  std::map<FaultEvent::Kind, std::size_t> summed;
+  for (const RoundTrace& t : a.traces) {
+    check_trace_invariants(t);
+    summed[FaultEvent::Kind::kDrop] += t.faults.drops;
+    summed[FaultEvent::Kind::kCorrupt] += t.faults.corruptions;
+    summed[FaultEvent::Kind::kTimeout] += t.faults.timeouts;
+    summed[FaultEvent::Kind::kDuplicate] += t.faults.duplicates;
+    summed[FaultEvent::Kind::kDeviceFailed] += t.faults.failed_devices;
+    summed[FaultEvent::Kind::kQuorumDrop] += t.faults.quorum_drops;
+    summed[FaultEvent::Kind::kDepart] += t.faults.departs;
+    summed[FaultEvent::Kind::kRoundDegraded] += t.degraded ? 1 : 0;
+  }
+  ASSERT_EQ(summed.size(), 8u);
+  for (const auto& [kind, total] : summed) {
+    EXPECT_EQ(registry.counter("fed_comm_faults_total",
+                               {{"kind", to_string(kind)}})
+                  .value(),
+              total)
+        << to_string(kind);
+  }
+  // The case under test happened: duplicates, quorum cuts, and more
+  // duplicate events than surviving duplicates.
+  EXPECT_GT(summed[FaultEvent::Kind::kDuplicate], 0u);
+  EXPECT_GT(summed[FaultEvent::Kind::kQuorumDrop], 0u);
+  const auto events = a.events.find(FaultEvent::Kind::kDuplicate);
+  ASSERT_NE(events, a.events.end());
+  EXPECT_GT(events->second, summed[FaultEvent::Kind::kDuplicate]);
+}
+
 TEST_F(CommFaultTest, DeadlineClassifiesLateDeliveriesAsTimeouts) {
   TrainerConfig c = chaos_config();
   c.rounds = 6;
@@ -391,13 +437,12 @@ TEST_F(CommFaultTest, CorruptionIsAlwaysDetectedAndTyped) {
   c.faults = FaultProfile{.corrupt = 1.0};
   c.recovery = RecoveryConfig{.max_retries = 0};
   LogisticRegression model(data().input_dim, data().num_classes);
-  c.initial_parameters = Vector(model.parameter_count(), 0.25);
 
   for (const TransportKind kind :
        {TransportKind::kInProcess, TransportKind::kSerialized}) {
     TrainerConfig variant = c;
     variant.transport = make_transport(kind);
-    const RunArtifacts a = run(variant);
+    const RunArtifacts a = run(variant, nullptr, 0.25);
     EXPECT_EQ(a.history.final_parameters,
               Vector(model.parameter_count(), 0.25));
     std::size_t corrupt_events = 0;

@@ -2,74 +2,113 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <bit>
 
 namespace fed {
 namespace {
 
 class SerializeTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::filesystem::remove_all("/tmp/fedprox_serialize_test");
+  // A frame's body with the FNV-1a trailer recomputed: damage applied to
+  // the body then reaches the structural checks instead of stopping at
+  // the checksum.
+  static WireBuffer reseal(WireBuffer body) {
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const std::uint8_t byte : body) {
+      hash ^= byte;
+      hash *= 1099511628211ull;
+    }
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&hash);
+    body.insert(body.end(), bytes, bytes + sizeof(hash));
+    return body;
   }
-  const std::string dir = "/tmp/fedprox_serialize_test";
+  static WireBuffer body_of(const WireBuffer& frame) {
+    return WireBuffer(frame.begin(), frame.end() - 8);
+  }
+  static CheckpointState decode(const WireBuffer& frame) {
+    return decode_checkpoint_state(std::span<const std::uint8_t>(frame));
+  }
+
+  // A one-round FPC1 snapshot over a 10-device population.
+  static CheckpointState small_state() {
+    CheckpointState state;
+    state.next_round = 2;
+    state.parameters = Vector{1.0, 2.0, 3.0};
+    state.population = 10;
+    state.active = {0xff, 0x03};
+    RoundMetrics m;
+    m.train_loss = 1.5;
+    m.train_accuracy = 0.5;
+    m.test_accuracy = 0.25;
+    state.rounds = {m};
+    return state;
+  }
 };
 
+// --- FPC1 checkpoint codec ------------------------------------------------
+
 TEST_F(SerializeTest, CheckpointRoundTripsExactly) {
-  Vector w{1.5, -2.25, 0.0, 1e-300, 1e300, 3.141592653589793};
-  const std::string path = dir + "/model.bin";
-  save_checkpoint(path, w);
-  const Vector loaded = load_checkpoint(path);
-  EXPECT_EQ(w, loaded);
+  CheckpointState state = small_state();
+  state.mu = 0.1 + 0.2;  // not representable exactly
+  state.parameters = Vector{1.5, -2.25, 0.0, -0.0, 1e-300, 1e300,
+                            3.141592653589793};
+  const CheckpointState back = decode(encode_checkpoint_state(state));
+  EXPECT_EQ(back.mu, state.mu);
+  ASSERT_EQ(back.parameters.size(), state.parameters.size());
+  for (std::size_t i = 0; i < state.parameters.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.parameters[i]),
+              std::bit_cast<std::uint64_t>(state.parameters[i]));
+  }
 }
 
 TEST_F(SerializeTest, EmptyCheckpointSupported) {
-  const std::string path = dir + "/empty.bin";
-  save_checkpoint(path, {});
-  EXPECT_TRUE(load_checkpoint(path).empty());
+  const CheckpointState back = decode(encode_checkpoint_state({}));
+  EXPECT_TRUE(back.parameters.empty());
+  EXPECT_TRUE(back.active.empty());
+  EXPECT_TRUE(back.rounds.empty());
+  EXPECT_EQ(back.population, 0u);
 }
 
 TEST_F(SerializeTest, DimensionValidation) {
-  const std::string path = dir + "/model.bin";
-  save_checkpoint(path, Vector{1.0, 2.0});
-  EXPECT_NO_THROW(load_checkpoint(path, 2));
-  EXPECT_THROW(load_checkpoint(path, 3), std::runtime_error);
-}
-
-TEST_F(SerializeTest, MissingFileThrows) {
-  EXPECT_THROW(load_checkpoint(dir + "/nope.bin"), std::runtime_error);
+  // The active bitmask must hold exactly (population + 7) / 8 bytes.
+  CheckpointState state = small_state();
+  EXPECT_NO_THROW((void)decode(encode_checkpoint_state(state)));
+  state.population = 17;
+  EXPECT_THROW((void)decode(encode_checkpoint_state(state)),
+               std::runtime_error);
 }
 
 TEST_F(SerializeTest, BadMagicThrows) {
-  const std::string path = dir + "/bad.bin";
-  std::filesystem::create_directories(dir);
-  std::ofstream(path) << "not a checkpoint at all";
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  WireBuffer body = body_of(encode_checkpoint_state(small_state()));
+  body[3] = 'X';  // "FPCX"
+  EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
+}
+
+TEST_F(SerializeTest, CheckpointVersionOneIsRejected) {
+  // Version 1 frames carried one more header field; the version check
+  // refuses them before any field is misread.
+  WireBuffer body = body_of(encode_checkpoint_state(small_state()));
+  EXPECT_EQ(body[4], 2u);  // u64 version, little-endian, after the magic
+  body[4] = 1;
+  EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
 }
 
 TEST_F(SerializeTest, TruncatedPayloadThrows) {
-  const std::string path = dir + "/model.bin";
-  save_checkpoint(path, Vector{1.0, 2.0, 3.0});
-  // Chop the last 8 bytes off.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 8);
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  WireBuffer body = body_of(encode_checkpoint_state(small_state()));
+  body.resize(body.size() - 8);  // lose the last round's stragglers
+  EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
 }
 
 TEST_F(SerializeTest, TrailingBytesThrow) {
-  const std::string path = dir + "/model.bin";
-  save_checkpoint(path, Vector{1.0});
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  out << "junk";
-  out.close();
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  WireBuffer body = body_of(encode_checkpoint_state(small_state()));
+  body.push_back(0x00);
+  EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
 }
 
 TEST_F(SerializeTest, HistoryRoundTrip) {
-  TrainHistory h;
+  // Every presence combination of the optional RoundMetrics fields.
+  CheckpointState state = small_state();
+  state.rounds.clear();
   for (std::size_t i = 0; i < 4; ++i) {
     RoundMetrics m;
     m.round = i;
@@ -86,32 +125,34 @@ TEST_F(SerializeTest, HistoryRoundTrip) {
     if (i == 1) m.mean_gamma = 0.5;
     m.contributors = i;
     m.stragglers = 4 - i;
-    h.rounds.push_back(m);
+    state.rounds.push_back(m);
   }
-  const std::string path = dir + "/history.csv";
-  save_history(path, h);
-  const TrainHistory loaded = load_history(path);
-  ASSERT_EQ(loaded.rounds.size(), h.rounds.size());
-  for (std::size_t i = 0; i < h.rounds.size(); ++i) {
-    EXPECT_EQ(loaded.rounds[i].round, h.rounds[i].round);
-    EXPECT_EQ(loaded.rounds[i].evaluated(), h.rounds[i].evaluated());
-    EXPECT_EQ(loaded.rounds[i].train_loss, h.rounds[i].train_loss);
-    EXPECT_EQ(loaded.rounds[i].train_accuracy, h.rounds[i].train_accuracy);
-    EXPECT_EQ(loaded.rounds[i].test_accuracy, h.rounds[i].test_accuracy);
-    EXPECT_EQ(loaded.rounds[i].grad_variance, h.rounds[i].grad_variance);
-    EXPECT_EQ(loaded.rounds[i].dissimilarity_b, h.rounds[i].dissimilarity_b);
-    EXPECT_DOUBLE_EQ(loaded.rounds[i].mu, h.rounds[i].mu);
-    EXPECT_EQ(loaded.rounds[i].mean_gamma, h.rounds[i].mean_gamma);
-    EXPECT_EQ(loaded.rounds[i].contributors, h.rounds[i].contributors);
-    EXPECT_EQ(loaded.rounds[i].stragglers, h.rounds[i].stragglers);
+  const CheckpointState back = decode(encode_checkpoint_state(state));
+  ASSERT_EQ(back.rounds.size(), state.rounds.size());
+  for (std::size_t i = 0; i < state.rounds.size(); ++i) {
+    const RoundMetrics& got = back.rounds[i];
+    const RoundMetrics& want = state.rounds[i];
+    EXPECT_EQ(got.round, want.round);
+    EXPECT_EQ(got.evaluated(), want.evaluated());
+    EXPECT_EQ(got.train_loss, want.train_loss);
+    EXPECT_EQ(got.train_accuracy, want.train_accuracy);
+    EXPECT_EQ(got.test_accuracy, want.test_accuracy);
+    EXPECT_EQ(got.grad_variance, want.grad_variance);
+    EXPECT_EQ(got.dissimilarity_b, want.dissimilarity_b);
+    EXPECT_EQ(got.mu, want.mu);
+    EXPECT_EQ(got.mean_gamma, want.mean_gamma);
+    EXPECT_EQ(got.contributors, want.contributors);
+    EXPECT_EQ(got.stragglers, want.stragglers);
   }
 }
 
 TEST_F(SerializeTest, LoadHistoryRejectsMalformedRow) {
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/bad.csv";
-  std::ofstream(path) << "header\n1,2,3\n";
-  EXPECT_THROW(load_history(path), std::runtime_error);
+  // A round record is 83 bytes and opens with u64 round | u8 evaluated.
+  WireBuffer body = body_of(encode_checkpoint_state(small_state()));
+  const std::size_t evaluated = body.size() - 83 + 8;
+  ASSERT_EQ(body[evaluated], 1u);
+  body[evaluated] = 2;  // neither false nor true
+  EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
 }
 
 // --- Federation payload codecs -------------------------------------------

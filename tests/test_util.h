@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -52,6 +53,45 @@ class QuadraticModel final : public Model {
 
  private:
   std::size_t dim_;
+};
+
+// Forwards every call to `inner` except init_parameters, which fills
+// `value`: a run that starts from a chosen, non-zero model.
+class ConstantInitModel final : public Model {
+ public:
+  ConstantInitModel(const Model& inner, double value)
+      : inner_(inner), value_(value) {}
+
+  std::string name() const override { return inner_.name(); }
+  std::size_t parameter_count() const override {
+    return inner_.parameter_count();
+  }
+  void init_parameters(std::span<double> w, Rng&) const override {
+    std::fill(w.begin(), w.end(), value_);
+  }
+  double loss_and_grad(std::span<const double> w, const Dataset& data,
+                       std::span<const std::size_t> batch,
+                       std::span<double> grad) const override {
+    return inner_.loss_and_grad(w, data, batch, grad);
+  }
+  double loss(std::span<const double> w, const Dataset& data,
+              std::span<const std::size_t> batch) const override {
+    return inner_.loss(w, data, batch);
+  }
+  void predict(std::span<const double> w, const Dataset& data,
+               std::span<const std::size_t> batch,
+               std::vector<std::int32_t>& out) const override {
+    inner_.predict(w, data, batch, out);
+  }
+  double loss_and_predict(std::span<const double> w, const Dataset& data,
+                          std::span<const std::size_t> batch,
+                          std::vector<std::int32_t>& out) const override {
+    return inner_.loss_and_predict(w, data, batch, out);
+  }
+
+ private:
+  const Model& inner_;
+  double value_;
 };
 
 // Dense dataset with the given rows as both features and (label 0) targets.

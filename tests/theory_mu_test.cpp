@@ -1,17 +1,18 @@
 // Tests for the theory-guided mu controller (mu ~ B^2 - 1, Corollary 7)
-// and its integration with the Trainer, plus checkpoint/resume
-// bit-exactness (which relies on the same round-keyed determinism).
+// and its integration with the Trainer, plus FPC1 crash/resume
+// bit-exactness with the controller live.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
 #include "core/adaptive_mu.h"
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
 #include "support/log.h"
-#include "support/serialize.h"
 
 namespace fed {
 namespace {
@@ -103,44 +104,44 @@ TEST_F(TheoryMuTrainerTest, MutuallyExclusiveWithAdaptive) {
 }
 
 TEST_F(TheoryMuTrainerTest, CheckpointResumeIsBitExact) {
-  LogisticRegression model(data().input_dim, data().num_classes);
-  auto base = [&] {
-    TrainerConfig c;
-    c.mu = 0.5;
-    c.devices_per_round = 5;
-    c.systems.epochs = 5;
-    c.systems.straggler_fraction = 0.5;
-    c.learning_rate = 0.03;
-    c.seed = 13;
-    c.eval_every = 100;
-    return c;
-  };
-  TrainerConfig whole = base();
-  whole.rounds = 12;
-  const auto reference = Trainer(model, data(), whole).run();
-
-  TrainerConfig first = base();
-  first.rounds = 7;
-  const auto part1 = Trainer(model, data(), first).run();
-
-  save_checkpoint("/tmp/fedprox_theory_mu_ckpt.bin", part1.final_parameters);
-  TrainerConfig second = base();
-  second.rounds = 5;
-  second.first_round = 7;
-  second.initial_parameters =
-      load_checkpoint("/tmp/fedprox_theory_mu_ckpt.bin");
-  const auto part2 = Trainer(model, data(), second).run();
-
-  EXPECT_EQ(reference.final_parameters, part2.final_parameters);
-}
-
-TEST_F(TheoryMuTrainerTest, WarmStartDimensionValidated) {
+  // The controller's smoothed B^2 estimate rides in the FPC1 checkpoint,
+  // so a crashed-and-resumed run keeps the exact mu trajectory.
   LogisticRegression model(data().input_dim, data().num_classes);
   TrainerConfig c;
-  c.rounds = 1;
-  c.devices_per_round = 2;
-  c.initial_parameters = Vector{1.0, 2.0};  // wrong dimension
-  EXPECT_THROW(Trainer(model, data(), c).run(), std::invalid_argument);
+  c.rounds = 12;
+  c.devices_per_round = 5;
+  c.systems.epochs = 5;
+  c.systems.straggler_fraction = 0.5;
+  c.learning_rate = 0.03;
+  c.seed = 13;
+  c.eval_every = 2;  // theory mu moves on evaluated rounds
+  c.theory_mu.enabled = true;
+  c.theory_mu.coefficient = 0.05;
+  const auto reference = Trainer(model, data(), c).run();
+
+  const std::string dir =
+      ::testing::TempDir() + "fedprox_theory_mu_checkpoint_resume";
+  std::filesystem::remove_all(dir);
+  TrainerConfig crashing = c;
+  crashing.checkpoint.dir = dir;
+  crashing.checkpoint.every = 7;
+  crashing.crash.at_round = 9;
+  EXPECT_THROW((void)Trainer(model, data(), crashing).run(), ServerCrashed);
+  const auto newest = latest_checkpoint(dir);
+  ASSERT_TRUE(newest.has_value());
+  const auto resumed = Trainer(model, data(), c).resume(*newest);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(reference.final_parameters, resumed.final_parameters);
+  ASSERT_EQ(reference.rounds.size(), resumed.rounds.size());
+  bool positive_mu = false;
+  for (std::size_t i = 0; i < reference.rounds.size(); ++i) {
+    EXPECT_EQ(reference.rounds[i].mu, resumed.rounds[i].mu)
+        << "theory mu diverged at round " << reference.rounds[i].round;
+    EXPECT_EQ(reference.rounds[i].train_loss, resumed.rounds[i].train_loss);
+    if (reference.rounds[i].mu > 0.0) positive_mu = true;
+  }
+  EXPECT_TRUE(positive_mu);  // the policy was live, not a constant mu
 }
 
 }  // namespace
