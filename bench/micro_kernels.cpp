@@ -1,6 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the hot paths of the
-// simulator — GEMV/GEMM, logistic and LSTM loss+gradient, and one local
-// SGD epoch — so regressions in the substrate are visible in isolation.
+// simulator — GEMV/GEMM, logistic and LSTM loss+gradient, one local SGD
+// epoch, and one round's exact sharded reduction — so regressions in the
+// substrate are visible in isolation.
 
 #include <benchmark/benchmark.h>
 
@@ -8,7 +9,9 @@
 #include "nn/logistic.h"
 #include "nn/lstm.h"
 #include "optim/sgd.h"
+#include "sim/sharded.h"
 #include "support/rng.h"
+#include "support/threadpool.h"
 #include "tensor/ops.h"
 
 namespace fed {
@@ -117,6 +120,51 @@ void BM_LocalSgdEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSgdEpoch);
+
+// One round of exact sharded aggregation (sim/sharded.h): stage
+// `updates` local models over `shards` shards, then reduce() — the
+// column-wise folds (on a pool of `threads` workers; 0 folds on the
+// calling thread), the FPS2 shard -> root round trip, the root merge and
+// the single rounding into w.
+void BM_ShardedReduce(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto updates = static_cast<std::size_t>(state.range(1));
+  const auto shards = static_cast<std::size_t>(state.range(2));
+  const auto threads = static_cast<std::size_t>(state.range(3));
+  Rng rng(7);
+  std::vector<Vector> models(updates, Vector(dim));
+  std::vector<double> samples(updates);
+  for (std::size_t k = 0; k < updates; ++k) {
+    for (double& v : models[k]) v = 0.1 * rng.normal();
+    samples[k] = static_cast<double>(10 + rng.uniform_int(std::uint64_t{90}));
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  const std::vector<ShardSlice> slices = plan_shards(updates, shards);
+  Vector w(dim);
+  for (auto _ : state) {
+    ShardedServer server(SamplingScheme::kUniformThenWeightedAverage, dim,
+                         shards, pool.get());
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      for (std::size_t k = slices[s].begin; k < slices[s].end; ++k) {
+        server.stage(s, {k, &models[k], samples[k]});
+      }
+    }
+    benchmark::DoNotOptimize(server.reduce(1, w));
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dim * updates));
+}
+// wide_faulty's round (4020 parameters, 99 updates, 4 shards) and
+// lstm_kernels' (4712 parameters, 10 updates, 1 shard), inline and on
+// the 2-worker pool fedbench trains with.
+BENCHMARK(BM_ShardedReduce)
+    ->Args({4020, 99, 4, 0})
+    ->Args({4020, 99, 4, 2})
+    ->Args({4712, 10, 1, 0})
+    ->Args({4712, 10, 1, 2})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace fed

@@ -71,7 +71,7 @@ struct ClientUpdate {
 
 // Aggregator shard -> root: one shard's exact partial sum of its owned
 // contributions (sim/aggregate.h). Unlike model payloads, partials always
-// cross the shard uplink through the FPS1 wire format (support/
+// cross the shard uplink through the FPS2 wire format (support/
 // serialize.h) — the exact accumulator state is what makes the root
 // merge independent of the shard topology, so the codec must round-trip
 // it losslessly every round.

@@ -333,9 +333,11 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
 
   // 5. Aggregate, hierarchically: the selected devices are split into
   //    contiguous selection-order slices, one per aggregator shard, each
-  //    shard folds its accepted updates into an exact partial sum, and
-  //    the root merges the FPS1-encoded partials (sim/sharded.h). The
-  //    partials are exact, so the shard count cannot change the model.
+  //    shard folds its accepted updates into an exact partial sum (on
+  //    the pool, inside reduce()), and the root merges the FPS2-encoded
+  //    partials (sim/sharded.h). The partials are exact, so the shard
+  //    count cannot change the model. The staged updates live in
+  //    `outcomes`, which outlives reduce().
   //    FedAvg drops stragglers; FedProx/FedDane keep them. Upload bytes
   //    are charged per delivery that reached the server in the round
   //    window: accepted updates (twice when duplicated) and corrupt
@@ -354,7 +356,7 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
       shard_of[i] = s;
     }
   }
-  ShardedServer server(config_.sampling, w.size(), slices.size());
+  ShardedServer server(config_.sampling, w.size(), slices.size(), pool_);
   std::uint64_t bytes_up = 0;
   std::size_t up_deliveries = 0;
   std::size_t straggler_total = 0;
@@ -378,8 +380,8 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
       const ClientResult& r = oc.record.result();
       if (r.straggler) ++straggler_total;
       if (config_.algorithm == Algorithm::kFedAvg && r.straggler) continue;
-      server.accumulate(shard_of[i], {r.device, &r.update,
-                                      static_cast<double>(r.num_samples)});
+      server.stage(shard_of[i],
+                   {r.device, &r.update, static_cast<double>(r.num_samples)});
       bytes_up += oc.record.bytes_up;
       shard_stats[shard_of[i]].bytes_up += oc.record.bytes_up;
       up_deliveries += oc.record.duplicate ? 2 : 1;

@@ -128,7 +128,7 @@ struct TrainerConfig {
   // are split into `shards` contiguous slices, each aggregated into an
   // exact partial sum and merged at the root. Any value produces a
   // bit-identical TrainHistory (0 is treated as 1); the knob trades
-  // server-side parallelism/topology against per-round FPS1 uplink
+  // server-side parallelism/topology against per-round FPS2 uplink
   // bytes, never results.
   std::size_t shards = 1;
   // Local solver; nullptr means SGD (the paper's choice).

@@ -318,7 +318,7 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry)
   registry.set_help("fed_shard_merges_total",
                     "Shard partials merged at the aggregation root.");
   registry.set_help("fed_shard_partial_bytes_total",
-                    "FPS1 wire bytes moved shard -> root.");
+                    "FPS2 wire bytes moved shard -> root.");
   registry.set_help("fed_churn_arrivals_total",
                     "Devices that joined the open-world federation.");
   registry.set_help("fed_churn_departures_total",

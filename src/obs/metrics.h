@@ -207,7 +207,7 @@ std::string metric_selector(const std::string& name,
 //              FaultEvent kind, pre-registered so scrapers see zeros),
 //              fed_comm_retries_total, fed_comm_rounds_degraded_total,
 //              fed_shard_merges_total (root merges of shard partials),
-//              fed_shard_partial_bytes_total (FPS1 shard -> root bytes),
+//              fed_shard_partial_bytes_total (FPS2 shard -> root bytes),
 //              fed_churn_arrivals_total, fed_churn_departures_total,
 //              fed_checkpoint_writes_total, fed_checkpoint_bytes_total
 //   gauges     fed_mu, fed_train_loss (last evaluated), fed_round,

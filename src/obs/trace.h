@@ -58,7 +58,7 @@ struct ShardStat {
   std::size_t contributors = 0;   // accepted updates accumulated here
   std::uint64_t bytes_down = 0;   // broadcast bytes over owned devices
   std::uint64_t bytes_up = 0;     // update bytes over owned contributors
-  std::uint64_t partial_bytes = 0;  // FPS1 partial-sum bytes shipped to root
+  std::uint64_t partial_bytes = 0;  // FPS2 partial-sum bytes shipped to root
 };
 
 // One durable checkpoint write (core/checkpoint.h), attached to the

@@ -4,7 +4,7 @@
 // `trace_id` identifies the server round, `span_id` the sender-side span
 // that produced the message (the parent of whatever work the receiver
 // does with it). The round driver mints one context per training round,
-// stamps it into every ModelBroadcast, and the FPB1/FPU1/FPS1 codecs
+// stamps it into every ModelBroadcast, and the FPB1/FPU1/FPS2 codecs
 // carry it across the wire — so when aggregator shards move to separate
 // processes, a client solve or shard merge recorded *there* still links
 // back to the round recorded *here*.
@@ -50,7 +50,7 @@ enum class TraceSpanKind : std::uint64_t {
   kRound = 0,         // the root span: one per training round
   kExchange = 1,      // per-device broadcast/solve/collect (index = device)
   kClientSolve = 2,   // device-side local solve (index = device)
-  kShardPartial = 3,  // one shard's FPS1 partial uplink (index = shard)
+  kShardPartial = 3,  // one shard's FPS2 partial uplink (index = shard)
   kRootMerge = 4,     // the root's merge of all partials (index = 0)
   kUpdateFlow = 5,    // flow id: device update -> aggregation (index = device)
 };

@@ -1,5 +1,6 @@
 #include "sim/sharded.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "comm/message.h"
@@ -23,47 +24,88 @@ std::vector<ShardSlice> plan_shards(std::size_t devices, std::size_t shards) {
 }
 
 ShardedServer::ShardedServer(SamplingScheme scheme, std::size_t dim,
-                             std::size_t shards)
-    : contributors_(shards == 0 ? 1 : shards, 0),
-      partial_bytes_(shards == 0 ? 1 : shards, 0) {
-  partials_.reserve(contributors_.size());
-  for (std::size_t s = 0; s < contributors_.size(); ++s) {
-    partials_.emplace_back(scheme, dim);
-  }
-}
+                             std::size_t shards, ThreadPool* pool)
+    : scheme_(scheme),
+      dim_(dim),
+      pool_(pool),
+      staged_(shards == 0 ? 1 : shards),
+      partial_bytes_(staged_.size(), 0) {}
 
-void ShardedServer::accumulate(std::size_t shard,
-                               const Contribution& contribution) {
-  partials_[shard].accumulate(contribution);
-  ++contributors_[shard];
+void ShardedServer::stage(std::size_t shard,
+                          const Contribution& contribution) {
+  if (contribution.update->size() != dim_) {
+    throw std::invalid_argument(
+        "ShardedServer::stage: update dimension mismatch");
+  }
+  staged_[shard].push_back(contribution);
 }
 
 std::size_t ShardedServer::total_contributors() const {
   std::size_t total = 0;
-  for (const std::size_t c : contributors_) total += c;
+  for (const auto& batch : staged_) total += batch.size();
   return total;
 }
 
 bool ShardedServer::reduce(std::size_t round, std::span<double> w,
                            const TraceContext& trace) {
-  // Two phases, mirroring the eventual multi-process layout: each shard
-  // encodes its partial (shard-side work), then the root decodes and
-  // merges them all (root-side work). A flow arrow per shard links its
-  // uplink to the root merge.
+  if (reduced_) {
+    throw std::logic_error(
+        "ShardedServer::reduce called twice: a server aggregates one round "
+        "and its staged partials are consumed by the first reduce(); "
+        "construct a new ShardedServer per round");
+  }
+  reduced_ = true;
+
+  // Three phases, mirroring the eventual multi-process layout: every
+  // shard folds its staged batch (shard-side work, on the pool), each
+  // shard encodes its partial, then the root decodes and merges them all
+  // (root-side work). A flow arrow per shard links its uplink to the
+  // root merge.
+  std::vector<PartialAggregate> partials;
+  partials.reserve(staged_.size());
+  for (std::size_t s = 0; s < staged_.size(); ++s) {
+    partials.emplace_back(scheme_, dim_);
+  }
+  {
+    std::vector<ColumnFold> folds;
+    folds.reserve(staged_.size());
+    std::vector<std::pair<std::size_t, std::size_t>> tasks;  // (shard, block)
+    for (std::size_t s = 0; s < staged_.size(); ++s) {
+      folds.emplace_back(partials[s], staged_[s], kFoldBlock);
+      for (std::size_t b = 0; b < folds[s].blocks(); ++b) {
+        tasks.emplace_back(s, b);
+      }
+    }
+    const auto fold = [&](std::size_t t) {
+      const auto [s, b] = tasks[t];
+      Span span("shard_fold", "phase", "round",
+                static_cast<std::int64_t>(round), "shard",
+                static_cast<std::int64_t>(s), "block",
+                static_cast<std::int64_t>(b));
+      folds[s].run(b);
+    };
+    if (pool_ != nullptr && tasks.size() > 1) {
+      pool_->parallel_for(tasks.size(), fold);
+    } else {
+      for (std::size_t t = 0; t < tasks.size(); ++t) fold(t);
+    }
+    for (ColumnFold& f : folds) f.commit();
+  }
+
   std::vector<WireBuffer> wires;
-  wires.reserve(partials_.size());
-  for (std::size_t s = 0; s < partials_.size(); ++s) {
+  wires.reserve(partials.size());
+  for (std::size_t s = 0; s < partials.size(); ++s) {
     Span span("shard_reduce", "phase", "round",
               static_cast<std::int64_t>(round), "shard",
               static_cast<std::int64_t>(s), "contributors",
-              static_cast<std::int64_t>(partials_[s].contributors()));
+              static_cast<std::int64_t>(partials[s].contributors()));
     // The uplink always round-trips the wire format, even with one
     // shard: partial_bytes_ is then real traffic, and a codec regression
     // cannot hide behind an in-process shortcut.
     PartialSumUpdate message{.round = round,
                              .trace = trace,
                              .shard = s,
-                             .partial = std::move(partials_[s])};
+                             .partial = std::move(partials[s])};
     message.trace.span_id =
         derive_trace_span(trace.trace_id, TraceSpanKind::kShardPartial, s);
     wires.push_back(encode_partial_sum(message));
@@ -75,13 +117,16 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w,
                   static_cast<std::int64_t>(round), "shards",
                   static_cast<std::int64_t>(wires.size()), "trace_id",
                   static_cast<std::int64_t>(trace.trace_id));
-  PartialAggregate root(partials_.front().scheme(), partials_.front().dim());
+  std::vector<PartialAggregate> received;
+  received.reserve(wires.size());
   for (std::size_t s = 0; s < wires.size(); ++s) {
-    PartialSumUpdate received = decode_partial_sum(wires[s]);
-    flow_end("partial_flow", "flow", received.trace.span_id, "shard",
+    PartialSumUpdate message = decode_partial_sum(wires[s]);
+    flow_end("partial_flow", "flow", message.trace.span_id, "shard",
              static_cast<std::int64_t>(s));
-    root.merge(std::move(received.partial));
+    received.push_back(std::move(message.partial));
   }
+  PartialAggregate root(scheme_, dim_);
+  root.merge(std::move(received));
   return root.finalize(w);
 }
 

@@ -3,14 +3,14 @@
 // At 10^5–10^6 registered devices a single aggregator is the server's
 // bottleneck (cf. Bonawitz et al., "Towards Federated Learning at
 // Scale": an actor-per-aggregator tree). This layer splits each round's
-// selected devices across `shards` sub-aggregators; every shard
-// accumulate()s the updates it owns into a PartialAggregate
-// (sim/aggregate.h), ships its exact partial sum to the root through the
-// FPS1 wire codec (support/serialize.h), and the root merges and
-// finalizes. Because the partials are exact, the shard topology is
-// unobservable in the result: any shard count, merge order, or thread
-// count produces a bit-identical global model — the property the
-// ShardedDeterminism tests pin down.
+// selected devices across `shards` sub-aggregators; every shard folds
+// the updates it owns into a PartialAggregate (sim/aggregate.h), ships
+// its exact partial sum to the root through the FPS2 wire codec
+// (support/serialize.h), and the root merges and finalizes. Because the
+// partials are exact, the shard topology is unobservable in the result:
+// any shard count, merge order, block split, or thread count produces a
+// bit-identical global model — the property the ShardedDeterminism
+// tests pin down.
 //
 // Shard slices are contiguous in selection order (plan_shards), so fan
 // out order, fault-RNG streams, and the root-level quorum cut are all
@@ -25,6 +25,7 @@
 
 #include "obs/trace_context.h"
 #include "sim/aggregate.h"
+#include "support/threadpool.h"
 
 namespace fed {
 
@@ -45,45 +46,61 @@ struct ShardSlice {
 std::vector<ShardSlice> plan_shards(std::size_t devices, std::size_t shards);
 
 // The aggregation tree for one round: `shards` leaf aggregators and a
-// root merge. accumulate() may be called for any shard in any order (the
-// round driver calls it on the round thread, in selection order);
-// reduce() then encodes every shard's partial, merges at the root, and
+// root merge. stage() may be called for any shard in any order (the
+// round driver calls it on the round thread, in selection order); it
+// only records the contribution. reduce() does all the arithmetic:
+// every shard's staged batch is folded column-wise (ColumnFold) with the
+// (shard, coordinate block) tasks spread over the round's thread pool,
+// each shard's partial is encoded, the root decodes and merges them, and
 // finalizes into `w`.
 class ShardedServer {
  public:
-  ShardedServer(SamplingScheme scheme, std::size_t dim, std::size_t shards);
+  // Coordinates per ColumnFold block: the unit of work handed to a pool
+  // worker.
+  static constexpr std::size_t kFoldBlock = 1024;
 
-  // Folds one contribution into shard `shard`'s partial sum.
-  void accumulate(std::size_t shard, const Contribution& contribution);
+  // `pool` (not owned) runs the fold tasks, so reduce() must not be
+  // called from one of its workers; nullptr folds on the calling thread.
+  ShardedServer(SamplingScheme scheme, std::size_t dim, std::size_t shards,
+                ThreadPool* pool = nullptr);
 
-  // Ships each shard's partial to the root (always through the FPS1
-  // codec, so the uplink is exercised — and byte-accounted — every
-  // round), merges exactly, and finalizes the weighted average into `w`.
-  // Returns false, leaving `w` untouched, when no shard accumulated any
-  // contribution. Call once, after all accumulate() calls.
+  // Stages one contribution for shard `shard`. The update is read by
+  // reduce(), not here, so it must outlive reduce(). Throws
+  // std::invalid_argument on a dimension mismatch.
+  void stage(std::size_t shard, const Contribution& contribution);
+
+  // Folds each shard's staged contributions into an exact partial, ships
+  // it to the root (always through the FPS2 codec, so the uplink is
+  // exercised — and byte-accounted — every round), merges exactly, and
+  // finalizes the weighted average into `w`. Returns false, leaving `w`
+  // untouched, when no shard staged any contribution. A server reduces
+  // one round: a second call throws std::logic_error.
   //
-  // `trace` is the round's context (obs/trace_context.h): each FPS1
+  // `trace` is the round's context (obs/trace_context.h): each FPS2
   // partial is stamped with its derived shard span, and when profiling
   // is enabled the shard_reduce -> root_merge handoffs are drawn as
   // Chrome flow arrows. A default (zero) context means untraced.
   bool reduce(std::size_t round, std::span<double> w,
               const TraceContext& trace = {});
 
-  std::size_t shard_count() const { return partials_.size(); }
+  std::size_t shard_count() const { return staged_.size(); }
   std::size_t contributors(std::size_t shard) const {
-    return contributors_[shard];
+    return staged_[shard].size();
   }
   std::size_t total_contributors() const;
 
-  // FPS1 bytes shard -> root; populated by reduce(), zero before.
+  // FPS2 bytes shard -> root; populated by reduce(), zero before.
   std::uint64_t partial_bytes(std::size_t shard) const {
     return partial_bytes_[shard];
   }
 
  private:
-  std::vector<PartialAggregate> partials_;  // consumed by reduce()
-  std::vector<std::size_t> contributors_;   // survives reduce()
+  SamplingScheme scheme_;
+  std::size_t dim_;
+  ThreadPool* pool_;
+  std::vector<std::vector<Contribution>> staged_;  // per shard
   std::vector<std::uint64_t> partial_bytes_;
+  bool reduced_ = false;
 };
 
 }  // namespace fed

@@ -11,7 +11,7 @@ namespace {
 
 constexpr char kBroadcastMagic[4] = {'F', 'P', 'B', '1'};
 constexpr char kUpdateMagic[4] = {'F', 'P', 'U', '1'};
-constexpr char kPartialMagic[4] = {'F', 'P', 'S', '1'};
+constexpr char kPartialMagic[4] = {'F', 'P', 'S', '2'};
 
 // Append-only little-endian writer over a WireBuffer.
 class ByteWriter {
@@ -32,6 +32,9 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> v) {
     u64(v.size());
     raw(v.data(), v.size());
+  }
+  void raw_bytes(std::span<const std::uint8_t> v) {
+    out_.insert(out_.end(), v.begin(), v.end());
   }
 
  private:
@@ -91,6 +94,26 @@ class ByteReader {
     std::vector<std::uint8_t> v(n);
     raw(v.data(), n);
     return v;
+  }
+  // `count` canonical ExactSum registers back to back, each validated
+  // (tensor/exact_sum.h); returns their bytes.
+  std::span<const std::uint8_t> registers(std::uint64_t count) {
+    // Every register is at least two bytes: refuse an impossible count
+    // before walking it.
+    if ((buffer_.size() - pos_) / ExactSum::register_bytes(0) < count) {
+      throw std::runtime_error(std::string(what_) + ": truncated payload");
+    }
+    const std::size_t start = pos_;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      std::size_t length = 0;
+      const char* error =
+          ExactSum::check_register(buffer_.subspan(pos_), length);
+      if (error != nullptr) {
+        throw std::runtime_error(std::string(what_) + ": " + error);
+      }
+      pos_ += length;
+    }
+    return buffer_.subspan(start, pos_ - start);
   }
   void finish() const {
     if (pos_ != buffer_.size()) {
@@ -196,30 +219,9 @@ WireBuffer encode_update(const ClientUpdate& message) {
   return out;
 }
 
-namespace {
-
-void write_exact(ByteWriter& w, const ExactSum& sum) {
-  w.flag(sum.has_nonfinite());
-  w.f64(sum.nonfinite());
-  for (const std::uint64_t limb : sum.limbs()) w.u64(limb);
-}
-
-ExactSum read_exact(ByteReader& r) {
-  const bool has_nonfinite = r.flag();
-  const double nonfinite = r.f64();
-  std::array<std::uint64_t, ExactSum::kLimbs> limbs;
-  for (auto& limb : limbs) limb = r.u64();
-  return ExactSum::restore(limbs, has_nonfinite, nonfinite);
-}
-
-}  // namespace
-
-std::size_t partial_sum_wire_size(std::size_t dim) {
-  return kPartialEnvelopeBytes + dim * kExactSumWireBytes;
-}
-
 std::size_t partial_sum_wire_size(const PartialSumUpdate& message) {
-  return partial_sum_wire_size(message.partial.dim());
+  return kPartialEnvelopeBytes + message.partial.weight_register().size() +
+         message.partial.coordinate_registers().size();
 }
 
 WireBuffer encode_partial_sum(const PartialSumUpdate& message) {
@@ -235,11 +237,9 @@ WireBuffer encode_partial_sum(const PartialSumUpdate& message) {
   w.flag(message.partial.scheme() ==
          SamplingScheme::kWeightedThenSimpleAverage);
   w.u64(message.partial.contributors());
-  write_exact(w, message.partial.weight_sum());
+  w.raw_bytes(message.partial.weight_register());
   w.u64(message.partial.dim());
-  for (const ExactSum& sum : message.partial.coordinate_sums()) {
-    write_exact(w, sum);
-  }
+  w.raw_bytes(message.partial.coordinate_registers());
   return out;
 }
 
@@ -256,17 +256,13 @@ PartialSumUpdate decode_partial_sum(std::span<const std::uint8_t> buffer) {
                                     ? SamplingScheme::kWeightedThenSimpleAverage
                                     : SamplingScheme::kUniformThenWeightedAverage;
   const std::uint64_t contributors = r.u64();
-  ExactSum weight = read_exact(r);
+  const std::span<const std::uint8_t> weight = r.registers(1);
   const std::uint64_t dim = r.u64();
-  if ((buffer.size() - kPartialEnvelopeBytes) / kExactSumWireBytes < dim) {
-    throw std::runtime_error("decode_partial_sum: truncated payload");
-  }
-  std::vector<ExactSum> coordinates;
-  coordinates.reserve(dim);
-  for (std::uint64_t i = 0; i < dim; ++i) coordinates.push_back(read_exact(r));
+  const std::span<const std::uint8_t> coordinates = r.registers(dim);
   r.finish();
-  m.partial = PartialAggregate::restore(scheme, contributors, std::move(weight),
-                                        std::move(coordinates));
+  m.partial = PartialAggregate::restore(
+      scheme, dim, contributors, {weight.begin(), weight.end()},
+      {coordinates.begin(), coordinates.end()});
   return m;
 }
 

@@ -21,15 +21,27 @@
 //                   | u8 straggler | u64 iterations | f64 gamma
 //                   | u8 gamma_measured | f64 solve_seconds
 //                   | u64 dim | dim * f64
-//   PartialSumUpdate  magic "FPS1" | u64 round
+//   PartialSumUpdate  magic "FPS2" | u64 round
 //                     | u64 trace_id | u64 span_id
 //                     | u64 shard | u8 scheme
-//                     | u64 contributors | exact(weight)
-//                     | u64 dim | dim * exact(coordinate)
-//   where exact(x) is one ExactSum register, verbatim:
-//     u8 has_nonfinite | f64 nonfinite | ExactSum::kLimbs * u64 limbs
-//   so a shard's partial sum reaches the root bit-exactly — rounding
-//   happens once, at the root's finalize, never on the wire.
+//                     | u64 contributors | register(weight)
+//                     | u64 dim | dim * register(coordinate)
+//   where register(x) is one exact sum in the canonical trimmed form of
+//   tensor/exact_sum.h, as the PartialAggregate stores it:
+//     finite      u8 lo | u8 n | n * u32 digits
+//     non-finite  u8 0  | u8 0xFF | f64 value
+//   (the n-digit two's-complement window, top digit signed, digit j
+//   weighing 2^(32*(lo+j) - 1074)), so a shard's partial sum reaches the
+//   root bit-exactly — rounding happens once, at the root's finalize,
+//   never on the wire. A register's size follows its content (a typical
+//   coordinate is 14 bytes), so partial_sum_wire_size() needs the
+//   message. The decoder accepts only canonical registers: it rejects a
+//   window that runs past the 68-digit register, a zero low digit, a
+//   redundant sign digit, a nonzero lo on an empty window, a truncated
+//   digit run, and a non-finite marker whose payload is finite. The
+//   payload exists only behind the marker, so a register marked finite
+//   cannot carry one. "FPS1" frames (dense 34 x u64 registers) are
+//   refused by magic.
 //   CheckpointState  magic "FPC1" | u64 version (2)
 //                    | u64 fingerprint | u64 seed
 //                    | u64 next_round | f64 mu
@@ -47,7 +59,8 @@
 //    | u64 contributors | u64 stragglers — one RoundMetrics, doubles
 //    bit-exact.)
 // Decoders reject bad magic, truncation, trailing bytes, and corrupt
-// boolean/scheme flags with std::runtime_error; the FPC1 decoder
+// boolean/scheme flags with std::runtime_error (FPS2 also any
+// non-canonical register); the FPC1 decoder
 // additionally rejects any frame whose trailing checksum does not match,
 // so a torn or bit-flipped checkpoint can never be resumed from, and any
 // frame of another layout version.
@@ -85,17 +98,13 @@ inline constexpr std::size_t kUpdateEnvelopeBytes =
     8 + 1 + 8 +              // gamma, gamma_measured, solve_seconds
     8;                       // dim
 
-// One ExactSum register on the wire, and the FPS1 envelope around the
-// per-coordinate registers.
-inline constexpr std::size_t kExactSumWireBytes =
-    1 + 8 +                  // has_nonfinite, nonfinite
-    ExactSum::kLimbs * 8;    // the fixed-point register
+// The fixed part of the FPS2 envelope; the weight total and the
+// coordinates follow as variable-length exact-sum registers.
 inline constexpr std::size_t kPartialEnvelopeBytes =
     4 + 8 +                  // magic, round
     8 + 8 +                  // trace_id, span_id
     8 +                      // shard
     1 + 8 +                  // scheme, contributors
-    kExactSumWireBytes +     // weight total
     8;                       // dim
 
 // Exact wire sizes, computable without serializing (the zero-copy
@@ -106,7 +115,6 @@ std::size_t broadcast_wire_size(const ModelBroadcast& message);
 std::size_t update_wire_size(std::size_t dim);
 std::size_t update_wire_size(const ClientUpdate& message);
 
-std::size_t partial_sum_wire_size(std::size_t dim);
 std::size_t partial_sum_wire_size(const PartialSumUpdate& message);
 
 WireBuffer encode_broadcast(const ModelBroadcast& message);

@@ -160,12 +160,20 @@ TEST(ExactSum, RestoreRoundTripsRawState) {
   s.add(0.1);
   s.add(-3e200);
   s.add(5e-324);
-  const ExactSum r = ExactSum::restore(
-      {s.limbs().begin(), s.limbs().end()}, s.has_nonfinite(), s.nonfinite());
+  std::vector<std::uint8_t> reg;
+  s.append_register(reg);
+  const ExactSum r = ExactSum::restore(reg);
   EXPECT_EQ(r.value(), s.value());
-  std::vector<std::uint64_t> short_limbs(ExactSum::kLimbs - 1, 0);
-  EXPECT_THROW(ExactSum::restore(short_limbs, false, 0.0),
-               std::invalid_argument);
+  // The raw state itself round-trips: same canonical register bytes.
+  std::vector<std::uint8_t> again;
+  r.append_register(again);
+  EXPECT_EQ(again, reg);
+  // A register cut short, or with bytes after it, is refused.
+  const std::vector<std::uint8_t> short_reg(reg.begin(), reg.end() - 1);
+  EXPECT_THROW(ExactSum::restore(short_reg), std::invalid_argument);
+  std::vector<std::uint8_t> long_reg = reg;
+  long_reg.push_back(0);
+  EXPECT_THROW(ExactSum::restore(long_reg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Corruption fuzz for the FPB1/FPU1/FPS1/FPC1 wire decoders: feed
+// Corruption fuzz for the FPB1/FPU1/FPS2/FPC1 wire decoders: feed
 // thousands of randomly mutated (bit-flipped, truncated, extended,
 // spliced) valid encodings through decode_broadcast/decode_update/
 // decode_partial_sum/decode_checkpoint_state and require that every
@@ -17,6 +17,7 @@
 
 #include "support/rng.h"
 #include "support/serialize.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -216,6 +217,29 @@ TEST_F(SerializeFuzzTest, MutatedPartialSumsDecodeOrRejectCleanly) {
     if (outcome == DecodeOutcome::kRejected) ++rejected;
   }
   EXPECT_GT(rejected, kSeeds / 2);
+}
+
+// Seeds aimed at the FPS2 register validation: every way a register can
+// be malformed (a window past the register, a redundant sign digit, a
+// zero low digit, a truncated digit run, an inconsistent non-finite side
+// channel). Each seed is rejected as it is, and its mutations must still
+// decode or reject cleanly.
+TEST_F(SerializeFuzzTest, MalformedRegisterSeedsAreRejected) {
+  std::uint64_t stream = 0;
+  for (const auto& [what, seed] : testing::malformed_partial_frames()) {
+    EXPECT_EQ(run_decoder([](std::span<const std::uint8_t> b) {
+                return decode_partial_sum(b);
+              }, seed),
+              DecodeOutcome::kRejected)
+        << what;
+    ++stream;
+    for (std::size_t i = 0; i < kSeeds / 8; ++i) {
+      Rng rng(i, {static_cast<std::uint64_t>(StreamKind::kTest), 5, stream});
+      (void)run_decoder(
+          [](std::span<const std::uint8_t> b) { return decode_partial_sum(b); },
+          mutate(seed, rng));
+    }
+  }
 }
 
 TEST_F(SerializeFuzzTest, MutatedCheckpointsAreAlwaysRejected) {

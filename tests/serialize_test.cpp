@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
+#include <limits>
+
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -262,11 +267,21 @@ TEST_F(SerializeTest, PartialSumRoundTripsExactly) {
   EXPECT_EQ(back.partial.scheme(), p.partial.scheme());
   EXPECT_EQ(back.partial.dim(), p.partial.dim());
   EXPECT_EQ(back.partial.contributors(), p.partial.contributors());
-  // The registers round-trip verbatim...
-  for (std::size_t i = 0; i < p.partial.dim(); ++i) {
-    const auto sent = p.partial.coordinate_sums()[i].limbs();
-    const auto got = back.partial.coordinate_sums()[i].limbs();
-    EXPECT_TRUE(std::equal(sent.begin(), sent.end(), got.begin())) << i;
+  // The canonical registers round-trip byte for byte (a canonical
+  // register is unique per exact value, so this pins every coordinate's
+  // exact sum and the weight total)...
+  EXPECT_TRUE(std::ranges::equal(back.partial.weight_register(),
+                                 p.partial.weight_register()));
+  EXPECT_TRUE(std::ranges::equal(back.partial.coordinate_registers(),
+                                 p.partial.coordinate_registers()));
+  const auto sent = p.partial.coordinate_registers();
+  const auto got = back.partial.coordinate_registers();
+  for (std::size_t i = 0, at = 0; i < p.partial.dim(); ++i) {
+    const std::size_t len = ExactSum::register_size(sent.data() + at);
+    EXPECT_TRUE(std::equal(sent.begin() + at, sent.begin() + at + len,
+                           got.begin() + at))
+        << i;
+    at += len;
   }
   // ...so the finalized model is bit-identical.
   Vector expected(p.partial.dim()), decoded(p.partial.dim());
@@ -327,6 +342,73 @@ TEST_F(SerializeTest, DecodePartialSumRejectsCorruptBuffers) {
   WireBuffer bad_scheme = wire;
   bad_scheme[4 + 8 + 16 + 8] = 9;  // scheme byte: not 0/1
   EXPECT_THROW(decode_partial_sum(bad_scheme), std::runtime_error);
+}
+
+// A register that sets the non-finite marker must carry ±inf or NaN:
+// a finite payload there would make value() silently return it.
+TEST_F(SerializeTest, PartialSumDecoderRejectsFiniteNonfinitePayload) {
+  const auto frames = testing::malformed_partial_frames();
+  const auto it = std::ranges::find_if(frames, [](const auto& f) {
+    return f.first == "finite value behind the non-finite marker";
+  });
+  ASSERT_NE(it, frames.end());
+  EXPECT_THROW(decode_partial_sum(it->second), std::runtime_error);
+  // The same frame with an infinite payload is fine.
+  WireBuffer reg{0, ExactSum::kNonfiniteMarker, 0, 0, 0, 0, 0, 0, 0, 0};
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(reg.data() + 2, &inf, sizeof(inf));
+  const PartialSumUpdate ok =
+      decode_partial_sum(testing::partial_frame_with_register(1, reg));
+  Vector w(3);
+  ASSERT_TRUE(ok.partial.finalize(w));
+  EXPECT_EQ(w[1], inf);
+}
+
+// A register marked finite has no side-channel payload; one spliced in
+// after it cannot be read as anything but a malformed frame.
+TEST_F(SerializeTest, PartialSumDecoderRejectsPayloadOnFiniteRegister) {
+  const auto frames = testing::malformed_partial_frames();
+  const auto it = std::ranges::find_if(frames, [](const auto& f) {
+    return f.first == "payload on a finite register";
+  });
+  ASSERT_NE(it, frames.end());
+  EXPECT_THROW(decode_partial_sum(it->second), std::runtime_error);
+}
+
+TEST_F(SerializeTest, DecodePartialSumRejectsMalformedWindows) {
+  for (const auto& [what, frame] : testing::malformed_partial_frames()) {
+    EXPECT_THROW(decode_partial_sum(frame), std::runtime_error) << what;
+  }
+  // The splice is faithful: putting a register back gives the pristine
+  // frame, which decodes.
+  const WireBuffer pristine =
+      encode_partial_sum(testing::three_coordinate_partial());
+  EXPECT_EQ(testing::partial_frame_with_register(
+                2, testing::partial_frame_register(2)),
+            pristine);
+  EXPECT_NO_THROW(decode_partial_sum(pristine));
+}
+
+TEST_F(SerializeTest, PartialSumWireSizeMatchesTheEncodingAndReencodes) {
+  PartialSumUpdate nonfinite;
+  nonfinite.partial =
+      PartialAggregate(SamplingScheme::kUniformThenWeightedAverage, 3);
+  const Vector u{std::numeric_limits<double>::quiet_NaN(), -1e308, 5e-324};
+  nonfinite.partial.accumulate({0, &u, 2.0});
+  PartialSumUpdate empty;
+  empty.partial = PartialAggregate(SamplingScheme::kWeightedThenSimpleAverage, 5);
+  for (const PartialSumUpdate& p : {sample_partial(), nonfinite, empty}) {
+    const WireBuffer wire = encode_partial_sum(p);
+    EXPECT_EQ(wire.size(), partial_sum_wire_size(p));
+    // encode(decode(frame)) gives back the same bytes.
+    EXPECT_EQ(encode_partial_sum(decode_partial_sum(wire)), wire);
+  }
+}
+
+TEST_F(SerializeTest, DenseFps1FramesAreRefused) {
+  WireBuffer old = encode_partial_sum(sample_partial());
+  old[3] = '1';  // the dense-register layout's magic
+  EXPECT_THROW(decode_partial_sum(old), std::runtime_error);
 }
 
 TEST_F(SerializeTest, DecodeBroadcastRejectsCorruptBuffers) {

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -38,6 +41,32 @@ TEST(PlanShards, SlicesAreContiguousAndBalanced) {
   const auto fallback = plan_shards(7, 0);
   ASSERT_EQ(fallback.size(), 1u);
   EXPECT_EQ(fallback[0].size(), 7u);
+}
+
+// A server aggregates exactly one round: the first reduce() consumes the
+// staged partials, so a second call is a usage error, not a codec fault.
+TEST(ShardedAggregate, ReduceTwiceThrowsLogicError) {
+  const Vector u{1.0, 2.0, 3.0};
+  ShardedServer server(SamplingScheme::kUniformThenWeightedAverage, 3, 2);
+  server.stage(0, {0, &u, 4.0});
+  server.stage(1, {1, &u, 2.0});
+  Vector w(3);
+  ASSERT_TRUE(server.reduce(1, w));
+  EXPECT_EQ(w, u);
+  try {
+    server.reduce(1, w);
+    ADD_FAILURE() << "second reduce() did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("reduce called twice"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardedAggregate, StageRejectsAWrongDimension) {
+  const Vector u{1.0, 2.0};
+  ShardedServer server(SamplingScheme::kUniformThenWeightedAverage, 3, 1);
+  EXPECT_THROW(server.stage(0, {0, &u, 1.0}), std::invalid_argument);
 }
 
 class ShardedDeterminismTest : public ::testing::Test {
@@ -139,6 +168,40 @@ TEST_F(ShardedDeterminismTest, LstmHistoryIsBitIdenticalAcrossThreadsAndShards) 
   expect_bit_identical(baseline, run_with(4, 4));
 }
 
+TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossThreadsShardsAndBlocks) {
+  // A model wider than one fold block, and not a multiple of it, so every
+  // shard's fold is split into uneven coordinate blocks that the pool
+  // runs in any order.
+  static const FederatedDataset wide = [] {
+    SyntheticConfig c = synthetic_config(1.0, 1.0, 37);
+    c.num_devices = 16;
+    c.input_dim = 150;
+    c.min_samples = 10;
+    c.mean_log = 2.0;
+    c.sigma_log = 0.4;
+    return make_synthetic(c);
+  }();
+  LogisticRegression model(wide.input_dim, wide.num_classes);
+  ASSERT_GT(model.parameter_count(), ShardedServer::kFoldBlock);
+  ASSERT_NE(model.parameter_count() % ShardedServer::kFoldBlock, 0u);
+  TrainerConfig c = base_config(Algorithm::kFedProx);
+  c.rounds = 3;
+  c.devices_per_round = 9;
+  const auto run_with = [&](std::size_t threads, std::size_t shards) {
+    c.threads = threads;
+    c.shards = shards;
+    return Trainer(model, wide, c).run();
+  };
+  const TrainHistory baseline = run_with(1, 1);
+  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    for (const std::size_t shards : {1ul, 3ul, 4ul, 7ul}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << threads << ", shards " << shards);
+      expect_bit_identical(baseline, run_with(threads, shards));
+    }
+  }
+}
+
 TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalUnderFaultsAndQuorum) {
   // Shard-invariance must also hold on a lossy channel with recovery:
   // fault RNG streams are keyed per (round, device, attempt) and the
@@ -170,7 +233,7 @@ TEST_F(ShardedDeterminismTest, ShardStatsPartitionTheRoundTotals) {
     std::uint64_t bytes_down = 0, bytes_up = 0;
     for (const ShardStat& s : t.shards) {
       EXPECT_EQ(s.shard, static_cast<std::size_t>(&s - t.shards.data()));
-      EXPECT_GT(s.partial_bytes, 0u);  // FPS1 uplink runs every round
+      EXPECT_GT(s.partial_bytes, 0u);  // FPS2 uplink runs every round
       devices += s.devices;
       contributors += s.contributors;
       bytes_down += s.bytes_down;

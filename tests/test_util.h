@@ -4,10 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.h"
 #include "nn/module.h"
+#include "support/serialize.h"
 #include "tensor/ops.h"
 
 namespace fed::testing {
@@ -136,6 +142,95 @@ inline Dataset make_random_sequences(std::size_t n, std::size_t seq_len,
     d.labels[i] = static_cast<std::int32_t>(rng.uniform_int(classes));
   }
   return d;
+}
+
+// The three-coordinate partial the FPS2 frames below are cut from.
+inline PartialSumUpdate three_coordinate_partial() {
+  PartialSumUpdate p;
+  p.round = 5;
+  p.shard = 1;
+  p.partial = PartialAggregate(SamplingScheme::kUniformThenWeightedAverage, 3);
+  const Vector u{1.5, -2.25, 0.1};
+  p.partial.accumulate({0, &u, 3.0});
+  return p;
+}
+
+// Coordinate `coord`'s register of three_coordinate_partial().
+inline WireBuffer partial_frame_register(std::size_t coord) {
+  const PartialSumUpdate p = three_coordinate_partial();
+  const std::uint8_t* at = p.partial.coordinate_registers().data();
+  for (std::size_t i = 0; i < coord; ++i) at += ExactSum::register_size(at);
+  return WireBuffer(at, at + ExactSum::register_size(at));
+}
+
+// three_coordinate_partial()'s FPS2 frame with coordinate `coord`'s
+// register replaced by `reg` (raw bytes, placed as they are).
+inline WireBuffer partial_frame_with_register(std::size_t coord,
+                                              const WireBuffer& reg) {
+  const PartialSumUpdate p = three_coordinate_partial();
+  const WireBuffer frame = encode_partial_sum(p);
+  std::size_t at = frame.size() - p.partial.coordinate_registers().size();
+  for (std::size_t i = 0; i < coord; ++i) {
+    at += ExactSum::register_size(frame.data() + at);
+  }
+  const std::size_t end = at + ExactSum::register_size(frame.data() + at);
+  WireBuffer out(frame.begin(), frame.begin() + static_cast<long>(at));
+  out.insert(out.end(), reg.begin(), reg.end());
+  out.insert(out.end(), frame.begin() + static_cast<long>(end), frame.end());
+  return out;
+}
+
+// FPS2 frames, one per way a register can be malformed, each of which
+// the decoder must reject with std::runtime_error.
+inline std::vector<std::pair<std::string, WireBuffer>>
+malformed_partial_frames() {
+  const auto f64_bytes = [](double v) {
+    WireBuffer b(8);
+    std::memcpy(b.data(), &v, 8);
+    return b;
+  };
+  const auto concat = [](WireBuffer a, const WireBuffer& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  std::vector<std::pair<std::string, WireBuffer>> frames;
+  // lo + n beyond the 68-digit register.
+  frames.emplace_back("window past the register",
+                      partial_frame_with_register(
+                          0, {66, 3, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}));
+  // Coordinate 0 (4.5) is positive: an extra zero top digit is a
+  // redundant sign digit.
+  WireBuffer redundant = partial_frame_register(0);
+  redundant[1] = static_cast<std::uint8_t>(redundant[1] + 1);
+  redundant.insert(redundant.end(), {0, 0, 0, 0});
+  frames.emplace_back("redundant sign digit",
+                      partial_frame_with_register(0, redundant));
+  // The same value one digit lower, with a zero low digit.
+  WireBuffer zero_low = partial_frame_register(0);
+  zero_low[0] = static_cast<std::uint8_t>(zero_low[0] - 1);
+  zero_low[1] = static_cast<std::uint8_t>(zero_low[1] + 1);
+  zero_low.insert(zero_low.begin() + 2, {0, 0, 0, 0});
+  frames.emplace_back("zero low digit",
+                      partial_frame_with_register(0, zero_low));
+  // The last register claims one digit more than the frame holds.
+  WireBuffer truncated = partial_frame_register(2);
+  truncated[1] = static_cast<std::uint8_t>(truncated[1] + 1);
+  frames.emplace_back("truncated digit run",
+                      partial_frame_with_register(2, truncated));
+  frames.emplace_back("empty window with a nonzero lo",
+                      partial_frame_with_register(1, {7, 0}));
+  // The side channel: a non-finite marker must carry ±inf or NaN, and a
+  // register marked finite carries no payload at all.
+  frames.emplace_back(
+      "finite value behind the non-finite marker",
+      partial_frame_with_register(
+          1, concat({0, ExactSum::kNonfiniteMarker}, f64_bytes(2.5))));
+  frames.emplace_back(
+      "payload on a finite register",
+      partial_frame_with_register(
+          1, concat({0, 0},
+                    f64_bytes(std::numeric_limits<double>::infinity()))));
+  return frames;
 }
 
 }  // namespace fed::testing

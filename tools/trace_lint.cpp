@@ -24,7 +24,7 @@
 // has zero contributors.
 // The per-shard block ("shards") must partition the round: shard device,
 // contributor, and byte columns sum to the round totals, and every shard
-// ships a non-empty FPS1 partial to the root.
+// ships a non-empty FPS2 partial to the root.
 // Checkpoint checks (--checkpoint, needs --jsonl): every "checkpoint"
 // block names the round of its own line, reports non-zero bytes, and
 // honors the generation bound (generations <= retain); checkpoint rounds
@@ -180,7 +180,7 @@ void check_round_line(const std::string& path, std::size_t lineno,
 
   // Per-shard partition: the shard columns must sum back to the round
   // totals, the shard indices must be dense, and every shard must have
-  // shipped a non-empty FPS1 partial to the root.
+  // shipped a non-empty FPS2 partial to the root.
   const auto& shards = value.at("shards").as_array();
   if (shards.empty() && selected > 0) {
     fail(where + ": round selected devices but has an empty \"shards\" array");
