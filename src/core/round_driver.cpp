@@ -242,7 +242,12 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
                                    TraceSpanKind::kExchange, selected[i]),
                  "device", static_cast<std::int64_t>(selected[i]));
     }
-    pool_->parallel_for(selected.size(), [&](std::size_t i) {
+    // Longest solves first: the round waits on its slowest device, and
+    // each device writes only its own outcome slot, so the order changes
+    // wall time alone.
+    const std::vector<std::size_t> order = longest_first(budgets);
+    pool_->parallel_for(order.size(), [&](std::size_t k) {
+      const std::size_t i = order[k];
       // Worker-side span: lands on the pool thread's track. Recording
       // draws no randomness, so determinism is untouched.
       Span exchange_span("exchange", "comm", "round",

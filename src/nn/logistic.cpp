@@ -1,10 +1,9 @@
 #include "nn/logistic.h"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
-#include "nn/loss.h"
+#include "nn/batch.h"
 #include "tensor/ops.h"
 
 namespace fed {
@@ -24,14 +23,16 @@ void LogisticRegression::init_parameters(std::span<double> w, Rng&) const {
   zero(w);
 }
 
-void LogisticRegression::logits_for(std::span<const double> w,
-                                    std::span<const double> x,
-                                    std::span<double> logits) const {
+MatrixView LogisticRegression::forward(std::span<const double> w,
+                                       const Dataset& data,
+                                       std::span<const std::size_t> chunk,
+                                       DenseScratch& s) const {
   ConstMatrixView weight(w.subspan(0, num_classes_ * input_dim_), num_classes_,
                          input_dim_);
   auto bias = w.subspan(num_classes_ * input_dim_, num_classes_);
-  gemv(weight, x, logits);
-  for (std::size_t c = 0; c < num_classes_; ++c) logits[c] += bias[c];
+  MatrixView product = shape(s.product, num_classes_, chunk.size());
+  gemm(weight, gather_columns(data.features, chunk, s.x_t), product);
+  return add_bias_transposed(product, bias, s.logits);
 }
 
 double LogisticRegression::loss_and_grad(std::span<const double> w,
@@ -45,16 +46,14 @@ double LogisticRegression::loss_and_grad(std::span<const double> w,
                     input_dim_);
   auto grad_b = grad.subspan(num_classes_ * input_dim_, num_classes_);
 
-  Vector logits(num_classes_);
+  DenseScratch& s = dense_scratch();
   double total_loss = 0.0;
-  for (std::size_t idx : batch) {
-    auto x = data.features.row(idx);
-    logits_for(w, x, logits);
-    total_loss += softmax_cross_entropy_grad(logits, data.labels[idx]);
-    // logits now holds dLoss/dLogits; accumulate into W, b grads.
-    ger(1.0, logits, x, grad_w);
-    add(grad_b, logits, grad_b);
-  }
+  for_each_chunk(batch, [&](std::span<const std::size_t> chunk) {
+    MatrixView logits = forward(w, data, chunk, s);
+    // logits becomes dLoss/dLogits; accumulate into W, b grads.
+    softmax_grad_rows(data, chunk, logits, grad_b, total_loss);
+    ger_batch(logits, gather_rows(data.features, chunk, s.x), grad_w);
+  });
   const double inv = 1.0 / static_cast<double>(batch.size());
   scale(grad, inv);
   return total_loss * inv;
@@ -65,15 +64,11 @@ double LogisticRegression::evaluate(std::span<const double> w,
                                     std::span<const std::size_t> batch,
                                     bool loss,
                                     std::vector<std::int32_t>* out) const {
-  if (out) out->resize(batch.size());
-  Vector logits(num_classes_);
-  double total = 0.0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    logits_for(w, data.features.row(batch[i]), logits);
-    if (loss) total += softmax_cross_entropy(logits, data.labels[batch[i]]);
-    if (out) (*out)[i] = static_cast<std::int32_t>(argmax(logits));
-  }
-  return loss ? total / static_cast<double>(batch.size()) : 0.0;
+  DenseScratch& s = dense_scratch();
+  return evaluate_chunks(data, batch, loss, out,
+                         [&](std::span<const std::size_t> chunk) {
+                           return forward(w, data, chunk, s);
+                         });
 }
 
 double LogisticRegression::loss(std::span<const double> w, const Dataset& data,

@@ -9,6 +9,8 @@
 
 namespace fed {
 
+struct DenseScratch;  // nn/batch.h
+
 class LogisticRegression final : public Model {
  public:
   LogisticRegression(std::size_t input_dim, std::size_t num_classes);
@@ -35,13 +37,16 @@ class LogisticRegression final : public Model {
                           std::vector<std::int32_t>& out) const override;
 
  private:
+  // The chunk's B x C logits: (W X^T)^T + b, each logit summed as
+  // gemv(W, x) sums it (nn/batch.h).
+  MatrixView forward(std::span<const double> w, const Dataset& data,
+                     std::span<const std::size_t> chunk,
+                     DenseScratch& s) const;
   // Mean loss (when `loss` is set) and predictions (when `out` is set)
-  // from one forward pass per sample.
+  // from one forward pass.
   double evaluate(std::span<const double> w, const Dataset& data,
                   std::span<const std::size_t> batch, bool loss,
                   std::vector<std::int32_t>* out) const;
-  void logits_for(std::span<const double> w, std::span<const double> x,
-                  std::span<double> logits) const;
 
   std::size_t input_dim_;
   std::size_t num_classes_;

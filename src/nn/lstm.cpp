@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "nn/batch.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
 
@@ -28,12 +29,6 @@ std::size_t layer_input_dim(const LstmConfig& c, std::size_t layer) {
 std::size_t layer_param_count(const LstmConfig& c, std::size_t layer) {
   const std::size_t h = c.hidden_dim;
   return 4 * h * layer_input_dim(c, layer) + 4 * h * h + 4 * h;
-}
-
-// Grows `buf` to hold a rows x cols matrix and views that prefix.
-MatrixView shape(Vector& buf, std::size_t rows, std::size_t cols) {
-  if (buf.size() < rows * cols) buf.resize(rows * cols);
-  return {std::span<double>(buf).first(rows * cols), rows, cols};
 }
 
 // Rows [begin, begin + count) of `m`.

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/loss.h"
+#include "nn/batch.h"
 #include "tensor/ops.h"
 
 namespace fed {
@@ -55,14 +55,17 @@ void Mlp::init_parameters(std::span<double> w, Rng& rng) const {
   for (std::size_t i = 0; i < num_classes_; ++i) w[off++] = 0.0;
 }
 
-void Mlp::forward(const Blocks& p, std::span<const double> x,
-                  std::span<double> hidden, std::span<double> logits) const {
-  gemv(p.w1, x, hidden);
+MatrixView Mlp::forward(const Blocks& p, const Dataset& data,
+                        std::span<const std::size_t> chunk,
+                        DenseScratch& s) const {
+  MatrixView hidden_t = shape(s.hidden_t, hidden_dim_, chunk.size());
+  gemm(p.w1, gather_columns(data.features, chunk, s.x_t), hidden_t);
   for (std::size_t h = 0; h < hidden_dim_; ++h) {
-    hidden[h] = std::tanh(hidden[h] + p.b1[h]);
+    for (double& v : hidden_t.row(h)) v = std::tanh(v + p.b1[h]);
   }
-  gemv(p.w2, hidden, logits);
-  for (std::size_t c = 0; c < num_classes_; ++c) logits[c] += p.b2[c];
+  MatrixView product = shape(s.product, num_classes_, chunk.size());
+  gemm(p.w2, hidden_t, product);
+  return add_bias_transposed(product, p.b2, s.logits);
 }
 
 double Mlp::loss_and_grad(std::span<const double> w, const Dataset& data,
@@ -84,23 +87,26 @@ double Mlp::loss_and_grad(std::span<const double> w, const Dataset& data,
   off += num_classes_ * hidden_dim_;
   auto g_b2 = grad.subspan(off, num_classes_);
 
-  Vector hidden(hidden_dim_), logits(num_classes_), dhidden(hidden_dim_);
+  DenseScratch& s = dense_scratch();
   double total = 0.0;
-  for (std::size_t idx : batch) {
-    auto x = data.features.row(idx);
-    forward(p, x, hidden, logits);
-    total += softmax_cross_entropy_grad(logits, data.labels[idx]);
+  for_each_chunk(batch, [&](std::span<const std::size_t> chunk) {
+    MatrixView logits = forward(p, data, chunk, s);
+    MatrixView hidden = shape(s.hidden, chunk.size(), hidden_dim_);
+    transpose(shape(s.hidden_t, hidden_dim_, chunk.size()), hidden);
     // logits = dL/dlogits. Backprop through layer 2.
-    ger(1.0, logits, hidden, g_w2);
-    add(g_b2, logits, g_b2);
-    gemv_transposed(p.w2, logits, dhidden);
+    softmax_grad_rows(data, chunk, logits, g_b2, total);
+    ger_batch(logits, hidden, g_w2);
+    MatrixView dhidden = shape(s.dhidden, chunk.size(), hidden_dim_);
+    gemm(logits, p.w2, dhidden);
     // Through tanh: dL/dpre = dL/dh * (1 - h^2).
-    for (std::size_t h = 0; h < hidden_dim_; ++h) {
-      dhidden[h] *= 1.0 - hidden[h] * hidden[h];
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      for (std::size_t h = 0; h < hidden_dim_; ++h) {
+        dhidden(i, h) *= 1.0 - hidden(i, h) * hidden(i, h);
+      }
+      add(g_b1, dhidden.row(i), g_b1);
     }
-    ger(1.0, dhidden, x, g_w1);
-    add(g_b1, dhidden, g_b1);
-  }
+    ger_batch(dhidden, gather_rows(data.features, chunk, s.x), g_w1);
+  });
   const double inv = 1.0 / static_cast<double>(batch.size());
   scale(grad, inv);
   return total * inv;
@@ -110,15 +116,11 @@ double Mlp::evaluate(std::span<const double> w, const Dataset& data,
                      std::span<const std::size_t> batch, bool loss,
                      std::vector<std::int32_t>* out) const {
   const Blocks p = view(w);
-  if (out) out->resize(batch.size());
-  Vector hidden(hidden_dim_), logits(num_classes_);
-  double total = 0.0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    forward(p, data.features.row(batch[i]), hidden, logits);
-    if (loss) total += softmax_cross_entropy(logits, data.labels[batch[i]]);
-    if (out) (*out)[i] = static_cast<std::int32_t>(argmax(logits));
-  }
-  return loss ? total / static_cast<double>(batch.size()) : 0.0;
+  DenseScratch& s = dense_scratch();
+  return evaluate_chunks(data, batch, loss, out,
+                         [&](std::span<const std::size_t> chunk) {
+                           return forward(p, data, chunk, s);
+                         });
 }
 
 double Mlp::loss(std::span<const double> w, const Dataset& data,

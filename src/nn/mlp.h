@@ -12,6 +12,8 @@
 
 namespace fed {
 
+struct DenseScratch;  // nn/batch.h
+
 class Mlp final : public Model {
  public:
   Mlp(std::size_t input_dim, std::size_t hidden_dim, std::size_t num_classes);
@@ -34,7 +36,7 @@ class Mlp final : public Model {
 
  private:
   // Mean loss (when `loss` is set) and predictions (when `out` is set)
-  // from one forward pass per sample.
+  // from one forward pass.
   double evaluate(std::span<const double> w, const Dataset& data,
                   std::span<const std::size_t> batch, bool loss,
                   std::vector<std::int32_t>* out) const;
@@ -45,9 +47,12 @@ class Mlp final : public Model {
     std::span<const double> b2;
   };
   Blocks view(std::span<const double> w) const;
-  // Forward pass; writes hidden activations and logits.
-  void forward(const Blocks& p, std::span<const double> x,
-               std::span<double> hidden, std::span<double> logits) const;
+  // Forward pass of a chunk of B samples, each layer one gemm(W, X^T)
+  // (nn/batch.h): leaves the tanh activations in s.hidden_t (hidden x B)
+  // and returns the B x C logits.
+  MatrixView forward(const Blocks& p, const Dataset& data,
+                     std::span<const std::size_t> chunk,
+                     DenseScratch& s) const;
 
   std::size_t input_dim_;
   std::size_t hidden_dim_;

@@ -393,11 +393,12 @@ void MetricsObserver::on_round_end(const RoundMetrics& metrics,
 
 void record_pool_stats(const ThreadPool& pool, MetricsRegistry& registry) {
   registry.set_help("fed_pool_worker_tasks",
-                    "Tasks executed per pool worker.");
+                    "parallel_for indices run per pool worker.");
   registry.set_help("fed_pool_worker_busy_seconds",
-                    "Seconds each pool worker spent running tasks.");
+                    "Seconds each pool worker spent running indices.");
   registry.set_help("fed_pool_worker_queue_wait_seconds",
-                    "Seconds each worker's tasks waited in queue.");
+                    "Seconds from publishing each job to this worker "
+                    "claiming each of its indices.");
   const auto stats = pool.worker_stats();
   double busy_total = 0.0;
   double wait_total = 0.0;

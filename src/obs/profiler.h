@@ -44,8 +44,8 @@ namespace fed {
 struct ProfileEvent {
   enum class Type : std::uint8_t {
     kComplete,    // Chrome "X": a span with start + duration; must nest
-    kAsyncBegin,  // Chrome "b": interval that may overlap others (queue
-    kAsyncEnd,    //        "e"   waits); paired by `id`
+    kAsyncBegin,  // Chrome "b": interval that may overlap others;
+    kAsyncEnd,    //        "e"   paired by `id`
     kFlowStart,   // Chrome "s": an arrow leaves the enclosing span here
     kFlowEnd,     // Chrome "f": ... and lands here; paired by `id`
   };

@@ -2,11 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "optim/solver.h"
 
 namespace fed {
+
+std::vector<std::size_t> longest_first(std::span<const DeviceBudget> budgets) {
+  std::vector<std::size_t> order(budgets.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return budgets[a].iterations > budgets[b].iterations;
+                   });
+  return order;
+}
 
 std::size_t straggler_count(double fraction, std::size_t k) {
   if (fraction < 0.0 || fraction > 1.0) {

@@ -65,6 +65,12 @@ std::vector<DeviceBudget> assign_budgets(const SystemsConfig& config,
                                          std::span<const std::size_t> train_sizes,
                                          std::size_t batch_size);
 
+// The order to run a round's devices in: indices into `budgets`, most
+// iterations first, ties in index order. A round waits on its longest
+// solve, so starting the long ones first keeps the pool's tail short.
+// Each device's result does not depend on when it runs.
+std::vector<std::size_t> longest_first(std::span<const DeviceBudget> budgets);
+
 // Number of stragglers for a selection of size k (paper assigns the exact
 // fraction, rounded to nearest).
 std::size_t straggler_count(double fraction, std::size_t k);

@@ -2,21 +2,18 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "obs/profiler.h"
 
 namespace fed {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  counters_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    counters_.push_back(std::make_unique<WorkerCounters>());
-  }
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : counters_(threads != 0
+                    ? threads
+                    : std::max(1u, std::thread::hardware_concurrency())) {
+  workers_.reserve(counters_.size());
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -26,98 +23,95 @@ ThreadPool::~ThreadPool() {
     MutexLock lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  Task entry{std::packaged_task<void()>(std::move(task)), 0};
-  if (Profiler::is_enabled()) {
-    entry.enqueue_us = Profiler::instance().now_us();
-  }
-  std::future<void> fut = entry.work.get_future();
-  {
-    MutexLock lock(mutex_);
-    tasks_.push(std::move(entry));
-  }
-  cv_.notify_one();
-  return fut;
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+  if (n == 0) return;
+  MutexLock call(call_mutex_);
+  std::exception_ptr error;
+  {
+    MutexLock lock(mutex_);
+    job_ = {&fn, n,
+            Profiler::is_enabled() ? Profiler::instance().now_us() : 0};
+    next_.store(0, std::memory_order_relaxed);
+    drained_ = false;
+    ++generation_;
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  work_cv_.notify_all();
+  {
+    // Workers claim only while attached and detach only once no index is
+    // left, so once one has detached and none is attached, every index
+    // has run; clearing job_ keeps any late worker from attaching.
+    MutexLock lock(mutex_);
+    while (!drained_ || attached_ != 0) done_cv_.wait(mutex_);
+    job_ = {};
+    error = std::exchange(error_, nullptr);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
   std::vector<WorkerStats> stats;
-  stats.reserve(counters_.size());
   for (const auto& c : counters_) {
-    WorkerStats s;
-    s.tasks_executed = c->tasks.load(std::memory_order_relaxed);
-    s.busy_seconds = 1e-6 * c->busy_us.load(std::memory_order_relaxed);
-    s.queue_wait_seconds = 1e-6 * c->wait_us.load(std::memory_order_relaxed);
-    stats.push_back(s);
+    stats.push_back({c.tasks.load(std::memory_order_relaxed),
+                     1e-6 * c.busy_us.load(std::memory_order_relaxed),
+                     1e-6 * c.wait_us.load(std::memory_order_relaxed)});
   }
   return stats;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::run_index(const Job& job, std::size_t i,
+                           WorkerCounters& counters) {
+  counters.tasks.fetch_add(1, std::memory_order_relaxed);
   Profiler& profiler = Profiler::instance();
-  profiler.set_thread_name("pool-" + std::to_string(index));
-  WorkerCounters& counters = *counters_[index];
+  const bool profiled = job.publish_us != 0 && Profiler::is_enabled();
+  const std::uint64_t start_us = profiled ? profiler.now_us() : 0;
+  if (profiled) {
+    counters.wait_us.fetch_add(start_us - job.publish_us,
+                               std::memory_order_relaxed);
+  }
+  try {
+    Span exec("task", "pool");
+    (*job.fn)(i);
+  } catch (...) {
+    MutexLock lock(mutex_);
+    if (!error_ || i < error_index_) {
+      error_ = std::current_exception();
+      error_index_ = i;
+    }
+  }
+  if (profiled) {
+    counters.busy_us.fetch_add(profiler.now_us() - start_us,
+                               std::memory_order_relaxed);
+  }
+}
 
+void ThreadPool::worker_loop(std::size_t index) {
+  Profiler::instance().set_thread_name("pool-" + std::to_string(index));
+  WorkerCounters& counters = counters_[index];
+  std::uint64_t seen = 0;  // generation of the last job this worker joined
   for (;;) {
-    Task task;
+    Job job;
     {
       MutexLock lock(mutex_);
-      while (!stop_ && tasks_.empty()) cv_.wait(mutex_);
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    counters.tasks.fetch_add(1, std::memory_order_relaxed);
-    if (Profiler::is_enabled()) {
-      const std::uint64_t start_us = profiler.now_us();
-      if (task.enqueue_us != 0 && task.enqueue_us <= start_us) {
-        // Queue waits overlap each other and prior executions on this
-        // track, so record them as an async pair rather than an X span.
-        ProfileEvent begin;
-        begin.name = "queue_wait";
-        begin.category = "pool";
-        begin.type = ProfileEvent::Type::kAsyncBegin;
-        begin.id = profiler.next_async_id();
-        begin.start_us = task.enqueue_us;
-        profiler.record(begin);
-        ProfileEvent end = begin;
-        end.type = ProfileEvent::Type::kAsyncEnd;
-        end.start_us = start_us;
-        profiler.record(end);
-        counters.wait_us.fetch_add(start_us - task.enqueue_us,
-                                   std::memory_order_relaxed);
+      while (!stop_ && (job_.fn == nullptr || generation_ == seen)) {
+        work_cv_.wait(mutex_);
       }
-      {
-        Span exec("task", "pool");
-        task.work();
-      }
-      counters.busy_us.fetch_add(profiler.now_us() - start_us,
-                                 std::memory_order_relaxed);
-    } else {
-      task.work();
+      if (stop_) return;
+      seen = generation_;
+      ++attached_;
+      job = job_;
     }
+    for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+         i < job.n; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      run_index(job, i, counters);
+    }
+    MutexLock lock(mutex_);
+    drained_ = true;
+    if (--attached_ == 0) done_cv_.notify_one();
   }
 }
 

@@ -3,22 +3,20 @@
 // client draws from its own (seed, round, device)-keyed RNG stream; the
 // pool only changes wall-clock time, never results.
 //
-// Workers register named profiler tracks ("pool-0", "pool-1", ...); when
-// the span profiler is enabled each task records its queue wait (async
-// "b"/"e" pair — waits overlap, so they are not X spans) and an
-// execution span, and per-worker busy/wait totals accumulate for
-// utilization gauges (worker_stats). With the profiler disabled the only
-// added cost per task is one relaxed atomic load.
+// There is no task queue: parallel_for publishes one job, workers claim
+// its indices in order off one atomic counter, and the last worker to
+// leave the job wakes the caller. Workers register profiler tracks
+// ("pool-0", ...); while the span profiler is enabled each index records
+// a "task" span, and each worker totals its busy time and its waits,
+// from publishing a job to claiming each index (worker_stats).
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -37,16 +35,15 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Enqueues a task; the returned future rethrows any task exception.
-  // Takes mutex_ briefly — never call from a task holding it.
-  std::future<void> submit(std::function<void()> task) FED_EXCLUDES(mutex_);
-
   // Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  // Exceptions from tasks are rethrown (the first one encountered).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  // If some fn(i) throw, every index still runs once and the exception of
+  // the lowest throwing index is rethrown. Concurrent callers run one
+  // after another; calling it from inside fn deadlocks.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn)
+      FED_EXCLUDES(call_mutex_, mutex_);
 
-  // Per-worker execution counters. tasks_executed always counts;
-  // busy/wait seconds accumulate only while the profiler is enabled.
+  // Per-worker counters. tasks_executed (indices run) always counts;
+  // busy/wait seconds only for jobs run with the profiler enabled.
   struct WorkerStats {
     std::uint64_t tasks_executed = 0;
     double busy_seconds = 0.0;
@@ -55,29 +52,36 @@ class ThreadPool {
   std::vector<WorkerStats> worker_stats() const;
 
  private:
-  struct Task {
-    std::packaged_task<void()> work;
-    std::uint64_t enqueue_us = 0;  // 0 = profiler was off at submit time
+  struct Job {
+    const std::function<void(std::size_t)>* fn = nullptr;  // null: none
+    std::size_t n = 0;
+    std::uint64_t publish_us = 0;  // 0: the profiler was off
   };
   // Written only by the owning worker; read by worker_stats().
   struct WorkerCounters {
-    std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> busy_us{0};
-    std::atomic<std::uint64_t> wait_us{0};
+    std::atomic<std::uint64_t> tasks{0}, busy_us{0}, wait_us{0};
   };
 
-  void worker_loop(std::size_t index);
+  void worker_loop(std::size_t index) FED_EXCLUDES(mutex_);
+  void run_index(const Job& job, std::size_t i, WorkerCounters& counters)
+      FED_EXCLUDES(mutex_);
 
-  // workers_ and counters_ are fixed at construction (written before the
-  // workers start, const thereafter); the queue and the stop flag are
-  // the only cross-thread mutable state, guarded by mutex_ with cv_
-  // signalling arrivals and shutdown.
-  std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerCounters>> counters_;
+  // counters_ and workers_ are fixed at construction. Workers attach to
+  // a published job under mutex_, then claim indices off next_ without it.
+  std::vector<WorkerCounters> counters_;
+  Mutex call_mutex_;  // one parallel_for at a time
   Mutex mutex_;
-  CondVar cv_;
-  std::queue<Task> tasks_ FED_GUARDED_BY(mutex_);
+  CondVar work_cv_;  // a job was published, or the pool is stopping
+  CondVar done_cv_;  // the job's last attached worker left
+  Job job_ FED_GUARDED_BY(mutex_);
+  std::uint64_t generation_ FED_GUARDED_BY(mutex_) = 0;  // jobs published
+  std::size_t attached_ FED_GUARDED_BY(mutex_) = 0;
+  bool drained_ FED_GUARDED_BY(mutex_) = false;  // a worker found no index
+  std::size_t error_index_ FED_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr error_ FED_GUARDED_BY(mutex_);
   bool stop_ FED_GUARDED_BY(mutex_) = false;
+  std::atomic<std::size_t> next_{0};  // the job's next unclaimed index
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace fed

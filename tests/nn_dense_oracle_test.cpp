@@ -1,0 +1,242 @@
+// The dense models' chunked, batched passes against the sample-by-sample
+// code they replaced, kept here as the oracle: one gemv and one ger per
+// sample. Loss, gradient and predictions must match bit for bit,
+// including NaN and Inf features, which must propagate identically.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <limits>
+
+#include "nn/batch.h"
+#include "nn/logistic.h"
+#include "nn/loss.h"
+#include "nn/mlp.h"
+#include "tensor/ops.h"
+#include "test_util.h"
+
+namespace fed {
+namespace {
+
+// Per-sample logistic regression: logits = W x + b, one sample at a time.
+class ReferenceLogistic {
+ public:
+  ReferenceLogistic(std::size_t dim, std::size_t classes)
+      : dim_(dim), classes_(classes) {}
+
+  double loss_and_grad(std::span<const double> w, const Dataset& data,
+                       std::span<const std::size_t> batch,
+                       std::span<double> grad) const {
+    zero(grad);
+    MatrixView grad_w(grad.subspan(0, classes_ * dim_), classes_, dim_);
+    auto grad_b = grad.subspan(classes_ * dim_, classes_);
+    Vector logits(classes_);
+    double total = 0.0;
+    for (std::size_t idx : batch) {
+      auto x = data.features.row(idx);
+      logits_for(w, x, logits);
+      total += softmax_cross_entropy_grad(logits, data.labels[idx]);
+      ger(1.0, logits, x, grad_w);
+      add(grad_b, logits, grad_b);
+    }
+    const double inv = 1.0 / static_cast<double>(batch.size());
+    scale(grad, inv);
+    return total * inv;
+  }
+
+  double evaluate(std::span<const double> w, const Dataset& data,
+                  std::span<const std::size_t> batch,
+                  std::vector<std::int32_t>& out) const {
+    out.resize(batch.size());
+    Vector logits(classes_);
+    double total = 0.0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      logits_for(w, data.features.row(batch[i]), logits);
+      total += softmax_cross_entropy(logits, data.labels[batch[i]]);
+      out[i] = static_cast<std::int32_t>(argmax(logits));
+    }
+    return total / static_cast<double>(batch.size());
+  }
+
+ private:
+  void logits_for(std::span<const double> w, std::span<const double> x,
+                  std::span<double> logits) const {
+    ConstMatrixView weight(w.subspan(0, classes_ * dim_), classes_, dim_);
+    auto bias = w.subspan(classes_ * dim_, classes_);
+    gemv(weight, x, logits);
+    for (std::size_t c = 0; c < classes_; ++c) logits[c] += bias[c];
+  }
+
+  std::size_t dim_, classes_;
+};
+
+// Per-sample tanh MLP: gemv forward, gemv_transposed backward.
+class ReferenceMlp {
+ public:
+  ReferenceMlp(std::size_t dim, std::size_t hidden, std::size_t classes)
+      : dim_(dim), hidden_(hidden), classes_(classes) {}
+
+  double loss_and_grad(std::span<const double> w, const Dataset& data,
+                       std::span<const std::size_t> batch,
+                       std::span<double> grad) const {
+    const Blocks p = view(w);
+    zero(grad);
+    std::size_t off = 0;
+    MatrixView g_w1(grad.subspan(off, hidden_ * dim_), hidden_, dim_);
+    off += hidden_ * dim_;
+    auto g_b1 = grad.subspan(off, hidden_);
+    off += hidden_;
+    MatrixView g_w2(grad.subspan(off, classes_ * hidden_), classes_, hidden_);
+    off += classes_ * hidden_;
+    auto g_b2 = grad.subspan(off, classes_);
+
+    Vector hidden(hidden_), logits(classes_), dhidden(hidden_);
+    double total = 0.0;
+    for (std::size_t idx : batch) {
+      auto x = data.features.row(idx);
+      forward(p, x, hidden, logits);
+      total += softmax_cross_entropy_grad(logits, data.labels[idx]);
+      ger(1.0, logits, hidden, g_w2);
+      add(g_b2, logits, g_b2);
+      gemv_transposed(p.w2, logits, dhidden);
+      for (std::size_t h = 0; h < hidden_; ++h) {
+        dhidden[h] *= 1.0 - hidden[h] * hidden[h];
+      }
+      ger(1.0, dhidden, x, g_w1);
+      add(g_b1, dhidden, g_b1);
+    }
+    const double inv = 1.0 / static_cast<double>(batch.size());
+    scale(grad, inv);
+    return total * inv;
+  }
+
+  double evaluate(std::span<const double> w, const Dataset& data,
+                  std::span<const std::size_t> batch,
+                  std::vector<std::int32_t>& out) const {
+    const Blocks p = view(w);
+    out.resize(batch.size());
+    Vector hidden(hidden_), logits(classes_);
+    double total = 0.0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      forward(p, data.features.row(batch[i]), hidden, logits);
+      total += softmax_cross_entropy(logits, data.labels[batch[i]]);
+      out[i] = static_cast<std::int32_t>(argmax(logits));
+    }
+    return total / static_cast<double>(batch.size());
+  }
+
+ private:
+  struct Blocks {
+    ConstMatrixView w1;
+    std::span<const double> b1;
+    ConstMatrixView w2;
+    std::span<const double> b2;
+  };
+
+  Blocks view(std::span<const double> w) const {
+    const std::size_t b1 = hidden_ * dim_;
+    const std::size_t w2 = b1 + hidden_;
+    const std::size_t b2 = w2 + classes_ * hidden_;
+    return {ConstMatrixView(w.subspan(0, b1), hidden_, dim_),
+            w.subspan(b1, hidden_),
+            ConstMatrixView(w.subspan(w2, classes_ * hidden_), classes_,
+                            hidden_),
+            w.subspan(b2, classes_)};
+  }
+
+  void forward(const Blocks& p, std::span<const double> x,
+               std::span<double> hidden, std::span<double> logits) const {
+    gemv(p.w1, x, hidden);
+    for (std::size_t h = 0; h < hidden_; ++h) {
+      hidden[h] = std::tanh(hidden[h] + p.b1[h]);
+    }
+    gemv(p.w2, hidden, logits);
+    for (std::size_t c = 0; c < classes_; ++c) logits[c] += p.b2[c];
+  }
+
+  std::size_t dim_, hidden_, classes_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+enum class Batch { kAscending, kShuffledWithRepeats, kNonFinite };
+
+// MLP (or logistic), batch size, batch kind.
+using OracleParam = std::tuple<bool, std::size_t, Batch>;
+
+class DenseOracleTest : public ::testing::TestWithParam<OracleParam> {};
+
+template <class M, class Oracle>
+void expect_bitwise(const M& model, const Oracle& oracle, Rng& gen,
+                    const Dataset& data, std::span<const std::size_t> batch) {
+  Vector w(model.parameter_count());
+  model.init_parameters(w, gen);
+  for (double& v : w) v += gen.normal(0.0, 0.3);  // off the zero init
+
+  Vector grad(w.size(), 7.0), want_grad(w.size());
+  const double loss = model.loss_and_grad(w, data, batch, grad);
+  const double want_loss = oracle.loss_and_grad(w, data, batch, want_grad);
+  EXPECT_EQ(bits(loss), bits(want_loss)) << loss << " vs " << want_loss;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    ASSERT_EQ(bits(grad[i]), bits(want_grad[i]))
+        << "gradient " << i << ": " << grad[i] << " vs " << want_grad[i];
+  }
+
+  std::vector<std::int32_t> want_pred;
+  const double eval_loss = oracle.evaluate(w, data, batch, want_pred);
+  EXPECT_EQ(bits(model.loss(w, data, batch)), bits(eval_loss));
+  std::vector<std::int32_t> pred;
+  model.predict(w, data, batch, pred);
+  EXPECT_EQ(pred, want_pred);
+  std::vector<std::int32_t> both;
+  EXPECT_EQ(bits(model.loss_and_predict(w, data, batch, both)),
+            bits(eval_loss));
+  EXPECT_EQ(both, want_pred);
+}
+
+TEST_P(DenseOracleTest, BatchedPassIsBitwiseTheSampleBySampleOracle) {
+  const auto [mlp, batch_size, kind] = GetParam();
+  // Odd widths, so no gemm or ger_batch tile divides them evenly.
+  constexpr std::size_t kDim = 7, kHidden = 9, kClasses = 5;
+  Rng gen = make_stream(41, StreamKind::kTest, mlp,
+                        batch_size * 3 + static_cast<std::size_t>(kind));
+  const std::size_t n = batch_size + 7;
+  Dataset data = testing::make_random_dataset(n, kDim, kClasses, gen);
+
+  std::vector<std::size_t> batch(batch_size);
+  if (kind == Batch::kAscending) {
+    batch = full_batch(batch_size);
+  } else {
+    // Unordered, with gaps and a repeated sample.
+    for (auto& idx : batch) idx = gen.uniform_int(n);
+    batch.front() = batch.back();
+  }
+  if (kind == Batch::kNonFinite) {
+    const double inf = std::numeric_limits<double>::infinity();
+    data.features(batch.front(), 2) = std::numeric_limits<double>::quiet_NaN();
+    data.features(batch[batch_size / 2], 0) = inf;
+    data.features(batch[batch_size - 1 - batch_size / 3], 6) = -inf;
+  }
+
+  if (mlp) {
+    expect_bitwise(Mlp(kDim, kHidden, kClasses),
+                   ReferenceMlp(kDim, kHidden, kClasses), gen, data, batch);
+  } else {
+    expect_bitwise(LogisticRegression(kDim, kClasses),
+                   ReferenceLogistic(kDim, kClasses), gen, data, batch);
+  }
+}
+
+// Batch sizes below, at, just above and several times the chunk size.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DenseOracleTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(1u, 10u, kChunkRows - 1, kChunkRows,
+                                         kChunkRows + 1, 3 * kChunkRows + 5),
+                       ::testing::Values(Batch::kAscending,
+                                         Batch::kShuffledWithRepeats,
+                                         Batch::kNonFinite)));
+
+}  // namespace
+}  // namespace fed

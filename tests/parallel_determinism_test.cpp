@@ -62,6 +62,31 @@ TEST_P(ThreadCountTest, IdenticalResultsAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountTest,
                          ::testing::Values(2, 4, 8));
 
+// Heavily skewed budgets (90% stragglers, E = 20) make the longest-first
+// dispatch order differ most from selection order; results must not.
+class SkewedThreadCountTest : public ThreadCountTest {};
+
+TEST_P(SkewedThreadCountTest, IdenticalResultsAcrossThreadCounts) {
+  LogisticRegression model(data().input_dim, data().num_classes);
+  TrainerConfig c = config();
+  c.devices_per_round = 8;
+  c.systems.epochs = 20;
+  c.systems.straggler_fraction = 0.9;
+  c.threads = 1;
+  const auto reference = Trainer(model, data(), c).run();
+  c.threads = GetParam();
+  const auto run = Trainer(model, data(), c).run();
+  EXPECT_EQ(reference.final_parameters, run.final_parameters);
+  ASSERT_EQ(reference.rounds.size(), run.rounds.size());
+  for (std::size_t r = 0; r < run.rounds.size(); ++r) {
+    EXPECT_EQ(reference.rounds[r].train_loss, run.rounds[r].train_loss);
+    EXPECT_EQ(reference.rounds[r].stragglers, run.rounds[r].stragglers);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SkewedThreadCountTest,
+                         ::testing::Values(1, 2, 4, 8));
+
 TEST_F(DeterminismTest, SharedExternalPoolMatchesOwnedPool) {
   LogisticRegression model(data().input_dim, data().num_classes);
   const auto owned = Trainer(model, data(), config()).run();

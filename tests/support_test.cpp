@@ -3,6 +3,10 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/cli.h"
 #include "support/csv.h"
@@ -130,12 +134,68 @@ TEST(ThreadPoolTest, PropagatesTaskExceptions) {
                std::runtime_error);
 }
 
-TEST(ThreadPoolTest, SubmitReturnsUsableFuture) {
-  ThreadPool pool(1);
-  std::atomic<int> x{0};
-  auto fut = pool.submit([&] { x = 42; });
-  fut.get();
-  EXPECT_EQ(x.load(), 42);
+TEST(ThreadPoolTest, EmptyRangeRunsNothing) {
+  ThreadPool pool(2);
+  std::atomic<int> calls{0};
+  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ThreadPoolTest, SeveralThrowingIndicesRunEveryIndexAndRethrowTheLowest) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 200;
+  std::vector<std::atomic<int>> visits(kN);
+  const auto fn = [&](std::size_t i) {
+    visits[i]++;
+    if (i == 7 || i == 64 || i == 199) {
+      throw std::runtime_error(std::to_string(i));
+    }
+  };
+  for (int rep = 0; rep < 20; ++rep) {
+    for (auto& v : visits) v = 0;
+    try {
+      pool.parallel_for(kN, fn);
+      ADD_FAILURE() << "no exception rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "7");
+    }
+    for (auto& v : visits) ASSERT_EQ(v.load(), 1);
+  }
+  // The pool stays usable after a failed call.
+  std::atomic<std::size_t> sum{0};
+  pool.parallel_for(10, [&](std::size_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 45u);
+}
+
+TEST(ThreadPoolTest, TenThousandBackToBackCalls) {
+  ThreadPool pool(3);
+  std::atomic<std::size_t> total{0};
+  std::size_t expected = 0;
+  for (std::size_t call = 0; call < 10000; ++call) {
+    const std::size_t n = call % 5;  // includes empty calls
+    expected += n;
+    pool.parallel_for(n, [&](std::size_t) { ++total; });
+    ASSERT_EQ(total.load(), expected) << "call " << call;
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersOnASharedPool) {
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 50;
+  const auto caller = [&pool](std::vector<int>& visits) {
+    for (int call = 0; call < 300; ++call) {
+      pool.parallel_for(kN, [&](std::size_t i) { visits[i]++; });
+    }
+  };
+  std::vector<int> a(kN, 0), b(kN, 0);
+  std::thread ta(caller, std::ref(a));
+  std::thread tb(caller, std::ref(b));
+  ta.join();
+  tb.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(a[i], 300);
+    EXPECT_EQ(b[i], 300);
+  }
 }
 
 TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {

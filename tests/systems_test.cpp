@@ -18,6 +18,19 @@ TEST(StragglerCount, RoundsToNearest) {
   EXPECT_THROW(straggler_count(1.1, 10), std::invalid_argument);
 }
 
+TEST(LongestFirst, DescendingIterationsTiesInIndexOrder) {
+  std::vector<DeviceBudget> budgets;
+  for (std::size_t iterations : {3, 7, 3, 9, 7, 0, 9}) {
+    budgets.push_back({.device = budgets.size() * 10,
+                       .straggler = false,
+                       .epochs = 1,
+                       .iterations = iterations});
+  }
+  EXPECT_EQ(longest_first(budgets),
+            (std::vector<std::size_t>{3, 6, 1, 4, 0, 2, 5}));
+  EXPECT_TRUE(longest_first({}).empty());
+}
+
 class BudgetFractionTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(BudgetFractionTest, ExactStragglerFraction) {
