@@ -5,8 +5,6 @@
 #include <map>
 
 #include "comm/transport.h"
-#include "obs/chrome_trace.h"
-#include "obs/profiler.h"
 #include "support/log.h"
 
 namespace fed::bench {
@@ -27,7 +25,6 @@ BenchOptions parse_options(const CliFlags& flags) {
   options.trace_out = flags.get_optional_string("trace-out").value_or("");
   options.trace_rotate_mb =
       static_cast<std::size_t>(flags.get_int("trace-rotate-mb", 0));
-  options.profile_out = flags.get_optional_string("profile-out").value_or("");
   options.metrics_out = flags.get_optional_string("metrics-out").value_or("");
   options.metrics_every = static_cast<std::size_t>(
       std::max<std::int64_t>(1, flags.get_int("metrics-every", 1)));
@@ -155,26 +152,11 @@ TraceCapture::TraceCapture(const BenchOptions& options) {
     composite_->add(*metrics_);
     composite_->add(*exporter_);
   }
-  if (!options.profile_out.empty()) {
-    profile_out_ = options.profile_out;
-    Profiler::instance().set_thread_name("main");
-    Profiler::instance().enable();
-    log_info() << "span profiler on; Chrome trace will land at "
-               << profile_out_;
-  }
 }
 
 TrainingObserver* TraceCapture::observer() const {
   return composite_ ? static_cast<TrainingObserver*>(composite_.get())
                     : tracer_.get();
-}
-
-TraceCapture::~TraceCapture() {
-  if (profile_out_.empty()) return;
-  Profiler::instance().disable();
-  write_chrome_trace(profile_out_);
-  log_info() << "wrote span profile to " << profile_out_
-             << " (open in chrome://tracing or ui.perfetto.dev)";
 }
 
 const char* metric_name(Metric metric) {

@@ -10,7 +10,6 @@
 //   --trace-rotate-mb N  roll the JSONL trace when it passes N MiB,
 //                    keeping a bounded set of .1/.2/... generations that
 //                    each re-start with the run header (0 = off)
-//   --profile-out P  write a Chrome trace-event span profile to P (obs/)
 //   --metrics-out P  publish a Prometheus text-format scrape file to P,
 //                    atomically rewritten as the run progresses (obs/
 //                    exposition.h); lint with trace_lint --metrics
@@ -63,7 +62,6 @@ struct BenchOptions {
   std::string out_dir = "bench_out";
   std::string trace_out;            // empty = tracing disabled
   std::size_t trace_rotate_mb = 0;  // 0 = no JSONL rotation
-  std::string profile_out;          // empty = span profiler disabled
   std::string metrics_out;          // empty = no Prometheus exposition
   std::size_t metrics_every = 1;    // rounds between metric publishes
   std::string transport = "inprocess";  // parse_transport_kind values
@@ -104,13 +102,10 @@ void apply_common_flags(TrainerConfig& config, const BenchOptions& options);
 void apply_faults(TrainerConfig& config, const BenchOptions& options);
 
 // Owns the JSONL trace sink + observer created from --trace-out (with
-// --trace-rotate-mb rotation), the Prometheus registry/feeder/exporter
-// stack created from --metrics-out, and the span-profiler session
-// created from --profile-out (enables the profiler at construction,
-// drains it into a Chrome trace-event file at destruction). Keep it
-// alive for the whole driver run and pass observer() (nullptr when no
-// flag is set; a CompositeObserver when several are) to
-// RunVariantsOptions::observer:
+// --trace-rotate-mb rotation) and the Prometheus registry/feeder/exporter
+// stack created from --metrics-out. Keep it alive for the whole driver
+// run and pass observer() (nullptr when no flag is set; a
+// CompositeObserver when several are) to RunVariantsOptions::observer:
 //
 //   TraceCapture trace(options);
 //   RunVariantsOptions rv;
@@ -119,7 +114,6 @@ void apply_faults(TrainerConfig& config, const BenchOptions& options);
 class TraceCapture {
  public:
   explicit TraceCapture(const BenchOptions& options);
-  ~TraceCapture();
   TraceCapture(const TraceCapture&) = delete;
   TraceCapture& operator=(const TraceCapture&) = delete;
 
@@ -134,7 +128,6 @@ class TraceCapture {
   std::unique_ptr<MetricsObserver> metrics_;      // feeder first,
   std::unique_ptr<MetricsExporter> exporter_;     // publisher second
   std::unique_ptr<CompositeObserver> composite_;  // when several are live
-  std::string profile_out_;  // empty = profiler not owned by this capture
 };
 
 // Renders one metric (selected by `metric`) of every variant against the

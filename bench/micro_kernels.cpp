@@ -112,9 +112,10 @@ void BM_LocalSgdEpoch(benchmark::State& state) {
   SolveBudget budget{.iterations = iters, .batch_size = 10,
                      .learning_rate = 0.01};
   SgdSolver solver;
+  Vector w;
   for (auto _ : state) {
     Rng rng(6);
-    Vector w = anchor;
+    w.assign(anchor.begin(), anchor.end());
     solver.solve(problem, budget, rng, w);
     benchmark::DoNotOptimize(w.data());
   }

@@ -22,8 +22,7 @@
 //
 // With --trace-out, segment 1 truncates and the resumed segments append,
 // so the file carries one {"run":...} header per segment — lint it with
-// trace_lint --jsonl --checkpoint. --profile-out is not supported here:
-// a killed segment leaves flow spans dangling by design.
+// trace_lint --jsonl --checkpoint.
 
 #include <cstring>
 #include <filesystem>
@@ -136,11 +135,6 @@ int main(int argc, char** argv) {
   const std::string json_path =
       flags.get_string("bench-json", "BENCH_soak.json");
   BenchOptions options = parse_options(flags);
-  if (!options.profile_out.empty()) {
-    std::cerr << "soak: --profile-out is not supported (crashed segments "
-                 "leave dangling flow spans)\n";
-    return 2;
-  }
 
   // Soak defaults: a couple thousand rounds, periodic checkpoints,
   // continuous churn and channel faults. Every knob yields to an

@@ -6,7 +6,6 @@
 //                [--faults drop=0.1,corrupt=0.01,delay_ms=50]
 //                [--retries 2] [--deadline-ms 0] [--quorum 1.0]
 //                [--trace-out trace.jsonl] [--trace-rotate-mb N]
-//                [--profile-out run.trace.json]
 //                [--metrics-out metrics.prom] [--metrics-every N]
 //                [--churn arrive=0.05,depart=0.05]
 //                [--checkpoint-every N] [--checkpoint-dir DIR]
@@ -16,6 +15,7 @@
 // quickstart only adds --mu/--rounds/--stragglers on top.
 
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 
 #include "bench_common.h"
@@ -90,19 +90,23 @@ int main(int argc, char** argv) {
   }
 
   // 3. Train, printing each evaluated round. TraceCapture owns the
-  //    --trace-out JSONL sink (per-phase wall times for every round) and
-  //    the --profile-out span profiler session (nested run -> round ->
-  //    phase -> exchange spans, written as a Chrome trace-event file on
-  //    destruction). A HealthMonitor watches every round for numeric
-  //    trouble.
-  bench::TraceCapture capture(options);
+  //    --trace-out JSONL sink (per-phase wall times for every round),
+  //    which fails here, before any training, on an unwritable path. A
+  //    HealthMonitor watches every round for numeric trouble.
+  std::optional<bench::TraceCapture> capture;
+  try {
+    capture.emplace(options);
+  } catch (const std::runtime_error& error) {
+    std::cerr << error.what() << "\n";
+    return 1;
+  }
   Trainer trainer(*workload.model, workload.data, config);
   ProgressPrinter printer;
   trainer.add_observer(printer);
 
   HealthMonitor health;
   trainer.add_observer(health);
-  if (capture.observer()) trainer.add_observer(*capture.observer());
+  if (capture->observer()) trainer.add_observer(*capture->observer());
 
   // --resume continues from the newest FPC1 checkpoint in the checkpoint
   // dir (telemetry already switched to append mode in TraceCapture);

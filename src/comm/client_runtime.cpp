@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/profiler.h"
 #include "obs/trace_context.h"
 #include "sim/client.h"
 
@@ -22,19 +21,15 @@ ClientUpdate ClientRuntime::handle(const ModelBroadcast& broadcast) const {
   // bit-identical across the refactor.
   Rng minibatch_rng = make_stream(seed_, StreamKind::kMinibatch,
                                   broadcast.round - 1, device + 1);
-  // The device-side span of the distributed exchange. Its id is derived
-  // from the broadcast's trace context, so when this runtime moves to
-  // another process the span still correlates with the server round; the
-  // update carries it back as the parent of the aggregation work.
+  // The update carries the broadcast's trace context back, re-parented
+  // under a device-side span id derived from it, so an update still
+  // correlates with its server round once this runtime moves to another
+  // process.
   ClientUpdate update;
   update.round = broadcast.round;
   update.trace = broadcast.trace;
   update.trace.span_id = derive_trace_span(
       broadcast.trace.trace_id, TraceSpanKind::kClientSolve, device);
-  Span solve_span("client_solve", "comm", "round",
-                  static_cast<std::int64_t>(broadcast.round), "device",
-                  static_cast<std::int64_t>(device), "trace_id",
-                  static_cast<std::int64_t>(broadcast.trace.trace_id));
   update.result =
       run_client(model_, data_.clients[device], broadcast.parameters, solver_,
                  broadcast.budget, broadcast.config, broadcast.correction,

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "comm/client_runtime.h"
-#include "obs/profiler.h"
 #include "support/serialize.h"
 
 namespace fed {
@@ -21,23 +20,15 @@ ExchangeRecord SerializedTransport::exchange(const ModelBroadcast& broadcast,
                                              const ClientRuntime& client) const {
   ExchangeRecord record;
   OwnedBroadcast received;
-  {
-    Span span("wire_down", "comm", "round",
-              static_cast<std::int64_t>(broadcast.round), "device",
-              static_cast<std::int64_t>(broadcast.budget.device));
+  {  // the encoded frame is freed before the solve
     const WireBuffer down = encode_broadcast(broadcast);
     record.bytes_down = down.size();
     received = decode_broadcast(down);
   }
   ClientUpdate update = client.handle(received.view());
-  {
-    Span span("wire_up", "comm", "round",
-              static_cast<std::int64_t>(broadcast.round), "device",
-              static_cast<std::int64_t>(broadcast.budget.device));
-    const WireBuffer up = encode_update(update);
-    record.bytes_up = up.size();
-    record.update = decode_update(up);
-  }
+  const WireBuffer up = encode_update(update);
+  record.bytes_up = up.size();
+  record.update = decode_update(up);
   return record;
 }
 

@@ -8,7 +8,6 @@
 #include "core/dissimilarity.h"
 #include "core/feddane.h"
 #include "obs/observer.h"
-#include "obs/profiler.h"
 #include "obs/trace_context.h"
 #include "sim/aggregate.h"
 #include "sim/server.h"
@@ -36,8 +35,6 @@ RoundDriver::RoundDriver(const Model& model, const FederatedDataset& data,
 
 void RoundDriver::evaluate(const Vector& w, RoundMetrics& metrics,
                            RoundTrace& trace) {
-  Span span("eval", "phase", "round",
-            static_cast<std::int64_t>(metrics.round));
   Stopwatch timer;
   const GlobalEval eval = evaluate_global(model_, data_, w, pool_);
   metrics.train_loss = eval.train_loss;
@@ -148,9 +145,8 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   Stopwatch phase_timer;
 
   // The round's trace context: deterministic in (seed, round), stamped
-  // into every message this round moves so device- and shard-side spans
-  // correlate back to it across the wire (obs/trace_context.h). Minted
-  // unconditionally — wire bytes must not depend on profiler state.
+  // into every message this round moves so device- and shard-side work
+  // correlates back to it across the wire (obs/trace_context.h).
   const TraceContext round_ctx = make_round_trace_context(config_.seed, t + 1);
 
   // 0. Churn: draw this round's arrivals and departures. Arrivals are
@@ -178,7 +174,6 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   std::vector<std::size_t> selected;
   std::vector<DeviceBudget> budgets;
   {
-    Span span("sampling", "phase", "round", static_cast<std::int64_t>(t + 1));
     if (open_world) {
       const std::vector<std::size_t>& active = registry_->active_devices();
       std::vector<double> active_pk(active.size());
@@ -209,8 +204,6 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   //    per-device corrections ride in the broadcasts below.
   std::vector<Vector> corrections;
   if (config_.algorithm == Algorithm::kFedDane) {
-    Span span("feddane_correction", "phase", "round",
-              static_cast<std::int64_t>(t + 1));
     phase_timer.reset();
     corrections = feddane_corrections(model_, data_, selected, w, pool_);
     trace.correction_seconds = phase_timer.seconds();
@@ -229,35 +222,14 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   std::vector<DeviceOutcome> outcomes(selected.size());
   phase_timer.reset();
   {
-    Span span("solve_parallel", "phase", "round",
-              static_cast<std::int64_t>(t + 1), "devices",
-              static_cast<std::int64_t>(selected.size()), "trace_id",
-              static_cast<std::int64_t>(round_ctx.trace_id));
-    // One flow arrow per device leaves the round thread here and lands in
-    // that device's worker-side exchange span below. Ids are derived, not
-    // counted, so both ends agree without synchronization.
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      flow_start("exchange_flow", "flow",
-                 derive_trace_span(round_ctx.trace_id,
-                                   TraceSpanKind::kExchange, selected[i]),
-                 "device", static_cast<std::int64_t>(selected[i]));
-    }
     // Longest solves first: the round waits on its slowest device, and
     // each device writes only its own outcome slot, so the order changes
     // wall time alone.
     const std::vector<std::size_t> order = longest_first(budgets);
     pool_->parallel_for(order.size(), [&](std::size_t k) {
       const std::size_t i = order[k];
-      // Worker-side span: lands on the pool thread's track. Recording
-      // draws no randomness, so determinism is untouched.
-      Span exchange_span("exchange", "comm", "round",
-                         static_cast<std::int64_t>(t + 1), "device",
-                         static_cast<std::int64_t>(selected[i]), "iterations",
-                         static_cast<std::int64_t>(budgets[i].iterations));
       const std::uint64_t exchange_span_id = derive_trace_span(
           round_ctx.trace_id, TraceSpanKind::kExchange, selected[i]);
-      flow_end("exchange_flow", "flow", exchange_span_id, "device",
-               static_cast<std::int64_t>(selected[i]));
       ModelBroadcast broadcast{.round = t + 1,
                                .trace = {round_ctx.trace_id, exchange_span_id},
                                .config = round_config,
@@ -272,16 +244,6 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
         outcomes[i] = departed_outcome(broadcast, t + 1, selected[i]);
       } else {
         outcomes[i] = exchange_with_recovery(broadcast, t + 1, selected[i]);
-      }
-      if (outcomes[i].accepted) {
-        // The update's journey to aggregation: starts in the worker that
-        // produced it, lands in the round thread's aggregate span (which
-        // closes it even for updates the quorum cut or the FedAvg
-        // straggler rule later discards — the message still arrived).
-        flow_start("update_flow", "flow",
-                   derive_trace_span(round_ctx.trace_id,
-                                     TraceSpanKind::kUpdateFlow, selected[i]),
-                   "device", static_cast<std::int64_t>(selected[i]));
       }
     });
   }
@@ -367,20 +329,8 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   std::size_t straggler_total = 0;
   bool updated = false;
   {
-    Span span("aggregate", "phase", "round", static_cast<std::int64_t>(t + 1),
-              "shards", static_cast<std::int64_t>(slices.size()), "trace_id",
-              static_cast<std::int64_t>(round_ctx.trace_id));
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const DeviceOutcome& oc = outcomes[i];
-      // Close the update flow for every update that reached the server —
-      // including those the quorum cut revoked or the FedAvg straggler
-      // rule discards below — so each worker-side "s" has exactly one "f".
-      if (oc.accepted || oc.quorum_dropped) {
-        flow_end("update_flow", "flow",
-                 derive_trace_span(round_ctx.trace_id,
-                                   TraceSpanKind::kUpdateFlow, selected[i]),
-                 "device", static_cast<std::int64_t>(selected[i]));
-      }
       if (!oc.accepted) continue;
       const ClientResult& r = oc.record.result();
       if (r.straggler) ++straggler_total;
@@ -455,10 +405,21 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   {
     std::vector<double> solve_times;
     solve_times.reserve(outcomes.size());
-    for (const auto& oc : outcomes) {
-      if (oc.accepted) solve_times.push_back(oc.record.result().solve_seconds);
+    std::size_t slowest = 0;  // the first accepted device with the max
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (!outcomes[i].accepted) continue;
+      const double seconds = outcomes[i].record.result().solve_seconds;
+      if (solve_times.empty() ||
+          seconds > outcomes[slowest].record.result().solve_seconds) {
+        slowest = i;
+      }
+      solve_times.push_back(seconds);
     }
     trace.solve = SolveStats::from_samples(solve_times);
+    if (!solve_times.empty()) {
+      trace.solve.max_device = selected[slowest];
+      trace.solve.max_iterations = budgets[slowest].iterations;
+    }
   }
 
   // 6. Record metrics (evaluation, if due, is the caller's).

@@ -10,7 +10,6 @@
 #include "core/checkpoint.h"
 #include "core/round_driver.h"
 #include "obs/observer.h"
-#include "obs/profiler.h"
 #include "optim/sgd.h"
 #include "support/serialize.h"
 #include "support/stopwatch.h"
@@ -122,7 +121,6 @@ void Trainer::add_observer(TrainingObserver& observer) {
 TrainHistory Trainer::run() { return run_impl(nullptr); }
 
 TrainHistory Trainer::resume(const std::string& checkpoint_path) {
-  Span span("resume", "trainer");
   const CheckpointState state = load_checkpoint_state(checkpoint_path);
   const std::uint64_t expected = config_fingerprint(
       config_, data_.num_clients(), model_.parameter_count());
@@ -227,12 +225,6 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
     for (auto* o : observers_) o->on_run_start(info);
   }
 
-  // Whole-run profiler span; round/phase spans nest under it and client
-  // solves land on the pool-worker tracks (all no-ops while disabled).
-  Span run_span("run", "trainer", "rounds",
-                static_cast<std::int64_t>(config_.rounds), "clients",
-                static_cast<std::int64_t>(data_.num_clients()));
-
   // The federation stack for this run: the device-side runtime, the
   // channel the messages travel through, and the server-side driver that
   // executes each round as a message exchange.
@@ -254,7 +246,6 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   // Round 0 metrics: the initial model (the paper's plots start at w^0).
   // A resumed run already recorded it — its history carries over whole.
   if (!restored) {
-    Span round_span("round", "trainer", "round", 0);
     Stopwatch round_timer;
     RoundMetrics m;
     m.mu = mu;
@@ -268,8 +259,6 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   }
 
   for (std::size_t t = start_t; t < config_.rounds; ++t) {
-    Span round_span("round", "trainer", "round",
-                    static_cast<std::int64_t>(t + 1));
     Stopwatch round_timer;
 
     RoundDriver::RoundOutput out = driver.run_round(t, mu, w);
@@ -291,8 +280,6 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
     }
 
     if (checkpoints && (t + 1) % config_.checkpoint.every == 0) {
-      Span ckpt_span("checkpoint", "trainer", "round",
-                     static_cast<std::int64_t>(t + 1));
       Stopwatch ckpt_timer;
       CheckpointState state;
       state.fingerprint = fingerprint;

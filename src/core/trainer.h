@@ -18,9 +18,7 @@
 // add_observer — before run() starts — to receive run/round/client hooks
 // plus a RoundTrace of per-phase wall times. Observers run on the round
 // thread only and never affect results — TrainHistory is bit-identical
-// with and without them. With the span profiler enabled (obs/profiler.h)
-// the run additionally emits nested run -> round -> phase -> exchange
-// spans for Chrome-trace export.
+// with and without them.
 //
 // Communication: each round is an explicit message exchange — the server
 // (core/round_driver) broadcasts the model through a Transport

@@ -10,7 +10,7 @@ namespace fed {
 namespace {
 
 std::string user_name(std::size_t index) {
-  return "u" + std::to_string(index);
+  return std::string("u").append(std::to_string(index));
 }
 
 JsonValue encode_split(const FederatedDataset& data, bool train) {

@@ -391,30 +391,4 @@ void MetricsObserver::on_round_end(const RoundMetrics& metrics,
   round_seconds_.observe(trace.round_seconds);
 }
 
-void record_pool_stats(const ThreadPool& pool, MetricsRegistry& registry) {
-  registry.set_help("fed_pool_worker_tasks",
-                    "parallel_for indices run per pool worker.");
-  registry.set_help("fed_pool_worker_busy_seconds",
-                    "Seconds each pool worker spent running indices.");
-  registry.set_help("fed_pool_worker_queue_wait_seconds",
-                    "Seconds from publishing each job to this worker "
-                    "claiming each of its indices.");
-  const auto stats = pool.worker_stats();
-  double busy_total = 0.0;
-  double wait_total = 0.0;
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    const MetricLabels labels{{"worker", std::to_string(i)}};
-    registry.gauge("fed_pool_worker_tasks", labels)
-        .set(static_cast<double>(stats[i].tasks_executed));
-    registry.gauge("fed_pool_worker_busy_seconds", labels)
-        .set(stats[i].busy_seconds);
-    registry.gauge("fed_pool_worker_queue_wait_seconds", labels)
-        .set(stats[i].queue_wait_seconds);
-    busy_total += stats[i].busy_seconds;
-    wait_total += stats[i].queue_wait_seconds;
-  }
-  registry.gauge("fed_pool_busy_seconds").set(busy_total);
-  registry.gauge("fed_pool_queue_wait_seconds").set(wait_total);
-}
-
 }  // namespace fed

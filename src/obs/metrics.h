@@ -270,14 +270,4 @@ class MetricsObserver final : public TrainingObserver {
   PendingRound pending_;
 };
 
-// Snapshots a pool's per-worker counters into utilization gauges:
-//   fed_pool_worker_tasks{worker="i"} / fed_pool_worker_busy_seconds{...}
-//   / fed_pool_worker_queue_wait_seconds{...}
-// plus fed_pool_busy_seconds and fed_pool_queue_wait_seconds totals. A
-// task is one parallel_for index; its wait runs from publishing the job
-// to a worker claiming the index (the pool has no queue). Busy/wait
-// accumulate only while the span profiler is enabled
-// (support/threadpool.h); call after the instrumented run.
-void record_pool_stats(const ThreadPool& pool, MetricsRegistry& registry);
-
 }  // namespace fed

@@ -26,6 +26,8 @@ JsonValue trace_to_json(const RoundTrace& trace) {
   solve["min_s"] = trace.solve.min_seconds;
   solve["mean_s"] = trace.solve.mean_seconds;
   solve["max_s"] = trace.solve.max_seconds;
+  solve["max_device"] = trace.solve.max_device;
+  solve["max_iterations"] = trace.solve.max_iterations;
 
   JsonObject phases;
   phases["sampling_s"] = trace.sampling_seconds;

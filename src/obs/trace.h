@@ -20,13 +20,20 @@
 
 namespace fed {
 
-// Distribution of per-client local-solve wall times within one round.
+// Distribution of per-client local-solve wall times within one round,
+// and who ran the slowest one: a round waits on its longest solve, so the
+// slowest device and its iteration budget say whether a slow round was a
+// straggler's partial work or a full-budget device on a large shard.
+// Both follow the measured times, so like them they may differ between
+// reruns; with count == 0 they are 0.
 struct SolveStats {
   std::size_t count = 0;
   double total_seconds = 0.0;
   double min_seconds = 0.0;
   double mean_seconds = 0.0;
   double max_seconds = 0.0;
+  std::size_t max_device = 0;      // the device that ran max_seconds
+  std::size_t max_iterations = 0;  // that device's iteration budget
 
   static SolveStats from_samples(std::span<const double> seconds);
 };

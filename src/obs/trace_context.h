@@ -11,15 +11,15 @@
 //
 // Everything is derived deterministically from (seed, round) by
 // splitmix64-style mixing: no global counters, no randomness, identical
-// across reruns and thread counts. The same derivations key the Chrome
-// flow events ("s"/"f" phases, obs/chrome_trace.h) that draw the arrows
-// server round -> per-device exchange -> shard partial -> root merge, so
-// a wire-captured trace_id and a profile-captured flow id always agree.
+// across reruns and thread counts.
 //
-// Contexts are stamped unconditionally (wire size must not depend on
-// whether profiling is on); only the flow *events* are gated on
-// Profiler::is_enabled(). A zero-valued context means "untraced" — the
-// codecs round-trip it like any other value.
+// Every FPB1/FPU1/FPS2 frame carries a context, whether or not anything
+// records it. The frame size matters beyond byte accounting:
+// FaultInjectingTransport picks the bit it corrupts from wire.size() * 8
+// (comm/fault.cpp), so dropping the context from a frame would move every
+// injected fault and change the history (and digest) of a faulty run.
+// A zero-valued context means "untraced" — the codecs round-trip it like
+// any other value.
 
 #pragma once
 
@@ -51,11 +51,9 @@ enum class TraceSpanKind : std::uint64_t {
   kExchange = 1,      // per-device broadcast/solve/collect (index = device)
   kClientSolve = 2,   // device-side local solve (index = device)
   kShardPartial = 3,  // one shard's FPS2 partial uplink (index = shard)
-  kRootMerge = 4,     // the root's merge of all partials (index = 0)
-  kUpdateFlow = 5,    // flow id: device update -> aggregation (index = device)
 };
 
-// Child span / flow id under `trace_id`. Nonzero for any nonzero
+// Child span id under `trace_id`. Nonzero for any nonzero
 // trace_id (trace_mix is bijective and the kind tag keeps families
 // disjoint); distinct (kind, index) pairs collide only with ~2^-64
 // probability.

@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
-#include "obs/profiler.h"
 #include "optim/prox_sgd.h"
 #include "tensor/ops.h"
 
@@ -30,13 +28,10 @@ void AdamSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  std::optional<Span> epoch_span;  // one span per local data pass
-  std::int64_t epoch = 0;
   std::size_t cursor = n;
   double beta1_t = 1.0, beta2_t = 1.0;
   for (std::size_t it = 0; it < budget.iterations; ++it) {
     if (cursor >= n) {
-      epoch_span.emplace("local_epoch", "solver", "epoch", epoch++);
       rng.shuffle(order);
       cursor = 0;
     }

@@ -1,6 +1,5 @@
 #include "optim/gd.h"
 
-#include "obs/profiler.h"
 #include "optim/prox_sgd.h"
 #include "tensor/ops.h"
 
@@ -12,9 +11,6 @@ void GdSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
   if (objective.num_samples() == 0) return;
   Vector grad(objective.dimension());
   for (std::size_t it = 0; it < budget.iterations; ++it) {
-    // A GD iteration is a full pass over the device's data — the same
-    // granularity SgdSolver labels local_epoch.
-    Span span("local_epoch", "solver", "epoch", static_cast<std::int64_t>(it));
     objective.full_loss_and_grad(w, grad);
     clip_gradient(grad, budget.clip_norm);
     axpy(-budget.learning_rate, grad, w);

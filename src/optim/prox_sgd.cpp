@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "obs/profiler.h"
 #include "tensor/ops.h"
 
 namespace fed {
@@ -25,9 +24,6 @@ LocalObjective::LocalObjective(const LocalProblem& problem)
 double LocalObjective::add_regularizers(std::span<const double> w,
                                         double f_loss,
                                         std::span<double> grad) const {
-  // Runs once per minibatch gradient — kernel-gated like GEMM/GEMV.
-  FED_PROFILE_KERNEL_SPAN("prox_step", "kernel", "d",
-                          static_cast<std::int64_t>(w.size()));
   double loss = f_loss;
   if (problem_.mu != 0.0) {
     double sq = 0.0;

@@ -1,9 +1,7 @@
 #include "optim/sgd.h"
 
 #include <numeric>
-#include <optional>
 
-#include "obs/profiler.h"
 #include "optim/prox_sgd.h"
 #include "tensor/ops.h"
 
@@ -19,12 +17,9 @@ void SgdSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  std::optional<Span> epoch_span;  // one span per local data pass
-  std::int64_t epoch = 0;
   std::size_t cursor = n;  // forces a shuffle on the first iteration
   for (std::size_t it = 0; it < budget.iterations; ++it) {
     if (cursor >= n) {
-      epoch_span.emplace("local_epoch", "solver", "epoch", epoch++);
       rng.shuffle(order);
       cursor = 0;
     }

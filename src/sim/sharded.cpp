@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "comm/message.h"
-#include "obs/profiler.h"
 #include "support/serialize.h"
 
 namespace fed {
@@ -59,8 +58,7 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w,
   // Three phases, mirroring the eventual multi-process layout: every
   // shard folds its staged batch (shard-side work, on the pool), each
   // shard encodes its partial, then the root decodes and merges them all
-  // (root-side work). A flow arrow per shard links its uplink to the
-  // root merge.
+  // (root-side work).
   std::vector<PartialAggregate> partials;
   partials.reserve(staged_.size());
   for (std::size_t s = 0; s < staged_.size(); ++s) {
@@ -78,10 +76,6 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w,
     }
     const auto fold = [&](std::size_t t) {
       const auto [s, b] = tasks[t];
-      Span span("shard_fold", "phase", "round",
-                static_cast<std::int64_t>(round), "shard",
-                static_cast<std::int64_t>(s), "block",
-                static_cast<std::int64_t>(b));
       folds[s].run(b);
     };
     if (pool_ != nullptr && tasks.size() > 1) {
@@ -95,10 +89,6 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w,
   std::vector<WireBuffer> wires;
   wires.reserve(partials.size());
   for (std::size_t s = 0; s < partials.size(); ++s) {
-    Span span("shard_reduce", "phase", "round",
-              static_cast<std::int64_t>(round), "shard",
-              static_cast<std::int64_t>(s), "contributors",
-              static_cast<std::int64_t>(partials[s].contributors()));
     // The uplink always round-trips the wire format, even with one
     // shard: partial_bytes_ is then real traffic, and a codec regression
     // cannot hide behind an in-process shortcut.
@@ -110,20 +100,11 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w,
         derive_trace_span(trace.trace_id, TraceSpanKind::kShardPartial, s);
     wires.push_back(encode_partial_sum(message));
     partial_bytes_[s] = wires.back().size();
-    flow_start("partial_flow", "flow", message.trace.span_id, "shard",
-               static_cast<std::int64_t>(s));
   }
-  Span merge_span("root_merge", "phase", "round",
-                  static_cast<std::int64_t>(round), "shards",
-                  static_cast<std::int64_t>(wires.size()), "trace_id",
-                  static_cast<std::int64_t>(trace.trace_id));
   std::vector<PartialAggregate> received;
   received.reserve(wires.size());
   for (std::size_t s = 0; s < wires.size(); ++s) {
-    PartialSumUpdate message = decode_partial_sum(wires[s]);
-    flow_end("partial_flow", "flow", message.trace.span_id, "shard",
-             static_cast<std::int64_t>(s));
-    received.push_back(std::move(message.partial));
+    received.push_back(decode_partial_sum(wires[s]).partial);
   }
   PartialAggregate root(scheme_, dim_);
   root.merge(std::move(received));

@@ -77,9 +77,8 @@ class ShardedServer {
   // one round: a second call throws std::logic_error.
   //
   // `trace` is the round's context (obs/trace_context.h): each FPS2
-  // partial is stamped with its derived shard span, and when profiling
-  // is enabled the shard_reduce -> root_merge handoffs are drawn as
-  // Chrome flow arrows. A default (zero) context means untraced.
+  // partial is stamped with its derived shard span. A default (zero)
+  // context means untraced.
   bool reduce(std::size_t round, std::span<double> w,
               const TraceContext& trace = {});
 

@@ -19,8 +19,9 @@ class ByteWriter {
   explicit ByteWriter(WireBuffer& out) : out_(out) {}
 
   void magic(const char (&m)[4]) {
-    out_.insert(out_.end(), reinterpret_cast<const std::uint8_t*>(m),
-                reinterpret_cast<const std::uint8_t*>(m) + 4);
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(m));
+    std::memcpy(out_.data() + at, m, sizeof(m));
   }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
   void f64(double v) { raw(&v, sizeof(v)); }

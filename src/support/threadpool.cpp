@@ -1,20 +1,15 @@
 #include "support/threadpool.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
-
-#include "obs/profiler.h"
 
 namespace fed {
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : counters_(threads != 0
-                    ? threads
-                    : std::max(1u, std::thread::hardware_concurrency())) {
-  workers_.reserve(counters_.size());
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -34,8 +29,7 @@ void ThreadPool::parallel_for(std::size_t n,
   std::exception_ptr error;
   {
     MutexLock lock(mutex_);
-    job_ = {&fn, n,
-            Profiler::is_enabled() ? Profiler::instance().now_us() : 0};
+    job_ = {&fn, n};
     next_.store(0, std::memory_order_relaxed);
     drained_ = false;
     ++generation_;
@@ -53,28 +47,8 @@ void ThreadPool::parallel_for(std::size_t n,
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
-  std::vector<WorkerStats> stats;
-  for (const auto& c : counters_) {
-    stats.push_back({c.tasks.load(std::memory_order_relaxed),
-                     1e-6 * c.busy_us.load(std::memory_order_relaxed),
-                     1e-6 * c.wait_us.load(std::memory_order_relaxed)});
-  }
-  return stats;
-}
-
-void ThreadPool::run_index(const Job& job, std::size_t i,
-                           WorkerCounters& counters) {
-  counters.tasks.fetch_add(1, std::memory_order_relaxed);
-  Profiler& profiler = Profiler::instance();
-  const bool profiled = job.publish_us != 0 && Profiler::is_enabled();
-  const std::uint64_t start_us = profiled ? profiler.now_us() : 0;
-  if (profiled) {
-    counters.wait_us.fetch_add(start_us - job.publish_us,
-                               std::memory_order_relaxed);
-  }
+void ThreadPool::run_index(const Job& job, std::size_t i) {
   try {
-    Span exec("task", "pool");
     (*job.fn)(i);
   } catch (...) {
     MutexLock lock(mutex_);
@@ -83,15 +57,9 @@ void ThreadPool::run_index(const Job& job, std::size_t i,
       error_index_ = i;
     }
   }
-  if (profiled) {
-    counters.busy_us.fetch_add(profiler.now_us() - start_us,
-                               std::memory_order_relaxed);
-  }
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  Profiler::instance().set_thread_name("pool-" + std::to_string(index));
-  WorkerCounters& counters = counters_[index];
+void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;  // generation of the last job this worker joined
   for (;;) {
     Job job;
@@ -107,7 +75,7 @@ void ThreadPool::worker_loop(std::size_t index) {
     }
     for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
          i < job.n; i = next_.fetch_add(1, std::memory_order_relaxed)) {
-      run_index(job, i, counters);
+      run_index(job, i);
     }
     MutexLock lock(mutex_);
     drained_ = true;

@@ -5,10 +5,7 @@
 //
 // There is no task queue: parallel_for publishes one job, workers claim
 // its indices in order off one atomic counter, and the last worker to
-// leave the job wakes the caller. Workers register profiler tracks
-// ("pool-0", ...); while the span profiler is enabled each index records
-// a "task" span, and each worker totals its busy time and its waits,
-// from publishing a job to claiming each index (worker_stats).
+// leave the job wakes the caller.
 
 #pragma once
 
@@ -42,33 +39,17 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn)
       FED_EXCLUDES(call_mutex_, mutex_);
 
-  // Per-worker counters. tasks_executed (indices run) always counts;
-  // busy/wait seconds only for jobs run with the profiler enabled.
-  struct WorkerStats {
-    std::uint64_t tasks_executed = 0;
-    double busy_seconds = 0.0;
-    double queue_wait_seconds = 0.0;
-  };
-  std::vector<WorkerStats> worker_stats() const;
-
  private:
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;  // null: none
     std::size_t n = 0;
-    std::uint64_t publish_us = 0;  // 0: the profiler was off
-  };
-  // Written only by the owning worker; read by worker_stats().
-  struct WorkerCounters {
-    std::atomic<std::uint64_t> tasks{0}, busy_us{0}, wait_us{0};
   };
 
-  void worker_loop(std::size_t index) FED_EXCLUDES(mutex_);
-  void run_index(const Job& job, std::size_t i, WorkerCounters& counters)
-      FED_EXCLUDES(mutex_);
+  void worker_loop() FED_EXCLUDES(mutex_);
+  void run_index(const Job& job, std::size_t i) FED_EXCLUDES(mutex_);
 
-  // counters_ and workers_ are fixed at construction. Workers attach to
-  // a published job under mutex_, then claim indices off next_ without it.
-  std::vector<WorkerCounters> counters_;
+  // Workers attach to a published job under mutex_, then claim indices
+  // off next_ without it.
   Mutex call_mutex_;  // one parallel_for at a time
   Mutex mutex_;
   CondVar work_cv_;  // a job was published, or the pool is stopping

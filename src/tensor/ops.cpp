@@ -8,11 +8,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-// Kernel spans compile to nothing unless -DFEDPROX_PROFILE_KERNELS=ON;
-// these run per minibatch, so release benches must not even pay the
-// enabled check (obs/profiler.h).
-#include "obs/profiler.h"
-
 namespace fed {
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
@@ -85,9 +80,6 @@ void gemv(const ConstMatrixView& a, std::span<const double> x,
 void gemv_accumulate(const ConstMatrixView& a, std::span<const double> x,
                      std::span<double> y) {
   assert(x.size() == a.cols() && y.size() == a.rows());
-  FED_PROFILE_KERNEL_SPAN("gemv", "kernel", "m",
-                          static_cast<std::int64_t>(a.rows()), "n",
-                          static_cast<std::int64_t>(a.cols()));
   for (std::size_t r = 0; r < a.rows(); ++r) {
     y[r] += dot(a.row(r), x);
   }
@@ -103,9 +95,6 @@ void gemv_transposed_accumulate(const ConstMatrixView& a,
                                 std::span<const double> x,
                                 std::span<double> y) {
   assert(x.size() == a.rows() && y.size() == a.cols());
-  FED_PROFILE_KERNEL_SPAN("gemv_t", "kernel", "m",
-                          static_cast<std::int64_t>(a.rows()), "n",
-                          static_cast<std::int64_t>(a.cols()));
   for (std::size_t r = 0; r < a.rows(); ++r) {
     axpy(x[r], a.row(r), y);
   }
@@ -235,10 +224,6 @@ void gemm(const ConstMatrixView& a, const ConstMatrixView& b, MatrixView c) {
   if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols()) {
     throw std::invalid_argument("gemm: shape mismatch");
   }
-  FED_PROFILE_KERNEL_SPAN("gemm", "kernel", "m",
-                          static_cast<std::int64_t>(a.rows()), "k",
-                          static_cast<std::int64_t>(a.cols()), "n",
-                          static_cast<std::int64_t>(b.cols()));
   GemmKernel kernel{a.data(), b.data(), c.data(), a.cols(), b.cols()};
   tile_grid<2, 8>(kernel, a.rows(), b.cols());
 }
@@ -246,9 +231,6 @@ void gemm(const ConstMatrixView& a, const ConstMatrixView& b, MatrixView c) {
 void ger(double alpha, std::span<const double> x, std::span<const double> y,
          MatrixView a) {
   assert(x.size() == a.rows() && y.size() == a.cols());
-  FED_PROFILE_KERNEL_SPAN("ger", "kernel", "m",
-                          static_cast<std::int64_t>(a.rows()), "n",
-                          static_cast<std::int64_t>(a.cols()));
   for (std::size_t r = 0; r < a.rows(); ++r) {
     axpy(alpha * x[r], y, a.row(r));
   }
@@ -259,10 +241,6 @@ void ger_batch(const ConstMatrixView& x, const ConstMatrixView& y,
   if (x.rows() != y.rows() || c.rows() != x.cols() || c.cols() != y.cols()) {
     throw std::invalid_argument("ger_batch: shape mismatch");
   }
-  FED_PROFILE_KERNEL_SPAN("ger_batch", "kernel", "m",
-                          static_cast<std::int64_t>(c.rows()), "k",
-                          static_cast<std::int64_t>(x.rows()), "n",
-                          static_cast<std::int64_t>(c.cols()));
   GerBatchKernel kernel{x.data(), y.data(), c.data(), x.rows(), x.cols(),
                         y.cols()};
   tile_grid<4, 4>(kernel, c.rows(), c.cols());

@@ -92,7 +92,10 @@ class CheckpointTest : public ::testing::Test {
     m.mean_gamma = 0.125;
     m.contributors = 4;
     m.stragglers = 2;
-    state.rounds = {RoundMetrics{.round = 7, .mu = 0.5}, m};
+    RoundMetrics first;
+    first.round = 7;
+    first.mu = 0.5;
+    state.rounds = {first, m};
     return state;
   }
 

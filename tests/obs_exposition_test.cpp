@@ -20,7 +20,6 @@
 #include "data/synthetic.h"
 #include "nn/logistic.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "support/log.h"
 #include "support/threadpool.h"
 
@@ -161,21 +160,17 @@ TEST_F(ExpositionTest, TelemetryStackDoesNotPerturbTraining) {
   LogisticRegression model(data.input_dim, data.num_classes);
   const auto bare = Trainer(model, data, c).run();
 
-  // Same seed with the profiler recording, a metrics feeder, and the
-  // file exporter attached: trace contexts are minted either way, so
-  // the wire bytes and the history must be bit-identical.
+  // Same seed with a metrics feeder and the file exporter attached: the
+  // history must be bit-identical.
   const std::string dir = ::testing::TempDir() + "fedprox_obs_identity";
   std::filesystem::create_directories(dir);
   MetricsRegistry registry;
   MetricsObserver metrics(registry);
   MetricsExporter exporter(registry, dir + "/metrics.prom", /*every=*/2);
-  Profiler::instance().enable();
   Trainer traced(model, data, c);
   traced.add_observer(metrics);
   traced.add_observer(exporter);
   const auto full = traced.run();
-  Profiler::instance().disable();
-  (void)Profiler::instance().drain();  // discard this test's spans
 
   // Coalescing may merge the per-round publishes, but the run-end flush
   // guarantees at least one completed write.

@@ -1,6 +1,7 @@
 // Trace plumbing: JSONL sink output (one parseable line per round with
-// every phase key), the bytes-moved arithmetic, SolveStats/TraceSummary,
-// and the stdout summary sink.
+// every phase key), the bytes-moved arithmetic, SolveStats/TraceSummary
+// (including the slowest solve's device and budget), and the stdout
+// summary sink.
 
 #include "obs/trace_sink.h"
 
@@ -16,7 +17,9 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
+#include "obs/observer.h"
 #include "obs/trace.h"
+#include "sim/client.h"
 #include "support/json.h"
 #include "support/log.h"
 #include "support/serialize.h"
@@ -173,6 +176,66 @@ TEST_F(TraceTest, TraceCountsAndBytesFollowTheConfig) {
     EXPECT_GE(t.round_seconds,
               t.sampling_seconds + t.aggregate_seconds + t.eval_seconds);
   }
+}
+
+// Records every round's accepted client results next to its trace, so a
+// test can recompute which device the round waited on.
+class SolveRecorder final : public TrainingObserver {
+ public:
+  void on_client_result(std::size_t round,
+                        const ClientResult& result) override {
+    if (results_.size() <= round) results_.resize(round + 1);
+    results_[round].push_back(result);
+  }
+  void on_round_end(const RoundMetrics& metrics,
+                    const RoundTrace& trace) override {
+    (void)metrics;
+    traces_.push_back(trace);
+  }
+
+  std::vector<std::vector<ClientResult>> results_;  // by round
+  std::vector<RoundTrace> traces_;
+};
+
+TEST_F(TraceTest, SlowestSolveNamesItsDeviceAndIterationBudget) {
+  // 90% stragglers over E = 20 epochs: a round's budgets differ widely.
+  LogisticRegression model(data().input_dim, data().num_classes);
+  TrainerConfig c = config(6);
+  c.systems.epochs = 20;
+  c.systems.straggler_fraction = 0.9;
+  SolveRecorder recorder;
+  Trainer trainer(model, data(), c);
+  trainer.add_observer(recorder);
+  trainer.run();
+
+  ASSERT_EQ(recorder.traces_.size(), 7u);
+  bool skewed = false;
+  for (std::size_t r = 1; r < recorder.traces_.size(); ++r) {
+    const RoundTrace& t = recorder.traces_[r];
+    const std::vector<ClientResult>& results = recorder.results_.at(r);
+    ASSERT_EQ(results.size(), t.solve.count);
+    // The first result (selection order) with the longest solve.
+    const ClientResult* slowest = &results.front();
+    for (const ClientResult& result : results) {
+      if (result.solve_seconds > slowest->solve_seconds) slowest = &result;
+      if (result.iterations != results.front().iterations) skewed = true;
+    }
+    EXPECT_EQ(t.solve.max_seconds, slowest->solve_seconds) << "round " << r;
+    EXPECT_EQ(t.solve.max_device, slowest->device) << "round " << r;
+    EXPECT_EQ(t.solve.max_iterations, slowest->iterations) << "round " << r;
+    EXPECT_GT(t.solve.max_iterations, 0u);
+
+    const JsonValue solve = trace_to_json(t).at("phases").at("solve");
+    EXPECT_DOUBLE_EQ(solve.at("max_device").as_number(),
+                     static_cast<double>(t.solve.max_device));
+    EXPECT_DOUBLE_EQ(solve.at("max_iterations").as_number(),
+                     static_cast<double>(t.solve.max_iterations));
+  }
+  EXPECT_TRUE(skewed) << "budgets never differed within a round";
+
+  // The evaluation-only round 0 ran no solve.
+  EXPECT_EQ(recorder.traces_.front().solve.count, 0u);
+  EXPECT_EQ(recorder.traces_.front().solve.max_iterations, 0u);
 }
 
 TEST_F(TraceTest, TraceToJsonRoundTripsStructuralFields) {

@@ -169,7 +169,10 @@ class SerializeFuzzTest : public ::testing::Test {
     m.mu = 0.5;
     m.contributors = 8;
     m.stragglers = 3;
-    state.rounds = {RoundMetrics{.round = 39, .mu = 0.5}, m};
+    RoundMetrics first;
+    first.round = 39;
+    first.mu = 0.5;
+    state.rounds = {first, m};
     return encode_checkpoint_state(state);
   }
 };

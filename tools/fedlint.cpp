@@ -21,8 +21,8 @@
 //                         clock, gettimeofday, clock_gettime, time(0),
 //                         localtime/gmtime/strftime — simulation logic
 //                         runs on the simulated clock; wall time may
-//                         only feed measurement (bench timing, profiler
-//                         timestamps), which is what the allowlist is
+//                         only feed measurement (bench timing, phase
+//                         stopwatches), which is what the allowlist is
 //                         for.
 //   unordered-container   std::unordered_{map,set,multimap,multiset} —
 //                         iteration order is unspecified and varies
@@ -96,7 +96,7 @@ const std::vector<Rule>& rules() {
                  {},
                  "wall-clock read; simulation logic must use the simulated "
                  "clock — wall time is allowlisted only for measurement "
-                 "(bench timing, profiler timestamps)"});
+                 "(bench timing, phase stopwatches)"});
     r.push_back({"unordered-container",
                  std::regex(R"(\bunordered_(map|set|multimap|multiset)\b)",
                             flags),

@@ -1,7 +1,6 @@
 // Validates the observability artifacts a run can produce:
 //
 //   trace_lint --jsonl run.jsonl         # JSONL round trace (obs/trace_sink)
-//   trace_lint --chrome run.trace.json   # Chrome trace-event span profile
 //   trace_lint --metrics metrics.prom    # Prometheus exposition (obs/
 //                                        # exposition); cross-checked
 //                                        # against --jsonl when both given
@@ -32,12 +31,6 @@
 // starts from the newest checkpoint written before it (resume round ==
 // checkpoint round, first executed round == checkpoint round + 1); and
 // at least one checkpoint was written.
-// Chrome checks: the document parses, traceEvents is non-empty, "X"
-// events nest properly per thread (a stack check over ts/dur), async
-// "b"/"e" pairs match up by id, flow "s"/"f" pairs balance per id with
-// the start never after the finish (the round -> exchange -> shard ->
-// merge arrows of obs/trace_context.h), the run/round/exchange spans are
-// present, and at least one thread is named "pool-<i>".
 // Metrics checks: every line is a valid 0.0.4 HELP/TYPE/sample line,
 // sample families are typed before use, histogram `_bucket` series are
 // cumulative and end in an `le="+Inf"` bucket equal to `_count`. With
@@ -70,14 +63,6 @@ using fed::JsonValue;
 [[noreturn]] void fail(const std::string& message) {
   std::cerr << "trace_lint: " << message << "\n";
   std::exit(1);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 // Whole-run sums over the JSONL round lines, for reconciling against the
@@ -412,146 +397,6 @@ JsonlTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
   return totals;
 }
 
-struct XEvent {
-  double ts = 0.0;
-  double dur = 0.0;
-  std::string name;
-};
-
-void check_nesting(std::size_t tid, std::vector<XEvent>& events) {
-  // Parent-before-child order: earlier start first, longer span first on
-  // ties (matches the profiler's drain order).
-  std::stable_sort(events.begin(), events.end(),
-                   [](const XEvent& a, const XEvent& b) {
-                     if (a.ts != b.ts) return a.ts < b.ts;
-                     return a.dur > b.dur;
-                   });
-  std::vector<double> open_ends;  // stack of enclosing spans' end times
-  for (const XEvent& e : events) {
-    while (!open_ends.empty() && open_ends.back() <= e.ts) {
-      open_ends.pop_back();
-    }
-    const double end = e.ts + e.dur;
-    if (!open_ends.empty() && end > open_ends.back()) {
-      std::ostringstream msg;
-      msg << "tid " << tid << ": X event \"" << e.name << "\" [" << e.ts
-          << ", " << end << ") overlaps but does not nest inside enclosing "
-          << "span ending at " << open_ends.back();
-      fail(msg.str());
-    }
-    open_ends.push_back(end);
-  }
-}
-
-void lint_chrome(const std::string& path) {
-  JsonValue doc;
-  try {
-    doc = fed::parse_json(read_file(path));
-  } catch (const std::exception& e) {
-    fail(path + ": parse error: " + std::string(e.what()));
-  }
-  if (!doc.is_object() || !doc.contains("traceEvents")) {
-    fail(path + ": no traceEvents array");
-  }
-  const auto& events = doc.at("traceEvents").as_array();
-  if (events.empty()) fail(path + ": traceEvents is empty");
-
-  std::map<std::size_t, std::vector<XEvent>> x_by_tid;
-  std::map<std::size_t, std::size_t> async_open;  // id -> open "b" count
-  // Flow arrows pair by id; the file order is per-thread drain order, so
-  // an "f" can appear before its "s" and the check must run at the end.
-  struct FlowInfo {
-    std::string name;
-    std::vector<double> starts;
-    std::vector<double> finishes;
-  };
-  std::map<double, FlowInfo> flows;  // keyed on the JSON-decoded id
-  std::set<std::string> span_names;
-  bool pool_thread = false;
-  for (const JsonValue& ev : events) {
-    if (!ev.is_object()) fail(path + ": traceEvents entry is not an object");
-    const std::string& ph = ev.at("ph").as_string();
-    const std::string& name = ev.at("name").as_string();
-    if (ph == "M") {
-      if (name == "thread_name" &&
-          ev.at("args").at("name").as_string().rfind("pool-", 0) == 0) {
-        pool_thread = true;
-      }
-      continue;
-    }
-    const auto tid = static_cast<std::size_t>(ev.at("tid").as_number());
-    if (ph == "X") {
-      span_names.insert(name);
-      x_by_tid[tid].push_back(
-          {ev.at("ts").as_number(), ev.at("dur").as_number(), name});
-    } else if (ph == "b") {
-      ++async_open[static_cast<std::size_t>(ev.at("id").as_number())];
-    } else if (ph == "e") {
-      const auto id = static_cast<std::size_t>(ev.at("id").as_number());
-      auto it = async_open.find(id);
-      if (it == async_open.end() || it->second == 0) {
-        fail(path + ": async \"e\" event (id " + std::to_string(id) +
-             ") without a matching \"b\"");
-      }
-      --it->second;
-    } else if (ph == "s" || ph == "f") {
-      FlowInfo& flow = flows[ev.at("id").as_number()];
-      if (flow.name.empty()) {
-        flow.name = name;
-      } else if (flow.name != name) {
-        fail(path + ": flow id carries two names (\"" + flow.name +
-             "\" and \"" + name + "\"); ends of an arrow must match");
-      }
-      (ph == "s" ? flow.starts : flow.finishes)
-          .push_back(ev.at("ts").as_number());
-    } else {
-      fail(path + ": unexpected event phase \"" + ph + "\"");
-    }
-  }
-  for (const auto& [id, open] : async_open) {
-    if (open != 0) {
-      fail(path + ": async \"b\" event (id " + std::to_string(id) +
-           ") never closed");
-    }
-  }
-  std::size_t flow_arrows = 0;
-  for (auto& [id, flow] : flows) {
-    if (flow.starts.size() != flow.finishes.size()) {
-      fail(path + ": flow \"" + flow.name + "\" has " +
-           std::to_string(flow.starts.size()) + " \"s\" but " +
-           std::to_string(flow.finishes.size()) + " \"f\" events");
-    }
-    // Greedy earliest-to-earliest matching: valid iff every start can be
-    // paired with a finish that does not precede it.
-    std::sort(flow.starts.begin(), flow.starts.end());
-    std::sort(flow.finishes.begin(), flow.finishes.end());
-    for (std::size_t i = 0; i < flow.starts.size(); ++i) {
-      if (flow.finishes[i] < flow.starts[i]) {
-        fail(path + ": flow \"" + flow.name + "\" finishes at " +
-             std::to_string(flow.finishes[i]) + " before it starts at " +
-             std::to_string(flow.starts[i]));
-      }
-    }
-    flow_arrows += flow.starts.size();
-  }
-  for (auto& [tid, tid_events] : x_by_tid) {
-    check_nesting(tid, tid_events);
-  }
-  for (const char* required : {"run", "round", "exchange"}) {
-    if (!span_names.contains(required)) {
-      fail(path + ": missing required span \"" + std::string(required) +
-           "\"");
-    }
-  }
-  if (!pool_thread) fail(path + ": no \"pool-<i>\" thread_name metadata");
-
-  std::size_t x_total = 0;
-  for (const auto& [tid, tid_events] : x_by_tid) x_total += tid_events.size();
-  std::cout << "trace_lint: " << path << " ok (" << x_total << " X events on "
-            << x_by_tid.size() << " threads, " << span_names.size()
-            << " distinct spans, " << flow_arrows << " flow arrows)\n";
-}
-
 // One `name{labels} value` line of the exposition, labels in file order.
 struct MetricSample {
   std::string name;
@@ -819,20 +664,18 @@ void cross_check(const std::string& path, const Exposition& exposition,
 int main(int argc, char** argv) {
   fed::CliFlags flags(argc, argv);
   const auto jsonl = flags.get_optional_string("jsonl");
-  const auto chrome = flags.get_optional_string("chrome");
   const auto metrics = flags.get_optional_string("metrics");
   const bool checkpoint = flags.get_bool("checkpoint", false);
-  if (!jsonl && !chrome && !metrics) {
+  if (!jsonl && !metrics) {
     fail(
         "usage: trace_lint [--jsonl run.jsonl [--checkpoint]] "
-        "[--chrome run.trace.json] [--metrics metrics.prom]");
+        "[--metrics metrics.prom]");
   }
   if (checkpoint && !jsonl) {
     fail("--checkpoint audits the JSONL round trace; pass --jsonl too");
   }
   JsonlTotals totals;
   if (jsonl) totals = lint_jsonl(*jsonl, checkpoint);
-  if (chrome) lint_chrome(*chrome);
   if (metrics) {
     const Exposition exposition = lint_metrics(*metrics);
     if (jsonl) cross_check(*metrics, exposition, totals);
