@@ -159,6 +159,17 @@ TrainingObserver* TraceCapture::observer() const {
                     : tracer_.get();
 }
 
+bool open_capture(std::optional<TraceCapture>& capture,
+                  const BenchOptions& options) {
+  try {
+    capture.emplace(options);
+    return true;
+  } catch (const std::runtime_error& error) {
+    std::cerr << error.what() << "\n";
+    return false;
+  }
+}
+
 const char* metric_name(Metric metric) {
   switch (metric) {
     case Metric::kTrainLoss: return "training loss";

@@ -39,6 +39,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,13 +123,19 @@ class TraceCapture {
   MetricsRegistry* registry() const { return registry_.get(); }
 
  private:
-  std::unique_ptr<TraceSink> sink_;
+  std::unique_ptr<JsonlTraceSink> sink_;
   std::unique_ptr<TrainingObserver> tracer_;
   std::unique_ptr<MetricsRegistry> registry_;     // --metrics-out stack:
   std::unique_ptr<MetricsObserver> metrics_;      // feeder first,
   std::unique_ptr<MetricsExporter> exporter_;     // publisher second
   std::unique_ptr<CompositeObserver> composite_;  // when several are live
 };
+
+// Opens `capture` for `options`. On an unusable --trace-out or
+// --metrics-out path it prints the reason to stderr and returns false,
+// before any training; the driver then exits 1.
+bool open_capture(std::optional<TraceCapture>& capture,
+                  const BenchOptions& options);
 
 // Renders one metric (selected by `metric`) of every variant against the
 // evaluated rounds, one column per variant — the paper's "series".

@@ -16,9 +16,10 @@ int main(int argc, char** argv) {
 
   CsvWriter csv(options.out_dir + "/fig6_synthetic_full.csv",
                 history_csv_header());
-  TraceCapture trace(options);  // honours --trace-out
+  std::optional<TraceCapture> trace;  // --trace-out, --metrics-out
+  if (!open_capture(trace, options)) return 1;
   RunVariantsOptions rv;
-  rv.observer = trace.observer();
+  rv.observer = trace->observer();
 
   for (const auto& name : synthetic_workload_names()) {
     const Workload w = load_workload(name, options);

@@ -217,7 +217,8 @@ int main(int argc, char** argv) {
 
       BenchOptions seg_options = options;
       seg_options.resume = !first_segment;
-      TraceCapture capture(seg_options);
+      std::optional<TraceCapture> capture;
+      if (!open_capture(capture, seg_options)) return 1;
       TraceCollector collector;
 
       std::optional<std::string> checkpoint;
@@ -236,7 +237,7 @@ int main(int argc, char** argv) {
       }
 
       Trainer trainer(model, data, seg);
-      if (capture.observer()) trainer.add_observer(*capture.observer());
+      if (capture->observer()) trainer.add_observer(*capture->observer());
       trainer.add_observer(collector);
       try {
         segmented =

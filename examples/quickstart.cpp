@@ -90,16 +90,12 @@ int main(int argc, char** argv) {
   }
 
   // 3. Train, printing each evaluated round. TraceCapture owns the
-  //    --trace-out JSONL sink (per-phase wall times for every round),
-  //    which fails here, before any training, on an unwritable path. A
-  //    HealthMonitor watches every round for numeric trouble.
+  //    --trace-out JSONL sink (per-phase wall times for every round) and
+  //    the --metrics-out exporter, which fail here, before any training,
+  //    on an unwritable path. A HealthMonitor watches every round for
+  //    numeric trouble.
   std::optional<bench::TraceCapture> capture;
-  try {
-    capture.emplace(options);
-  } catch (const std::runtime_error& error) {
-    std::cerr << error.what() << "\n";
-    return 1;
-  }
+  if (!bench::open_capture(capture, options)) return 1;
   Trainer trainer(*workload.model, workload.data, config);
   ProgressPrinter printer;
   trainer.add_observer(printer);

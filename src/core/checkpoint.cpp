@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -39,7 +40,8 @@ std::string checkpoint_name(std::uint64_t round) {
   return name;
 }
 
-// Parses `ckpt-<round>.fpc`; returns false for any other filename.
+// Parses `ckpt-<round>.fpc`; returns false for any other filename,
+// including one whose round is not all digits or does not fit in a u64.
 bool parse_checkpoint_name(const std::string& name, std::uint64_t& round) {
   constexpr const char* kPrefix = "ckpt-";
   constexpr const char* kSuffix = ".fpc";
@@ -47,13 +49,9 @@ bool parse_checkpoint_name(const std::string& name, std::uint64_t& round) {
       name.substr(name.size() - 4) != kSuffix) {
     return false;
   }
-  const std::string digits = name.substr(5, name.size() - 9);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  round = std::stoull(digits);
-  return true;
+  const char* last = name.data() + name.size() - 4;
+  const auto [end, ec] = std::from_chars(name.data() + 5, last, round);
+  return ec == std::errc() && end == last;
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // The server side of a federated round, speaking only in messages.
 //
-// run_round executes one training round of Algorithm 1/2: sample devices,
-// assign systems budgets, broadcast the global model through the
-// Transport, collect the returned updates, and aggregate them into `w` —
-// recording transport-measured bytes and per-phase wall times in the
-// RoundTrace. evaluate() runs the global evaluation (plus dissimilarity
-// when configured). The Trainer owns everything *across* rounds — the
-// mu policies, evaluation cadence, history, and observer lifecycle — and
-// drives this class once per round.
+// run_round executes one training round of Algorithm 1/2 over the live
+// population (sim/churn.h; without churn the registry is inert) in five
+// stages: select (churn, sampling, budgets) → exchange (broadcast wᵗ and
+// take back each device's update under the recovery policy, in parallel)
+// → quorum (revoke late successes) → aggregate (fold the contributing
+// updates into `w` across the shards) → account (one pass fills every
+// byte, shard, fault, straggler, solve and γ column, counting faults from
+// the devices' typed events). Each RoundTrace field has one owning stage.
+// evaluate() runs the global evaluation (plus dissimilarity when
+// configured). The Trainer owns everything *across* rounds — mu
+// policies, evaluation cadence, history, checkpoints, observer lifecycle.
 
 #pragma once
 
@@ -18,6 +21,9 @@
 #include "comm/transport.h"
 #include "core/trainer.h"
 #include "obs/trace.h"
+#include "obs/trace_context.h"
+#include "sim/churn.h"
+#include "sim/sharded.h"
 #include "support/threadpool.h"
 
 namespace fed {
@@ -25,14 +31,12 @@ namespace fed {
 class RoundDriver {
  public:
   // All references must outlive the driver; `pool` must be non-null.
-  // `registry` may be null (or inert) for the closed-world fast path;
-  // when it carries a live churn schedule, run_round drives it:
-  // begin_round before selection, end_round after the trace is filled,
-  // selection/sharding/quorum over the live population only.
+  // run_round calls registry.begin_round before selection and
+  // registry.end_round once the round is accounted.
   RoundDriver(const Model& model, const FederatedDataset& data,
               const TrainerConfig& config, const Transport& transport,
               const ClientRuntime& runtime, ThreadPool* pool,
-              DeviceRegistry* registry,
+              DeviceRegistry& registry,
               std::span<TrainingObserver* const> observers);
 
   struct RoundOutput {
@@ -51,41 +55,28 @@ class RoundDriver {
   void evaluate(const Vector& w, RoundMetrics& metrics, RoundTrace& trace);
 
  private:
-  // One device's journey through the recovery policy: the accepted
-  // exchange (when any attempt succeeded), per-attempt failure counts,
-  // byte charges, the simulated clock, and the typed incidents to fan
-  // out. Filled by exactly one pool worker, read after the barrier.
-  struct DeviceOutcome {
-    ExchangeRecord record;   // the accepted exchange; meaningful iff accepted
-    bool accepted = false;
-    bool quorum_dropped = false;        // revoked by the quorum cut
-    std::size_t attempts = 0;
-    std::size_t drops = 0;
-    std::size_t corruptions = 0;
-    std::size_t timeouts = 0;
-    std::uint64_t bytes_down = 0;       // broadcast bytes, charged per attempt
-    std::uint64_t failed_bytes_up = 0;  // corrupt arrivals, charged per attempt
-    bool departed = false;              // device left the federation mid-round
-    double arrival_ms = 0.0;  // simulated delays + backoffs through last attempt
-    std::vector<FaultEvent> events;     // in attempt order
-  };
+  struct Selection;       // the round's devices and their budgets
+  struct DeviceOutcome;   // one device's exchange under the recovery policy
 
-  // Runs the exchange for one device under config_.recovery: retry failed
-  // attempts (drop / corrupt / past-deadline) with simulated exponential
-  // backoff, up to max_retries extra attempts. Mutates broadcast.attempt
-  // only. Called concurrently from pool workers; everything it touches is
-  // worker-local.
+  Selection select(std::size_t t, RoundTrace& trace);
+  std::vector<DeviceOutcome> exchange(std::size_t t, double mu,
+                                      const Vector& w, const Selection& sel,
+                                      const TraceContext& round_ctx,
+                                      RoundTrace& trace) const;
   DeviceOutcome exchange_with_recovery(ModelBroadcast& broadcast,
                                        std::size_t round,
                                        std::size_t device) const;
-
-  // The churn analogue of total exchange failure: a departing device
-  // never touches the transport — every attempt's broadcast bytes are
-  // charged and lost (a crashed phone mid-exchange), so the outcome
-  // folds into the existing failed-device/straggler accounting and all
-  // byte/retry invariants hold unchanged.
-  DeviceOutcome departed_outcome(const ModelBroadcast& broadcast,
-                                 std::size_t round, std::size_t device) const;
+  void apply_quorum(std::size_t round, const Selection& sel,
+                    std::vector<DeviceOutcome>& outcomes) const;
+  ShardedServer aggregate(std::size_t round, Vector& w,
+                          std::span<const ShardSlice> slices,
+                          const std::vector<DeviceOutcome>& outcomes,
+                          const TraceContext& round_ctx, RoundTrace& trace);
+  void account(std::size_t round, double mu, const Selection& sel,
+               std::span<const ShardSlice> slices,
+               const std::vector<DeviceOutcome>& outcomes,
+               const ShardedServer& server, RoundOutput& out) const;
+  bool contributes(const DeviceOutcome& oc) const;
 
   const Model& model_;
   const FederatedDataset& data_;
@@ -93,7 +84,7 @@ class RoundDriver {
   const Transport& transport_;
   const ClientRuntime& runtime_;
   ThreadPool* pool_;
-  DeviceRegistry* registry_;  // may be null: closed-world
+  DeviceRegistry& registry_;
   std::span<TrainingObserver* const> observers_;
   std::vector<double> pk_;  // client weights p_k, fixed for the run
 };

@@ -181,29 +181,19 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   }
   if (restored) {
     mu = restored->mu;
-    if (adaptive && restored->has_adaptive) {
-      adaptive->restore({restored->adaptive_mu, restored->adaptive_last_loss,
-                         restored->adaptive_has_last,
-                         static_cast<std::size_t>(
-                             restored->adaptive_consecutive_decreases)});
-    }
-    if (theory && restored->has_theory) {
-      theory->restore({restored->theory_mu, restored->theory_b_sq_ema,
-                       restored->theory_has_estimate});
-    }
+    if (adaptive && restored->adaptive) adaptive->restore(*restored->adaptive);
+    if (theory && restored->theory) theory->restore(*restored->theory);
   }
 
-  // Open-world population (sim/churn.h). The departure floor is raised
-  // to devices_per_round so selection always has a full candidate set.
-  std::optional<DeviceRegistry> registry;
-  if (config_.churn.any()) {
-    ChurnConfig churn = config_.churn;
-    churn.min_active = std::max(churn.min_active, config_.devices_per_round);
-    registry.emplace(data_.num_clients(), churn, config_.seed);
-    if (restored) {
-      registry->restore(restored->active, restored->churn_arrivals,
-                        restored->churn_departures);
-    }
+  // The live population (sim/churn.h); without churn it is inert and
+  // everyone is live. The departure floor is raised to devices_per_round
+  // so selection always has a full candidate set.
+  ChurnConfig churn = config_.churn;
+  churn.min_active = std::max(churn.min_active, config_.devices_per_round);
+  DeviceRegistry registry(data_.num_clients(), churn, config_.seed);
+  if (restored) {
+    registry.restore(restored->active, restored->churn_arrivals,
+                     restored->churn_departures);
   }
 
   TrainHistory history;
@@ -211,17 +201,17 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   if (restored) history.rounds = restored->rounds;
 
   if (!observers_.empty()) {
-    RunInfo info;
-    info.algorithm = to_string(config_.algorithm);
-    info.rounds = config_.rounds - start_t;  // rounds this run will execute
-    // Resumed: the checkpointed round — the first executed round is + 1.
-    info.first_round = start_t;
-    info.devices_per_round = config_.devices_per_round;
-    info.num_clients = data_.num_clients();
-    info.parameter_count = d;
-    info.threads = pool->size();
-    info.seed = config_.seed;
-    info.resumed = restored != nullptr;
+    // Resumed: first_round is the checkpointed round, and the first
+    // executed round is + 1.
+    const RunInfo info{.algorithm = to_string(config_.algorithm),
+                       .rounds = config_.rounds - start_t,
+                       .first_round = start_t,
+                       .devices_per_round = config_.devices_per_round,
+                       .num_clients = data_.num_clients(),
+                       .parameter_count = d,
+                       .threads = pool->size(),
+                       .seed = config_.seed,
+                       .resumed = restored != nullptr};
     for (auto* o : observers_) o->on_run_start(info);
   }
 
@@ -236,7 +226,7 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
         std::move(transport), config_.faults, config_.seed);
   }
   RoundDriver driver(model_, data_, config_, *transport, runtime, pool,
-                     registry ? &*registry : nullptr, observers_);
+                     registry, observers_);
 
   std::optional<CheckpointWriter> checkpoints;
   if (config_.checkpoint.enabled()) checkpoints.emplace(config_.checkpoint);
@@ -286,42 +276,21 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
       state.seed = config_.seed;
       state.next_round = t + 2;  // 1-based id of the next round to execute
       state.mu = mu;
-      if (adaptive) {
-        const AdaptiveMu::State s = adaptive->state();
-        state.has_adaptive = true;
-        state.adaptive_mu = s.mu;
-        state.adaptive_last_loss = s.last_loss;
-        state.adaptive_has_last = s.has_last;
-        state.adaptive_consecutive_decreases = s.consecutive_decreases;
-      }
-      if (theory) {
-        const DissimilarityMu::State s = theory->state();
-        state.has_theory = true;
-        state.theory_mu = s.mu;
-        state.theory_b_sq_ema = s.b_sq_ema;
-        state.theory_has_estimate = s.has_estimate;
-      }
+      if (adaptive) state.adaptive = adaptive->state();
+      if (theory) state.theory = theory->state();
       state.parameters = w;
       state.population = data_.num_clients();
-      if (registry) {
-        state.churn_arrivals = registry->total_arrivals();
-        state.churn_departures = registry->total_departures();
-        state.active = registry->pack_active();
-      } else {
-        // Closed world: everyone is always live.
-        state.active.assign((data_.num_clients() + 7) / 8, 0);
-        for (std::size_t k = 0; k < data_.num_clients(); ++k) {
-          state.active[k / 8] |= static_cast<std::uint8_t>(1u << (k % 8));
-        }
-      }
+      state.churn_arrivals = registry.total_arrivals();
+      state.churn_departures = registry.total_departures();
+      state.active = registry.pack_active();
       state.rounds = history.rounds;
       const CheckpointWriter::WriteInfo written = checkpoints->write(state);
-      out.trace.checkpoint.written = true;
-      out.trace.checkpoint.round = t + 1;
-      out.trace.checkpoint.bytes = written.bytes;
-      out.trace.checkpoint.generations = written.generations;
-      out.trace.checkpoint.retain = config_.checkpoint.retain;
-      out.trace.checkpoint.write_seconds = ckpt_timer.seconds();
+      out.trace.checkpoint = {.written = true,
+                              .round = t + 1,
+                              .bytes = written.bytes,
+                              .generations = written.generations,
+                              .retain = config_.checkpoint.retain,
+                              .write_seconds = ckpt_timer.seconds()};
     }
 
     out.trace.round_seconds = round_timer.seconds();

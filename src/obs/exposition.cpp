@@ -1,6 +1,6 @@
 #include "obs/exposition.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -225,30 +225,51 @@ std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
       selector.resize(brace);
     }
     if (!counter_families.count(selector)) continue;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(value_text.c_str(), &end, 10);
-    if (errno != 0 || end == value_text.c_str() || *end != '\0') continue;
-    registry.counter(selector, std::move(labels))
-        .add(static_cast<std::uint64_t>(value));
+    // Digits only: a sign, a fraction or an out-of-range total is not a
+    // counter value, and the line is skipped.
+    std::uint64_t value = 0;
+    const char* last = value_text.data() + value_text.size();
+    const auto [end, ec] = std::from_chars(value_text.data(), last, value);
+    if (ec != std::errc() || end != last) continue;
+    registry.counter(selector, std::move(labels)).add(value);
     ++seeded;
   }
   return seeded;
 }
 
+namespace {
+
+// Creates `path`'s parent directories and opens its `<path>.tmp` staging
+// file; throws std::runtime_error when that is impossible.
+std::ofstream open_staging_file(const std::string& path) {
+  const auto parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(parent, ec);  // open() reports
+  }
+  std::ofstream out(path + ".tmp", std::ios::trunc);
+  if (!out) {
+    throw std::runtime_error("exposition: cannot open " + path + ".tmp");
+  }
+  return out;
+}
+
+// The exporter's target, checked once: an unusable path fails at
+// construction, like JsonlTraceSink's, not on the first publish.
+std::string checked_exposition_path(std::string path) {
+  open_staging_file(path).close();
+  std::error_code ec;
+  std::filesystem::remove(path + ".tmp", ec);
+  return path;
+}
+
+}  // namespace
+
 void write_text_exposition(const std::string& path,
                            const MetricsRegistry& registry) {
   const std::string tmp = path + ".tmp";
   {
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(parent, ec);  // open() reports
-    }
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("exposition: cannot open " + tmp);
-    }
+    std::ofstream out = open_staging_file(path);
     out << text_exposition(registry);
     if (!out) {
       throw std::runtime_error("exposition: write failed for " + tmp);
@@ -265,7 +286,7 @@ void write_text_exposition(const std::string& path,
 MetricsExporter::MetricsExporter(MetricsRegistry& registry, std::string path,
                                  std::size_t every)
     : registry_(registry),
-      path_(std::move(path)),
+      path_(checked_exposition_path(std::move(path))),
       every_(every ? every : 1),
       worker_([this] { worker_loop(); }) {}
 

@@ -96,6 +96,8 @@ std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
 // published file from the requesting thread.
 class MetricsExporter final : public TrainingObserver {
  public:
+  // Throws std::runtime_error when `path` cannot be written (its parent
+  // directories are created first).
   MetricsExporter(MetricsRegistry& registry, std::string path,
                   std::size_t every = 1);
   ~MetricsExporter() override;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
-
-#include "support/csv.h"
 
 namespace fed {
 
@@ -41,21 +38,6 @@ MetricLabels canonical(MetricLabels labels) {
 }
 
 }  // namespace
-
-std::string metric_selector(const std::string& name,
-                            const MetricLabels& labels) {
-  if (labels.empty()) return name;
-  std::ostringstream out;
-  out << name << '{';
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out << ',';
-    first = false;
-    out << k << "=\"" << v << '"';
-  }
-  out << '}';
-  return out.str();
-}
 
 Histogram::Histogram(double scale, std::size_t num_buckets)
     : scale_(scale > 0.0 ? scale : 1e-6),
@@ -191,83 +173,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   out.help = help_;
   return out;
-}
-
-JsonValue MetricsRegistry::to_json(bool include_buckets) const {
-  const MetricsSnapshot snap = snapshot();
-  JsonObject counters;
-  for (const auto& [name, samples] : snap.counters) {
-    for (const auto& s : samples) {
-      counters[metric_selector(name, s.labels)] = s.value;
-    }
-  }
-  JsonObject gauges;
-  for (const auto& [name, samples] : snap.gauges) {
-    for (const auto& s : samples) {
-      gauges[metric_selector(name, s.labels)] = s.value;
-    }
-  }
-  JsonObject histograms;
-  for (const auto& [name, samples] : snap.histograms) {
-    for (const auto& s : samples) {
-      JsonObject one;
-      one["count"] = s.snapshot.count;
-      one["sum"] = s.snapshot.sum;
-      one["min"] = s.snapshot.min;
-      one["max"] = s.snapshot.max;
-      one["mean"] = s.snapshot.mean();
-      if (include_buckets) {
-        JsonArray les;
-        JsonArray counts;
-        for (std::size_t i = 0; i < s.snapshot.buckets.size(); ++i) {
-          // JSON has no Infinity literal; the +Inf edge serializes as the
-          // Prometheus spelling.
-          if (std::isinf(s.upper_edges[i])) {
-            les.push_back(std::string("+Inf"));
-          } else {
-            les.push_back(s.upper_edges[i]);
-          }
-          counts.push_back(s.snapshot.buckets[i]);
-        }
-        one["le"] = std::move(les);
-        one["buckets"] = std::move(counts);
-      }
-      histograms[metric_selector(name, s.labels)] = std::move(one);
-    }
-  }
-  JsonObject out;
-  out["counters"] = std::move(counters);
-  out["gauges"] = std::move(gauges);
-  out["histograms"] = std::move(histograms);
-  return JsonValue(std::move(out));
-}
-
-std::string MetricsRegistry::render() const {
-  const MetricsSnapshot snap = snapshot();
-  TablePrinter table({"metric", "kind", "value"});
-  for (const auto& [name, samples] : snap.counters) {
-    for (const auto& s : samples) {
-      table.add_row({metric_selector(name, s.labels), "counter",
-                     std::to_string(s.value)});
-    }
-  }
-  for (const auto& [name, samples] : snap.gauges) {
-    for (const auto& s : samples) {
-      table.add_row({metric_selector(name, s.labels), "gauge",
-                     TablePrinter::fmt(s.value, 6)});
-    }
-  }
-  for (const auto& [name, samples] : snap.histograms) {
-    for (const auto& s : samples) {
-      std::ostringstream cell;
-      cell << "count " << s.snapshot.count << ", mean "
-           << TablePrinter::fmt(s.snapshot.mean(), 6) << ", min "
-           << TablePrinter::fmt(s.snapshot.min, 6) << ", max "
-           << TablePrinter::fmt(s.snapshot.max, 6);
-      table.add_row({metric_selector(name, s.labels), "histogram", cell.str()});
-    }
-  }
-  return table.render();
 }
 
 MetricsObserver::MetricsObserver(MetricsRegistry& registry)

@@ -29,7 +29,6 @@
 
 #include "comm/fault.h"
 #include "obs/observer.h"
-#include "support/json.h"
 #include "support/thread_annotations.h"
 
 namespace fed {
@@ -121,8 +120,8 @@ class Histogram {
 
 // A point-in-time copy of every instrument, grouped by family name with
 // one sample per label set (label sets sorted, families sorted by name).
-// This is what to_json/render and the exposition writer consume, so all
-// three agree on one consistent read of the registry.
+// This is what the exposition writer consumes, so one document is one
+// consistent read of the registry.
 struct MetricsSnapshot {
   struct CounterSample {
     MetricLabels labels;
@@ -170,15 +169,6 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const FED_EXCLUDES(mutex_);
 
-  // Snapshot of every instrument: {"counters":{...},"gauges":{...},
-  // "histograms":{name:{count,sum,min,max,mean}}}. Labeled instruments
-  // key as name{k="v",...}. With include_buckets, each histogram also
-  // carries its "buckets" counts and "le" upper edges (off by default to
-  // keep the dump compact).
-  JsonValue to_json(bool include_buckets = false) const;
-  // Aligned one-line-per-instrument table for stdout.
-  std::string render() const;
-
  private:
   template <typename T>
   using Family = std::map<MetricLabels, std::unique_ptr<T>>;
@@ -195,10 +185,6 @@ class MetricsRegistry {
   std::map<std::string, Family<Histogram>> histograms_ FED_GUARDED_BY(mutex_);
   std::map<std::string, std::string> help_ FED_GUARDED_BY(mutex_);
 };
-
-// name{k="v",...} selector form for tables/JSON keys ("" labels -> name).
-std::string metric_selector(const std::string& name,
-                            const MetricLabels& labels);
 
 // Feeds a MetricsRegistry from the observer hooks. Instrument names:
 //   counters   fed_rounds_total, fed_clients_total, fed_stragglers_total,

@@ -90,26 +90,4 @@ JsonValue trace_to_json(const RoundTrace& trace) {
   return JsonValue(std::move(out));
 }
 
-void TraceSummary::accumulate(const RoundTrace& trace) {
-  ++rounds;
-  total_seconds += trace.round_seconds;
-  sampling_seconds += trace.sampling_seconds;
-  correction_seconds += trace.correction_seconds;
-  solve_wall_seconds += trace.solve_wall_seconds;
-  aggregate_seconds += trace.aggregate_seconds;
-  eval_seconds += trace.eval_seconds;
-  bytes_down += trace.bytes_down;
-  bytes_up += trace.bytes_up;
-  faults += trace.faults.drops + trace.faults.corruptions +
-            trace.faults.timeouts + trace.faults.duplicates;
-  retries += trace.faults.retries;
-  if (trace.degraded) ++degraded_rounds;
-}
-
-TraceSummary summarize(std::span<const RoundTrace> traces) {
-  TraceSummary summary;
-  for (const auto& t : traces) summary.accumulate(t);
-  return summary;
-}
-
 }  // namespace fed

@@ -119,24 +119,4 @@ struct RoundTrace {
 // Compact JSON object for one trace (the JSONL sink writes one per line).
 JsonValue trace_to_json(const RoundTrace& trace);
 
-// Whole-run aggregate of traces, for stdout summaries and benchmarks.
-struct TraceSummary {
-  std::size_t rounds = 0;
-  double total_seconds = 0.0;
-  double sampling_seconds = 0.0;
-  double correction_seconds = 0.0;
-  double solve_wall_seconds = 0.0;
-  double aggregate_seconds = 0.0;
-  double eval_seconds = 0.0;
-  std::uint64_t bytes_down = 0;
-  std::uint64_t bytes_up = 0;
-  std::size_t faults = 0;           // drops + corruptions + timeouts + dups
-  std::size_t retries = 0;
-  std::size_t degraded_rounds = 0;
-
-  void accumulate(const RoundTrace& trace);
-};
-
-TraceSummary summarize(std::span<const RoundTrace> traces);
-
 }  // namespace fed

@@ -1,8 +1,6 @@
 #include "obs/trace_sink.h"
 
-#include <algorithm>
 #include <filesystem>
-#include <iostream>
 #include <stdexcept>
 #include <utility>
 
@@ -128,71 +126,6 @@ void JsonlTraceSink::end_run(const TrainHistory& history) {
   (void)history;
   MutexLock lock(mutex_);
   out_->flush();
-}
-
-StdoutSummarySink::StdoutSummarySink(std::ostream& out) : out_(&out) {}
-
-StdoutSummarySink::StdoutSummarySink() : out_(&std::cout) {}
-
-void StdoutSummarySink::begin_run(const RunInfo& info) {
-  info_ = info;
-  summary_ = {};
-  solve_total_ = {};
-}
-
-void StdoutSummarySink::write(const RoundMetrics& metrics,
-                              const RoundTrace& trace) {
-  (void)metrics;
-  summary_.accumulate(trace);
-  solve_total_.count += trace.solve.count;
-  solve_total_.total_seconds += trace.solve.total_seconds;
-  if (trace.solve.count) {
-    if (solve_total_.count == trace.solve.count) {
-      solve_total_.min_seconds = trace.solve.min_seconds;
-      solve_total_.max_seconds = trace.solve.max_seconds;
-    } else {
-      solve_total_.min_seconds =
-          std::min(solve_total_.min_seconds, trace.solve.min_seconds);
-      solve_total_.max_seconds =
-          std::max(solve_total_.max_seconds, trace.solve.max_seconds);
-    }
-  }
-}
-
-void StdoutSummarySink::end_run(const TrainHistory& history) {
-  (void)history;
-  const auto pct = [&](double s) {
-    return summary_.total_seconds > 0.0
-               ? TablePrinter::fmt(100.0 * s / summary_.total_seconds, 1) + "%"
-               : "-";
-  };
-  TablePrinter table({"phase", "seconds", "share"});
-  table.add_row({"sampling", TablePrinter::fmt(summary_.sampling_seconds, 4),
-                 pct(summary_.sampling_seconds)});
-  if (summary_.correction_seconds > 0.0) {
-    table.add_row({"correction",
-                   TablePrinter::fmt(summary_.correction_seconds, 4),
-                   pct(summary_.correction_seconds)});
-  }
-  table.add_row({"local solve",
-                 TablePrinter::fmt(summary_.solve_wall_seconds, 4),
-                 pct(summary_.solve_wall_seconds)});
-  table.add_row({"aggregate", TablePrinter::fmt(summary_.aggregate_seconds, 4),
-                 pct(summary_.aggregate_seconds)});
-  table.add_row({"evaluation", TablePrinter::fmt(summary_.eval_seconds, 4),
-                 pct(summary_.eval_seconds)});
-  table.add_row(
-      {"total", TablePrinter::fmt(summary_.total_seconds, 4), "100.0%"});
-  *out_ << info_.algorithm << " run: " << summary_.rounds << " rounds, "
-        << solve_total_.count << " client solves";
-  if (solve_total_.count) {
-    *out_ << " (min " << TablePrinter::fmt(solve_total_.min_seconds, 5)
-          << "s, max " << TablePrinter::fmt(solve_total_.max_seconds, 5)
-          << "s)";
-  }
-  *out_ << ", " << summary_.bytes_down << " bytes down, " << summary_.bytes_up
-        << " bytes up\n"
-        << table.render();
 }
 
 }  // namespace fed

@@ -1,8 +1,7 @@
-// Trace sinks: where per-round traces go. JsonlTraceSink streams one
+// Trace sink: where per-round traces go. JsonlTraceSink streams one
 // compact JSON object per round (plus one run-header line per run) so a
-// 20-round run yields 20 replayable trace lines; StdoutSummarySink
-// accumulates and prints an aligned per-phase breakdown when the run
-// ends. TraceObserver bridges the Trainer's observer hooks to a sink:
+// 20-round run yields 20 replayable trace lines. TraceObserver bridges
+// the Trainer's observer hooks to the sink:
 //
 //   JsonlTraceSink sink("bench_out/trace.jsonl");
 //   TraceObserver tracer(sink);
@@ -19,15 +18,6 @@
 #include "support/thread_annotations.h"
 
 namespace fed {
-
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  virtual void begin_run(const RunInfo& info) { (void)info; }
-  virtual void write(const RoundMetrics& metrics, const RoundTrace& trace) = 0;
-  virtual void end_run(const TrainHistory& history) { (void)history; }
-};
 
 // Size-bounded log rotation for JsonlTraceSink (--trace-rotate-mb).
 // When the active file would grow past `max_bytes`, it is renamed to
@@ -52,7 +42,7 @@ struct RotationPolicy {
 // serialize and rotations() is safe to poll from a monitor thread while
 // a run streams. Lines stay whole under concurrent writers; interleaving
 // order across threads is the callers' problem.
-class JsonlTraceSink final : public TraceSink {
+class JsonlTraceSink final {
  public:
   // kTruncate starts a fresh trace; kAppend continues an existing one —
   // the resumed run's header and rounds land after the crashed run's
@@ -71,10 +61,10 @@ class JsonlTraceSink final : public TraceSink {
   // rotation does not apply.
   explicit JsonlTraceSink(std::ostream& out);
 
-  void begin_run(const RunInfo& info) override FED_EXCLUDES(mutex_);
-  void write(const RoundMetrics& metrics, const RoundTrace& trace) override
+  void begin_run(const RunInfo& info) FED_EXCLUDES(mutex_);
+  void write(const RoundMetrics& metrics, const RoundTrace& trace)
       FED_EXCLUDES(mutex_);
-  void end_run(const TrainHistory& history) override FED_EXCLUDES(mutex_);
+  void end_run(const TrainHistory& history) FED_EXCLUDES(mutex_);
 
   const std::string& path() const { return path_; }
   // Number of times the sink rolled the active file over.
@@ -101,28 +91,10 @@ class JsonlTraceSink final : public TraceSink {
   std::size_t rotations_ FED_GUARDED_BY(mutex_) = 0;
 };
 
-// Accumulates every round's trace and prints a per-phase wall-clock
-// breakdown table when the run ends.
-class StdoutSummarySink final : public TraceSink {
- public:
-  explicit StdoutSummarySink(std::ostream& out);
-  StdoutSummarySink();
-
-  void begin_run(const RunInfo& info) override;
-  void write(const RoundMetrics& metrics, const RoundTrace& trace) override;
-  void end_run(const TrainHistory& history) override;
-
- private:
-  std::ostream* out_;
-  RunInfo info_;
-  TraceSummary summary_;
-  SolveStats solve_total_;  // aggregated across rounds
-};
-
 // Forwards observer hooks to a sink. The sink must outlive the observer.
 class TraceObserver final : public TrainingObserver {
  public:
-  explicit TraceObserver(TraceSink& sink) : sink_(&sink) {}
+  explicit TraceObserver(JsonlTraceSink& sink) : sink_(&sink) {}
 
   void on_run_start(const RunInfo& info) override { sink_->begin_run(info); }
   void on_round_end(const RoundMetrics& metrics,
@@ -134,7 +106,7 @@ class TraceObserver final : public TrainingObserver {
   }
 
  private:
-  TraceSink* sink_;
+  JsonlTraceSink* sink_;
 };
 
 }  // namespace fed

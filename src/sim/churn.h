@@ -1,14 +1,14 @@
 // Open-world device churn (the robustness premise of Section 2: devices
 // "may drop out" and the active population is never fixed).
 //
-// The bundled simulation is closed-world: every device in the dataset is
-// reachable every round. A DeviceRegistry lifts that assumption. Devices
-// arrive and depart on a deterministic counter-keyed schedule — one
-// Rng(seed, {kChurn, round, device}) draw per device per round, nothing
-// else — so the live population at round t is a pure function of
-// (seed, churn config, t), identical across threads, shards, and
-// transports. Sampling, shard planning, and quorum all operate on the
-// live population each round (core/round_driver).
+// Without churn every device in the dataset is reachable every round. A
+// DeviceRegistry lifts that assumption. Devices arrive and depart on a
+// deterministic counter-keyed schedule — one Rng(seed, {kChurn, round,
+// device}) draw per device per round, nothing else — so the live
+// population at round t is a pure function of (seed, churn config, t),
+// identical across threads, shards, and transports. Sampling, shard
+// planning, and quorum all operate on the live population each round
+// (core/round_driver).
 //
 // Timeline of one round t:
 //   begin_round(t)  inactive devices may arrive (selectable immediately);
@@ -21,9 +21,9 @@
 // Departures are capped so the population never falls below
 // max(min_active, 1): the cap is applied in ascending device order, so
 // the capped set is itself deterministic. With a zero ChurnConfig the
-// registry is inert — everyone active forever — and the round driver
-// takes the closed-world fast path, keeping history bit-identical to a
-// registry-free build.
+// registry is inert — everyone active forever, begin_round/end_round
+// return at once — so the round driver needs no second path for a fixed
+// population. The trainer always builds one.
 //
 // The registry is driven from the round thread only; pool workers may
 // call the const accessors during the exchange barrier (the round thread
@@ -44,7 +44,7 @@ struct ChurnConfig {
   double arrive = 0.0;   // P(inactive device joins this round)
   double depart = 0.0;   // P(active device leaves mid-round)
   // Devices [0, initial) start active; 0 means the whole population does
-  // (the closed-world default, so an all-zero config changes nothing).
+  // (the default, so an all-zero config changes nothing).
   std::size_t initial = 0;
   // Departure floor: the active population never drops below this. The
   // trainer raises it to devices_per_round so sampling stays well-defined.

@@ -317,15 +317,19 @@ WireBuffer encode_checkpoint_state(const CheckpointState& state) {
   w.u64(state.seed);
   w.u64(state.next_round);
   w.f64(state.mu);
-  w.flag(state.has_adaptive);
-  w.f64(state.adaptive_mu);
-  w.f64(state.adaptive_last_loss);
-  w.flag(state.adaptive_has_last);
-  w.u64(state.adaptive_consecutive_decreases);
-  w.flag(state.has_theory);
-  w.f64(state.theory_mu);
-  w.f64(state.theory_b_sq_ema);
-  w.flag(state.theory_has_estimate);
+  const AdaptiveMu::State adaptive =
+      state.adaptive.value_or(AdaptiveMu::State{});
+  w.flag(state.adaptive.has_value());
+  w.f64(adaptive.mu);
+  w.f64(adaptive.last_loss);
+  w.flag(adaptive.has_last);
+  w.u64(adaptive.consecutive_decreases);
+  const DissimilarityMu::State theory =
+      state.theory.value_or(DissimilarityMu::State{});
+  w.flag(state.theory.has_value());
+  w.f64(theory.mu);
+  w.f64(theory.b_sq_ema);
+  w.flag(theory.has_estimate);
   w.doubles(state.parameters);
   w.u64(state.population);
   w.u64(state.churn_arrivals);
@@ -375,15 +379,19 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   state.seed = r.u64();
   state.next_round = r.u64();
   state.mu = r.f64();
-  state.has_adaptive = r.flag();
-  state.adaptive_mu = r.f64();
-  state.adaptive_last_loss = r.f64();
-  state.adaptive_has_last = r.flag();
-  state.adaptive_consecutive_decreases = r.u64();
-  state.has_theory = r.flag();
-  state.theory_mu = r.f64();
-  state.theory_b_sq_ema = r.f64();
-  state.theory_has_estimate = r.flag();
+  const bool has_adaptive = r.flag();
+  AdaptiveMu::State adaptive;
+  adaptive.mu = r.f64();
+  adaptive.last_loss = r.f64();
+  adaptive.has_last = r.flag();
+  adaptive.consecutive_decreases = static_cast<std::size_t>(r.u64());
+  if (has_adaptive) state.adaptive = adaptive;
+  const bool has_theory = r.flag();
+  DissimilarityMu::State theory;
+  theory.mu = r.f64();
+  theory.b_sq_ema = r.f64();
+  theory.has_estimate = r.flag();
+  if (has_theory) state.theory = theory;
   state.parameters = r.doubles();
   state.population = r.u64();
   state.churn_arrivals = r.u64();

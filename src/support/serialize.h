@@ -68,10 +68,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "comm/message.h"
+#include "core/adaptive_mu.h"
 #include "core/trainer.h"
 #include "tensor/tensor.h"
 
@@ -141,20 +143,14 @@ struct CheckpointState {
   std::uint64_t next_round = 0;   // first round the resumed run executes
   double mu = 0.0;                // effective mu for next_round
 
-  // AdaptiveMu / DissimilarityMu mutable state (core/adaptive_mu.h).
-  bool has_adaptive = false;
-  double adaptive_mu = 0.0;
-  double adaptive_last_loss = 0.0;
-  bool adaptive_has_last = false;
-  std::uint64_t adaptive_consecutive_decreases = 0;
-  bool has_theory = false;
-  double theory_mu = 0.0;
-  double theory_b_sq_ema = 1.0;
-  bool theory_has_estimate = false;
+  // The mu controller's mutable state (core/adaptive_mu.h), when the run
+  // has one. An absent controller is framed as its default State.
+  std::optional<AdaptiveMu::State> adaptive;
+  std::optional<DissimilarityMu::State> theory;
 
   Vector parameters;  // the global model, bit-exact
 
-  // Device registry snapshot (closed world: population bits all set).
+  // Device registry snapshot (without churn: population bits all set).
   std::uint64_t population = 0;
   std::uint64_t churn_arrivals = 0;
   std::uint64_t churn_departures = 0;

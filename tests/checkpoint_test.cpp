@@ -72,11 +72,7 @@ class CheckpointTest : public ::testing::Test {
     state.seed = 42;
     state.next_round = 9;
     state.mu = 0.75;
-    state.has_adaptive = true;
-    state.adaptive_mu = 0.5;
-    state.adaptive_last_loss = 1.25;
-    state.adaptive_has_last = true;
-    state.adaptive_consecutive_decreases = 3;
+    state.adaptive = AdaptiveMu::State{0.5, 1.25, true, 3};
     state.parameters = Vector{0.5, -1.25, 3.0, 0.0};
     state.population = 10;
     state.churn_arrivals = 7;
@@ -130,12 +126,12 @@ TEST_F(CheckpointTest, StateRoundTripsBitExact) {
   EXPECT_EQ(back.seed, state.seed);
   EXPECT_EQ(back.next_round, state.next_round);
   EXPECT_EQ(back.mu, state.mu);
-  EXPECT_TRUE(back.has_adaptive);
-  EXPECT_EQ(back.adaptive_mu, state.adaptive_mu);
-  EXPECT_EQ(back.adaptive_last_loss, state.adaptive_last_loss);
-  EXPECT_TRUE(back.adaptive_has_last);
-  EXPECT_EQ(back.adaptive_consecutive_decreases, 3u);
-  EXPECT_FALSE(back.has_theory);
+  ASSERT_TRUE(back.adaptive.has_value());
+  EXPECT_EQ(back.adaptive->mu, 0.5);
+  EXPECT_EQ(back.adaptive->last_loss, 1.25);
+  EXPECT_TRUE(back.adaptive->has_last);
+  EXPECT_EQ(back.adaptive->consecutive_decreases, 3u);
+  EXPECT_FALSE(back.theory.has_value());
   EXPECT_EQ(back.parameters, state.parameters);
   EXPECT_EQ(back.population, state.population);
   EXPECT_EQ(back.churn_arrivals, state.churn_arrivals);
@@ -226,6 +222,28 @@ TEST_F(CheckpointTest, WriterPrunesBeyondRetention) {
   EXPECT_NE(files[1].find("ckpt-000000000005.fpc"), std::string::npos);
   EXPECT_EQ(latest_checkpoint(dir_), files[1]);
   EXPECT_EQ(load_checkpoint_state(files[1]).next_round, 6u);
+}
+
+TEST_F(CheckpointTest, ListingSkipsNamesWhoseRoundOverflows) {
+  // A stray file whose round does not fit in a u64 is not a checkpoint:
+  // listing (and so resume, and the writer's pruning) skips it instead
+  // of throwing.
+  std::filesystem::create_directories(dir_);
+  const std::string stray = dir_ + "/ckpt-99999999999999999999999.fpc";
+  std::ofstream(stray) << "stray";
+  std::ofstream(dir_ + "/ckpt-18446744073709551616.fpc") << "stray";
+  CheckpointConfig config;
+  config.dir = dir_;
+  config.every = 1;
+  CheckpointWriter writer(config);
+  CheckpointState state = sample_state();
+  state.next_round = 4;
+  const std::string written = writer.write(state).path;
+  const auto files = list_checkpoints(dir_);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], written);
+  EXPECT_EQ(latest_checkpoint(dir_), written);
+  EXPECT_TRUE(std::filesystem::exists(stray));
 }
 
 TEST_F(CheckpointTest, TrainerWritesOnTheConfiguredCadence) {
@@ -506,6 +524,25 @@ TEST_F(CheckpointTest, CounterSeedingCarriesTotalsAcrossACrash) {
                 .value(),
             17u);
   EXPECT_EQ(registry.gauge("fed_rounds_total").value(), 0.0);
+  // Only digits make a counter value: a signed, fractional or
+  // out-of-range total is skipped, not wrapped.
+  {
+    std::ofstream out(path);
+    out << "# TYPE fed_rounds_total counter\n"
+        << "fed_rounds_total -1\n"
+        << "# TYPE fed_clients_total counter\n"
+        << "fed_clients_total +7\n"
+        << "# TYPE fed_stragglers_total counter\n"
+        << "fed_stragglers_total 2.5\n"
+        << "# TYPE fed_comm_retries_total counter\n"
+        << "fed_comm_retries_total 18446744073709551616\n";
+  }
+  MetricsRegistry fresh;
+  EXPECT_EQ(seed_counters_from_exposition(fresh, path), 0u);
+  EXPECT_EQ(fresh.counter("fed_rounds_total").value(), 0u);
+  EXPECT_EQ(fresh.counter("fed_clients_total").value(), 0u);
+  EXPECT_EQ(fresh.counter("fed_stragglers_total").value(), 0u);
+  EXPECT_EQ(fresh.counter("fed_comm_retries_total").value(), 0u);
   // A missing file is a fresh start, not an error.
   EXPECT_EQ(seed_counters_from_exposition(registry, dir_ + "/absent.prom"),
             0u);

@@ -1,5 +1,5 @@
 // Metrics registry: instrument semantics, concurrent updates from pool
-// workers, JSON/table snapshots, and the Trainer-fed MetricsObserver.
+// workers, snapshots, and the Trainer-fed MetricsObserver.
 
 #include "obs/metrics.h"
 
@@ -108,26 +108,6 @@ TEST_F(MetricsTest, ConcurrentUpdatesFromPoolWorkersAreLossless) {
   EXPECT_NEAR(snap.sum, 4.5 * kTasks * kPerTask, 1e-6);
   EXPECT_GE(last.value(), 0.0);
   EXPECT_LT(last.value(), static_cast<double>(kTasks));
-}
-
-TEST_F(MetricsTest, ToJsonAndRenderExposeInstruments) {
-  MetricsRegistry registry;
-  registry.counter("hits_total").add(3);
-  registry.gauge("temperature").set(21.5);
-  registry.histogram("latency").observe(1e-3);
-
-  const JsonValue dump = registry.to_json();
-  ASSERT_TRUE(dump.is_object());
-  EXPECT_DOUBLE_EQ(dump.at("counters").at("hits_total").as_number(), 3.0);
-  EXPECT_DOUBLE_EQ(dump.at("gauges").at("temperature").as_number(), 21.5);
-  const auto& lat = dump.at("histograms").at("latency");
-  EXPECT_DOUBLE_EQ(lat.at("count").as_number(), 1.0);
-  EXPECT_NEAR(lat.at("mean").as_number(), 1e-3, 1e-12);
-
-  const std::string table = registry.render();
-  EXPECT_NE(table.find("hits_total"), std::string::npos);
-  EXPECT_NE(table.find("temperature"), std::string::npos);
-  EXPECT_NE(table.find("latency"), std::string::npos);
 }
 
 TEST_F(MetricsTest, MetricsObserverFedByTrainerRun) {

@@ -1,7 +1,7 @@
 // Trace plumbing: JSONL sink output (one parseable line per round with
-// every phase key), the bytes-moved arithmetic, SolveStats/TraceSummary
-// (including the slowest solve's device and budget), and the stdout
-// summary sink.
+// every phase key), the bytes-moved arithmetic, SolveStats (including
+// the slowest solve's device and budget), and the pinned round
+// accounting.
 
 #include "obs/trace_sink.h"
 
@@ -23,6 +23,7 @@
 #include "support/json.h"
 #include "support/log.h"
 #include "support/serialize.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -86,29 +87,6 @@ TEST_F(TraceTest, SolveStatsFromSamples) {
   const SolveStats empty = SolveStats::from_samples({});
   EXPECT_EQ(empty.count, 0u);
   EXPECT_DOUBLE_EQ(empty.total_seconds, 0.0);
-}
-
-TEST_F(TraceTest, SummaryAccumulatesAcrossRounds) {
-  RoundTrace a;
-  a.sampling_seconds = 0.1;
-  a.aggregate_seconds = 0.2;
-  a.round_seconds = 1.0;
-  a.bytes_down = 100;
-  a.bytes_up = 50;
-  RoundTrace b;
-  b.eval_seconds = 0.4;
-  b.round_seconds = 0.5;
-  b.bytes_down = 10;
-
-  const std::vector<RoundTrace> traces{a, b};
-  const TraceSummary s = summarize(traces);
-  EXPECT_EQ(s.rounds, 2u);
-  EXPECT_NEAR(s.total_seconds, 1.5, 1e-12);
-  EXPECT_NEAR(s.sampling_seconds, 0.1, 1e-12);
-  EXPECT_NEAR(s.aggregate_seconds, 0.2, 1e-12);
-  EXPECT_NEAR(s.eval_seconds, 0.4, 1e-12);
-  EXPECT_EQ(s.bytes_down, 110u);
-  EXPECT_EQ(s.bytes_up, 50u);
 }
 
 TEST_F(TraceTest, JsonlSinkWritesHeaderPlusOneLinePerRecord) {
@@ -238,6 +216,145 @@ TEST_F(TraceTest, SlowestSolveNamesItsDeviceAndIterationBudget) {
   EXPECT_EQ(recorder.traces_.front().solve.max_iterations, 0u);
 }
 
+// Appends every RoundTrace column that does not depend on model values,
+// and every on_fault event, to one text record. The text is pinned by
+// its FNV-1a digest, so any change to round accounting (counts, bytes,
+// fault columns, simulated delay, shard slices, event kind/order/text)
+// shows up as a digest change.
+class AccountingRecorder final : public TrainingObserver {
+ public:
+  void on_fault(const FaultEvent& event) override {
+    text_ << "E " << to_string(event.kind) << " r" << event.round << " d"
+          << event.device << " a" << event.attempt << " " << event.detail
+          << "\n";
+    ++kinds_[static_cast<std::size_t>(event.kind)];
+  }
+  void on_round_end(const RoundMetrics& metrics,
+                    const RoundTrace& t) override {
+    const CommFaultStats& f = t.faults;
+    text_ << "R" << t.round << " eval " << t.evaluated << " sel "
+          << t.selected << " con " << t.contributors << " str "
+          << t.stragglers << " deg " << t.degraded << " act "
+          << t.active_devices << " arr " << t.arrivals << " dep "
+          << t.departures << " down " << t.bytes_down << " up " << t.bytes_up
+          << " solves " << t.solve.count << " | att " << f.attempts
+          << " ret " << f.retries << " drop " << f.drops << " corr "
+          << f.corruptions << " tmo " << f.timeouts << " dup " << f.duplicates
+          << " qd " << f.quorum_drops << " dpt " << f.departs << " fail "
+          << f.failed_devices << " upd " << f.up_deliveries << " delay "
+          << std::hexfloat << f.delay_ms << std::defaultfloat << " | m "
+          << metrics.contributors << "/" << metrics.stragglers << "\n";
+    for (const ShardStat& s : t.shards) {
+      text_ << "  S" << s.shard << " " << s.devices << " " << s.contributors
+            << " " << s.bytes_down << " " << s.bytes_up << "\n";
+    }
+  }
+
+  std::string text() const { return text_.str(); }
+  std::size_t count(FaultEvent::Kind kind) const {
+    return kinds_[static_cast<std::size_t>(kind)];
+  }
+  std::uint64_t digest() const {
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const char c : text_.str()) {
+      hash ^= static_cast<std::uint8_t>(c);
+      hash *= 1099511628211ull;
+    }
+    return hash;
+  }
+
+ private:
+  std::ostringstream text_;
+  std::array<std::size_t, 8> kinds_{};
+};
+
+// A hand-sized federation: 12 devices of 4..12 three-feature samples
+// each, every value a small dyadic rational. Client sizes (and hence
+// budgets) are fixed by hand, and the quadratic model calls no libm
+// function, so nothing host-dependent decides a count below.
+const FederatedDataset& accounting_data() {
+  static const FederatedDataset d = [] {
+    FederatedDataset data;
+    data.name = "hand_sized";
+    data.num_classes = 2;
+    data.input_dim = 3;
+    for (std::size_t k = 0; k < 12; ++k) {
+      const std::size_t n = 4 + (k * 5) % 9;
+      std::vector<Vector> train;
+      std::vector<Vector> test;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double base = static_cast<double>((k + 3 * i) % 8) * 0.25;
+        train.push_back(Vector{base, 1.0 - base, 0.5 * static_cast<double>(k)});
+      }
+      for (std::size_t i = 0; i < 2; ++i) {
+        test.push_back(Vector{0.5 * static_cast<double>(i), 0.25, 1.0});
+      }
+      data.clients.push_back({testing::make_dense_dataset(train),
+                              testing::make_dense_dataset(test)});
+    }
+    return data;
+  }();
+  return d;
+}
+
+void record_accounting(const TrainerConfig& config,
+                       AccountingRecorder& recorder) {
+  testing::QuadraticModel model(3);
+  Trainer trainer(model, accounting_data(), config);
+  trainer.add_observer(recorder);
+  trainer.run();
+}
+
+TEST_F(TraceTest, RoundAccountingIsPinned) {
+  // Closed world, faultless: FedProx keeps its stragglers.
+  TrainerConfig closed = fedprox_config(0.5);
+  closed.rounds = 6;
+  closed.devices_per_round = 5;
+  closed.batch_size = 4;
+  closed.learning_rate = 0.1;
+  closed.systems.epochs = 3;
+  closed.systems.straggler_fraction = 0.5;
+  closed.seed = 11;
+  closed.threads = 2;
+  AccountingRecorder closed_rec;
+  record_accounting(closed, closed_rec);
+  EXPECT_EQ(closed_rec.digest(), 0xd34418c13bef612bull) << closed_rec.text();
+
+  // Open world on a faulty channel: FedAvg drops its stragglers, and
+  // drops, corruptions, duplicates, delays, a deadline, a 0.7 quorum,
+  // churn departures and three shards all move the accounting.
+  TrainerConfig open = fedavg_config();
+  open.rounds = 12;
+  open.devices_per_round = 6;
+  open.batch_size = 4;
+  open.learning_rate = 0.1;
+  open.systems.epochs = 3;
+  open.systems.straggler_fraction = 0.5;
+  open.seed = 11;
+  open.threads = 2;
+  open.shards = 3;
+  open.faults.drop = 0.15;
+  open.faults.corrupt = 0.15;
+  open.faults.duplicate = 0.25;
+  open.faults.delay_ms = 60.0;
+  open.recovery.deadline_ms = 50.0;
+  open.recovery.quorum = 0.7;
+  open.churn.arrive = 0.2;
+  open.churn.depart = 0.2;
+  open.churn.initial = 9;
+  AccountingRecorder open_rec;
+  record_accounting(open, open_rec);
+  EXPECT_EQ(open_rec.digest(), 0xc2d6f742c4bfc79eull) << open_rec.text();
+  // The pin covers every per-device incident kind.
+  for (const FaultEvent::Kind kind :
+       {FaultEvent::Kind::kDrop, FaultEvent::Kind::kCorrupt,
+        FaultEvent::Kind::kTimeout, FaultEvent::Kind::kDuplicate,
+        FaultEvent::Kind::kDeviceFailed, FaultEvent::Kind::kQuorumDrop,
+        FaultEvent::Kind::kDepart}) {
+    EXPECT_GT(open_rec.count(kind), 0u) << to_string(kind);
+  }
+}
+
 TEST_F(TraceTest, TraceToJsonRoundTripsStructuralFields) {
   RoundTrace t;
   t.round = 7;
@@ -265,25 +382,6 @@ TEST_F(TraceTest, TraceToJsonRoundTripsStructuralFields) {
   // The JSON serializer round-trips numbers exactly.
   const JsonValue reparsed = parse_json(serialize_json(v));
   EXPECT_EQ(reparsed, v);
-}
-
-TEST_F(TraceTest, StdoutSummarySinkRendersPhaseTable) {
-  LogisticRegression model(data().input_dim, data().num_classes);
-  std::ostringstream out;
-  StdoutSummarySink sink(out);
-  TraceObserver tracer(sink);
-  Trainer trainer(model, data(), config(3));
-  trainer.add_observer(tracer);
-  trainer.run();
-
-  const std::string text = out.str();
-  EXPECT_NE(text.find("FedProx run: 4 rounds"), std::string::npos);
-  EXPECT_NE(text.find("12 client solves"), std::string::npos);
-  EXPECT_NE(text.find("sampling"), std::string::npos);
-  EXPECT_NE(text.find("local solve"), std::string::npos);
-  EXPECT_NE(text.find("aggregate"), std::string::npos);
-  EXPECT_NE(text.find("evaluation"), std::string::npos);
-  EXPECT_NE(text.find("total"), std::string::npos);
 }
 
 TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {

@@ -148,11 +148,7 @@ class SerializeFuzzTest : public ::testing::Test {
     state.seed = 7;
     state.next_round = 41;
     state.mu = 0.5;
-    state.has_adaptive = true;
-    state.adaptive_mu = 0.25;
-    state.adaptive_last_loss = 1.5;
-    state.adaptive_has_last = true;
-    state.adaptive_consecutive_decreases = 2;
+    state.adaptive = AdaptiveMu::State{0.25, 1.5, true, 2};
     state.parameters = Vector(23);
     for (std::size_t i = 0; i < state.parameters.size(); ++i) {
       state.parameters[i] = 0.5 * static_cast<double>(i) - 4.0;

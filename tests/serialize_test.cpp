@@ -6,11 +6,23 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "test_util.h"
 
 namespace fed {
 namespace {
+
+// FNV-1a over a byte range: the FPC1 trailer checksum.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
 
 class SerializeTest : public ::testing::Test {
  protected:
@@ -18,11 +30,7 @@ class SerializeTest : public ::testing::Test {
   // the body then reaches the structural checks instead of stopping at
   // the checksum.
   static WireBuffer reseal(WireBuffer body) {
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const std::uint8_t byte : body) {
-      hash ^= byte;
-      hash *= 1099511628211ull;
-    }
+    const std::uint64_t hash = fnv1a(body);
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(&hash);
     body.insert(body.end(), bytes, bytes + sizeof(hash));
     return body;
@@ -66,6 +74,74 @@ TEST_F(SerializeTest, CheckpointRoundTripsExactly) {
   }
 }
 
+// The FPC1 layout of support/serialize.h, written field by field
+// independently of the encoder.
+class Fpc1Frame {
+ public:
+  Fpc1Frame& u8(std::uint8_t v) {
+    bytes_.push_back(v);
+    return *this;
+  }
+  Fpc1Frame& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  Fpc1Frame& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
+  // Seals the frame with its FNV-1a trailer.
+  WireBuffer sealed() const {
+    Fpc1Frame out = *this;
+    return out.u64(fnv1a(bytes_)).bytes_;
+  }
+
+ private:
+  WireBuffer bytes_;
+};
+
+// One frame per mu controller: none (both sections zero, b_sq_ema 1.0),
+// AdaptiveMu, and DissimilarityMu.
+enum class Controller { kNone, kAdaptive, kTheory };
+
+WireBuffer pinned_checkpoint_frame(Controller controller) {
+  Fpc1Frame f;
+  for (const char c : {'F', 'P', 'C', '1'}) f.u8(static_cast<std::uint8_t>(c));
+  f.u64(2).u64(0x0123456789abcdefull).u64(7).u64(3).f64(0.25);
+  if (controller == Controller::kAdaptive) {
+    f.u8(1).f64(0.2).f64(1.125).u8(1).u64(3);
+  } else {
+    f.u8(0).f64(0.0).f64(0.0).u8(0).u64(0);
+  }
+  if (controller == Controller::kTheory) {
+    f.u8(1).f64(0.375).f64(2.5).u8(1);
+  } else {
+    f.u8(0).f64(0.0).f64(1.0).u8(0);
+  }
+  f.u64(2).f64(1.5).f64(-2.0);                 // parameters
+  f.u64(10).u64(4).u64(2).u64(2).u8(0xfb).u8(0x02);  // population, mask
+  f.u64(2);                                    // two round records
+  f.u64(0).u8(1).f64(2.0).f64(0.5).f64(0.25);  // round 0, evaluated
+  f.u8(1).f64(4.0).f64(1.5).f64(0.25).u8(0).f64(0.0).u64(0).u64(0);
+  f.u64(1).u8(0).f64(0.0).f64(0.0).f64(0.0);   // round 1, not evaluated
+  f.u8(0).f64(0.0).f64(0.0).f64(0.25).u8(1).f64(0.75).u64(4).u64(1);
+  return f.sealed();
+}
+
+TEST_F(SerializeTest, CheckpointFrameBytesArePinned) {
+  // Decoding a frame and encoding it again reproduces every byte: the
+  // layout, an absent controller's zeros, and b_sq_ema's 1.0 included.
+  const std::pair<Controller, std::uint64_t> cases[] = {
+      {Controller::kNone, 0x712d67d0e5f77e58ull},
+      {Controller::kAdaptive, 0x73f48c7dd68dd270ull},
+      {Controller::kTheory, 0xf3e137a40ddb2aebull},
+  };
+  for (const auto& [controller, digest] : cases) {
+    const WireBuffer frame = pinned_checkpoint_frame(controller);
+    EXPECT_EQ(frame.size(), 328u);
+    EXPECT_EQ(fnv1a(frame), digest);
+    EXPECT_EQ(encode_checkpoint_state(decode(frame)), frame)
+        << "controller " << static_cast<int>(controller);
+  }
+}
+
 TEST_F(SerializeTest, EmptyCheckpointSupported) {
   const CheckpointState back = decode(encode_checkpoint_state({}));
   EXPECT_TRUE(back.parameters.empty());
@@ -100,7 +176,7 @@ TEST_F(SerializeTest, CheckpointVersionOneIsRejected) {
 
 TEST_F(SerializeTest, TruncatedPayloadThrows) {
   WireBuffer body = body_of(encode_checkpoint_state(small_state()));
-  body.resize(body.size() - 8);  // lose the last round's stragglers
+  body.erase(body.end() - 8, body.end());  // lose the last round's stragglers
   EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
 }
 

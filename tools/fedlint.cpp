@@ -12,7 +12,7 @@
 //   fedlint --self-test                                    # rule engine
 //   fedlint --list-rules
 //
-// Rules (token/regex over comment- and string-stripped source):
+// Rules (token sequences over comment- and string-stripped source):
 //   randomness            std::random_device, rand()/srand(), *rand48,
 //                         getentropy/getrandom — every draw must come
 //                         from a counter-keyed, seeded stream
@@ -47,15 +47,17 @@
 // fedlint_self_test, fedlint fixture pair) and the default CI job.
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/cli.h"
@@ -64,9 +66,41 @@ namespace {
 
 namespace fs = std::filesystem;
 
+struct Token {
+  std::string text;
+  std::size_t pos = 0;  // offset in the line
+};
+
+// Splits a line into identifier/number runs and single punctuation
+// characters, dropping whitespace. A word token is a whole identifier,
+// so `rand` never matches inside `my_rand` or `operand`.
+std::vector<Token> tokenize(const std::string& line) {
+  const auto word = [&](std::size_t i) {
+    return i < line.size() &&
+           (std::isalnum(static_cast<unsigned char>(line[i])) ||
+            line[i] == '_');
+  };
+  std::vector<Token> tokens;
+  for (std::size_t i = 0; i < line.size();) {
+    if (std::isspace(static_cast<unsigned char>(line[i]))) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    if (word(i)) {
+      while (word(end)) ++end;
+    }
+    tokens.push_back({line.substr(i, end - i), i});
+    i = end;
+  }
+  return tokens;
+}
+
 struct Rule {
   std::string id;
-  std::regex pattern;
+  // Token sequences that trigger the rule, each split by tokenize() the
+  // way a source line is ("srand (" is `srand` followed by `(`).
+  std::vector<std::vector<Token>> patterns;
   // When non-empty, the rule only applies to files whose repo-relative
   // path contains one of these directory segments.
   std::vector<std::string> dir_filter;
@@ -80,42 +114,48 @@ struct Finding {
   std::string excerpt;
 };
 
+std::vector<std::vector<Token>> patterns(
+    std::initializer_list<const char*> sources) {
+  std::vector<std::vector<Token>> out;
+  for (const char* source : sources) out.push_back(tokenize(source));
+  return out;
+}
+
 const std::vector<Rule>& rules() {
-  static const std::vector<Rule> kRules = [] {
-    std::vector<Rule> r;
-    const auto flags = std::regex::ECMAScript | std::regex::optimize;
-    r.push_back({"randomness",
-                 std::regex(R"(\brandom_device\b|\bsrand\s*\(|\brand\s*\(|\bdrand48\b|\blrand48\b|\bmrand48\b|\bgetentropy\b|\bgetrandom\b)",
-                            flags),
-                 {},
-                 "nondeterministic randomness source; draw from a seeded, "
-                 "counter-keyed stream (support/rng.h) instead"});
-    r.push_back({"wall-clock",
-                 std::regex(R"(\bsystem_clock\b|\bsteady_clock\b|\bhigh_resolution_clock\b|\bgettimeofday\b|\bclock_gettime\b|\blocaltime\b|\bgmtime\b|\bstrftime\b|\basctime\b|\btime\s*\(\s*(nullptr|NULL|0)\s*\))",
-                            flags),
-                 {},
-                 "wall-clock read; simulation logic must use the simulated "
-                 "clock — wall time is allowlisted only for measurement "
-                 "(bench timing, phase stopwatches)"});
-    r.push_back({"unordered-container",
-                 std::regex(R"(\bunordered_(map|set|multimap|multiset)\b)",
-                            flags),
-                 {},
-                 "unspecified iteration order can leak into traces, wire "
-                 "bytes, or aggregation and break bit-identity; use "
-                 "std::map or a sorted vector"});
-    r.push_back({"float-accumulation",
-                 std::regex(R"(\bfloat\b)", flags),
-                 {"tensor", "sim"},
-                 "single-precision in a reduce path; accumulate in double "
-                 "or tensor/exact_sum (f32 belongs only in wire codecs)"});
-    r.push_back({"raw-new",
-                 std::regex(R"(\bnew\b|\bdelete\b)", flags),
-                 {},
-                 "raw new/delete; use std::make_unique / containers so "
-                 "ownership survives exceptions and fault injection"});
-    return r;
-  }();
+  static const std::vector<Rule> kRules = {
+      {"randomness",
+       patterns({"random_device", "srand (", "rand (", "drand48", "lrand48",
+                 "mrand48", "getentropy", "getrandom"}),
+       {},
+       "nondeterministic randomness source; draw from a seeded, "
+       "counter-keyed stream (support/rng.h) instead"},
+      {"wall-clock",
+       patterns({"system_clock", "steady_clock", "high_resolution_clock",
+                 "gettimeofday", "clock_gettime", "localtime", "gmtime",
+                 "strftime", "asctime", "time ( nullptr )", "time ( NULL )",
+                 "time ( 0 )"}),
+       {},
+       "wall-clock read; simulation logic must use the simulated "
+       "clock — wall time is allowlisted only for measurement "
+       "(bench timing, phase stopwatches)"},
+      {"unordered-container",
+       patterns({"unordered_map", "unordered_set", "unordered_multimap",
+                 "unordered_multiset"}),
+       {},
+       "unspecified iteration order can leak into traces, wire "
+       "bytes, or aggregation and break bit-identity; use "
+       "std::map or a sorted vector"},
+      {"float-accumulation",
+       patterns({"float"}),
+       {"tensor", "sim"},
+       "single-precision in a reduce path; accumulate in double "
+       "or tensor/exact_sum (f32 belongs only in wire codecs)"},
+      {"raw-new",
+       patterns({"new", "delete"}),
+       {},
+       "raw new/delete; use std::make_unique / containers so "
+       "ownership survives exceptions and fault injection"},
+  };
   return kRules;
 }
 
@@ -133,7 +173,8 @@ std::string strip_comments_and_strings(const std::string& src) {
     kRawString,
   };
   State state = State::kCode;
-  std::string raw_terminator;  // )delim" for the active raw string
+  // The active raw string's delimiter: it ends at `)delim"`.
+  std::string_view raw_delim;
   for (std::size_t i = 0; i < src.size(); ++i) {
     const char c = src[i];
     const char next = i + 1 < src.size() ? src[i + 1] : '\0';
@@ -154,8 +195,7 @@ std::string strip_comments_and_strings(const std::string& src) {
           // Raw string: R"delim( ... )delim"
           std::size_t open = src.find('(', i + 2);
           if (open == std::string::npos) break;  // malformed; give up
-          raw_terminator =
-              ")" + src.substr(i + 2, open - (i + 2)) + "\"";
+          raw_delim = std::string_view(src).substr(i + 2, open - (i + 2));
           for (std::size_t j = i; j <= open; ++j) out[j] = ' ';
           i = open;
           state = State::kRawString;
@@ -204,11 +244,12 @@ std::string strip_comments_and_strings(const std::string& src) {
         }
         break;
       case State::kRawString:
-        if (src.compare(i, raw_terminator.size(), raw_terminator) == 0) {
-          for (std::size_t j = 0; j < raw_terminator.size(); ++j) {
-            out[i + j] = ' ';
-          }
-          i += raw_terminator.size() - 1;
+        if (const std::size_t end = i + 1 + raw_delim.size();
+            c == ')' && end < src.size() && src[end] == '"' &&
+            std::string_view(src).substr(i + 1, raw_delim.size()) ==
+                raw_delim) {
+          for (std::size_t j = i; j <= end; ++j) out[j] = ' ';
+          i = end;
           state = State::kCode;
         } else if (c != '\n') {
           out[i] = ' ';
@@ -231,17 +272,14 @@ bool path_has_dir(const std::string& rel_path,
   return false;
 }
 
-// `delete` has one legitimate token-level use the regex cannot see:
-// deleted special members (`= delete`). `new` has none.
-bool is_deleted_function(const std::string& line, std::size_t match_pos,
-                         const std::string& match) {
-  if (match.rfind("delete", 0) != 0) return false;
-  for (std::size_t i = match_pos; i-- > 0;) {
-    const char c = line[i];
-    if (c == ' ' || c == '\t') continue;
-    return c == '=';
+// Length of the match of `pattern` at tokens[k], or 0 for none.
+std::size_t match_at(const std::vector<Token>& tokens, std::size_t k,
+                     const std::vector<Token>& pattern) {
+  if (k + pattern.size() > tokens.size()) return 0;
+  for (std::size_t j = 0; j < pattern.size(); ++j) {
+    if (tokens[k + j].text != pattern[j].text) return 0;
   }
-  return false;
+  return pattern.size();
 }
 
 void scan_content(const std::string& rel_path, const std::string& content,
@@ -252,17 +290,27 @@ void scan_content(const std::string& rel_path, const std::string& content,
   std::size_t line_no = 0;
   while (std::getline(lines, line)) {
     ++line_no;
+    const std::vector<Token> tokens = tokenize(line);
     for (const Rule& rule : rules()) {
       if (!path_has_dir(rel_path, rule.dir_filter)) continue;
-      auto begin =
-          std::sregex_iterator(line.begin(), line.end(), rule.pattern);
-      for (auto it = begin; it != std::sregex_iterator(); ++it) {
-        if (is_deleted_function(line, static_cast<std::size_t>(it->position()),
-                                it->str())) {
+      bool found = false;  // one finding per rule per line is enough
+      for (std::size_t k = 0; k < tokens.size() && !found; ++k) {
+        // `delete` has one legitimate use: deleted special members.
+        if (tokens[k].text == "delete" && k > 0 &&
+            tokens[k - 1].text == "=") {
           continue;
         }
-        findings.push_back({rel_path, line_no, rule.id, it->str()});
-        break;  // one finding per rule per line is enough
+        for (const std::vector<Token>& pattern : rule.patterns) {
+          const std::size_t n = match_at(tokens, k, pattern);
+          if (n == 0) continue;
+          const Token& last = tokens[k + n - 1];
+          findings.push_back(
+              {rel_path, line_no, rule.id,
+               line.substr(tokens[k].pos,
+                           last.pos + last.text.size() - tokens[k].pos)});
+          found = true;
+          break;
+        }
       }
     }
   }
@@ -393,8 +441,13 @@ int run_self_test() {
        "// rand() and new and steady_clock in a comment\n"
        "const char* s = \"std::random_device\";\n",
        {}},
-      // A raw string holding banned tokens stays inert.
+      // A raw string holding banned tokens stays inert, whatever its
+      // delimiter, even with a `)"` inside.
       {"src/i.cpp", "const char* r = R\"(rand() new delete)\";\n", {}},
+      {"src/i2.cpp", "auto r = R\"d(rand() )\" new)d\"; int n = 0;\n", {}},
+      // Tokens are whole identifiers; spacing inside a call is free.
+      {"src/j.cpp", "my_rand(); operand(); randomize();\n", {}},
+      {"src/k.cpp", "auto t = time ( 0 );\n", {"wall-clock"}},
       // The seeded-good snippet: deterministic idioms pass everything.
       {"src/good.cpp",
        "#include <map>\n#include <memory>\n"
