@@ -1,12 +1,24 @@
 #include "data/sequence.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "tensor/ops.h"
 
 namespace fed {
+
+void softmax_inplace(std::span<double> logits) {
+  assert(!logits.empty());
+  const double m = *std::max_element(logits.begin(), logits.end());
+  double total = 0.0;
+  for (double& v : logits) {
+    v = std::exp(v - m);
+    total += v;
+  }
+  for (double& v : logits) v /= total;
+}
 
 NextCharConfig shakespeare_like_config(std::uint64_t seed, double scale) {
   NextCharConfig c;

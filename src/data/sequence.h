@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "data/dataset.h"
@@ -78,5 +79,10 @@ SentimentConfig sent140_like_config(std::uint64_t seed = 1,
 
 FederatedDataset make_next_char(const NextCharConfig& config);
 FederatedDataset make_sentiment(const SentimentConfig& config);
+
+// In-place softmax over `logits` (max-shifted, host libm exp). The
+// generators' per-device distributions; part of data generation, not of
+// any model.
+void softmax_inplace(std::span<double> logits);
 
 }  // namespace fed

@@ -1,41 +1,34 @@
 #include "nn/loss.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 
 namespace fed {
 
 double softmax_cross_entropy_grad(std::span<double> logits,
                                   std::int32_t label) {
   assert(label >= 0 && static_cast<std::size_t>(label) < logits.size());
-  const double lse = log_sum_exp(logits);
-  const double loss = lse - logits[static_cast<std::size_t>(label)];
+  const auto y = static_cast<std::size_t>(label);
+  const double m = *std::max_element(logits.begin(), logits.end());
+  for (double& v : logits) v -= m;
+  const double shifted_y = logits[y];
+  vmath::exp(logits, logits);
+  const double total = sum(logits);
   // logits <- softmax(logits) - onehot(label)
-  for (double& v : logits) v = std::exp(v - lse);
-  logits[static_cast<std::size_t>(label)] -= 1.0;
-  return loss;
+  for (double& v : logits) v /= total;
+  logits[y] -= 1.0;
+  return vmath::log(total) - shifted_y;
 }
 
 double softmax_cross_entropy(std::span<const double> logits,
                              std::int32_t label) {
   assert(label >= 0 && static_cast<std::size_t>(label) < logits.size());
-  return log_sum_exp(logits) - logits[static_cast<std::size_t>(label)];
-}
-
-double binary_cross_entropy_grad(double logit, std::int32_t label,
-                                 double& grad_logit) {
-  const double p = sigmoid(logit);
-  grad_logit = p - static_cast<double>(label);
-  return binary_cross_entropy(logit, label);
-}
-
-double binary_cross_entropy(double logit, std::int32_t label) {
-  // Stable: log(1+exp(-|x|)) + max(x,0) - x*label
-  const double max_part = logit > 0.0 ? logit : 0.0;
-  return max_part - logit * static_cast<double>(label) +
-         std::log1p(std::exp(-std::abs(logit)));
+  const double m = *std::max_element(logits.begin(), logits.end());
+  return vmath::log(sum_exp(logits, m)) -
+         (logits[static_cast<std::size_t>(label)] - m);
 }
 
 }  // namespace fed

@@ -1,5 +1,11 @@
-// Loss primitives shared by the models: softmax cross-entropy and binary
-// cross-entropy, each returning loss and the gradient w.r.t. logits.
+// Softmax cross-entropy, the loss every model classifies with, returning
+// the loss and, for training, the gradient w.r.t. the logits.
+//
+// With m = max(v) and e_c = vmath::exp(v_c - m), one exp per class:
+//   loss = vmath::log(sum(e)) - (v_y - m)
+//   grad = e / sum(e) - onehot(y)
+// sum(e) runs in class order from 0.0 (tensor/ops.h sum_exp), so the
+// loss-only and gradient calls return the same loss bits.
 
 #pragma once
 
@@ -17,12 +23,5 @@ double softmax_cross_entropy_grad(std::span<double> logits,
 // Loss only (logits preserved).
 double softmax_cross_entropy(std::span<const double> logits,
                              std::int32_t label);
-
-// Binary cross-entropy with a single logit and label in {0,1}.
-// grad_logit receives dLoss/dLogit = sigmoid(logit) - label.
-double binary_cross_entropy_grad(double logit, std::int32_t label,
-                                 double& grad_logit);
-
-double binary_cross_entropy(double logit, std::int32_t label);
 
 }  // namespace fed

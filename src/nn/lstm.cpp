@@ -9,6 +9,7 @@
 #include "nn/batch.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 
 namespace fed {
 
@@ -209,34 +210,35 @@ MatrixView LstmPass::forward(const Dataset& data,
       MatrixView tanh_cell = shape(lay.tanh_cell, rows, h);
       MatrixView hidden = shape(lay.hidden, rows, h);
       for (std::size_t s = 0; s < samples_; ++s) {
-        const double* zx_s = zx.row(s).data();
-        const double* zh_s = zh.row(s).data();
-        double* h_s = hs.row(s).data();
-        double* c_s = cs.row(s).data();
-        const auto z = [&](Gate g, std::size_t j) {
-          const std::size_t k = g * h + j;
-          return (zx_s[k] + zh_s[k]) + lay.b[k];
-        };
+        // z over Wx x in place, then the gates as span passes: sigmoid
+        // over i and f, tanh over g, sigmoid over o.
+        const std::span<double> z = zx.row(s);
+        const std::span<const double> zh_s = zh.row(s);
+        for (std::size_t k = 0; k < 4 * h; ++k) {
+          z[k] = (z[k] + zh_s[k]) + lay.b[k];
+        }
+        const std::size_t r = train_ ? row(s, t) : 0;
+        const std::span<double> act = train_ ? gates.row(r) : z;
+        vmath::sigmoid(z.first(2 * h), act.first(2 * h));
+        vmath::tanh(z.subspan(kCandidate * h, h),
+                    act.subspan(kCandidate * h, h));
+        vmath::sigmoid(z.subspan(kOutput * h, h), act.subspan(kOutput * h, h));
+        const double* gi = act.data() + kInput * h;
+        const double* gf = act.data() + kForget * h;
+        const double* gg = act.data() + kCandidate * h;
+        const double* go = act.data() + kOutput * h;
+        const std::span<double> c_s = cs.row(s);
+        const std::span<double> h_s = hs.row(s);
         for (std::size_t j = 0; j < h; ++j) {
-          const double gi = sigmoid(z(kInput, j));
-          const double gf = sigmoid(z(kForget, j));
-          const double gg = std::tanh(z(kCandidate, j));
-          const double go = sigmoid(z(kOutput, j));
-          const double c_new = gf * c_s[j] + gi * gg;
-          const double tc = std::tanh(c_new);
-          const double h_new = go * tc;
-          c_s[j] = c_new;
-          h_s[j] = h_new;
-          if (train_) {
-            const std::size_t r = row(s, t);
-            gates(r, kInput * h + j) = gi;
-            gates(r, kForget * h + j) = gf;
-            gates(r, kCandidate * h + j) = gg;
-            gates(r, kOutput * h + j) = go;
-            cell(r, j) = c_new;
-            tanh_cell(r, j) = tc;
-            hidden(r, j) = h_new;
-          }
+          c_s[j] = gf[j] * c_s[j] + gi[j] * gg[j];
+        }
+        // tanh(c) goes to the stored activations, or straight into h.
+        const std::span<double> tc = train_ ? tanh_cell.row(r) : h_s;
+        vmath::tanh(c_s, tc);
+        for (std::size_t j = 0; j < h; ++j) h_s[j] = go[j] * tc[j];
+        if (train_) {
+          copy(c_s, cell.row(r));
+          copy(h_s, hidden.row(r));
         }
       }
       in = hs;  // feeds the next layer

@@ -6,6 +6,7 @@
 
 #include "nn/batch.h"
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 
 namespace fed {
 
@@ -61,7 +62,9 @@ MatrixView Mlp::forward(const Blocks& p, const Dataset& data,
   MatrixView hidden_t = shape(s.hidden_t, hidden_dim_, chunk.size());
   gemm(p.w1, gather_columns(data.features, chunk, s.x_t), hidden_t);
   for (std::size_t h = 0; h < hidden_dim_; ++h) {
-    for (double& v : hidden_t.row(h)) v = std::tanh(v + p.b1[h]);
+    const std::span<double> row = hidden_t.row(h);
+    for (double& v : row) v += p.b1[h];
+    vmath::tanh(row, row);
   }
   MatrixView product = shape(s.product, num_classes_, chunk.size());
   gemm(p.w2, hidden_t, product);

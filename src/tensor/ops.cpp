@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "tensor/vmath.h"
+
 namespace fed {
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
@@ -253,35 +255,23 @@ void transpose(const ConstMatrixView& a, MatrixView at) {
   }
 }
 
-double sigmoid(double x) {
-  // Split by sign to avoid overflow in exp.
-  if (x >= 0.0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
-}
-
-double tanh_activation(double x) { return std::tanh(x); }
-
-void softmax_inplace(std::span<double> logits) {
-  assert(!logits.empty());
-  const double m = *std::max_element(logits.begin(), logits.end());
+double sum_exp(std::span<const double> x, double shift) {
+  constexpr std::size_t kChunk = 64;
+  double e[kChunk];
   double total = 0.0;
-  for (double& v : logits) {
-    v = std::exp(v - m);
-    total += v;
+  for (std::size_t i = 0; i < x.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, x.size() - i);
+    for (std::size_t j = 0; j < n; ++j) e[j] = x[i + j] - shift;
+    vmath::exp({e, n}, {e, n});
+    for (std::size_t j = 0; j < n; ++j) total += e[j];
   }
-  for (double& v : logits) v /= total;
+  return total;
 }
 
 double log_sum_exp(std::span<const double> logits) {
   assert(!logits.empty());
   const double m = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double v : logits) total += std::exp(v - m);
-  return m + std::log(total);
+  return m + vmath::log(sum_exp(logits, m));
 }
 
 std::size_t argmax(std::span<const double> x) {

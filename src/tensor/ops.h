@@ -92,12 +92,18 @@ void ger_batch(const ConstMatrixView& x, const ConstMatrixView& y,
 void transpose(const ConstMatrixView& a, MatrixView at);
 
 // ---- nonlinearities --------------------------------------------------------
+//
+// Every transcendental of the model path is tensor/vmath.h's: exp, log,
+// tanh and sigmoid in fixed IEEE double arithmetic, each element's result
+// a pure function of its input, the same bits on every host. Nothing in
+// nn/, tensor/ or optim/ calls libm's (tools/fedlint rule libm-in-model).
+// Sums below run in index order from 0.0, as sum() does.
 
-double sigmoid(double x);
-double tanh_activation(double x);
-// In-place numerically stable softmax over `logits`.
-void softmax_inplace(std::span<double> logits);
-// log(sum(exp(logits))) computed stably.
+// sum of vmath::exp(x[i] - shift), i ascending. Bitwise equal to
+// subtracting `shift`, one span vmath::exp, then sum().
+double sum_exp(std::span<const double> x, double shift);
+// max + vmath::log(sum_exp(logits, max)): log(sum(exp(logits))) without
+// overflow.
 double log_sum_exp(std::span<const double> logits);
 // Index of the maximum element. Requires non-empty input; ties -> lowest.
 std::size_t argmax(std::span<const double> x);

@@ -14,6 +14,7 @@
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 #include "test_util.h"
 
 namespace fed {
@@ -149,7 +150,7 @@ class ReferenceMlp {
                std::span<double> hidden, std::span<double> logits) const {
     gemv(p.w1, x, hidden);
     for (std::size_t h = 0; h < hidden_; ++h) {
-      hidden[h] = std::tanh(hidden[h] + p.b1[h]);
+      hidden[h] = vmath::tanh(hidden[h] + p.b1[h]);
     }
     gemv(p.w2, hidden, logits);
     for (std::size_t c = 0; c < classes_; ++c) logits[c] += p.b2[c];

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "data/sequence.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -42,52 +43,20 @@ TEST(SoftmaxCrossEntropy, StableAtHugeLogits) {
   EXPECT_TRUE(std::isfinite(loss_wrong));
 }
 
-TEST(BinaryCrossEntropy, MatchesClosedForm) {
-  const double logit = 0.7;
-  const double expected = -std::log(sigmoid(logit));
-  EXPECT_NEAR(binary_cross_entropy(logit, 1), expected, 1e-12);
-  const double expected0 = -std::log(1.0 - sigmoid(logit));
-  EXPECT_NEAR(binary_cross_entropy(logit, 0), expected0, 1e-12);
-}
-
-TEST(BinaryCrossEntropy, GradIsSigmoidMinusLabel) {
-  double grad = 0.0;
-  binary_cross_entropy_grad(0.3, 1, grad);
-  EXPECT_NEAR(grad, sigmoid(0.3) - 1.0, 1e-12);
-  binary_cross_entropy_grad(-0.8, 0, grad);
-  EXPECT_NEAR(grad, sigmoid(-0.8), 1e-12);
-}
-
-TEST(BinaryCrossEntropy, StableAtExtremeLogits) {
-  EXPECT_TRUE(std::isfinite(binary_cross_entropy(1000.0, 0)));
-  EXPECT_NEAR(binary_cross_entropy(1000.0, 1), 0.0, 1e-9);
-  EXPECT_NEAR(binary_cross_entropy(-1000.0, 0), 0.0, 1e-9);
-}
-
-// Central-difference sanity of the two loss gradients.
+// Central-difference sanity of the loss gradient.
 TEST(LossGradients, FiniteDifferenceAgreement) {
   const double eps = 1e-6;
-  {
-    Vector base{0.4, -0.3, 1.1};
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      Vector up = base, down = base;
-      up[i] += eps;
-      down[i] -= eps;
-      const double numeric = (softmax_cross_entropy(up, 2) -
-                              softmax_cross_entropy(down, 2)) /
-                             (2 * eps);
-      Vector grad = base;
-      softmax_cross_entropy_grad(grad, 2);
-      EXPECT_NEAR(grad[i], numeric, 1e-7);
-    }
-  }
-  {
-    double grad = 0.0;
-    binary_cross_entropy_grad(0.37, 1, grad);
-    const double numeric = (binary_cross_entropy(0.37 + eps, 1) -
-                            binary_cross_entropy(0.37 - eps, 1)) /
-                           (2 * eps);
-    EXPECT_NEAR(grad, numeric, 1e-7);
+  Vector base{0.4, -0.3, 1.1};
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    Vector up = base, down = base;
+    up[i] += eps;
+    down[i] -= eps;
+    const double numeric =
+        (softmax_cross_entropy(up, 2) - softmax_cross_entropy(down, 2)) /
+        (2 * eps);
+    Vector grad = base;
+    softmax_cross_entropy_grad(grad, 2);
+    EXPECT_NEAR(grad[i], numeric, 1e-7);
   }
 }
 

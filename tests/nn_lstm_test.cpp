@@ -9,6 +9,7 @@
 #include "nn/grad_check.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
+#include "tensor/vmath.h"
 #include "test_util.h"
 
 namespace fed {
@@ -131,7 +132,7 @@ class ReferenceLstm {
           for (std::size_t j = 0; j < h; ++j) {
             const double gi = tr.gate_i(t, j), gf = tr.gate_f(t, j);
             const double gg = tr.gate_g(t, j), go = tr.gate_o(t, j);
-            const double tc = std::tanh(tr.cell(t, j));
+            const double tc = vmath::tanh(tr.cell(t, j));
             const double dht = dh_run[j];
             const double dct = dc_run[j] + dht * go * (1.0 - tc * tc);
             const double d_go = dht * tc;
@@ -269,12 +270,12 @@ class ReferenceLstm {
         add(z, lay.b, z);
         if (traces) copy(layer_in, (*traces)[l].input.row(t));
         for (std::size_t j = 0; j < h; ++j) {
-          const double gi = sigmoid(z[j]);
-          const double gf = sigmoid(z[h + j]);
-          const double gg = std::tanh(z[2 * h + j]);
-          const double go = sigmoid(z[3 * h + j]);
+          const double gi = vmath::sigmoid(z[j]);
+          const double gf = vmath::sigmoid(z[h + j]);
+          const double gg = vmath::tanh(z[2 * h + j]);
+          const double go = vmath::sigmoid(z[3 * h + j]);
           const double c_new = gf * c_prev[l][j] + gi * gg;
-          const double h_new = go * std::tanh(c_new);
+          const double h_new = go * vmath::tanh(c_new);
           if (traces) {
             Trace& tr = (*traces)[l];
             tr.gate_i(t, j) = gi;

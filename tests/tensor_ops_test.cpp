@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <limits>
 
+#include "data/sequence.h"
 #include "support/rng.h"
 #include "tensor/tensor.h"
+#include "tensor/vmath.h"
 
 namespace fed {
 namespace {
@@ -266,10 +268,10 @@ TEST(MatrixOps, GemmShapeMismatchThrows) {
 }
 
 TEST(Nonlinearities, SigmoidBoundsAndSymmetry) {
-  EXPECT_DOUBLE_EQ(sigmoid(0.0), 0.5);
-  EXPECT_NEAR(sigmoid(5.0) + sigmoid(-5.0), 1.0, 1e-12);
-  EXPECT_GT(sigmoid(1000.0), 0.999);   // no overflow
-  EXPECT_LT(sigmoid(-1000.0), 0.001);  // no underflow to nan
+  EXPECT_DOUBLE_EQ(vmath::sigmoid(0.0), 0.5);
+  EXPECT_NEAR(vmath::sigmoid(5.0) + vmath::sigmoid(-5.0), 1.0, 1e-12);
+  EXPECT_GT(vmath::sigmoid(1000.0), 0.999);   // no overflow
+  EXPECT_LT(vmath::sigmoid(-1000.0), 0.001);  // no underflow to nan
 }
 
 TEST(Nonlinearities, SoftmaxIsDistribution) {

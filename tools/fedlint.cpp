@@ -36,6 +36,13 @@
 //   raw-new               raw new/delete — ownership goes through
 //                         make_unique/containers so sanitizer and
 //                         fault-injection paths can't leak.
+//   libm-in-model         std::exp/log/log1p/expm1/tanh/pow/sin/cos
+//                         inside nn/, tensor/ or optim/ — libm's last
+//                         bit varies by host and glibc code path, so
+//                         the model path uses tensor/vmath.h. Data
+//                         generation (data/, support/rng, sim/systems)
+//                         may call libm; its outputs are pinned by
+//                         digest (tests/golden_test.cpp).
 //
 // Allowlist file: one `path-prefix rule-id` pair per line (# comments),
 // paths relative to --root with forward slashes. An entry that matches
@@ -155,6 +162,12 @@ const std::vector<Rule>& rules() {
        {},
        "raw new/delete; use std::make_unique / containers so "
        "ownership survives exceptions and fault injection"},
+      {"libm-in-model",
+       patterns({"std :: exp", "std :: log", "std :: log1p", "std :: expm1",
+                 "std :: tanh", "std :: pow", "std :: sin", "std :: cos"}),
+       {"nn", "tensor", "optim"},
+       "libm transcendental on the model path; its last bit depends on "
+       "the host, so use tensor/vmath.h (exp, log, tanh, sigmoid)"},
   };
   return kRules;
 }
@@ -448,6 +461,19 @@ int run_self_test() {
       // Tokens are whole identifiers; spacing inside a call is free.
       {"src/j.cpp", "my_rand(); operand(); randomize();\n", {}},
       {"src/k.cpp", "auto t = time ( 0 );\n", {"wall-clock"}},
+      {"src/nn/l.cpp", "double y = std::tanh(x) + std::exp(-x);\n",
+       {"libm-in-model"}},
+      {"src/optim/l2.cpp", "auto p = std :: pow(b, 2.0);\n",
+       {"libm-in-model"}},
+      {"src/tensor/l3.cpp", "double a = std::log1p(x), b = std::cos(x);\n",
+       {"libm-in-model"}},
+      // Data generation may call libm; sqrt is exact, so it is not flagged;
+      // the in-repo kernel's names are not libm's.
+      {"src/data/l4.cpp", "double y = std::exp(x);\n", {}},
+      {"src/nn/l5.cpp",
+       "double r = std::sqrt(x); double e = vmath::exp(x);\n"
+       "std::exponential_distribution<> d; auto l = std::logic_error(\"\");\n",
+       {}},
       // The seeded-good snippet: deterministic idioms pass everything.
       {"src/good.cpp",
        "#include <map>\n#include <memory>\n"

@@ -1,6 +1,7 @@
 // fedlint bad fixture: one seeded violation per rule (except
-// float-accumulation, which lives in ../tensor/). The fedlint_bad ctest
-// asserts fedlint exits non-zero on this tree and names each rule.
+// float-accumulation, which lives in ../tensor/, and libm-in-model, in
+// ../nn/). The fedlint_bad ctest asserts fedlint exits non-zero on this
+// tree and names each rule.
 
 #include <chrono>
 #include <cstdlib>
