@@ -11,6 +11,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
+#include "obs/observer.h"
 #include "support/log.h"
 #include "support/serialize.h"
 #include "support/threadpool.h"
@@ -161,6 +162,46 @@ TEST_F(MetricsTest, MetricsObserverFedByTrainerRun) {
             history.rounds.size());
   EXPECT_EQ(registry.histogram("fed_client_solve_seconds").snapshot().count,
             5u * 4u);
+}
+
+// FedAvg drops its stragglers at aggregation, so the updates the server
+// accepted (one solve each) outnumber the contributors: fed_clients_total
+// and the solve-time histogram count the former.
+TEST_F(MetricsTest, FedAvgClientsCountAcceptedUpdatesNotContributors) {
+  SyntheticConfig sc = synthetic_config(0.5, 0.5, 23);
+  sc.num_devices = 8;
+  sc.min_samples = 12;
+  sc.mean_log = 2.5;
+  sc.sigma_log = 0.4;
+  const FederatedDataset data = make_synthetic(sc);
+  LogisticRegression model(data.input_dim, data.num_classes);
+
+  TrainerConfig c = fedavg_config();
+  c.rounds = 6;
+  c.devices_per_round = 4;
+  c.systems.epochs = 3;
+  c.systems.straggler_fraction = 0.5;
+  c.learning_rate = 0.03;
+  c.seed = 23;
+
+  MetricsRegistry registry;
+  MetricsObserver metrics(registry);
+  TraceCollector collector;
+  Trainer trainer(model, data, c);
+  trainer.add_observer(metrics);
+  trainer.add_observer(collector);
+  (void)trainer.run();
+
+  std::uint64_t solves = 0;
+  std::uint64_t contributors = 0;
+  for (const RoundTrace& t : collector.traces()) {
+    solves += t.solve.count;
+    contributors += t.contributors;
+  }
+  EXPECT_EQ(registry.counter("fed_clients_total").value(), solves);
+  EXPECT_EQ(registry.histogram("fed_client_solve_seconds").snapshot().count,
+            solves);
+  EXPECT_GT(solves, contributors);
 }
 
 }  // namespace

@@ -384,6 +384,53 @@ TEST_F(TraceTest, TraceToJsonRoundTripsStructuralFields) {
   EXPECT_EQ(reparsed, v);
 }
 
+// Every RoundTrace field set to its own non-zero value, with two shards
+// and a written checkpoint, so a swapped or dropped key changes the line.
+RoundTrace distinct_trace() {
+  RoundTrace t;
+  t.round = 1;
+  t.evaluated = true;
+  t.selected = 2;
+  t.contributors = 3;
+  t.stragglers = 4;
+  t.faults = {5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15.5};
+  t.shards = {{16, 17, 18, 19, 20, 21}, {22, 23, 24, 25, 26, 27}};
+  t.degraded = true;
+  t.active_devices = 28;
+  t.arrivals = 29;
+  t.departures = 30;
+  t.checkpoint = {true, 31, 32, 33, 34, 35.5};
+  t.sampling_seconds = 36.5;
+  t.correction_seconds = 37.5;
+  t.solve = {38, 39.5, 40.5, 41.5, 42.5, 43, 44};
+  t.solve_wall_seconds = 45.5;
+  t.aggregate_seconds = 46.5;
+  t.eval_seconds = 47.5;
+  t.round_seconds = 48.5;
+  t.bytes_down = 49;
+  t.bytes_up = 50;
+  return t;
+}
+
+TEST_F(TraceTest, JsonlFormatIsPinned) {
+  EXPECT_EQ(
+      serialize_json(trace_to_json(distinct_trace())),
+      R"({"active_devices":28,"arrivals":29,"bytes_down":49,"bytes_up":50,)"
+      R"("checkpoint":{"bytes":32,"generations":33,"retain":34,"round":31,)"
+      R"("write_s":35.5},"contributors":3,"degraded":true,"departures":30,)"
+      R"("evaluated":true,"faults":{"attempts":5,"corruptions":8,)"
+      R"("delay_ms":15.5,"departs":12,"drops":7,"duplicates":10,)"
+      R"("failed_devices":13,"quorum_drops":11,"retries":6,"timeouts":9,)"
+      R"("up_deliveries":14},"phases":{"aggregate_s":46.5,)"
+      R"("correction_s":37.5,"eval_s":47.5,"sampling_s":36.5,"solve":)"
+      R"({"count":38,"max_device":43,"max_iterations":44,"max_s":42.5,)"
+      R"("mean_s":41.5,"min_s":40.5,"total_s":39.5},"solve_wall_s":45.5},)"
+      R"("round":1,"round_s":48.5,"selected":2,"shards":[{"bytes_down":19,)"
+      R"("bytes_up":20,"contributors":18,"devices":17,"partial_bytes":21,)"
+      R"("shard":16},{"bytes_down":25,"bytes_up":26,"contributors":24,)"
+      R"("devices":23,"partial_bytes":27,"shard":22}],"stragglers":4})");
+}
+
 TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {
   const std::string dir = ::testing::TempDir() + "fedprox_obs_trace";
   const std::string path = dir + "/nested/trace.jsonl";
