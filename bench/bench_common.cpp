@@ -26,8 +26,6 @@ BenchOptions parse_options(const CliFlags& flags) {
   options.trace_rotate_mb =
       static_cast<std::size_t>(flags.get_int("trace-rotate-mb", 0));
   options.metrics_out = flags.get_optional_string("metrics-out").value_or("");
-  options.metrics_every = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("metrics-every", 1)));
   options.transport = flags.get_string("transport", "inprocess");
   parse_transport_kind(options.transport);  // fail fast on a bad value
   if (auto faults = flags.get_optional_string("faults")) {
@@ -139,10 +137,9 @@ TraceCapture::TraceCapture(const BenchOptions& options) {
       }
     }
     metrics_ = std::make_unique<MetricsObserver>(*registry_);
-    exporter_ = std::make_unique<MetricsExporter>(
-        *registry_, options.metrics_out, options.metrics_every);
-    log_info() << "publishing Prometheus metrics to " << options.metrics_out
-               << " every " << options.metrics_every << " round(s)";
+    exporter_ =
+        std::make_unique<MetricsExporter>(*registry_, options.metrics_out);
+    log_info() << "publishing Prometheus metrics to " << options.metrics_out;
   }
   if (metrics_) {
     // The feeder must run before the publisher so each scrape file

@@ -11,9 +11,8 @@
 //                    keeping a bounded set of .1/.2/... generations that
 //                    each re-start with the run header (0 = off)
 //   --metrics-out P  publish a Prometheus text-format scrape file to P,
-//                    atomically rewritten as the run progresses (obs/
+//                    atomically rewritten after every round (obs/
 //                    exposition.h); lint with trace_lint --metrics
-//   --metrics-every N  rewrite --metrics-out every N rounds (default 1)
 //   --transport T    federation transport: inprocess (default, zero-copy)
 //                    or serialized (round-trip the binary wire format)
 //   --faults SPEC    inject channel faults (comm/fault.h), e.g.
@@ -64,7 +63,6 @@ struct BenchOptions {
   std::string trace_out;            // empty = tracing disabled
   std::size_t trace_rotate_mb = 0;  // 0 = no JSONL rotation
   std::string metrics_out;          // empty = no Prometheus exposition
-  std::size_t metrics_every = 1;    // rounds between metric publishes
   std::string transport = "inprocess";  // parse_transport_kind values
   FaultProfile faults;                  // all-zero = clean channel
   RecoveryConfig recovery;              // retry/deadline/quorum policy
@@ -119,8 +117,6 @@ class TraceCapture {
   TraceCapture& operator=(const TraceCapture&) = delete;
 
   TrainingObserver* observer() const;
-  // Non-null when --metrics-out is active (for end-of-run dumps).
-  MetricsRegistry* registry() const { return registry_.get(); }
 
  private:
   std::unique_ptr<JsonlTraceSink> sink_;

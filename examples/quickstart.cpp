@@ -6,7 +6,7 @@
 //                [--faults drop=0.1,corrupt=0.01,delay_ms=50]
 //                [--retries 2] [--deadline-ms 0] [--quorum 1.0]
 //                [--trace-out trace.jsonl] [--trace-rotate-mb N]
-//                [--metrics-out metrics.prom] [--metrics-every N]
+//                [--metrics-out metrics.prom]
 //                [--churn arrive=0.05,depart=0.05]
 //                [--checkpoint-every N] [--checkpoint-dir DIR]
 //                [--checkpoint-retain G] [--resume]

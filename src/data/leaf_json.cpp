@@ -1,6 +1,7 @@
 #include "data/leaf_json.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "support/json.h"
@@ -48,8 +49,10 @@ JsonValue encode_split(const FederatedDataset& data, bool train) {
 
 std::int32_t to_int_label(double v) {
   const double rounded = std::round(v);
-  if (std::abs(rounded - v) > 1e-9) {
-    throw std::runtime_error("leaf import: non-integer label");
+  if (std::abs(rounded - v) > 1e-9 ||
+      !(rounded >= std::numeric_limits<std::int32_t>::min() &&
+        rounded <= std::numeric_limits<std::int32_t>::max())) {
+    throw std::runtime_error("leaf import: label is not an int32 integer");
   }
   return static_cast<std::int32_t>(rounded);
 }
@@ -123,9 +126,9 @@ FederatedDataset import_leaf(const std::string& prefix) {
   const JsonValue meta = load_json_file(prefix + "_meta.json");
   FederatedDataset data;
   data.name = meta.at("name").as_string();
-  data.num_classes = static_cast<std::size_t>(meta.at("num_classes").as_number());
-  data.input_dim = static_cast<std::size_t>(meta.at("input_dim").as_number());
-  data.vocab_size = static_cast<std::size_t>(meta.at("vocab_size").as_number());
+  data.num_classes = meta.at("num_classes").as_count();
+  data.input_dim = meta.at("input_dim").as_count();
+  data.vocab_size = meta.at("vocab_size").as_count();
   const bool sequence = data.vocab_size > 0;
 
   decode_split(load_json_file(prefix + "_train.json"), sequence,

@@ -154,41 +154,78 @@ std::string text_exposition(const MetricsRegistry& registry) {
   return text_exposition(registry.snapshot());
 }
 
-namespace {
-
-// Inverse of append_labels/escape_label_value for one `{...}` selector.
-// Returns false on any malformed syntax (caller skips the line).
-bool parse_label_set(const std::string& text, MetricLabels& out) {
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const auto eq = text.find('=', i);
-    if (eq == std::string::npos || eq + 1 >= text.size() ||
-        text[eq + 1] != '"') {
-      return false;
+ExpositionLine parse_exposition_line(const std::string& line) {
+  const auto reject = [&](const std::string& why) -> ExpositionLine {
+    throw std::runtime_error("exposition: " + why + ": " + line);
+  };
+  ExpositionLine out;
+  if (line.rfind("# TYPE ", 0) == 0) {
+    std::istringstream fields(line.substr(7));
+    std::string extra;
+    if (!(fields >> out.name >> out.type) || (fields >> extra)) {
+      return reject("malformed TYPE line");
     }
-    std::string key = text.substr(i, eq - i);
-    std::string value;
-    std::size_t j = eq + 2;
-    for (; j < text.size() && text[j] != '"'; ++j) {
-      char c = text[j];
-      if (c == '\\' && j + 1 < text.size()) {
-        ++j;
-        c = text[j] == 'n' ? '\n' : text[j];
-      }
-      value.push_back(c);
+    if (out.type != "counter" && out.type != "gauge" &&
+        out.type != "histogram") {
+      return reject("unknown metric type \"" + out.type + "\"");
     }
-    if (j >= text.size()) return false;  // unterminated value
-    out.emplace_back(std::move(key), std::move(value));
-    i = j + 1;
-    if (i < text.size()) {
-      if (text[i] != ',') return false;
-      ++i;
-    }
+    out.kind = ExpositionLine::Kind::kType;
+    return out;
   }
-  return true;
-}
+  if (line.empty() || line[0] == '#') return out;  // HELP or a comment
 
-}  // namespace
+  // `name{k="v",...} value` or `name value`; label values use the 0.0.4
+  // escapes \\ \" \n, and the value ends the line (no timestamp).
+  out.kind = ExpositionLine::Kind::kSample;
+  std::size_t i = line.find_first_of("{ ");
+  if (i == 0 || i == std::string::npos) {
+    return reject("sample line lacks a metric name or value");
+  }
+  out.name = line.substr(0, i);
+  if (line[i] == '{') {
+    ++i;
+    while (i < line.size() && line[i] != '}') {
+      const std::size_t eq = line.find('=', i);
+      if (eq == std::string::npos || eq + 1 >= line.size() ||
+          line[eq + 1] != '"') {
+        return reject("malformed label pair (expected k=\"v\")");
+      }
+      std::string key = line.substr(i, eq - i);
+      std::string value;
+      std::size_t j = eq + 2;
+      for (; j < line.size() && line[j] != '"'; ++j) {
+        if (line[j] != '\\') {
+          value += line[j];
+          continue;
+        }
+        const char c = ++j < line.size() ? line[j] : '\0';
+        if (c == '\\' || c == '"') {
+          value += c;
+        } else if (c == 'n') {
+          value += '\n';
+        } else {
+          return reject(std::string("unknown escape \\") + c);
+        }
+      }
+      if (j >= line.size()) return reject("unterminated label value");
+      out.labels.emplace_back(std::move(key), std::move(value));
+      i = j + 1;
+      if (i < line.size() && line[i] == ',') ++i;
+    }
+    if (i >= line.size()) return reject("unterminated label set");
+    ++i;  // '}'
+  }
+  if (i >= line.size() || line[i] != ' ') {
+    return reject("no value after the metric name/labels");
+  }
+  out.value_text = line.substr(i + 1);
+  char* end = nullptr;
+  out.value = std::strtod(out.value_text.c_str(), &end);
+  if (out.value_text.empty() || *end != '\0') {
+    return reject("unparseable sample value \"" + out.value_text + "\"");
+  }
+  return out;
+}
 
 std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
                                           const std::string& path) {
@@ -198,40 +235,28 @@ std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
   std::size_t seeded = 0;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // Only `# TYPE <name> counter` matters; HELP and comments skip.
-      std::istringstream meta(line);
-      std::string hash, kind, name, type;
-      if (meta >> hash >> kind >> name >> type && kind == "TYPE" &&
-          type == "counter") {
-        counter_families.insert(name);
-      }
+    ExpositionLine parsed;
+    try {
+      parsed = parse_exposition_line(line);
+    } catch (const std::runtime_error&) {
       continue;
     }
-    const auto space = line.rfind(' ');
-    if (space == std::string::npos || space + 1 >= line.size()) continue;
-    std::string selector = line.substr(0, space);
-    const std::string value_text = line.substr(space + 1);
-    MetricLabels labels;
-    const auto brace = selector.find('{');
-    if (brace != std::string::npos) {
-      if (selector.back() != '}') continue;
-      if (!parse_label_set(
-              selector.substr(brace + 1, selector.size() - brace - 2),
-              labels)) {
-        continue;
-      }
-      selector.resize(brace);
+    if (parsed.kind == ExpositionLine::Kind::kType) {
+      if (parsed.type == "counter") counter_families.insert(parsed.name);
+      continue;
     }
-    if (!counter_families.count(selector)) continue;
+    if (parsed.kind != ExpositionLine::Kind::kSample ||
+        !counter_families.contains(parsed.name)) {
+      continue;
+    }
     // Digits only: a sign, a fraction or an out-of-range total is not a
     // counter value, and the line is skipped.
     std::uint64_t value = 0;
-    const char* last = value_text.data() + value_text.size();
-    const auto [end, ec] = std::from_chars(value_text.data(), last, value);
+    const std::string& text = parsed.value_text;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
     if (ec != std::errc() || end != last) continue;
-    registry.counter(selector, std::move(labels)).add(value);
+    registry.counter(parsed.name, std::move(parsed.labels)).add(value);
     ++seeded;
   }
   return seeded;
@@ -283,11 +308,9 @@ void write_text_exposition(const std::string& path,
   }
 }
 
-MetricsExporter::MetricsExporter(MetricsRegistry& registry, std::string path,
-                                 std::size_t every)
+MetricsExporter::MetricsExporter(MetricsRegistry& registry, std::string path)
     : registry_(registry),
       path_(checked_exposition_path(std::move(path))),
-      every_(every ? every : 1),
       worker_([this] { worker_loop(); }) {}
 
 MetricsExporter::~MetricsExporter() {
@@ -351,7 +374,6 @@ void MetricsExporter::on_round_end(const RoundMetrics& metrics,
                                    const RoundTrace& trace) {
   (void)metrics;
   (void)trace;
-  if (++rounds_seen_ % every_ != 0) return;
   request_publish();
 }
 

@@ -18,18 +18,19 @@
 //
 //   MetricsRegistry registry;
 //   MetricsObserver metrics(registry);
-//   MetricsExporter exporter(registry, "metrics.prom", /*every=*/10);
+//   MetricsExporter exporter(registry, "metrics.prom");
 //   trainer.add_observer(metrics);
 //   trainer.add_observer(exporter);  // after the feeder, so each publish
 //                                    // sees the round it just finished
 //
-// Publishing happens on a background writer thread: on_round_end only
-// flags a request (a mutex lock + notify), and the worker renders the
-// snapshot and does the temp+rename off the round thread, so filesystem
-// latency never stalls training. Requests coalesce latest-wins — if the
-// disk is slower than the round cadence, back-to-back requests collapse
-// into one write of the current registry state (counters are cumulative,
-// so a scraper never observes a regression). flush() blocks until the
+// Publishing happens on a background writer thread: every on_round_end
+// only flags a request (a mutex lock + notify), and the worker renders
+// the snapshot and does the temp+rename off the round thread, so
+// filesystem latency never stalls training. Requests coalesce
+// latest-wins — if the disk is slower than the round cadence,
+// back-to-back requests collapse into one write of the current registry
+// state (counters are cumulative, so a scraper never observes a
+// regression). flush() blocks until the
 // queue drains; on_run_end publishes and flushes so the file always ends
 // on the final state before run() returns.
 
@@ -67,6 +68,24 @@ std::string text_exposition(const MetricsRegistry& registry);
 void write_text_exposition(const std::string& path,
                            const MetricsRegistry& registry);
 
+// One line of a 0.0.4 document. kNone is a blank line, a HELP line or
+// another comment; kType carries `name` and `type`; kSample carries the
+// series `name`, its labels in file order and its value.
+struct ExpositionLine {
+  enum class Kind { kNone, kType, kSample };
+  Kind kind = Kind::kNone;
+  std::string name;
+  std::string type;        // counter, gauge or histogram
+  MetricLabels labels;
+  std::string value_text;  // the sample value as written
+  double value = 0.0;
+};
+
+// The one exposition line parser, shared by seed_counters_from_exposition
+// and tools/trace_lint. Throws std::runtime_error naming the defect (a
+// bad TYPE line, label pair or escape, or a missing or unparseable value).
+ExpositionLine parse_exposition_line(const std::string& line);
+
 // Resume support: re-reads a previously published exposition file and
 // pre-adds every *counter* sample into `registry`, so a resumed run's
 // counters continue from the crashed run's totals instead of restarting
@@ -76,7 +95,8 @@ void write_text_exposition(const std::string& path,
 // last-write-wins / distribution state and are rebuilt by the resumed
 // run itself. Returns the number of samples seeded; a missing file is
 // not an error (returns 0) so first runs and resumes share one code
-// path. Malformed lines are skipped rather than fatal — the file may
+// path. Lines parse_exposition_line rejects, and counter values that
+// are not plain digits, are skipped rather than fatal — the file may
 // predate this build.
 //
 // Counters across a resume mean "work performed, including replayed
@@ -88,7 +108,7 @@ void write_text_exposition(const std::string& path,
 std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
                                           const std::string& path);
 
-// Rewrites `path` every `every` completed rounds (and once more at run
+// Rewrites `path` after every completed round (and once more at run
 // end, so the file always ends on the final state). The exporter only
 // reads the registry — pair it with a MetricsObserver registered
 // *before* it, which does the feeding. Writes run on the exporter's own
@@ -98,8 +118,7 @@ class MetricsExporter final : public TrainingObserver {
  public:
   // Throws std::runtime_error when `path` cannot be written (its parent
   // directories are created first).
-  MetricsExporter(MetricsRegistry& registry, std::string path,
-                  std::size_t every = 1);
+  MetricsExporter(MetricsRegistry& registry, std::string path);
   ~MetricsExporter() override;
 
   MetricsExporter(const MetricsExporter&) = delete;
@@ -116,7 +135,7 @@ class MetricsExporter final : public TrainingObserver {
 
   const std::string& path() const { return path_; }
   // Completed publishes. Coalescing means this can be lower than the
-  // number of rounds / every_ — it counts files actually written.
+  // number of rounds — it counts files actually written.
   std::size_t writes() const {
     return writes_.load(std::memory_order_acquire);
   }
@@ -127,8 +146,6 @@ class MetricsExporter final : public TrainingObserver {
 
   MetricsRegistry& registry_;
   std::string path_;
-  std::size_t every_;
-  std::size_t rounds_seen_ = 0;  // round thread only (observer hooks)
   std::atomic<std::size_t> writes_{0};
 
   // mu_ guards the round-thread <-> writer-thread handshake; cv_ signals

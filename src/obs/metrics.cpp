@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "comm/fault.h"
+
 namespace fed {
 
 namespace {
@@ -175,73 +177,97 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
+const std::vector<TraceCounter>& trace_counters() {
+  using K = FaultEvent::Kind;
+  using T = const RoundTrace&;
+  static const char* const kFaultsHelp =
+      "Channel incidents observed by the server, by kind.";
+  static const std::vector<TraceCounter> table = {
+      {"fed_rounds_total", nullptr, "Completed federated rounds.",
+       [](T) -> std::uint64_t { return 1; }},
+      {"fed_clients_total", nullptr,
+       "Client updates the server accepted, one local solve each "
+       "(FedAvg then drops its stragglers from aggregation).",
+       [](T t) -> std::uint64_t { return t.solve.count; }},
+      {"fed_stragglers_total", nullptr,
+       "Accepted updates that ran fewer than the full epochs.",
+       [](T t) -> std::uint64_t { return t.stragglers; }},
+      {"fed_comm_bytes_up_total", nullptr,
+       "Exact wire bytes delivered device -> server.",
+       [](T t) -> std::uint64_t { return t.bytes_up; }},
+      {"fed_comm_bytes_down_total", nullptr,
+       "Exact wire bytes sent server -> device.",
+       [](T t) -> std::uint64_t { return t.bytes_down; }},
+      {"fed_comm_retries_total", nullptr,
+       "Exchange attempts beyond each device's first.",
+       [](T t) -> std::uint64_t { return t.faults.retries; }},
+      {"fed_comm_faults_total", to_string(K::kDrop), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.drops; }},
+      {"fed_comm_faults_total", to_string(K::kCorrupt), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.corruptions; }},
+      {"fed_comm_faults_total", to_string(K::kTimeout), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.timeouts; }},
+      {"fed_comm_faults_total", to_string(K::kDuplicate), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.duplicates; }},
+      {"fed_comm_faults_total", to_string(K::kDeviceFailed), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.failed_devices; }},
+      {"fed_comm_faults_total", to_string(K::kQuorumDrop), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.quorum_drops; }},
+      {"fed_comm_faults_total", to_string(K::kDepart), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.faults.departs; }},
+      {"fed_comm_faults_total", to_string(K::kRoundDegraded), kFaultsHelp,
+       [](T t) -> std::uint64_t { return t.degraded ? 1 : 0; }},
+      {"fed_shard_merges_total", nullptr,
+       "Shard partials merged at the aggregation root.",
+       [](T t) -> std::uint64_t { return t.shards.size(); }},
+      {"fed_shard_partial_bytes_total", nullptr,
+       "FPS2 wire bytes moved shard -> root.",
+       [](T t) {
+         std::uint64_t bytes = 0;
+         for (const ShardStat& s : t.shards) bytes += s.partial_bytes;
+         return bytes;
+       }},
+      {"fed_churn_arrivals_total", nullptr,
+       "Devices that joined the open-world federation.",
+       [](T t) -> std::uint64_t { return t.arrivals; }},
+      {"fed_churn_departures_total", nullptr,
+       "Devices that left the open-world federation.",
+       [](T t) -> std::uint64_t { return t.departures; }},
+      {"fed_checkpoint_writes_total", nullptr,
+       "Durable FPC1 checkpoints written.",
+       [](T t) -> std::uint64_t { return t.checkpoint.written ? 1 : 0; }},
+      {"fed_checkpoint_bytes_total", nullptr,
+       "Encoded FPC1 bytes made durable.",
+       [](T t) -> std::uint64_t {
+         return t.checkpoint.written ? t.checkpoint.bytes : 0;
+       }},
+  };
+  return table;
+}
+
 MetricsObserver::MetricsObserver(MetricsRegistry& registry)
-    : rounds_(registry.counter("fed_rounds_total")),
-      clients_(registry.counter("fed_clients_total")),
-      stragglers_(registry.counter("fed_stragglers_total")),
-      bytes_up_(registry.counter("fed_comm_bytes_up_total")),
-      bytes_down_(registry.counter("fed_comm_bytes_down_total")),
-      retries_(registry.counter("fed_comm_retries_total")),
-      degraded_rounds_(registry.counter("fed_comm_rounds_degraded_total")),
-      shard_merges_(registry.counter("fed_shard_merges_total")),
-      shard_partial_bytes_(registry.counter("fed_shard_partial_bytes_total")),
-      churn_arrivals_(registry.counter("fed_churn_arrivals_total")),
-      churn_departures_(registry.counter("fed_churn_departures_total")),
-      checkpoint_writes_(registry.counter("fed_checkpoint_writes_total")),
-      checkpoint_bytes_(registry.counter("fed_checkpoint_bytes_total")),
-      mu_(registry.gauge("fed_mu")),
-      train_loss_(registry.gauge("fed_train_loss")),
-      round_(registry.gauge("fed_round")),
-      active_devices_(registry.gauge("fed_active_devices")),
-      checkpoint_last_round_(registry.gauge("fed_checkpoint_last_round")),
-      checkpoint_generations_(registry.gauge("fed_checkpoint_generations")),
-      round_seconds_(registry.histogram("fed_round_seconds")),
-      solve_seconds_(registry.histogram("fed_client_solve_seconds")) {
-  // Pre-register every fault kind so committing a round is a lock-free
-  // add and the exposition shows explicit zeros for kinds that never
-  // fired.
-  for (std::size_t k = 0; k < kFaultKinds; ++k) {
-    const auto kind = static_cast<FaultEvent::Kind>(k);
-    faults_by_kind_[k] =
-        &registry.counter("fed_comm_faults_total", {{"kind", to_string(kind)}});
+    : registry_(registry) {
+  for (const TraceCounter& c : trace_counters()) {
+    MetricLabels labels;
+    if (c.kind) labels.emplace_back("kind", c.kind);
+    counters_.push_back(&registry.counter(c.name, std::move(labels)));
+    registry.set_help(c.name, c.help);
   }
-  registry.set_help("fed_rounds_total", "Completed federated rounds.");
-  registry.set_help("fed_clients_total",
-                    "Client updates accepted into aggregation.");
-  registry.set_help("fed_stragglers_total",
-                    "Accepted updates that ran fewer than the full epochs.");
-  registry.set_help("fed_comm_bytes_up_total",
-                    "Exact wire bytes delivered device -> server.");
-  registry.set_help("fed_comm_bytes_down_total",
-                    "Exact wire bytes sent server -> device.");
-  registry.set_help("fed_comm_faults_total",
-                    "Channel incidents observed by the server, by kind.");
-  registry.set_help("fed_comm_retries_total",
-                    "Exchange attempts beyond each device's first.");
-  registry.set_help("fed_comm_rounds_degraded_total",
-                    "Rounds that aggregated zero updates and kept w.");
-  registry.set_help("fed_shard_merges_total",
-                    "Shard partials merged at the aggregation root.");
-  registry.set_help("fed_shard_partial_bytes_total",
-                    "FPS2 wire bytes moved shard -> root.");
-  registry.set_help("fed_churn_arrivals_total",
-                    "Devices that joined the open-world federation.");
-  registry.set_help("fed_churn_departures_total",
-                    "Devices that left the open-world federation.");
-  registry.set_help("fed_checkpoint_writes_total",
-                    "Durable FPC1 checkpoints written.");
-  registry.set_help("fed_checkpoint_bytes_total",
-                    "Encoded FPC1 bytes made durable.");
-  registry.set_help("fed_active_devices",
-                    "Live device population this round.");
-  registry.set_help("fed_checkpoint_last_round",
-                    "Round captured by the newest checkpoint.");
-  registry.set_help("fed_checkpoint_generations",
-                    "Checkpoint files currently retained on disk.");
-  registry.set_help("fed_mu", "Active FedProx proximal coefficient.");
-  registry.set_help("fed_train_loss", "Last evaluated global training loss.");
-  registry.set_help("fed_round", "Most recently completed round index.");
+  for (const auto& [name, help] :
+       {std::pair{"fed_active_devices", "Live device population this round."},
+        {"fed_checkpoint_last_round",
+         "Round captured by the newest checkpoint."},
+        {"fed_checkpoint_generations",
+         "Checkpoint files currently retained on disk."},
+        {"fed_mu", "Active FedProx proximal coefficient."},
+        {"fed_train_loss", "Last evaluated global training loss."},
+        {"fed_round", "Most recently completed round index."}}) {
+    registry.gauge(name);
+    registry.set_help(name, help);
+  }
+  registry.histogram("fed_round_seconds");
   registry.set_help("fed_round_seconds", "Wall seconds per federated round.");
+  registry.histogram("fed_client_solve_seconds");
   registry.set_help("fed_client_solve_seconds",
                     "Wall seconds per client local solve.");
 }
@@ -249,51 +275,35 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry)
 void MetricsObserver::on_client_result(std::size_t round,
                                        const ClientResult& result) {
   (void)round;
-  ++pending_.clients;
-  if (result.straggler) ++pending_.stragglers;
-  pending_.solve_seconds.push_back(result.solve_seconds);
+  pending_solve_seconds_.push_back(result.solve_seconds);
 }
 
 void MetricsObserver::on_round_end(const RoundMetrics& metrics,
                                    const RoundTrace& trace) {
-  // Commit the round's buffered observations together with its
-  // trace-derived counters — one atomic-enough unit per completed round.
-  // Fault kinds come from the trace columns, indexed by FaultEvent::Kind.
-  const CommFaultStats& f = trace.faults;
-  const std::array<std::size_t, kFaultKinds> faults = {
-      f.drops,          f.corruptions,  f.timeouts, f.duplicates,
-      f.failed_devices, f.quorum_drops, f.departs,  trace.degraded ? 1u : 0u};
-  for (std::size_t k = 0; k < kFaultKinds; ++k) {
-    if (faults[k]) faults_by_kind_[k]->add(faults[k]);
+  // Commit the round's buffered solve times together with its
+  // trace-derived counters — one unit per completed round.
+  const std::vector<TraceCounter>& table = trace_counters();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    counters_[i]->add(table[i].value(trace));
   }
-  clients_.add(pending_.clients);
-  stragglers_.add(pending_.stragglers);
-  for (double s : pending_.solve_seconds) solve_seconds_.observe(s);
-  pending_ = PendingRound{};
+  Histogram& solve_seconds = registry_.histogram("fed_client_solve_seconds");
+  for (double s : pending_solve_seconds_) solve_seconds.observe(s);
+  pending_solve_seconds_.clear();
+  registry_.histogram("fed_round_seconds").observe(trace.round_seconds);
 
-  rounds_.add();
-  bytes_up_.add(trace.bytes_up);
-  bytes_down_.add(trace.bytes_down);
-  retries_.add(trace.faults.retries);
-  shard_merges_.add(trace.shards.size());
-  for (const ShardStat& s : trace.shards) {
-    shard_partial_bytes_.add(s.partial_bytes);
-  }
-  if (trace.degraded) degraded_rounds_.add();
-  churn_arrivals_.add(trace.arrivals);
-  churn_departures_.add(trace.departures);
   if (trace.checkpoint.written) {
-    checkpoint_writes_.add();
-    checkpoint_bytes_.add(trace.checkpoint.bytes);
-    checkpoint_last_round_.set(static_cast<double>(trace.checkpoint.round));
-    checkpoint_generations_.set(
-        static_cast<double>(trace.checkpoint.generations));
+    registry_.gauge("fed_checkpoint_last_round")
+        .set(static_cast<double>(trace.checkpoint.round));
+    registry_.gauge("fed_checkpoint_generations")
+        .set(static_cast<double>(trace.checkpoint.generations));
   }
-  mu_.set(metrics.mu);
-  round_.set(static_cast<double>(metrics.round));
-  active_devices_.set(static_cast<double>(trace.active_devices));
-  if (metrics.train_loss) train_loss_.set(*metrics.train_loss);
-  round_seconds_.observe(trace.round_seconds);
+  registry_.gauge("fed_mu").set(metrics.mu);
+  registry_.gauge("fed_round").set(static_cast<double>(metrics.round));
+  registry_.gauge("fed_active_devices")
+      .set(static_cast<double>(trace.active_devices));
+  if (metrics.train_loss) {
+    registry_.gauge("fed_train_loss").set(*metrics.train_loss);
+  }
 }
 
 }  // namespace fed

@@ -13,12 +13,12 @@
 // sets (the Prometheus data model); obs/exposition.h renders a registry
 // as Prometheus text format 0.0.4 for external scrapers.
 //
-// MetricsObserver feeds the registry from the Trainer's observer hooks
-// (rounds, client solves, stragglers, bytes moved, phase durations).
+// MetricsObserver feeds the registry from the Trainer's observer hooks:
+// one table of RoundTrace-derived counters (trace_counters), a few
+// gauges, and the round and client-solve time histograms.
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "comm/fault.h"
 #include "obs/observer.h"
 #include "support/thread_annotations.h"
 
@@ -186,26 +185,34 @@ class MetricsRegistry {
   std::map<std::string, std::string> help_ FED_GUARDED_BY(mutex_);
 };
 
-// Feeds a MetricsRegistry from the observer hooks. Instrument names:
-//   counters   fed_rounds_total, fed_clients_total, fed_stragglers_total,
-//              fed_comm_bytes_up_total, fed_comm_bytes_down_total,
-//              fed_comm_faults_total{kind=...} (one member per
-//              FaultEvent kind, pre-registered so scrapers see zeros),
-//              fed_comm_retries_total, fed_comm_rounds_degraded_total,
-//              fed_shard_merges_total (root merges of shard partials),
-//              fed_shard_partial_bytes_total (FPS2 shard -> root bytes),
-//              fed_churn_arrivals_total, fed_churn_departures_total,
-//              fed_checkpoint_writes_total, fed_checkpoint_bytes_total
+// One counter series derived from RoundTrace: MetricsObserver adds
+// value(trace) at every round end, and tools/trace_lint sums the same
+// function over the JSONL round lines to reconcile an exposition with
+// its trace. `kind` is the series' `kind` label value, or nullptr.
+struct TraceCounter {
+  const char* name;
+  const char* kind;
+  const char* help;
+  std::uint64_t (*value)(const RoundTrace& trace);
+};
+
+// Every RoundTrace-derived counter series, each stated once (the
+// fed_*_total families; fed_comm_faults_total has one series per
+// FaultEvent kind).
+const std::vector<TraceCounter>& trace_counters();
+
+// Feeds a MetricsRegistry from the observer hooks: every trace_counters()
+// series, plus
 //   gauges     fed_mu, fed_train_loss (last evaluated), fed_round,
 //              fed_active_devices, fed_checkpoint_last_round,
 //              fed_checkpoint_generations
 //   histograms fed_round_seconds, fed_client_solve_seconds
+// All are registered at construction, so scrapers see zeros.
 //
 // Commit discipline: the mid-round hook (on_client_result) only buffers
-// into a per-round pending block; everything is committed to the
-// registry at on_round_end, atomically with the round's trace-fed
-// counters. Every fault kind is counted from the round's trace columns
-// (RoundTrace::faults plus `degraded`), not from on_fault events: a
+// the round's solve times; everything is committed to the registry at
+// on_round_end, and every counter comes from the round's trace. Fault
+// kinds are counted from the trace columns, not from on_fault events: a
 // duplicate the quorum cut later revokes fires an event but is no
 // duplicate in the trace. A round the server never finishes — a crash
 // mid-aggregation (core/checkpoint.h) — therefore commits nothing, so
@@ -221,39 +228,9 @@ class MetricsObserver final : public TrainingObserver {
                     const RoundTrace& trace) override;
 
  private:
-  static constexpr std::size_t kFaultKinds =
-      static_cast<std::size_t>(FaultEvent::Kind::kRoundDegraded) + 1;
-
-  Counter& rounds_;
-  Counter& clients_;
-  Counter& stragglers_;
-  Counter& bytes_up_;
-  Counter& bytes_down_;
-  Counter& retries_;
-  Counter& degraded_rounds_;
-  Counter& shard_merges_;
-  Counter& shard_partial_bytes_;
-  Counter& churn_arrivals_;
-  Counter& churn_departures_;
-  Counter& checkpoint_writes_;
-  Counter& checkpoint_bytes_;
-  std::array<Counter*, kFaultKinds> faults_by_kind_;  // indexed by Kind
-  Gauge& mu_;
-  Gauge& train_loss_;
-  Gauge& round_;
-  Gauge& active_devices_;
-  Gauge& checkpoint_last_round_;
-  Gauge& checkpoint_generations_;
-  Histogram& round_seconds_;
-  Histogram& solve_seconds_;
-
-  // The current round's uncommitted observations (round thread only).
-  struct PendingRound {
-    std::uint64_t clients = 0;
-    std::uint64_t stragglers = 0;
-    std::vector<double> solve_seconds;
-  };
-  PendingRound pending_;
+  MetricsRegistry& registry_;
+  std::vector<Counter*> counters_;  // one per trace_counters() series
+  std::vector<double> pending_solve_seconds_;  // this round's, uncommitted
 };
 
 }  // namespace fed

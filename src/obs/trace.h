@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "support/json.h"
@@ -36,6 +37,7 @@ struct SolveStats {
   std::size_t max_iterations = 0;  // that device's iteration budget
 
   static SolveStats from_samples(std::span<const double> seconds);
+  bool operator==(const SolveStats&) const = default;
 };
 
 // Channel fault and recovery accounting for one round (comm/fault.h).
@@ -53,12 +55,13 @@ struct CommFaultStats {
   std::size_t failed_devices = 0; // selected devices with no accepted update
   std::size_t up_deliveries = 0;  // update deliveries charged to bytes_up
   double delay_ms = 0.0;          // injected latency + backoff, simulated
+  bool operator==(const CommFaultStats&) const = default;
 };
 
 // One aggregator shard's share of a round (sim/sharded.h). Shard slices
 // partition the selected devices, so across a round's shards the device,
 // contributor, and byte columns sum to the round-level totals — an
-// invariant tools/trace_lint enforces.
+// invariant check_round_trace enforces.
 struct ShardStat {
   std::size_t shard = 0;          // shard index, dense from 0
   std::size_t devices = 0;        // selected devices owned by this shard
@@ -66,6 +69,7 @@ struct ShardStat {
   std::uint64_t bytes_down = 0;   // broadcast bytes over owned devices
   std::uint64_t bytes_up = 0;     // update bytes over owned contributors
   std::uint64_t partial_bytes = 0;  // FPS2 partial-sum bytes shipped to root
+  bool operator==(const ShardStat&) const = default;
 };
 
 // One durable checkpoint write (core/checkpoint.h), attached to the
@@ -78,6 +82,7 @@ struct CheckpointStat {
   std::size_t generations = 0;  // files retained after pruning
   std::size_t retain = 0;       // the configured retention bound
   double write_seconds = 0.0;   // encode + temp write + rename, wall time
+  bool operator==(const CheckpointStat&) const = default;
 };
 
 struct RoundTrace {
@@ -114,9 +119,25 @@ struct RoundTrace {
   // charged.
   std::uint64_t bytes_down = 0;  // broadcast bytes, over selected devices
   std::uint64_t bytes_up = 0;    // update bytes, over contributors only
+  bool operator==(const RoundTrace&) const = default;
 };
 
-// Compact JSON object for one trace (the JSONL sink writes one per line).
+// One JSONL round line (the sink adds "metrics"), both ways, from one
+// field list in obs/trace.cpp. The "checkpoint" block is present only
+// when checkpoint.written. trace_from_json ignores unknown keys and
+// throws std::runtime_error naming the dotted key ("faults.drops",
+// "shards[1].bytes_up") that is missing, mistyped, or a count outside
+// the integers [0, 2^53].
 JsonValue trace_to_json(const RoundTrace& trace);
+RoundTrace trace_from_json(const JsonValue& value);
+
+// The accounting every trainer-produced trace obeys, or the first
+// violation ("" when none): attempts cover the selected devices and
+// retries follow failures; a degraded round has no contributors; bytes
+// move iff attempts / charged deliveries do and split evenly over
+// them; shards are dense, each ships an FPS2 partial, and their columns
+// sum to the round's; a checkpoint names its own round, is non-empty
+// and keeps generations <= retain. tools/trace_lint applies it.
+std::string check_round_trace(const RoundTrace& trace);
 
 }  // namespace fed

@@ -296,6 +296,14 @@ double JsonValue::as_number() const {
   if (!is_number()) type_error("a number");
   return std::get<double>(value_);
 }
+std::uint64_t JsonValue::as_count() const {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  const double d = is_number() ? std::get<double>(value_) : -1.0;
+  if (!(d >= 0.0 && d <= kMaxExact) || d != std::floor(d)) {
+    type_error("a count (an integer in [0, 2^53])");
+  }
+  return static_cast<std::uint64_t>(d);
+}
 const std::string& JsonValue::as_string() const {
   if (!is_string()) type_error("a string");
   return std::get<std::string>(value_);

@@ -43,6 +43,9 @@ class JsonValue {
   // Typed accessors; throw std::runtime_error on type mismatch.
   bool as_bool() const;
   double as_number() const;
+  // A number that is a whole count: an integer in [0, 2^53], the range
+  // a double holds exactly. Throws std::runtime_error otherwise.
+  std::uint64_t as_count() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;

@@ -218,17 +218,9 @@ TEST_F(ChurnTest, MidRoundDepartureFoldsIntoTheFailurePath) {
   for (const RoundTrace& trace : collector.traces()) {
     departs += trace.faults.departs;
     // A departed device burns all its attempts as drops and ends as a
-    // failed device; the channel invariants trace_lint enforces hold.
-    EXPECT_GE(trace.faults.attempts, trace.selected);
-    EXPECT_EQ(trace.faults.retries,
-              trace.faults.attempts - trace.selected);
-    EXPECT_GE(trace.faults.drops + trace.faults.corruptions +
-                  trace.faults.timeouts,
-              trace.faults.retries);
+    // failed device; the round accounting trace_lint enforces holds.
+    EXPECT_EQ(check_round_trace(trace), "") << "round " << trace.round;
     EXPECT_GE(trace.faults.failed_devices, trace.faults.departs);
-    if (trace.faults.attempts > 0) {
-      EXPECT_EQ(trace.bytes_down % trace.faults.attempts, 0u);
-    }
     EXPECT_LE(trace.active_devices, data().num_clients());
   }
   EXPECT_GT(departs, 0u) << "no selected device ever departed mid-round";

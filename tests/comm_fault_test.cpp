@@ -121,25 +121,7 @@ class CommFaultTest : public ::testing::Test {
   // The recovery-accounting invariants every round trace must satisfy
   // (the same set tools/trace_lint enforces on JSONL artifacts).
   static void check_trace_invariants(const RoundTrace& t) {
-    const CommFaultStats& f = t.faults;
-    ASSERT_GE(f.attempts, t.selected);
-    EXPECT_EQ(f.retries, f.attempts - t.selected);
-    EXPECT_GE(f.drops + f.corruptions + f.timeouts, f.retries);
-    EXPECT_LE(t.contributors, t.selected);
-    if (t.degraded) {
-      EXPECT_EQ(t.contributors, 0u);
-    }
-    if (t.selected > 0 && t.contributors == 0) {
-      EXPECT_TRUE(t.degraded);
-    }
-    EXPECT_EQ(t.bytes_down > 0, f.attempts > 0);
-    EXPECT_EQ(t.bytes_up > 0, f.up_deliveries > 0);
-    if (f.attempts > 0) {
-      EXPECT_EQ(t.bytes_down % f.attempts, 0u);
-    }
-    if (f.up_deliveries > 0) {
-      EXPECT_EQ(t.bytes_up % f.up_deliveries, 0u);
-    }
+    EXPECT_EQ(check_round_trace(t), "") << "round " << t.round;
   }
 
   static void expect_bit_identical(const TrainHistory& a,
@@ -302,7 +284,9 @@ TEST_F(CommFaultTest, AllDroppedRoundKeepsParametersAndReportsDegraded) {
   ASSERT_NE(degraded_events, a.events.end());
   EXPECT_EQ(degraded_events->second, c.rounds);
   EXPECT_EQ(a.incidents.size(), c.rounds);  // one non-fatal incident each
-  EXPECT_EQ(registry.counter("fed_comm_rounds_degraded_total").value(),
+  EXPECT_EQ(registry
+                .counter("fed_comm_faults_total", {{"kind", "round_degraded"}})
+                .value(),
             c.rounds);
 }
 

@@ -109,6 +109,28 @@ TEST_F(LeafJsonTest, ImportValidatesLabels) {
   EXPECT_THROW(import_leaf(prefix), std::runtime_error);
 }
 
+TEST_F(LeafJsonTest, ImportRejectsCountsAndLabelsOutOfRange) {
+  SyntheticConfig c = synthetic_iid_config(17);
+  c.num_devices = 2;
+  c.min_samples = 4;
+  c.mean_log = 1.0;
+  c.sigma_log = 0.1;
+  export_leaf(make_synthetic(c), prefix);
+  const JsonValue meta = load_json_file(prefix + "_meta.json");
+  for (const char* key : {"num_classes", "input_dim", "vocab_size"}) {
+    JsonValue bad = meta;
+    bad.as_object()[key] = JsonValue(-1.0);
+    save_json_file(prefix + "_meta.json", bad);
+    EXPECT_THROW(import_leaf(prefix), std::runtime_error) << key;
+  }
+  save_json_file(prefix + "_meta.json", meta);
+  JsonValue train = load_json_file(prefix + "_train.json");
+  train.as_object()["user_data"].as_object()["u0"].as_object()["y"]
+      .as_array()[0] = JsonValue(1e30);
+  save_json_file(prefix + "_train.json", train);
+  EXPECT_THROW(import_leaf(prefix), std::runtime_error);
+}
+
 TEST_F(LeafJsonTest, MissingMetadataThrows) {
   EXPECT_THROW(import_leaf(dir + "/nothing"),
                std::runtime_error);

@@ -87,20 +87,17 @@ TEST_F(ExpositionTest, NumberFormattingIsShortestRoundTrip) {
             third);
 }
 
-TEST_F(ExpositionTest, ExporterPublishesEveryNRoundsAndAtRunEnd) {
+TEST_F(ExpositionTest, ExporterPublishesEachRoundAndAtRunEnd) {
   const std::string dir = ::testing::TempDir() + "fedprox_obs_exposition";
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/metrics.prom";
   MetricsRegistry registry;
   registry.counter("ticks_total").add(5);
-  MetricsExporter exporter(registry, path, /*every=*/2);
+  MetricsExporter exporter(registry, path);
   EXPECT_EQ(exporter.path(), path);
 
   RoundMetrics metrics;
   RoundTrace trace;
-  exporter.on_round_end(metrics, trace);
-  exporter.flush();  // no-op: round 1 of 2 requested nothing
-  EXPECT_EQ(exporter.writes(), 0u);
   exporter.on_round_end(metrics, trace);
   exporter.flush();  // publishes run on the writer thread
   EXPECT_EQ(exporter.writes(), 1u);
@@ -166,7 +163,7 @@ TEST_F(ExpositionTest, TelemetryStackDoesNotPerturbTraining) {
   std::filesystem::create_directories(dir);
   MetricsRegistry registry;
   MetricsObserver metrics(registry);
-  MetricsExporter exporter(registry, dir + "/metrics.prom", /*every=*/2);
+  MetricsExporter exporter(registry, dir + "/metrics.prom");
   Trainer traced(model, data, c);
   traced.add_observer(metrics);
   traced.add_observer(exporter);

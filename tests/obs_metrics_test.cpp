@@ -22,6 +22,29 @@ namespace {
 class MetricsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { set_log_level(LogLevel::kWarn); }
+
+  static const FederatedDataset& data() {
+    static const FederatedDataset d = [] {
+      SyntheticConfig sc = synthetic_config(0.5, 0.5, 23);
+      sc.num_devices = 8;
+      sc.min_samples = 12;
+      sc.mean_log = 2.5;
+      sc.sigma_log = 0.4;
+      return make_synthetic(sc);
+    }();
+    return d;
+  }
+
+  // Four devices a round for `rounds` rounds, half of them stragglers.
+  static TrainerConfig config(TrainerConfig c, std::size_t rounds) {
+    c.rounds = rounds;
+    c.devices_per_round = 4;
+    c.systems.epochs = 3;
+    c.systems.straggler_fraction = 0.5;
+    c.learning_rate = 0.03;
+    c.seed = 23;
+    return c;
+  }
 };
 
 TEST_F(MetricsTest, CounterAddsAndResets) {
@@ -112,25 +135,10 @@ TEST_F(MetricsTest, ConcurrentUpdatesFromPoolWorkersAreLossless) {
 }
 
 TEST_F(MetricsTest, MetricsObserverFedByTrainerRun) {
-  SyntheticConfig sc = synthetic_config(0.5, 0.5, 23);
-  sc.num_devices = 8;
-  sc.min_samples = 12;
-  sc.mean_log = 2.5;
-  sc.sigma_log = 0.4;
-  const FederatedDataset data = make_synthetic(sc);
-  LogisticRegression model(data.input_dim, data.num_classes);
-
-  TrainerConfig c = fedprox_config(0.5);
-  c.rounds = 5;
-  c.devices_per_round = 4;
-  c.systems.epochs = 3;
-  c.systems.straggler_fraction = 0.5;
-  c.learning_rate = 0.03;
-  c.seed = 23;
-
+  LogisticRegression model(data().input_dim, data().num_classes);
   MetricsRegistry registry;
   MetricsObserver metrics(registry);
-  Trainer trainer(model, data, c);
+  Trainer trainer(model, data(), config(fedprox_config(0.5), 5));
   trainer.add_observer(metrics);
   const auto history = trainer.run();
 
@@ -168,26 +176,11 @@ TEST_F(MetricsTest, MetricsObserverFedByTrainerRun) {
 // accepted (one solve each) outnumber the contributors: fed_clients_total
 // and the solve-time histogram count the former.
 TEST_F(MetricsTest, FedAvgClientsCountAcceptedUpdatesNotContributors) {
-  SyntheticConfig sc = synthetic_config(0.5, 0.5, 23);
-  sc.num_devices = 8;
-  sc.min_samples = 12;
-  sc.mean_log = 2.5;
-  sc.sigma_log = 0.4;
-  const FederatedDataset data = make_synthetic(sc);
-  LogisticRegression model(data.input_dim, data.num_classes);
-
-  TrainerConfig c = fedavg_config();
-  c.rounds = 6;
-  c.devices_per_round = 4;
-  c.systems.epochs = 3;
-  c.systems.straggler_fraction = 0.5;
-  c.learning_rate = 0.03;
-  c.seed = 23;
-
+  LogisticRegression model(data().input_dim, data().num_classes);
   MetricsRegistry registry;
   MetricsObserver metrics(registry);
   TraceCollector collector;
-  Trainer trainer(model, data, c);
+  Trainer trainer(model, data(), config(fedavg_config(), 6));
   trainer.add_observer(metrics);
   trainer.add_observer(collector);
   (void)trainer.run();

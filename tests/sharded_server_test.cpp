@@ -229,20 +229,9 @@ TEST_F(ShardedDeterminismTest, ShardStatsPartitionTheRoundTotals) {
   for (std::size_t r = 1; r < collector.traces().size(); ++r) {
     const RoundTrace& t = collector.traces()[r];
     ASSERT_EQ(t.shards.size(), 3u);
-    std::size_t devices = 0, contributors = 0;
-    std::uint64_t bytes_down = 0, bytes_up = 0;
-    for (const ShardStat& s : t.shards) {
-      EXPECT_EQ(s.shard, static_cast<std::size_t>(&s - t.shards.data()));
-      EXPECT_GT(s.partial_bytes, 0u);  // FPS2 uplink runs every round
-      devices += s.devices;
-      contributors += s.contributors;
-      bytes_down += s.bytes_down;
-      bytes_up += s.bytes_up;
-    }
-    EXPECT_EQ(devices, t.selected);
-    EXPECT_EQ(contributors, t.contributors);
-    EXPECT_EQ(bytes_down, t.bytes_down);
-    EXPECT_EQ(bytes_up, t.bytes_up);
+    // Dense shard indices, a non-empty FPS2 partial from every shard,
+    // and shard columns that sum to the round totals.
+    EXPECT_EQ(check_round_trace(t), "") << "round " << r;
   }
 }
 
