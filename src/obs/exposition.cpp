@@ -154,20 +154,25 @@ std::string text_exposition(const MetricsRegistry& registry) {
   return text_exposition(registry.snapshot());
 }
 
+namespace {
+
+[[noreturn]] void reject(const std::string& line, const std::string& why) {
+  throw std::runtime_error("exposition: " + why + ": " + line);
+}
+
+}  // namespace
+
 ExpositionLine parse_exposition_line(const std::string& line) {
-  const auto reject = [&](const std::string& why) -> ExpositionLine {
-    throw std::runtime_error("exposition: " + why + ": " + line);
-  };
   ExpositionLine out;
   if (line.rfind("# TYPE ", 0) == 0) {
     std::istringstream fields(line.substr(7));
     std::string extra;
     if (!(fields >> out.name >> out.type) || (fields >> extra)) {
-      return reject("malformed TYPE line");
+      reject(line, "malformed TYPE line");
     }
     if (out.type != "counter" && out.type != "gauge" &&
         out.type != "histogram") {
-      return reject("unknown metric type \"" + out.type + "\"");
+      reject(line, "unknown metric type \"" + out.type + "\"");
     }
     out.kind = ExpositionLine::Kind::kType;
     return out;
@@ -179,7 +184,7 @@ ExpositionLine parse_exposition_line(const std::string& line) {
   out.kind = ExpositionLine::Kind::kSample;
   std::size_t i = line.find_first_of("{ ");
   if (i == 0 || i == std::string::npos) {
-    return reject("sample line lacks a metric name or value");
+    reject(line, "sample line lacks a metric name or value");
   }
   out.name = line.substr(0, i);
   if (line[i] == '{') {
@@ -188,7 +193,7 @@ ExpositionLine parse_exposition_line(const std::string& line) {
       const std::size_t eq = line.find('=', i);
       if (eq == std::string::npos || eq + 1 >= line.size() ||
           line[eq + 1] != '"') {
-        return reject("malformed label pair (expected k=\"v\")");
+        reject(line, "malformed label pair (expected k=\"v\")");
       }
       std::string key = line.substr(i, eq - i);
       std::string value;
@@ -204,25 +209,25 @@ ExpositionLine parse_exposition_line(const std::string& line) {
         } else if (c == 'n') {
           value += '\n';
         } else {
-          return reject(std::string("unknown escape \\") + c);
+          reject(line, std::string("unknown escape \\") + c);
         }
       }
-      if (j >= line.size()) return reject("unterminated label value");
+      if (j >= line.size()) reject(line, "unterminated label value");
       out.labels.emplace_back(std::move(key), std::move(value));
       i = j + 1;
       if (i < line.size() && line[i] == ',') ++i;
     }
-    if (i >= line.size()) return reject("unterminated label set");
+    if (i >= line.size()) reject(line, "unterminated label set");
     ++i;  // '}'
   }
   if (i >= line.size() || line[i] != ' ') {
-    return reject("no value after the metric name/labels");
+    reject(line, "no value after the metric name/labels");
   }
   out.value_text = line.substr(i + 1);
   char* end = nullptr;
   out.value = std::strtod(out.value_text.c_str(), &end);
   if (out.value_text.empty() || *end != '\0') {
-    return reject("unparseable sample value \"" + out.value_text + "\"");
+    reject(line, "unparseable sample value \"" + out.value_text + "\"");
   }
   return out;
 }

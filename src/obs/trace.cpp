@@ -94,11 +94,7 @@ class TraceWriter {
 
   template <typename T>
   void field(const char* key, T v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      out_[key] = v;
-    } else {
-      out_[key] = static_cast<double>(v);
-    }
+    out_[key] = JsonValue(v);
   }
   template <typename Fields>
   void object(const char* key, Fields fields) {

@@ -37,7 +37,6 @@ struct SolveStats {
   std::size_t max_iterations = 0;  // that device's iteration budget
 
   static SolveStats from_samples(std::span<const double> seconds);
-  bool operator==(const SolveStats&) const = default;
 };
 
 // Channel fault and recovery accounting for one round (comm/fault.h).
@@ -55,7 +54,6 @@ struct CommFaultStats {
   std::size_t failed_devices = 0; // selected devices with no accepted update
   std::size_t up_deliveries = 0;  // update deliveries charged to bytes_up
   double delay_ms = 0.0;          // injected latency + backoff, simulated
-  bool operator==(const CommFaultStats&) const = default;
 };
 
 // One aggregator shard's share of a round (sim/sharded.h). Shard slices
@@ -69,7 +67,6 @@ struct ShardStat {
   std::uint64_t bytes_down = 0;   // broadcast bytes over owned devices
   std::uint64_t bytes_up = 0;     // update bytes over owned contributors
   std::uint64_t partial_bytes = 0;  // FPS2 partial-sum bytes shipped to root
-  bool operator==(const ShardStat&) const = default;
 };
 
 // One durable checkpoint write (core/checkpoint.h), attached to the
@@ -82,7 +79,6 @@ struct CheckpointStat {
   std::size_t generations = 0;  // files retained after pruning
   std::size_t retain = 0;       // the configured retention bound
   double write_seconds = 0.0;   // encode + temp write + rename, wall time
-  bool operator==(const CheckpointStat&) const = default;
 };
 
 struct RoundTrace {
@@ -119,7 +115,6 @@ struct RoundTrace {
   // charged.
   std::uint64_t bytes_down = 0;  // broadcast bytes, over selected devices
   std::uint64_t bytes_up = 0;    // update bytes, over contributors only
-  bool operator==(const RoundTrace&) const = default;
 };
 
 // One JSONL round line (the sink adds "metrics"), both ways, from one

@@ -24,6 +24,16 @@ class LeafJsonTest : public ::testing::Test {
       ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
       std::to_string(::getpid());
   const std::string prefix = dir + "/data";
+
+  // Exports a two-device IID synthetic dataset to `prefix`.
+  void export_small() const {
+    SyntheticConfig c = synthetic_iid_config(17);
+    c.num_devices = 2;
+    c.min_samples = 4;
+    c.mean_log = 1.0;
+    c.sigma_log = 0.1;
+    export_leaf(make_synthetic(c), prefix);
+  }
 };
 
 TEST_F(LeafJsonTest, DenseRoundTripIsExact) {
@@ -75,12 +85,7 @@ TEST_F(LeafJsonTest, SequenceRoundTripIsExact) {
 }
 
 TEST_F(LeafJsonTest, WritesLeafSchemaFields) {
-  SyntheticConfig c = synthetic_iid_config(17);
-  c.num_devices = 2;
-  c.min_samples = 4;
-  c.mean_log = 1.0;
-  c.sigma_log = 0.1;
-  export_leaf(make_synthetic(c), prefix);
+  export_small();
   const JsonValue train = load_json_file(prefix + "_train.json");
   EXPECT_TRUE(train.contains("users"));
   EXPECT_TRUE(train.contains("num_samples"));
@@ -95,12 +100,7 @@ TEST_F(LeafJsonTest, WritesLeafSchemaFields) {
 }
 
 TEST_F(LeafJsonTest, ImportValidatesLabels) {
-  SyntheticConfig c = synthetic_iid_config(17);
-  c.num_devices = 2;
-  c.min_samples = 4;
-  c.mean_log = 1.0;
-  c.sigma_log = 0.1;
-  export_leaf(make_synthetic(c), prefix);
+  export_small();
   // Corrupt a label beyond num_classes.
   JsonValue train = load_json_file(prefix + "_train.json");
   train.as_object()["user_data"].as_object()["u0"].as_object()["y"]
@@ -110,12 +110,7 @@ TEST_F(LeafJsonTest, ImportValidatesLabels) {
 }
 
 TEST_F(LeafJsonTest, ImportRejectsCountsAndLabelsOutOfRange) {
-  SyntheticConfig c = synthetic_iid_config(17);
-  c.num_devices = 2;
-  c.min_samples = 4;
-  c.mean_log = 1.0;
-  c.sigma_log = 0.1;
-  export_leaf(make_synthetic(c), prefix);
+  export_small();
   const JsonValue meta = load_json_file(prefix + "_meta.json");
   for (const char* key : {"num_classes", "input_dim", "vocab_size"}) {
     JsonValue bad = meta;

@@ -382,11 +382,15 @@ TEST_F(TraceTest, JsonlFormatIsPinned) {
       R"("bytes_up":20,"contributors":18,"devices":17,"partial_bytes":21,)"
       R"("shard":16},{"bytes_down":25,"bytes_up":26,"contributors":24,)"
       R"("devices":23,"partial_bytes":27,"shard":22}],"stragglers":4})");
-  // The reader walks the same field list back.
-  EXPECT_EQ(trace_from_json(trace_to_json(distinct_trace())), distinct_trace());
+  // The reader walks the same field list back: with every value
+  // distinct, a dropped or swapped field would change the line.
   RoundTrace unwritten = distinct_trace();
   unwritten.checkpoint = CheckpointStat{};
-  EXPECT_EQ(trace_from_json(trace_to_json(unwritten)), unwritten);
+  for (const RoundTrace& t : {distinct_trace(), unwritten}) {
+    const JsonValue line = trace_to_json(t);
+    EXPECT_EQ(trace_to_json(trace_from_json(line)), line);
+  }
+  EXPECT_FALSE(trace_from_json(trace_to_json(unwritten)).checkpoint.written);
 }
 
 TEST_F(TraceTest, TraceFromJsonNamesTheDottedKeyItRejects) {
@@ -411,6 +415,8 @@ TEST_F(TraceTest, TraceFromJsonNamesTheDottedKeyItRejects) {
     EXPECT_EQ(rejection(), "round line \"shards[1].bytes_up\": json: value "
                            "is not a count (an integer in [0, 2^53])");
   }
+  bytes_up = JsonValue(9007199254740992.0);  // 2^53 is still exact
+  EXPECT_EQ(trace_from_json(v).shards[1].bytes_up, 9007199254740992u);
 }
 
 TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {
