@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/trace_context.h"
 #include "sim/client.h"
 
 namespace fed {
@@ -21,20 +20,11 @@ ClientUpdate ClientRuntime::handle(const ModelBroadcast& broadcast) const {
   // bit-identical across the refactor.
   Rng minibatch_rng = make_stream(seed_, StreamKind::kMinibatch,
                                   broadcast.round - 1, device + 1);
-  // The update carries the broadcast's trace context back, re-parented
-  // under a device-side span id derived from it, so an update still
-  // correlates with its server round once this runtime moves to another
-  // process.
-  ClientUpdate update;
-  update.round = broadcast.round;
-  update.trace = broadcast.trace;
-  update.trace.span_id = derive_trace_span(
-      broadcast.trace.trace_id, TraceSpanKind::kClientSolve, device);
-  update.result =
-      run_client(model_, data_.clients[device], broadcast.parameters, solver_,
-                 broadcast.budget, broadcast.config, broadcast.correction,
-                 minibatch_rng);
-  return update;
+  return ClientUpdate{
+      .round = broadcast.round,
+      .result = run_client(model_, data_.clients[device], broadcast.parameters,
+                           solver_, broadcast.budget, broadcast.config,
+                           broadcast.correction, minibatch_rng)};
 }
 
 }  // namespace fed

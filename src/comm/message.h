@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <span>
 
-#include "obs/trace_context.h"
 #include "sim/aggregate.h"
 #include "sim/client.h"
 #include "sim/systems.h"
@@ -28,8 +27,6 @@ namespace fed {
 // evaluation and moves no messages).
 struct ModelBroadcast {
   std::size_t round = 0;
-  TraceContext trace;                  // round trace id + the exchange span
-                                       // that sent this (obs/trace_context.h)
   RoundConfig config;                  // effective mu + solve parameters
   DeviceBudget budget;                 // target device id + systems budget
   std::span<const double> parameters;  // the global model w^t
@@ -44,7 +41,6 @@ struct ModelBroadcast {
 // delivers after the wire round trip).
 struct OwnedBroadcast {
   std::size_t round = 0;
-  TraceContext trace;
   RoundConfig config;
   DeviceBudget budget;
   Vector parameters;
@@ -52,7 +48,6 @@ struct OwnedBroadcast {
 
   ModelBroadcast view() const {
     return ModelBroadcast{.round = round,
-                          .trace = trace,
                           .config = config,
                           .budget = budget,
                           .parameters = parameters,
@@ -64,8 +59,6 @@ struct OwnedBroadcast {
 // owns its update vector, so the same struct serves both transports.
 struct ClientUpdate {
   std::size_t round = 0;
-  TraceContext trace;  // same trace_id as the broadcast; span_id is the
-                       // device's client_solve span
   ClientResult result;
 };
 
@@ -77,7 +70,6 @@ struct ClientUpdate {
 // it losslessly every round.
 struct PartialSumUpdate {
   std::size_t round = 0;
-  TraceContext trace;  // round trace_id; span_id is this shard's partial span
   std::size_t shard = 0;
   PartialAggregate partial{SamplingScheme::kUniformThenWeightedAverage, 0};
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "core/checkpoint.h"
 #include "core/dissimilarity.h"
@@ -14,6 +15,39 @@
 #include "support/stopwatch.h"
 
 namespace fed {
+
+namespace {
+
+// Names the first field in which a delivered `update` fails to answer
+// `broadcast`, or returns "" when it answers it: its round, its device,
+// its sample count (the aggregation weight) and its straggler flag (which
+// the FedAvg drop rule reads) must be the ones the server sent or knows.
+std::string unanswered_field(const ModelBroadcast& broadcast,
+                             const ClientUpdate& update,
+                             std::size_t train_size) {
+  const ClientResult& r = update.result;
+  if (update.round != broadcast.round) {
+    return "update round " + std::to_string(update.round) +
+           " is not the broadcast's " + std::to_string(broadcast.round);
+  }
+  if (r.device != broadcast.budget.device) {
+    return "update device " + std::to_string(r.device) +
+           " is not the broadcast's " + std::to_string(broadcast.budget.device);
+  }
+  if (r.num_samples != train_size) {
+    return "update num_samples " + std::to_string(r.num_samples) +
+           " is not the device's " + std::to_string(train_size) +
+           " training samples";
+  }
+  if (r.straggler != broadcast.budget.straggler) {
+    return "update straggler flag " + std::to_string(int{r.straggler}) +
+           " is not the budget's " +
+           std::to_string(int{broadcast.budget.straggler});
+  }
+  return {};
+}
+
+}  // namespace
 
 struct RoundDriver::Selection {
   std::vector<std::size_t> devices;  // selection order
@@ -70,16 +104,11 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
                                                 Vector& w) {
   RoundOutput out;
   out.trace.round = t + 1;
-  // The round's trace context: deterministic in (seed, round), stamped
-  // into every message this round moves so device- and shard-side work
-  // correlates back to it across the wire (obs/trace_context.h).
-  const TraceContext round_ctx = make_round_trace_context(config_.seed, t + 1);
 
   const Selection sel = select(t, out.trace);
   for (auto* o : observers_) o->on_round_start(t + 1, sel.devices);
 
-  std::vector<DeviceOutcome> outcomes =
-      exchange(t, mu, w, sel, round_ctx, out.trace);
+  std::vector<DeviceOutcome> outcomes = exchange(t, mu, w, sel, out.trace);
   apply_quorum(t + 1, sel, outcomes);
 
   // Report: each device's incidents in (selection order, attempt) order,
@@ -98,8 +127,7 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   // Contiguous selection-order slices, one per aggregator shard.
   const std::vector<ShardSlice> slices =
       plan_shards(sel.devices.size(), config_.shards);
-  const ShardedServer server =
-      aggregate(t + 1, w, slices, outcomes, round_ctx, out.trace);
+  const ShardedServer server = aggregate(t + 1, w, slices, outcomes, out.trace);
   account(t + 1, mu, sel, slices, outcomes, server, out);
 
   // The departures drawn at the top of the round take effect.
@@ -146,7 +174,7 @@ RoundDriver::Selection RoundDriver::select(std::size_t t, RoundTrace& trace) {
 // anything but wall time.
 std::vector<RoundDriver::DeviceOutcome> RoundDriver::exchange(
     std::size_t t, double mu, const Vector& w, const Selection& sel,
-    const TraceContext& round_ctx, RoundTrace& trace) const {
+    RoundTrace& trace) const {
   Stopwatch timer;
   // FedDane: estimate the full gradient from the sampled devices; the
   // per-device corrections ride in the broadcasts.
@@ -162,10 +190,7 @@ std::vector<RoundDriver::DeviceOutcome> RoundDriver::exchange(
   const std::vector<std::size_t> order = longest_first(sel.budgets);
   pool_->parallel_for(order.size(), [&](std::size_t k) {
     const std::size_t i = order[k];
-    const std::uint64_t exchange_span_id = derive_trace_span(
-        round_ctx.trace_id, TraceSpanKind::kExchange, sel.devices[i]);
     ModelBroadcast broadcast{.round = t + 1,
-                             .trace = {round_ctx.trace_id, exchange_span_id},
                              .config = round_config,
                              .budget = sel.budgets[i],
                              .parameters = w,
@@ -178,7 +203,9 @@ std::vector<RoundDriver::DeviceOutcome> RoundDriver::exchange(
 }
 
 // Retries failed attempts (drop / corrupt / past-deadline) with simulated
-// exponential backoff, up to max_retries extra attempts. A device that
+// exponential backoff, up to max_retries extra attempts. A delivered
+// update that does not answer its broadcast (unanswered_field) is
+// rejected as a corrupt arrival, once even if it came twice. A device that
 // left between selection and its exchange never reaches the transport
 // (so other devices' fault streams are unperturbed): each attempt is
 // answered as a lost broadcast, charged and dropped, like a crashed
@@ -202,6 +229,16 @@ RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
       record.bytes_down = broadcast_wire_size(broadcast);
     } else {
       record = transport_.exchange(broadcast, runtime_);
+      if (record.delivered()) {
+        std::string wrong = unanswered_field(
+            broadcast, record.update, data_.clients[device].train.size());
+        if (!wrong.empty()) {
+          record.status = ExchangeStatus::kCorrupt;
+          record.error = std::move(wrong);
+          if (record.duplicate) record.bytes_up /= 2;
+          record.duplicate = false;
+        }
+      }
     }
     ++oc.attempts;
     oc.bytes_down += record.bytes_down;
@@ -301,7 +338,6 @@ bool RoundDriver::contributes(const DeviceOutcome& oc) const {
 ShardedServer RoundDriver::aggregate(std::size_t round, Vector& w,
                                      std::span<const ShardSlice> slices,
                                      const std::vector<DeviceOutcome>& outcomes,
-                                     const TraceContext& round_ctx,
                                      RoundTrace& trace) {
   Stopwatch timer;
   ShardedServer server(config_.sampling, w.size(), slices.size(), pool_);
@@ -321,7 +357,7 @@ ShardedServer RoundDriver::aggregate(std::size_t round, Vector& w,
     // so a resume from the last checkpoint replays it bit-identically.
     throw ServerCrashed(round);
   }
-  trace.degraded = !server.reduce(round, w, round_ctx);
+  trace.degraded = !server.reduce(round, w);
   trace.aggregate_seconds = timer.seconds();
   if (trace.degraded) {
     // Zero updates survived to aggregation (every device failed, timed

@@ -21,7 +21,6 @@
 #include "comm/transport.h"
 #include "core/trainer.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 #include "sim/churn.h"
 #include "sim/sharded.h"
 #include "support/threadpool.h"
@@ -61,7 +60,6 @@ class RoundDriver {
   Selection select(std::size_t t, RoundTrace& trace);
   std::vector<DeviceOutcome> exchange(std::size_t t, double mu,
                                       const Vector& w, const Selection& sel,
-                                      const TraceContext& round_ctx,
                                       RoundTrace& trace) const;
   DeviceOutcome exchange_with_recovery(ModelBroadcast& broadcast,
                                        std::size_t round,
@@ -71,7 +69,7 @@ class RoundDriver {
   ShardedServer aggregate(std::size_t round, Vector& w,
                           std::span<const ShardSlice> slices,
                           const std::vector<DeviceOutcome>& outcomes,
-                          const TraceContext& round_ctx, RoundTrace& trace);
+                          RoundTrace& trace);
   void account(std::size_t round, double mu, const Selection& sel,
                std::span<const ShardSlice> slices,
                const std::vector<DeviceOutcome>& outcomes,

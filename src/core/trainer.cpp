@@ -61,15 +61,6 @@ std::vector<std::pair<std::size_t, double>> TrainHistory::loss_series() const {
   return out;
 }
 
-std::vector<std::pair<std::size_t, double>> TrainHistory::accuracy_series()
-    const {
-  std::vector<std::pair<std::size_t, double>> out;
-  for (const auto& r : rounds) {
-    if (r.evaluated()) out.emplace_back(r.round, *r.test_accuracy);
-  }
-  return out;
-}
-
 bool TrainHistory::diverged(double threshold) const {
   for (const auto& r : rounds) {
     if (r.evaluated() &&

@@ -182,8 +182,13 @@ struct RoundMetrics {
   std::optional<double> dissimilarity_b;
   double mu = 0.0;              // mu in effect this round
   std::optional<double> mean_gamma;
-  std::size_t contributors = 0; // devices aggregated this round
-  std::size_t stragglers = 0;   // stragglers among selected
+  // Both counts are over the round's accepted updates: delivered within
+  // the deadline and the quorum cut. `contributors` are the ones folded
+  // into w (FedAvg leaves out its stragglers); `stragglers` counts the
+  // straggler budgets among all accepted updates, FedAvg's included.
+  // RoundTrace carries the same two counts.
+  std::size_t contributors = 0;
+  std::size_t stragglers = 0;
 
   bool evaluated() const { return train_loss.has_value(); }
 };
@@ -194,9 +199,8 @@ struct TrainHistory {
 
   // Metrics of the last evaluated round. Throws if nothing was evaluated.
   const RoundMetrics& final_metrics() const;
-  // Loss/accuracy series restricted to evaluated rounds.
+  // (round, train loss) over the evaluated rounds.
   std::vector<std::pair<std::size_t, double>> loss_series() const;
-  std::vector<std::pair<std::size_t, double>> accuracy_series() const;
   // True if any evaluated round saw a non-finite or clearly diverging
   // loss (> threshold).
   bool diverged(double threshold = 1e4) const;

@@ -63,12 +63,6 @@ std::size_t FederatedDataset::total_train_samples() const {
   return total;
 }
 
-std::size_t FederatedDataset::total_test_samples() const {
-  std::size_t total = 0;
-  for (const auto& c : clients) total += c.test.size();
-  return total;
-}
-
 std::vector<double> FederatedDataset::client_weights() const {
   const double n = static_cast<double>(total_train_samples());
   std::vector<double> p(clients.size());

@@ -45,8 +45,6 @@ struct Dataset {
 struct ClientData {
   Dataset train;
   Dataset test;
-
-  std::size_t train_size() const { return train.size(); }
 };
 
 struct FederatedDataset {
@@ -60,7 +58,6 @@ struct FederatedDataset {
 
   std::size_t num_clients() const { return clients.size(); }
   std::size_t total_train_samples() const;
-  std::size_t total_test_samples() const;
 
   // pk weights from Equation (1): n_k / n over training samples.
   std::vector<double> client_weights() const;

@@ -85,8 +85,8 @@ struct RoundTrace {
   std::size_t round = 0;
   bool evaluated = false;        // eval_seconds covers a real evaluation
   std::size_t selected = 0;      // devices selected this round
-  std::size_t contributors = 0;  // devices aggregated
-  std::size_t stragglers = 0;    // stragglers among delivered updates
+  std::size_t contributors = 0;  // as RoundMetrics::contributors
+  std::size_t stragglers = 0;    // as RoundMetrics::stragglers
   CommFaultStats faults;         // channel fault/recovery accounting
   std::vector<ShardStat> shards; // per-shard slice of this round's work
   bool degraded = false;         // aggregation saw zero updates; w was kept

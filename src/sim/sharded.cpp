@@ -45,8 +45,7 @@ std::size_t ShardedServer::total_contributors() const {
   return total;
 }
 
-bool ShardedServer::reduce(std::size_t round, std::span<double> w,
-                           const TraceContext& trace) {
+bool ShardedServer::reduce(std::size_t round, std::span<double> w) {
   if (reduced_) {
     throw std::logic_error(
         "ShardedServer::reduce called twice: a server aggregates one round "
@@ -92,13 +91,9 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w,
     // The uplink always round-trips the wire format, even with one
     // shard: partial_bytes_ is then real traffic, and a codec regression
     // cannot hide behind an in-process shortcut.
-    PartialSumUpdate message{.round = round,
-                             .trace = trace,
-                             .shard = s,
-                             .partial = std::move(partials[s])};
-    message.trace.span_id =
-        derive_trace_span(trace.trace_id, TraceSpanKind::kShardPartial, s);
-    wires.push_back(encode_partial_sum(message));
+    wires.push_back(encode_partial_sum({.round = round,
+                                        .shard = s,
+                                        .partial = std::move(partials[s])}));
     partial_bytes_[s] = wires.back().size();
   }
   std::vector<PartialAggregate> received;

@@ -23,7 +23,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/trace_context.h"
 #include "sim/aggregate.h"
 #include "support/threadpool.h"
 
@@ -75,14 +74,8 @@ class ShardedServer {
   // finalizes the weighted average into `w`. Returns false, leaving `w`
   // untouched, when no shard staged any contribution. A server reduces
   // one round: a second call throws std::logic_error.
-  //
-  // `trace` is the round's context (obs/trace_context.h): each FPS2
-  // partial is stamped with its derived shard span. A default (zero)
-  // context means untraced.
-  bool reduce(std::size_t round, std::span<double> w,
-              const TraceContext& trace = {});
+  bool reduce(std::size_t round, std::span<double> w);
 
-  std::size_t shard_count() const { return staged_.size(); }
   std::size_t contributors(std::size_t shard) const {
     return staged_[shard].size();
   }

@@ -163,8 +163,6 @@ WireBuffer encode_broadcast(const ModelBroadcast& message) {
   ByteWriter w(out);
   w.magic(kBroadcastMagic);
   w.u64(message.round);
-  w.u64(message.trace.trace_id);
-  w.u64(message.trace.span_id);
   w.f64(message.config.mu);
   w.u64(message.config.batch_size);
   w.f64(message.config.learning_rate);
@@ -184,8 +182,6 @@ OwnedBroadcast decode_broadcast(std::span<const std::uint8_t> buffer) {
   r.magic(kBroadcastMagic);
   OwnedBroadcast m;
   m.round = r.u64();
-  m.trace.trace_id = r.u64();
-  m.trace.span_id = r.u64();
   m.config.mu = r.f64();
   m.config.batch_size = r.u64();
   m.config.learning_rate = r.f64();
@@ -207,8 +203,6 @@ WireBuffer encode_update(const ClientUpdate& message) {
   ByteWriter w(out);
   w.magic(kUpdateMagic);
   w.u64(message.round);
-  w.u64(message.trace.trace_id);
-  w.u64(message.trace.span_id);
   w.u64(message.result.device);
   w.u64(message.result.num_samples);
   w.flag(message.result.straggler);
@@ -231,8 +225,6 @@ WireBuffer encode_partial_sum(const PartialSumUpdate& message) {
   ByteWriter w(out);
   w.magic(kPartialMagic);
   w.u64(message.round);
-  w.u64(message.trace.trace_id);
-  w.u64(message.trace.span_id);
   w.u64(message.shard);
   // Scheme byte: 0 = weighted average, 1 = simple average.
   w.flag(message.partial.scheme() ==
@@ -249,8 +241,6 @@ PartialSumUpdate decode_partial_sum(std::span<const std::uint8_t> buffer) {
   r.magic(kPartialMagic);
   PartialSumUpdate m;
   m.round = r.u64();
-  m.trace.trace_id = r.u64();
-  m.trace.span_id = r.u64();
   m.shard = r.u64();
   const bool simple = r.flag();  // scheme byte: 0 weighted, 1 simple
   const SamplingScheme scheme = simple
@@ -272,8 +262,6 @@ ClientUpdate decode_update(std::span<const std::uint8_t> buffer) {
   r.magic(kUpdateMagic);
   ClientUpdate m;
   m.round = r.u64();
-  m.trace.trace_id = r.u64();
-  m.trace.span_id = r.u64();
   m.result.device = r.u64();
   m.result.num_samples = r.u64();
   m.result.straggler = r.flag();

@@ -3,26 +3,21 @@
 // through, and the FPC1 crash-recovery checkpoint (core/checkpoint.h) —
 // the one way a run is saved and continued.
 //
-// Wire formats (little-endian, doubles round-trip bit-exactly). Every
-// envelope carries the message's TraceContext right after `round` — the
-// u64 trace_id of the server round plus the u64 sender span id
-// (obs/trace_context.h) — so spans recorded on the far side of a process
-// boundary still correlate back to the originating round:
+// Wire formats (little-endian, doubles round-trip bit-exactly). The
+// FPB1/FPU1/FPS2 frames never leave the process that encodes them; the
+// magics only catch a frame handed to the wrong decoder:
 //   ModelBroadcast  magic "FPB1" | u64 round
-//                   | u64 trace_id | u64 span_id
 //                   | f64 mu | u64 batch_size | f64 learning_rate
 //                   | f64 clip_norm | u8 measure_gamma
 //                   | u64 device | u8 straggler | u64 epochs | u64 iterations
 //                   | u64 param_dim | param_dim * f64
 //                   | u64 correction_dim | correction_dim * f64
 //   ClientUpdate    magic "FPU1" | u64 round
-//                   | u64 trace_id | u64 span_id
 //                   | u64 device | u64 num_samples
 //                   | u8 straggler | u64 iterations | f64 gamma
 //                   | u8 gamma_measured | f64 solve_seconds
 //                   | u64 dim | dim * f64
 //   PartialSumUpdate  magic "FPS2" | u64 round
-//                     | u64 trace_id | u64 span_id
 //                     | u64 shard | u8 scheme
 //                     | u64 contributors | register(weight)
 //                     | u64 dim | dim * register(coordinate)
@@ -89,13 +84,11 @@ using WireBuffer = std::vector<std::uint8_t>;
 // parameter-vector-size proxy older traces estimated bytes with.
 inline constexpr std::size_t kBroadcastEnvelopeBytes =
     4 + 8 +                  // magic, round
-    8 + 8 +                  // trace_id, span_id
     8 + 8 + 8 + 8 + 1 +      // mu, batch_size, learning_rate, clip, gamma
     8 + 1 + 8 + 8 +          // device, straggler, epochs, iterations
     8 + 8;                   // param_dim, correction_dim
 inline constexpr std::size_t kUpdateEnvelopeBytes =
     4 + 8 +                  // magic, round
-    8 + 8 +                  // trace_id, span_id
     8 + 8 + 1 + 8 +          // device, num_samples, straggler, iterations
     8 + 1 + 8 +              // gamma, gamma_measured, solve_seconds
     8;                       // dim
@@ -104,7 +97,6 @@ inline constexpr std::size_t kUpdateEnvelopeBytes =
 // coordinates follow as variable-length exact-sum registers.
 inline constexpr std::size_t kPartialEnvelopeBytes =
     4 + 8 +                  // magic, round
-    8 + 8 +                  // trace_id, span_id
     8 +                      // shard
     1 + 8 +                  // scheme, contributors
     8;                       // dim

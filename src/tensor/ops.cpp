@@ -65,12 +65,6 @@ void add(std::span<const double> a, std::span<const double> b,
   for (std::size_t i = 0; i < a.size(); ++i) dst[i] = a[i] + b[i];
 }
 
-void hadamard(std::span<const double> a, std::span<const double> b,
-              std::span<double> dst) {
-  assert(a.size() == b.size() && a.size() == dst.size());
-  for (std::size_t i = 0; i < a.size(); ++i) dst[i] = a[i] * b[i];
-}
-
 void zero(std::span<double> x) { std::fill(x.begin(), x.end(), 0.0); }
 
 void gemv(const ConstMatrixView& a, std::span<const double> x,

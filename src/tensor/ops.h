@@ -35,9 +35,6 @@ void subtract(std::span<const double> a, std::span<const double> b,
 // dst = a + b
 void add(std::span<const double> a, std::span<const double> b,
          std::span<double> dst);
-// elementwise dst = a * b (Hadamard)
-void hadamard(std::span<const double> a, std::span<const double> b,
-              std::span<double> dst);
 // x = 0
 void zero(std::span<double> x);
 

@@ -15,7 +15,10 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "comm/client_runtime.h"
 #include "comm/transport.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -23,6 +26,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
+#include "optim/sgd.h"
 #include "support/log.h"
 #include "test_util.h"
 
@@ -87,6 +91,7 @@ class CommFaultTest : public ::testing::Test {
     TrainHistory history;
     std::vector<RoundTrace> traces;
     std::map<FaultEvent::Kind, std::size_t> events;
+    std::vector<FaultEvent> event_log;  // in fan-out order
     std::vector<HealthIncident> incidents;
   };
 
@@ -114,6 +119,7 @@ class CommFaultTest : public ::testing::Test {
     out.history = trainer.run();
     out.traces = traces.traces();
     out.events = events.counts;
+    out.event_log = events.events;
     out.incidents = health.incidents();
     return out;
   }
@@ -435,6 +441,115 @@ TEST_F(CommFaultTest, CorruptionIsAlwaysDetectedAndTyped) {
     }
     EXPECT_GT(corrupt_events, 0u);
   }
+}
+
+// A delivered update must answer its broadcast: the same round and
+// device, the device's own sample count (the aggregation weight) and the
+// budget's straggler flag (which FedAvg's drop rule reads). One that does
+// not is rejected as a typed corruption naming the field, and retried.
+// Every first attempt here is tampered and every retry is honest, so the
+// run trains bit-identically to the untampered one.
+TEST_F(CommFaultTest, UpdateThatDoesNotAnswerItsBroadcastIsRetried) {
+  TrainerConfig c = chaos_config();
+  c.rounds = 4;
+  c.faults = FaultProfile{};
+  c.recovery = RecoveryConfig{.max_retries = 1};
+  const RunArtifacts clean = run(c);
+
+  const std::vector<std::pair<std::string, testing::TamperingTransport::Tamper>>
+      cases = {
+          {"update round",
+           [](const ModelBroadcast&, ClientUpdate& u) { u.round += 1; }},
+          {"update device",
+           [](const ModelBroadcast&, ClientUpdate& u) { u.result.device += 1; }},
+          {"update num_samples",
+           [](const ModelBroadcast&, ClientUpdate& u) {
+             u.result.num_samples *= 2;
+           }},
+          {"update straggler flag",
+           [](const ModelBroadcast&, ClientUpdate& u) {
+             u.result.straggler = !u.result.straggler;
+           }},
+      };
+  for (const auto& [field, tamper] : cases) {
+    SCOPED_TRACE(field);
+    TrainerConfig variant = c;
+    variant.transport = std::make_shared<testing::TamperingTransport>(
+        make_transport(TransportKind::kInProcess),
+        [tamper](const ModelBroadcast& b, ClientUpdate& u) {
+          if (b.attempt == 0) tamper(b, u);
+        });
+    const RunArtifacts a = run(variant);
+    expect_bit_identical(a.history, clean.history);
+    std::size_t selected = 0;
+    for (const RoundTrace& t : a.traces) {
+      check_trace_invariants(t);
+      EXPECT_EQ(t.faults.corruptions, t.selected) << "round " << t.round;
+      EXPECT_EQ(t.faults.failed_devices, 0u) << "round " << t.round;
+      selected += t.selected;
+    }
+    EXPECT_EQ(a.event_log.size(), selected);
+    for (const FaultEvent& e : a.event_log) {
+      EXPECT_EQ(e.kind, FaultEvent::Kind::kCorrupt);
+      EXPECT_EQ(e.attempt, 0u);
+      EXPECT_EQ(e.detail.rfind(field, 0), 0u) << e.detail;
+    }
+  }
+}
+
+// Fault outcomes do not depend on the frame size: the delay, drop and
+// corrupt draws come before the one size-dependent draw (on a corrupted
+// attempt, which bit to flip or where to truncate), the transport returns
+// right after it, and only an uncorrupted attempt draws the duplicate.
+// So an envelope change moves only the byte columns of a faulty run,
+// never its history.
+TEST_F(CommFaultTest, FaultOutcomesDoNotDependOnFrameSize) {
+  const LogisticRegression narrow(data().input_dim, data().num_classes);
+  const LogisticRegression wide(data().input_dim, data().num_classes + 3);
+  SgdSolver solver;
+  const ClientRuntime narrow_runtime(narrow, data(), solver, 5);
+  const ClientRuntime wide_runtime(wide, data(), solver, 5);
+  const FaultInjectingTransport transport(
+      make_transport(TransportKind::kSerialized),
+      FaultProfile{
+          .drop = 0.2, .corrupt = 0.3, .duplicate = 0.3, .delay_ms = 50.0},
+      5);
+  const Vector w_narrow(narrow.parameter_count(), 0.5);
+  const Vector w_wide(wide.parameter_count(), 0.5);
+  ASSERT_NE(w_narrow.size(), w_wide.size());
+
+  std::map<ExchangeStatus, std::size_t> seen;
+  std::size_t duplicates = 0;
+  for (std::size_t round = 1; round <= 6; ++round) {
+    for (std::size_t device = 0; device < data().num_clients(); ++device) {
+      for (std::size_t attempt = 0; attempt < 3; ++attempt) {
+        ModelBroadcast b{
+            .round = round,
+            .config = RoundConfig{.batch_size = 10, .learning_rate = 0.05},
+            .budget = DeviceBudget{.device = device, .epochs = 1,
+                                   .iterations = 2},
+            .parameters = w_narrow,
+            .correction = {},
+            .attempt = attempt};
+        const ExchangeRecord small = transport.exchange(b, narrow_runtime);
+        b.parameters = w_wide;
+        const ExchangeRecord large = transport.exchange(b, wide_runtime);
+        SCOPED_TRACE(::testing::Message() << "round " << round << " device "
+                                          << device << " attempt " << attempt);
+        EXPECT_EQ(small.status, large.status);
+        EXPECT_EQ(small.duplicate, large.duplicate);
+        EXPECT_EQ(small.channel_delay_ms, large.channel_delay_ms);
+        EXPECT_LT(small.bytes_down, large.bytes_down);
+        ++seen[small.status];
+        if (small.duplicate) ++duplicates;
+      }
+    }
+  }
+  // The sweep reaches every outcome.
+  EXPECT_GT(seen[ExchangeStatus::kDelivered], 0u);
+  EXPECT_GT(seen[ExchangeStatus::kDropped], 0u);
+  EXPECT_GT(seen[ExchangeStatus::kCorrupt], 0u);
+  EXPECT_GT(duplicates, 0u);
 }
 
 }  // namespace

@@ -174,22 +174,22 @@ void expect_pinned(const std::string& name, const std::vector<Pin>& pins) {
 TEST(GoldenTest, SynthSmall) {
   expect_pinned("synth_small",
                 {{0xccca9c100fca67adull, 0x6fee35c084835e6cull,
-                  0x36326d4ec1e10599ull},
+                  0xab2adc08c92832beull},
                  {0x870e46604b76cbc2ull, 0xa78dc3f74330f15bull,
-                  0xa9666ed2b8d7f7c1ull}});
+                  0xb8100f0f6e4cb215ull}});
 }
 
 TEST(GoldenTest, LstmKernels) {
   expect_pinned("lstm_kernels", {{0x40b1b5e941a24b1eull, 0x484dbd7d90dea995ull,
-                                  0x7ea13cfc9978736dull}});
+                                  0x50c9ee6068bb7925ull}});
 }
 
 TEST(GoldenTest, WideFaulty) {
   expect_pinned("wide_faulty",
                 {{0x6a0d611cb9c86241ull, 0x71d9e985fc6b258cull,
-                  0x758ee12434399cbdull},
+                  0xfe3a61db871dfe24ull},
                  {0x05b2550724d416a8ull, 0x0539dd6a388a8766ull,
-                  0xb8ce17e1110df3d5ull}});
+                  0x9dc4d3d8c2df3e0bull}});
 }
 
 }  // namespace

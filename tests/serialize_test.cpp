@@ -366,27 +366,6 @@ TEST_F(SerializeTest, PartialSumRoundTripsExactly) {
   EXPECT_EQ(expected, decoded);
 }
 
-TEST_F(SerializeTest, TraceContextRoundTripsOnAllEnvelopes) {
-  // Every envelope carries the 16-byte trace context right after the
-  // round, whether or not profiling is on; ids survive all three codecs.
-  OwnedBroadcast b = sample_broadcast();
-  b.trace = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
-  EXPECT_EQ(decode_broadcast(encode_broadcast(b.view())).trace, b.trace);
-
-  ClientUpdate u = sample_update();
-  u.trace = {0xdeadbeefdeadbeefULL, 0x1ULL};
-  EXPECT_EQ(decode_update(encode_update(u)).trace, u.trace);
-
-  PartialSumUpdate p = sample_partial();
-  p.trace = {0x42ULL, 0xffffffffffffffffULL};
-  EXPECT_EQ(decode_partial_sum(encode_partial_sum(p)).trace, p.trace);
-
-  // The default (untraced) context is all zeros and also round-trips.
-  const PartialSumUpdate untraced = sample_partial();
-  EXPECT_FALSE(untraced.trace.traced());
-  EXPECT_FALSE(decode_partial_sum(encode_partial_sum(untraced)).trace.traced());
-}
-
 TEST_F(SerializeTest, EmptyPartialSumRoundTrips) {
   PartialSumUpdate p;
   p.partial = PartialAggregate(SamplingScheme::kWeightedThenSimpleAverage, 2);
@@ -416,7 +395,7 @@ TEST_F(SerializeTest, DecodePartialSumRejectsCorruptBuffers) {
   EXPECT_THROW(decode_partial_sum(trailing), std::runtime_error);
 
   WireBuffer bad_scheme = wire;
-  bad_scheme[4 + 8 + 16 + 8] = 9;  // scheme byte: not 0/1
+  bad_scheme[4 + 8 + 8] = 9;  // scheme byte: not 0/1
   EXPECT_THROW(decode_partial_sum(bad_scheme), std::runtime_error);
 }
 
@@ -507,7 +486,7 @@ TEST_F(SerializeTest, DecodeBroadcastRejectsCorruptBuffers) {
   EXPECT_THROW(decode_broadcast(trailing), std::runtime_error);
 
   WireBuffer bad_flag = wire;
-  bad_flag[4 + 8 + 16 + 8 + 8 + 8 + 8] = 7;  // measure_gamma byte: not 0/1
+  bad_flag[4 + 8 + 8 + 8 + 8 + 8] = 7;  // measure_gamma byte: not 0/1
   EXPECT_THROW(decode_broadcast(bad_flag), std::runtime_error);
 }
 
@@ -529,7 +508,7 @@ TEST_F(SerializeTest, DecodeUpdateRejectsCorruptBuffers) {
   EXPECT_THROW(decode_update(trailing), std::runtime_error);
 
   WireBuffer bad_flag = wire;
-  bad_flag[4 + 8 + 16 + 8 + 8] = 0xFF;  // straggler byte: not 0/1
+  bad_flag[4 + 8 + 8 + 8] = 0xFF;  // straggler byte: not 0/1
   EXPECT_THROW(decode_update(bad_flag), std::runtime_error);
 }
 

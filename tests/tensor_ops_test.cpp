@@ -48,8 +48,6 @@ TEST(VectorOps, ElementwiseOps) {
   EXPECT_DOUBLE_EQ(out[1], 3.0);
   add(a, b, out);
   EXPECT_DOUBLE_EQ(out[0], 4.0);
-  hadamard(a, b, out);
-  EXPECT_DOUBLE_EQ(out[1], 10.0);
 }
 
 TEST(VectorOps, CopyIsExact) {

@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "comm/transport.h"
 #include "data/dataset.h"
 #include "nn/module.h"
 #include "support/serialize.h"
@@ -98,6 +100,31 @@ class ConstantInitModel final : public Model {
  private:
   const Model& inner_;
   double value_;
+};
+
+// Forwards each exchange to `inner`, then lets `tamper` rewrite a
+// delivered update, the way a misbehaving device would answer its
+// broadcast. `tamper` is called concurrently from pool workers.
+class TamperingTransport final : public Transport {
+ public:
+  using Tamper = std::function<void(const ModelBroadcast&, ClientUpdate&)>;
+
+  TamperingTransport(std::shared_ptr<const Transport> inner, Tamper tamper)
+      : inner_(std::move(inner)), tamper_(std::move(tamper)) {}
+
+  ExchangeRecord exchange(const ModelBroadcast& broadcast,
+                          const ClientRuntime& client) const override {
+    ExchangeRecord record = inner_->exchange(broadcast, client);
+    if (record.delivered()) tamper_(broadcast, record.update);
+    return record;
+  }
+  std::string name() const override {
+    return "tampering(" + inner_->name() + ")";
+  }
+
+ private:
+  std::shared_ptr<const Transport> inner_;
+  Tamper tamper_;
 };
 
 // Dense dataset with the given rows as both features and (label 0) targets.
