@@ -9,7 +9,7 @@
 //                [--metrics-out metrics.prom]
 //                [--churn arrive=0.05,depart=0.05]
 //                [--checkpoint-every N] [--checkpoint-dir DIR]
-//                [--checkpoint-retain G] [--resume]
+//                [--checkpoint-retain G] [--resume] [--seed 1]
 //
 // The channel/server flags are the shared bench set (bench/bench_common.h):
 // quickstart only adds --mu/--rounds/--stragglers on top.
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   // 1. Build a federated dataset and its model. Workloads bundle the
   //    paper's hyper-parameters; you can also construct datasets and
   //    models directly (see the other examples).
-  const Workload workload = make_workload("synthetic_1_1", /*seed=*/1);
+  const Workload workload = make_workload("synthetic_1_1", options.seed);
   std::cout << "dataset: " << workload.data.name << " with "
             << workload.data.num_clients() << " devices, "
             << workload.data.total_train_samples() << " training samples\n";
@@ -77,6 +77,7 @@ int main(int argc, char** argv) {
   config.systems.straggler_fraction = stragglers;
   config.learning_rate = workload.learning_rate;
   config.eval_every = 5;
+  config.seed = options.seed;
   bench::apply_common_flags(config, options);
   std::cout << "transport: " << config.transport->name() << "\n";
   if (config.shards > 1) {

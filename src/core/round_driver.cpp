@@ -21,7 +21,8 @@ namespace {
 // Names the first field in which a delivered `update` fails to answer
 // `broadcast`, or returns "" when it answers it: its round, its device,
 // its sample count (the aggregation weight) and its straggler flag (which
-// the FedAvg drop rule reads) must be the ones the server sent or knows.
+// the FedAvg drop rule reads) must be the ones the server sent or knows;
+// its update must have the broadcast's dimension and finite coordinates.
 std::string unanswered_field(const ModelBroadcast& broadcast,
                              const ClientUpdate& update,
                              std::size_t train_size) {
@@ -43,6 +44,17 @@ std::string unanswered_field(const ModelBroadcast& broadcast,
     return "update straggler flag " + std::to_string(int{r.straggler}) +
            " is not the budget's " +
            std::to_string(int{broadcast.budget.straggler});
+  }
+  if (r.update.size() != broadcast.parameters.size()) {
+    return "update has " + std::to_string(r.update.size()) +
+           " coordinates, not the broadcast's " +
+           std::to_string(broadcast.parameters.size());
+  }
+  for (std::size_t j = 0; j < r.update.size(); ++j) {
+    if (!std::isfinite(r.update[j])) {
+      return "update coordinate " + std::to_string(j) + " is " +
+             std::to_string(r.update[j]);
+    }
   }
   return {};
 }
@@ -205,8 +217,9 @@ std::vector<RoundDriver::DeviceOutcome> RoundDriver::exchange(
 // Retries failed attempts (drop / corrupt / past-deadline) with simulated
 // exponential backoff, up to max_retries extra attempts. A delivered
 // update that does not answer its broadcast (unanswered_field) is
-// rejected as a corrupt arrival, once even if it came twice. A device that
-// left between selection and its exchange never reaches the transport
+// rejected as a corrupt arrival, charged as one nominal update frame
+// (like a damaged one) even if it came twice or at another size. A device
+// that left between selection and its exchange never reaches the transport
 // (so other devices' fault streams are unperturbed): each attempt is
 // answered as a lost broadcast, charged and dropped, like a crashed
 // phone mid-exchange. Mutates broadcast.attempt only; called
@@ -235,7 +248,7 @@ RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
         if (!wrong.empty()) {
           record.status = ExchangeStatus::kCorrupt;
           record.error = std::move(wrong);
-          if (record.duplicate) record.bytes_up /= 2;
+          record.bytes_up = update_wire_size(broadcast.parameters.size());
           record.duplicate = false;
         }
       }

@@ -130,6 +130,19 @@ TrainHistory Trainer::resume(const std::string& checkpoint_path) {
     throw std::runtime_error(
         "Trainer::resume: checkpoint parameter dimension mismatch");
   }
+  if (state.population != data_.num_clients()) {
+    throw std::runtime_error("Trainer::resume: checkpoint population mismatch");
+  }
+  // Exactly rounds 0 .. next_round - 1, or the resumed history would
+  // silently miss or repeat rounds.
+  bool contiguous = state.rounds.size() == state.next_round;
+  for (std::size_t i = 0; contiguous && i < state.rounds.size(); ++i) {
+    contiguous = state.rounds[i].round == i;
+  }
+  if (!contiguous) {
+    throw std::runtime_error(
+        "Trainer::resume: checkpoint history is not rounds 0..next_round-1");
+  }
   return run_impl(&state);
 }
 

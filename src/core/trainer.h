@@ -222,8 +222,9 @@ class Trainer {
   // continues the run from the checkpointed round boundary. The combined
   // history (checkpointed rounds + resumed rounds) is bit-identical to a
   // run that never stopped — regardless of the thread or shard count of
-  // either segment. Throws std::runtime_error on a missing, corrupt, or
-  // config-mismatched checkpoint.
+  // either segment. Throws std::runtime_error, before any observer hook
+  // fires, on a missing, corrupt, or config-mismatched checkpoint, or one
+  // whose weights, population or round history do not fit this run.
   TrainHistory resume(const std::string& checkpoint_path);
 
   // Registers an observer for run/round/client telemetry (obs/observer.h).

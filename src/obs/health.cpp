@@ -11,8 +11,6 @@ namespace fed {
 
 const char* to_string(HealthIncident::Kind kind) {
   switch (kind) {
-    case HealthIncident::Kind::kNonFiniteClientUpdate:
-      return "nonfinite_client_update";
     case HealthIncident::Kind::kNonFiniteWeights: return "nonfinite_weights";
     case HealthIncident::Kind::kNonFiniteLoss: return "nonfinite_loss";
     case HealthIncident::Kind::kLossBlowup: return "loss_blowup";
@@ -26,62 +24,22 @@ const char* to_string(HealthIncident::Kind kind) {
 HealthMonitor::HealthMonitor(HealthConfig config, MetricsRegistry* registry)
     : config_(config), registry_(registry) {}
 
-void HealthMonitor::on_run_start(const RunInfo& info) {
-  (void)info;
+void HealthMonitor::on_run_start(const RunInfo&) {
   incidents_.clear();
-  round_suspects_.clear();
   recent_losses_.clear();
   has_best_loss_ = false;
   evals_since_improvement_ = 0;
   stall_reported_ = false;
 }
 
-void HealthMonitor::on_fault(const FaultEvent& event) {
-  if (event.kind != FaultEvent::Kind::kRoundDegraded) return;
-  HealthIncident incident;
-  incident.kind = HealthIncident::Kind::kDegradedRound;
-  incident.round = event.round;
-  std::ostringstream msg;
-  msg << "round " << event.round << ": " << event.detail;
-  incident.message = msg.str();
-  record(std::move(incident), /*fatal=*/false);
-}
-
-void HealthMonitor::on_client_result(std::size_t round,
-                                     const ClientResult& result) {
-  if (all_finite(result.update)) return;
-  round_suspects_.push_back(result.device);
-  HealthIncident incident;
-  incident.kind = HealthIncident::Kind::kNonFiniteClientUpdate;
-  incident.round = round;
-  incident.device = result.device;
-  std::ostringstream msg;
-  msg << "round " << round << ": device " << result.device
-      << " produced a non-finite local update";
-  incident.message = msg.str();
-  // Never fatal here: FedAvg may still drop this device at aggregation;
-  // on_aggregate escalates if the poison reaches the global weights.
-  record(std::move(incident), /*fatal=*/false);
-}
-
 void HealthMonitor::on_aggregate(std::size_t round,
                                  std::span<const double> weights) {
   if (all_finite(weights)) return;
-  HealthIncident incident;
-  incident.kind = HealthIncident::Kind::kNonFiniteWeights;
-  incident.round = round;
-  std::ostringstream msg;
-  msg << "round " << round << ": aggregated weights contain NaN/Inf";
-  if (!round_suspects_.empty()) {
-    incident.device = round_suspects_.front();
-    msg << " (offending device";
-    if (round_suspects_.size() > 1) msg << "s";
-    msg << ":";
-    for (std::size_t device : round_suspects_) msg << " " << device;
-    msg << ")";
-  }
-  incident.message = msg.str();
-  record(std::move(incident), config_.abort_on_nonfinite);
+  record({.kind = HealthIncident::Kind::kNonFiniteWeights,
+          .round = round,
+          .message = "round " + std::to_string(round) +
+                     ": aggregated weights contain NaN/Inf"},
+         config_.abort_on_nonfinite);
 }
 
 void HealthMonitor::check_loss(std::size_t round, double loss) {
@@ -146,8 +104,14 @@ void HealthMonitor::check_loss(std::size_t round, double loss) {
 
 void HealthMonitor::on_round_end(const RoundMetrics& metrics,
                                  const RoundTrace& trace) {
-  (void)trace;
-  round_suspects_.clear();
+  if (trace.degraded) {
+    record({.kind = HealthIncident::Kind::kDegradedRound,
+            .round = trace.round,
+            .message = "round " + std::to_string(trace.round) + ": 0 of " +
+                       std::to_string(trace.selected) +
+                       " selected devices contributed an update; keeping w"},
+           /*fatal=*/false);
+  }
   if (metrics.evaluated()) check_loss(metrics.round, *metrics.train_loss);
 }
 

@@ -1,15 +1,15 @@
 // Numeric health watchdog: turn silent divergence into a loud report.
 //
-// The paper's figures are loss curves; a NaN that sneaks into one client
-// update poisons the aggregate and every later round while the run keeps
-// "succeeding". HealthMonitor is a TrainingObserver that scans, every
-// round, (a) each client update for non-finite entries, (b) the
-// aggregated parameter vector, and (c) the evaluated train loss for
-// NaN/Inf, blow-up past k x the running median, and stalled convergence.
-// Incidents are recorded (and counted in a MetricsRegistry when one is
-// attached: health_incidents_total plus one counter per kind); fatal
-// kinds abort the run by throwing HealthError from the observer hook,
-// with a report naming the round and the offending device(s).
+// The paper's figures are loss curves; a NaN in the global model poisons
+// every later round while the run keeps "succeeding". (A device update
+// never gets that far: core/round_driver.cpp rejects a non-finite one as
+// a corrupt arrival.) HealthMonitor is a TrainingObserver that checks,
+// every round, the aggregated parameters for NaN/Inf, the evaluated train
+// loss for NaN/Inf, blow-up past k x the running median, and stalled
+// convergence, and records a degraded round. Incidents are counted in a
+// MetricsRegistry when one is attached (health_incidents_total plus one
+// counter per kind); fatal kinds abort the run by throwing HealthError
+// from the observer hook, with a report naming the round.
 //
 //   MetricsRegistry registry;
 //   HealthMonitor health(HealthConfig{}, &registry);
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -51,7 +50,6 @@ struct HealthConfig {
 
 struct HealthIncident {
   enum class Kind {
-    kNonFiniteClientUpdate,  // a device's local solution has NaN/Inf
     kNonFiniteWeights,       // the aggregated parameters have NaN/Inf
     kNonFiniteLoss,          // an evaluated loss is NaN/Inf
     kLossBlowup,             // loss > blowup_factor x running median
@@ -61,9 +59,8 @@ struct HealthIncident {
 
   Kind kind{};
   std::size_t round = 0;
-  std::optional<std::size_t> device;  // offending device, when known
-  double value = 0.0;                 // offending loss / blow-up ratio
-  std::string message;                // one-line human description
+  double value = 0.0;   // offending loss / blow-up ratio
+  std::string message;  // one-line human description
 };
 
 // Stable snake_case slug ("nonfinite_weights", ...); also names the
@@ -89,14 +86,12 @@ class HealthMonitor final : public TrainingObserver {
                          MetricsRegistry* registry = nullptr);
 
   void on_run_start(const RunInfo& info) override;
-  // Individual channel faults (drop/corrupt/timeout/...) are the fault
-  // layer's normal operation and stay out of the incident log; a round
-  // degraded to zero contributions is recorded, never fatal — training
-  // legitimately continues with w unchanged.
-  void on_fault(const FaultEvent& event) override;
-  void on_client_result(std::size_t round, const ClientResult& result) override;
   void on_aggregate(std::size_t round,
                     std::span<const double> weights) override;
+  // Individual channel faults (drop/corrupt/timeout/...) are the fault
+  // layer's normal operation and stay out of the incident log; a round
+  // the trace marks degraded (zero contributions) is recorded, never
+  // fatal — training legitimately continues with w unchanged.
   void on_round_end(const RoundMetrics& metrics,
                     const RoundTrace& trace) override;
 
@@ -113,9 +108,6 @@ class HealthMonitor final : public TrainingObserver {
   HealthConfig config_;
   MetricsRegistry* registry_;
   std::vector<HealthIncident> incidents_;
-  // Devices whose update went non-finite in the current round; consumed
-  // by on_aggregate to name suspects, cleared at on_round_end.
-  std::vector<std::size_t> round_suspects_;
   std::vector<double> recent_losses_;  // median window, oldest first
   double best_loss_ = 0.0;
   bool has_best_loss_ = false;

@@ -217,6 +217,9 @@ std::string check_round_trace(const RoundTrace& t) {
   const CommFaultStats& f = t.faults;
   const CheckpointStat& c = t.checkpoint;
   const std::uint64_t failed_attempts = f.drops + f.corruptions + f.timeouts;
+  // Every selected device fails, misses the quorum or is accepted.
+  const std::uint64_t placed =
+      f.failed_devices + f.quorum_drops + t.contributors;
   ShardStat sum;
   std::string shard_error;
   for (std::size_t s = 0; s < t.shards.size(); ++s) {
@@ -246,6 +249,14 @@ std::string check_round_trace(const RoundTrace& t) {
            f.retries, " (every retry follows a failed attempt)")},
       {t.contributors > t.selected,
        cat("contributors=", t.contributors, " > selected=", t.selected)},
+      {placed > t.selected,
+       cat("failed_devices+quorum_drops+contributors=", placed,
+           " > selected=", t.selected)},
+      {t.selected > placed + t.stragglers,
+       cat("selected=", t.selected, " > failed_devices+quorum_drops+",
+           "contributors+stragglers=", placed + t.stragglers)},
+      {f.departs > f.failed_devices,
+       cat("departs=", f.departs, " > failed_devices=", f.failed_devices)},
       {t.degraded && t.contributors != 0,
        cat("degraded round has contributors=", t.contributors)},
       {t.selected > 0 && t.contributors == 0 && !t.degraded,

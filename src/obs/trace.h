@@ -128,11 +128,14 @@ RoundTrace trace_from_json(const JsonValue& value);
 
 // The accounting every trainer-produced trace obeys, or the first
 // violation ("" when none): attempts cover the selected devices and
-// retries follow failures; a degraded round has no contributors; bytes
-// move iff attempts / charged deliveries do and split evenly over
-// them; shards are dense, each ships an FPS2 partial, and their columns
-// sum to the round's; a checkpoint names its own round, is non-empty
-// and keeps generations <= retain. tools/trace_lint applies it.
+// retries follow failures; every selected device fails, misses the
+// quorum or is accepted (an accepted one contributes unless FedAvg drops
+// it as a straggler), and a departed one fails; a degraded round has no
+// contributors; bytes move iff attempts / charged deliveries do and
+// split evenly over them; shards are dense, each ships an FPS2 partial,
+// and their columns sum to the round's; a checkpoint names its own
+// round, is non-empty and keeps generations <= retain. tools/trace_lint
+// applies it.
 std::string check_round_trace(const RoundTrace& trace);
 
 }  // namespace fed

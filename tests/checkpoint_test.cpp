@@ -414,6 +414,53 @@ TEST_F(CheckpointTest, ResumeRejectsAWrongLengthParameterVector) {
   }
 }
 
+TEST_F(CheckpointTest, ResumeRejectsAHistoryOrPopulationThatDoesNotFit) {
+  // A frame that decodes (its checksum is recomputed on save) can still
+  // disagree with the run: a history that is not exactly rounds
+  // 0..next_round-1 would resume into a short TrainHistory, and another
+  // population would not fit the device registry. Both are refused
+  // before any observer hook fires.
+  LogisticRegression model(data().input_dim, data().num_classes);
+  TrainerConfig c = config();
+  c.checkpoint.dir = dir_ + "/ckpt";
+  c.checkpoint.every = 4;
+  (void)Trainer(model, data(), c).run();
+  const auto newest = latest_checkpoint(c.checkpoint.dir);
+  ASSERT_TRUE(newest.has_value());
+  const CheckpointState valid = load_checkpoint_state(*newest);
+  ASSERT_EQ(valid.rounds.size(), valid.next_round);
+
+  struct HookCounter : TrainingObserver {
+    std::size_t calls = 0;
+    void on_run_start(const RunInfo&) override { ++calls; }
+    void on_round_end(const RoundMetrics&, const RoundTrace&) override {
+      ++calls;
+    }
+  };
+  CheckpointState short_history = valid;
+  short_history.rounds.erase(short_history.rounds.begin() + 1);
+  CheckpointState other_population = valid;
+  other_population.population += 1;
+  const std::pair<const char*, const CheckpointState*> cases[] = {
+      {"history", &short_history}, {"population", &other_population}};
+  for (const auto& [what, state] : cases) {
+    SCOPED_TRACE(what);
+    const std::string path = dir_ + "/" + what + ".fpc";
+    save_checkpoint_state(path, *state);
+    HookCounter hooks;
+    Trainer trainer(model, data(), c);
+    trainer.add_observer(hooks);
+    try {
+      (void)trainer.resume(path);
+      FAIL() << "a checkpoint whose " << what << " does not fit was resumed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(hooks.calls, 0u);
+  }
+}
+
 TEST_F(CheckpointTest, ResumedCountersIncludeReplayedRounds) {
   // Counters mean "work performed, including replayed rounds": the
   // crashed run published its exposition past the newest checkpoint, the

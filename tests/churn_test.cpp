@@ -218,9 +218,9 @@ TEST_F(ChurnTest, MidRoundDepartureFoldsIntoTheFailurePath) {
   for (const RoundTrace& trace : collector.traces()) {
     departs += trace.faults.departs;
     // A departed device burns all its attempts as drops and ends as a
-    // failed device; the round accounting trace_lint enforces holds.
+    // failed device (departs <= failed_devices); the round accounting
+    // trace_lint enforces holds.
     EXPECT_EQ(check_round_trace(trace), "") << "round " << trace.round;
-    EXPECT_GE(trace.faults.failed_devices, trace.faults.departs);
     EXPECT_LE(trace.active_devices, data().num_clients());
   }
   EXPECT_GT(departs, 0u) << "no selected device ever departed mid-round";

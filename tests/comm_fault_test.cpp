@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,22 +33,6 @@
 
 namespace fed {
 namespace {
-
-// Collects every FaultEvent fanned out by the round driver.
-struct FaultEventCollector : TrainingObserver {
-  std::map<FaultEvent::Kind, std::size_t> counts;
-  std::vector<FaultEvent> events;
-
-  void on_fault(const FaultEvent& event) override {
-    ++counts[event.kind];
-    events.push_back(event);
-  }
-
-  std::size_t count(FaultEvent::Kind kind) const {
-    const auto it = counts.find(kind);
-    return it == counts.end() ? 0 : it->second;
-  }
-};
 
 class CommFaultTest : public ::testing::Test {
  protected:
@@ -105,7 +90,7 @@ class CommFaultTest : public ::testing::Test {
     const Model& model = init ? static_cast<const Model&>(constant) : logistic;
     Trainer trainer(model, data(), config);
     TraceCollector traces;
-    FaultEventCollector events;
+    testing::FaultEventCollector events;
     HealthMonitor health(HealthConfig{}, registry);
     std::unique_ptr<MetricsObserver> metrics;
     trainer.add_observer(traces);
@@ -444,9 +429,11 @@ TEST_F(CommFaultTest, CorruptionIsAlwaysDetectedAndTyped) {
 }
 
 // A delivered update must answer its broadcast: the same round and
-// device, the device's own sample count (the aggregation weight) and the
-// budget's straggler flag (which FedAvg's drop rule reads). One that does
-// not is rejected as a typed corruption naming the field, and retried.
+// device, the device's own sample count (the aggregation weight), the
+// budget's straggler flag (which FedAvg's drop rule reads), and an
+// update of the broadcast's dimension with every coordinate finite. One
+// that does not is rejected as a typed corruption naming the field (or
+// the coordinate), charged as one nominal update frame, and retried.
 // Every first attempt here is tampered and every retry is honest, so the
 // run trains bit-identically to the untampered one.
 TEST_F(CommFaultTest, UpdateThatDoesNotAnswerItsBroadcastIsRetried) {
@@ -469,6 +456,14 @@ TEST_F(CommFaultTest, UpdateThatDoesNotAnswerItsBroadcastIsRetried) {
           {"update straggler flag",
            [](const ModelBroadcast&, ClientUpdate& u) {
              u.result.straggler = !u.result.straggler;
+           }},
+          {"update has",
+           [](const ModelBroadcast&, ClientUpdate& u) {
+             u.result.update.push_back(0.0);
+           }},
+          {"update coordinate 1 ",
+           [](const ModelBroadcast&, ClientUpdate& u) {
+             u.result.update[1] = std::numeric_limits<double>::quiet_NaN();
            }},
       };
   for (const auto& [field, tamper] : cases) {

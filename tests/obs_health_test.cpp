@@ -1,6 +1,7 @@
-// HealthMonitor contract: silent on clean runs, fatal with a useful
-// report when a client update goes non-finite, and loss blow-up / stall
-// detection on the evaluated loss stream.
+// HealthMonitor contract: silent on clean runs and on a device whose
+// update the round driver rejects as non-finite, fatal with a useful
+// report when the global weights or the evaluated loss go non-finite,
+// and loss blow-up / stall detection on the evaluated loss stream.
 
 #include "obs/health.h"
 
@@ -10,13 +11,17 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
 #include "obs/metrics.h"
+#include "obs/observer.h"
+#include "obs/trace.h"
 #include "optim/sgd.h"
 #include "support/log.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -61,20 +66,18 @@ class HealthTest : public ::testing::Test {
   }
 };
 
-// Delegates to SGD but poisons the update of one target device (matched
-// by its training-set address) from `poison_round` on.
+// Delegates to SGD but poisons every update of one target device
+// (matched by its training-set address).
 class PoisoningSolver final : public LocalSolver {
  public:
-  PoisoningSolver(const Dataset* target, std::size_t poison_round)
-      : target_(target), poison_round_(poison_round) {}
+  explicit PoisoningSolver(const Dataset* target) : target_(target) {}
 
   std::string name() const override { return "poisoning_sgd"; }
 
   void solve(const LocalProblem& problem, const SolveBudget& budget, Rng& rng,
              std::span<double> w) const override {
     inner_.solve(problem, budget, rng, w);
-    rounds_seen_ += (problem.data == target_);
-    if (problem.data == target_ && rounds_seen_ >= poison_round_) {
+    if (problem.data == target_) {
       w[0] = std::numeric_limits<double>::quiet_NaN();
     }
   }
@@ -82,8 +85,6 @@ class PoisoningSolver final : public LocalSolver {
  private:
   SgdSolver inner_;
   const Dataset* target_;
-  std::size_t poison_round_;
-  mutable std::size_t rounds_seen_ = 0;
 };
 
 TEST_F(HealthTest, CleanRunStaysSilent) {
@@ -100,40 +101,67 @@ TEST_F(HealthTest, CleanRunStaysSilent) {
   EXPECT_EQ(registry.counter("health_incidents_total").value(), 0u);
 }
 
-TEST_F(HealthTest, InjectedNaNAbortsNamingRoundAndDevice) {
+TEST_F(HealthTest, InjectedNaNUpdateIsRejectedAndTrainingContinues) {
+  // A device whose every update is NaN never reaches the aggregate: each
+  // attempt is a corrupt arrival naming the coordinate, the device fails
+  // every round, and the run completes on the other devices' updates.
   constexpr std::size_t kTarget = 2;
-  constexpr std::size_t kPoisonRound = 2;
   LogisticRegression model(data().input_dim, data().num_classes);
   auto cfg = config();
-  cfg.solver = std::make_shared<PoisoningSolver>(
-      &data().clients[kTarget].train, kPoisonRound);
+  cfg.solver =
+      std::make_shared<PoisoningSolver>(&data().clients[kTarget].train);
   Trainer trainer(model, data(), cfg);
   MetricsRegistry registry;
   HealthMonitor health(HealthConfig{}, &registry);
+  testing::FaultEventCollector faults;
+  TraceCollector traces;
   trainer.add_observer(health);
+  trainer.add_observer(faults);
+  trainer.add_observer(traces);
+  const TrainHistory history = trainer.run();
 
+  EXPECT_TRUE(health.healthy()) << health.report();
+  EXPECT_EQ(registry.counter("health_incidents_total").value(), 0u);
+  EXPECT_FALSE(history.diverged());
+  const std::size_t attempts = cfg.recovery.max_retries + 1;
+  ASSERT_EQ(faults.events.size(), cfg.rounds * (attempts + 1));
+  for (std::size_t round = 1; round <= cfg.rounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const FaultEvent* e = &faults.events[(round - 1) * (attempts + 1)];
+    for (std::size_t attempt = 0; attempt < attempts; ++attempt, ++e) {
+      EXPECT_EQ(e->kind, FaultEvent::Kind::kCorrupt);
+      EXPECT_EQ(e->round, round);
+      EXPECT_EQ(e->device, kTarget);
+      EXPECT_EQ(e->attempt, attempt);
+      EXPECT_EQ(e->detail, "update coordinate 0 is nan");
+    }
+    EXPECT_EQ(e->kind, FaultEvent::Kind::kDeviceFailed);
+    EXPECT_EQ(e->device, kTarget);
+  }
+  ASSERT_EQ(traces.traces().size(), cfg.rounds + 1);
+  for (const RoundTrace& t : traces.traces()) {
+    EXPECT_EQ(check_round_trace(t), "") << "round " << t.round;
+    if (t.round == 0) continue;
+    EXPECT_EQ(t.faults.failed_devices, 1u);
+    EXPECT_EQ(t.contributors, data().num_clients() - 1);
+  }
+}
+
+TEST_F(HealthTest, NonFiniteAggregateIsFatalNamingTheRound) {
+  MetricsRegistry registry;
+  HealthMonitor health(HealthConfig{}, &registry);
+  const std::vector<double> weights = {
+      0.5, std::numeric_limits<double>::infinity(), -1.0};
   try {
-    trainer.run();
+    health.on_aggregate(3, weights);
     FAIL() << "expected HealthError";
   } catch (const HealthError& error) {
-    // The fatal incident is the poisoned aggregate, naming the device
-    // whose update went non-finite and the round it happened in.
     EXPECT_EQ(error.incident().kind, HealthIncident::Kind::kNonFiniteWeights);
-    EXPECT_EQ(error.incident().round, kPoisonRound);
-    ASSERT_TRUE(error.incident().device.has_value());
-    EXPECT_EQ(*error.incident().device, kTarget);
+    EXPECT_EQ(error.incident().round, 3u);
     const std::string report = error.what();
-    EXPECT_NE(report.find("nonfinite_weights"), std::string::npos);
-    EXPECT_NE(report.find("device " + std::to_string(kTarget)),
-              std::string::npos);
-    EXPECT_NE(report.find("round " + std::to_string(kPoisonRound)),
-              std::string::npos);
+    EXPECT_NE(report.find("nonfinite_weights"), std::string::npos) << report;
+    EXPECT_NE(report.find("round 3"), std::string::npos) << report;
   }
-
-  // Both the client-update incident and the aggregate incident counted.
-  EXPECT_EQ(registry.counter("health_incidents_total").value(), 2u);
-  EXPECT_EQ(
-      registry.counter("health_nonfinite_client_update_total").value(), 1u);
   EXPECT_EQ(registry.counter("health_nonfinite_weights_total").value(), 1u);
 }
 

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "comm/transport.h"
 #include "data/dataset.h"
 #include "nn/module.h"
+#include "obs/observer.h"
 #include "support/serialize.h"
 #include "tensor/ops.h"
 
@@ -125,6 +127,17 @@ class TamperingTransport final : public Transport {
  private:
   std::shared_ptr<const Transport> inner_;
   Tamper tamper_;
+};
+
+// Collects every FaultEvent fanned out by the round driver.
+struct FaultEventCollector : TrainingObserver {
+  std::map<FaultEvent::Kind, std::size_t> counts;
+  std::vector<FaultEvent> events;
+
+  void on_fault(const FaultEvent& event) override {
+    ++counts[event.kind];
+    events.push_back(event);
+  }
 };
 
 // Dense dataset with the given rows as both features and (label 0) targets.
