@@ -127,16 +127,33 @@ BENCHMARK(BM_LocalSgdEpoch);
 // column-wise folds (on a pool of `threads` workers; 0 folds on the
 // calling thread), the FPS2 shard -> root round trip, the root merge and
 // the single rounding into w.
+//
+// The last argument picks the updates. kNearBroadcast draws what local
+// solutions look like: one shared model w ~ N(0, 1) plus 0.01 N(0, 1)
+// per device, so each column is narrow. kIndependent draws every
+// coordinate of every update as 0.1 N(0, 1): zero-centered columns whose
+// terms span many binades, the case that leaves rests after the fold's
+// two extraction levels.
+enum ReduceData : std::int64_t { kIndependent = 0, kNearBroadcast = 1 };
+
 void BM_ShardedReduce(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
   const auto updates = static_cast<std::size_t>(state.range(1));
   const auto shards = static_cast<std::size_t>(state.range(2));
   const auto threads = static_cast<std::size_t>(state.range(3));
+  const bool near_broadcast = state.range(4) == kNearBroadcast;
   Rng rng(7);
+  Vector shared(dim);
+  if (near_broadcast) {
+    for (double& v : shared) v = rng.normal();
+  }
   std::vector<Vector> models(updates, Vector(dim));
   std::vector<double> samples(updates);
   for (std::size_t k = 0; k < updates; ++k) {
-    for (double& v : models[k]) v = 0.1 * rng.normal();
+    for (std::size_t i = 0; i < dim; ++i) {
+      models[k][i] = near_broadcast ? shared[i] + 0.01 * rng.normal()
+                                    : 0.1 * rng.normal();
+    }
     samples[k] = static_cast<double>(10 + rng.uniform_int(std::uint64_t{90}));
   }
   std::unique_ptr<ThreadPool> pool;
@@ -159,12 +176,10 @@ void BM_ShardedReduce(benchmark::State& state) {
 }
 // wide_faulty's round (4020 parameters, 99 updates, 4 shards) and
 // lstm_kernels' (4712 parameters, 10 updates, 1 shard), inline and on
-// the 2-worker pool fedbench trains with.
+// the 2-worker pool fedbench trains with, for both kinds of update.
 BENCHMARK(BM_ShardedReduce)
-    ->Args({4020, 99, 4, 0})
-    ->Args({4020, 99, 4, 2})
-    ->Args({4712, 10, 1, 0})
-    ->Args({4712, 10, 1, 2})
+    ->ArgsProduct({{4020}, {99}, {4}, {0, 2}, {kIndependent, kNearBroadcast}})
+    ->ArgsProduct({{4712}, {10}, {1}, {0, 2}, {kIndependent, kNearBroadcast}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -20,10 +20,18 @@
 // per coordinate, packed back to back (about 14 bytes for a typical
 // coordinate, against 288 for a dense fixed-point register). The wire
 // codec (support/serialize.h) ships those bytes as they are. Sums are
-// built column-wise: for each coordinate, the stored window and every
-// contribution's term go through one L1-resident scratch ExactSum, and
-// the canonical window is written back. ColumnFold splits that work into
-// coordinate blocks that can run on a thread pool.
+// built column-wise: for each coordinate, the stored window and the
+// batch's terms coeff_k * u_k[i] go through one L1-resident scratch
+// ExactSum, and the canonical window is written back. ColumnFold splits
+// that work into coordinate blocks that can run on a thread pool.
+//
+// A batch of at least five terms per coordinate does not reach the
+// scratch register term by term. ColumnFold first splits the terms with
+// Rump-Ogita-Oishi's error-free extraction, four coordinates at a time in
+// SIMD double lanes, into two level sums that are exact as doubles, and
+// adds those; only bits below both levels (a column with 1 beside
+// 2^-120, say) and lanes holding inf/NaN or terms near 2^1023 go in one
+// term at a time. The exact sum is the same, so the stored bytes are too.
 //
 // Weighting follows the sampling scheme (see sim/sampling.h):
 //   kUniformThenWeightedAverage  -> weights proportional to n_k

@@ -29,7 +29,11 @@
 //   propagates a carry; each slot absorbs 2^30 adds before the register
 //   normalizes itself. 68 digits (2176 bits) cover the 2098-bit double
 //   range plus headroom for ~2^77 worst-case addends. Under 600 bytes,
-//   it stays in L1 cache.
+//   it stays in L1 cache. The aggregation fold (sim/aggregate.h) feeds
+//   it a stored window plus, per coordinate, either two exact level
+//   sums from its SIMD extraction pass (and any rests below them) or,
+//   for short batches and inf/NaN or near-overflow columns, every
+//   addend through add().
 //
 // * The register form (stored and wire form, append_register()) is the
 //   canonical trimmed window of the normalized sum:

@@ -5,7 +5,9 @@
 // simulator can split a sum — ExactSum add/merge/registers, the
 // column-wise PartialAggregate fold over random shard and coordinate
 // block partitions, the FPS2 codec, multi-way and pairwise merges — and
-// every value() must equal the reference bit for bit.
+// every value() must equal the reference bit for bit. The last case
+// holds ColumnFold's lane-wise extraction fold to the per-addend
+// ExactSum fold, byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -373,6 +375,130 @@ TEST(ExactSumOracle, ShardAndBlockPartitionsMatchTheDenseFold) {
     for (std::size_t s = 0; s < dim; ++s) {
       EXPECT_TRUE(same_value(w[s], want[s]))
           << "trial " << trial << ", stream " << s;
+    }
+  }
+}
+
+// One column kind: term k of K for one coordinate, before its
+// coefficient. Each kind aims at a branch of the extraction fold.
+double column_term(int kind, std::size_t k, std::size_t count,
+                   std::mt19937_64& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  const auto odd_bits = [&](double v) {  // a full, odd mantissa
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) | 1);
+  };
+  const std::size_t mid = count / 2;
+  switch (kind) {
+    case 0:  // a local solution near the broadcast: no rest
+      return 0.7 + 1e-3 * (random_mantissa(rng) - 0.75);
+    case 1:  // same sign, full mantissas near the top of a binade: the
+             // level sum needs every bit of 2^M >= K + 2
+      return -odd_bits(std::ldexp(1.0 + random_mantissa(rng), 3));
+    case 2:  // 1 beside terms 2^-120 below it: rests after both levels
+      return k == mid ? 1.0
+                      : random_sign(rng, std::ldexp(random_mantissa(rng), -120));
+    case 3:  // all zero, with both signs
+      return (k % 2) != 0 ? -0.0 : 0.0;
+    case 4:  // ±0 among small terms
+      return k % 3 == 0 ? -0.0 : random_sign(rng, random_mantissa(rng));
+    case 5:  // subnormals and the smallest normals
+      return random_sign(
+          rng, std::bit_cast<double>(rng() % ((std::uint64_t{1} << 53) + 7)));
+    case 6:  // near 2^1023: sigma would overflow
+      return random_sign(rng, max * random_mantissa(rng));
+    case 7:  // 2^1015: sigma overflows only for the larger K
+      return random_sign(rng, std::ldexp(random_mantissa(rng), 1015));
+    case 8:  // ±2^1000 cancellation beside small terms
+      if (k % 2 == 0) return std::ldexp(k % 4 == 0 ? 1.0 : -1.0, 1000);
+      return random_sign(rng, random_mantissa(rng));
+    case 9:  // 10^-200 to 10^150
+      return random_sign(
+          rng, std::pow(10.0, std::uniform_real_distribution<double>(
+                                  -200.0, 150.0)(rng)));
+    case 10:  // one infinite term
+      return k == mid ? -inf : random_sign(rng, random_mantissa(rng));
+    case 11:  // one NaN term
+      return k == mid ? std::numeric_limits<double>::quiet_NaN()
+                      : random_mantissa(rng);
+    // 1.5 beside terms just over half the first level's grid 2^(M-51):
+    // each rounds up and leaves a negative rest of nearly 2^-53 sigma_0,
+    // the most the second level admits.
+    case 12: {
+      const int m = std::bit_width(count + 1);
+      if (k == 0) return 1.5;
+      return odd_bits(std::ldexp(1.0 + 0.05 * random_mantissa(rng), m - 52));
+    }
+    case 13:  // terms of both signs that nearly cancel
+      return random_sign(rng, 2.0 + 1e-3 * random_mantissa(rng));
+    default:  // wide spans, zero-centered
+      return 0.1 * std::normal_distribution<double>()(rng);
+  }
+}
+// Odd, so coordinates c, c + kColumnKinds, ... put kind c in every lane
+// of a group of four.
+constexpr int kColumnKinds = 15;
+
+// The registers as one byte vector per coordinate.
+std::vector<std::vector<std::uint8_t>> split_registers(
+    std::span<const std::uint8_t> bytes) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t n = ExactSum::register_size(bytes.data() + at);
+    out.emplace_back(bytes.begin() + at, bytes.begin() + at + n);
+    at += n;
+  }
+  return out;
+}
+
+// Coordinate c holds column kind c % kColumnKinds, beside three lanes of
+// other kinds in its group of four.
+TEST(ExactSumOracle, ExtractionFoldMatchesTheScalarFold) {
+  std::mt19937_64 rng(24);
+  for (const auto scheme : {SamplingScheme::kWeightedThenSimpleAverage,
+                            SamplingScheme::kUniformThenWeightedAverage}) {
+    const bool weighted =
+        scheme == SamplingScheme::kUniformThenWeightedAverage;
+    for (const std::size_t count : {1, 2, 29, 30, 31, 62, 63, 64, 200}) {
+      // Dims 1-9 give every tail length after the groups of four.
+      for (const std::size_t dim :
+           {1, 2, 3, 4, 5, 6, 7, 8, 9, 4 * kColumnKinds + 1}) {
+        PartialAggregate partial(scheme, dim);
+        // The per-addend fold of every batch so far, per coordinate.
+        std::vector<ExactSum> want(dim);
+        // A second batch folds into a partial that has a base register,
+        // in blocks of 7: one group of four and a tail of three each.
+        for (const std::size_t block : {0, 7}) {
+          std::vector<Vector> updates(count, Vector(dim));
+          std::vector<Contribution> batch;
+          for (std::size_t k = 0; k < count; ++k) {
+            for (std::size_t c = 0; c < dim; ++c) {
+              updates[k][c] = column_term(static_cast<int>(c % kColumnKinds),
+                                          k, count, rng);
+            }
+            batch.push_back(
+                {k, &updates[k], 1.0 + static_cast<double>(rng() % 99)});
+          }
+          ColumnFold fold(partial, batch, block);
+          for (std::size_t b = 0; b < fold.blocks(); ++b) fold.run(b);
+          fold.commit();
+          for (std::size_t c = 0; c < dim; ++c) {
+            for (const Contribution& t : batch) {
+              want[c].add((weighted ? t.num_samples : 1.0) * (*t.update)[c]);
+            }
+          }
+          const auto got = split_registers(partial.coordinate_registers());
+          ASSERT_EQ(got.size(), dim);
+          for (std::size_t c = 0; c < dim; ++c) {
+            std::vector<std::uint8_t> reg;
+            want[c].append_register(reg);
+            EXPECT_EQ(got[c], reg)
+                << "K " << count << ", dim " << dim << ", coordinate " << c
+                << " (kind " << c % kColumnKinds << "), block " << block
+                << (weighted ? ", weighted" : ", simple");
+          }
+        }
+      }
     }
   }
 }
