@@ -141,19 +141,16 @@ TraceCapture::TraceCapture(const BenchOptions& options) {
         std::make_unique<MetricsExporter>(*registry_, options.metrics_out);
     log_info() << "publishing Prometheus metrics to " << options.metrics_out;
   }
-  if (metrics_) {
-    // The feeder must run before the publisher so each scrape file
-    // reflects the round it just finished.
-    composite_ = std::make_unique<CompositeObserver>();
-    if (tracer_) composite_->add(*tracer_);
-    composite_->add(*metrics_);
-    composite_->add(*exporter_);
-  }
 }
 
-TrainingObserver* TraceCapture::observer() const {
-  return composite_ ? static_cast<TrainingObserver*>(composite_.get())
-                    : tracer_.get();
+std::vector<TrainingObserver*> TraceCapture::observers() const {
+  std::vector<TrainingObserver*> out;
+  if (tracer_) out.push_back(tracer_.get());
+  if (metrics_) {
+    out.push_back(metrics_.get());
+    out.push_back(exporter_.get());
+  }
+  return out;
 }
 
 bool open_capture(std::optional<TraceCapture>& capture,

@@ -103,12 +103,12 @@ void apply_faults(TrainerConfig& config, const BenchOptions& options);
 // Owns the JSONL trace sink + observer created from --trace-out (with
 // --trace-rotate-mb rotation) and the Prometheus registry/feeder/exporter
 // stack created from --metrics-out. Keep it alive for the whole driver
-// run and pass observer() (nullptr when no flag is set; a
-// CompositeObserver when several are) to RunVariantsOptions::observer:
+// run and register every observers() entry (none when no flag is set),
+// e.g. through RunVariantsOptions::observers:
 //
 //   TraceCapture trace(options);
 //   RunVariantsOptions rv;
-//   rv.observer = trace.observer();
+//   rv.observers = trace.observers();
 //   auto results = run_variants(workload, specs, rv);
 class TraceCapture {
  public:
@@ -116,7 +116,10 @@ class TraceCapture {
   TraceCapture(const TraceCapture&) = delete;
   TraceCapture& operator=(const TraceCapture&) = delete;
 
-  TrainingObserver* observer() const;
+  // Tracer, then the metrics feeder, then the exporter: the feeder runs
+  // before the publisher so each scrape file reflects the round it just
+  // finished.
+  std::vector<TrainingObserver*> observers() const;
 
  private:
   std::unique_ptr<JsonlTraceSink> sink_;
@@ -124,7 +127,6 @@ class TraceCapture {
   std::unique_ptr<MetricsRegistry> registry_;     // --metrics-out stack:
   std::unique_ptr<MetricsObserver> metrics_;      // feeder first,
   std::unique_ptr<MetricsExporter> exporter_;     // publisher second
-  std::unique_ptr<CompositeObserver> composite_;  // when several are live
 };
 
 // Opens `capture` for `options`. On an unusable --trace-out or

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::optional<TraceCapture> trace;  // --trace-out, --metrics-out
   if (!open_capture(trace, options)) return 1;
   RunVariantsOptions rv;
-  rv.observer = trace->observer();
+  rv.observers = trace->observers();
 
   for (const auto& name : figure1_workload_names()) {
     const Workload w = load_workload(name, options);

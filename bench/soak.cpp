@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
       }
 
       Trainer trainer(model, data, seg);
-      if (capture->observer()) trainer.add_observer(*capture->observer());
+      for (TrainingObserver* o : capture->observers()) trainer.add_observer(*o);
       trainer.add_observer(collector);
       try {
         segmented =

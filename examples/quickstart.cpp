@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
 
   HealthMonitor health;
   trainer.add_observer(health);
-  if (capture->observer()) trainer.add_observer(*capture->observer());
+  for (TrainingObserver* o : capture->observers()) trainer.add_observer(*o);
 
   // --resume continues from the newest FPC1 checkpoint in the checkpoint
   // dir (telemetry already switched to append mode in TraceCapture);

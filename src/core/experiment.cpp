@@ -63,7 +63,9 @@ std::vector<VariantResult> run_variants(const Workload& workload,
       logger.emplace(workload.name, spec.label);
       trainer.add_observer(*logger);
     }
-    if (options.observer) trainer.add_observer(*options.observer);
+    for (TrainingObserver* observer : options.observers) {
+      trainer.add_observer(*observer);
+    }
     results.push_back(VariantResult{spec.label, trainer.run()});
   }
   return results;

@@ -28,15 +28,15 @@ struct VariantResult {
 struct RunVariantsOptions {
   // Log a one-line summary per variant (via an internal observer).
   bool verbose = true;
-  // Extra observer attached to every variant's Trainer (e.g. a
-  // TraceObserver feeding a JSONL sink). May be nullptr.
-  TrainingObserver* observer = nullptr;
+  // Extra observers attached to every variant's Trainer, in order (e.g.
+  // a TraceObserver feeding a JSONL sink).
+  std::vector<TrainingObserver*> observers;
 };
 
 // Runs each variant on the workload, sequentially (each run parallelizes
 // internally over devices). Progress reporting goes through the Trainer's
 // observer API: the verbose summary line is itself an observer, and
-// `options.observer` stacks alongside it.
+// `options.observers` are registered after it.
 std::vector<VariantResult> run_variants(const Workload& workload,
                                         const std::vector<VariantSpec>& specs,
                                         const RunVariantsOptions& options);

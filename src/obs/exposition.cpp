@@ -39,9 +39,9 @@ void append_labels(std::string& out, const MetricLabels& labels,
 }
 
 void append_help_and_type(std::string& out, const std::string& name,
-                          const MetricsSnapshot& snap, const char* type) {
-  const auto help = snap.help.find(name);
-  if (help != snap.help.end() && !help->second.empty()) {
+                          const MetricsRegistry& registry, const char* type) {
+  const auto help = registry.help().find(name);
+  if (help != registry.help().end() && !help->second.empty()) {
     out += "# HELP ";
     out += name;
     out += ' ';
@@ -97,61 +97,57 @@ std::string format_exposition_number(double v) {
   return buf;
 }
 
-std::string text_exposition(const MetricsSnapshot& snapshot) {
+std::string text_exposition(const MetricsRegistry& registry) {
   std::string out;
-  for (const auto& [name, samples] : snapshot.counters) {
-    append_help_and_type(out, name, snapshot, "counter");
-    for (const auto& s : samples) {
+  for (const auto& [name, family] : registry.counters()) {
+    append_help_and_type(out, name, registry, "counter");
+    for (const auto& [labels, counter] : family) {
       out += name;
-      append_labels(out, s.labels);
+      append_labels(out, labels);
       out += ' ';
-      out += std::to_string(s.value);
+      out += std::to_string(counter.value());
       out += '\n';
     }
   }
-  for (const auto& [name, samples] : snapshot.gauges) {
-    append_help_and_type(out, name, snapshot, "gauge");
-    for (const auto& s : samples) {
+  for (const auto& [name, family] : registry.gauges()) {
+    append_help_and_type(out, name, registry, "gauge");
+    for (const auto& [labels, gauge] : family) {
       out += name;
-      append_labels(out, s.labels);
+      append_labels(out, labels);
       out += ' ';
-      out += format_exposition_number(s.value);
+      out += format_exposition_number(gauge.value());
       out += '\n';
     }
   }
-  for (const auto& [name, samples] : snapshot.histograms) {
-    append_help_and_type(out, name, snapshot, "histogram");
-    for (const auto& s : samples) {
+  for (const auto& [name, family] : registry.histograms()) {
+    append_help_and_type(out, name, registry, "histogram");
+    for (const auto& [labels, h] : family) {
       std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < s.snapshot.buckets.size(); ++i) {
-        cumulative += s.snapshot.buckets[i];
+      for (std::size_t i = 0; i < h.buckets().size(); ++i) {
+        cumulative += h.buckets()[i];
         out += name;
         out += "_bucket";
-        append_labels(out, s.labels, "le",
-                      format_exposition_number(s.upper_edges[i]));
+        append_labels(out, labels, "le",
+                      format_exposition_number(h.bucket_upper_edge(i)));
         out += ' ';
         out += std::to_string(cumulative);
         out += '\n';
       }
       out += name;
       out += "_sum";
-      append_labels(out, s.labels);
+      append_labels(out, labels);
       out += ' ';
-      out += format_exposition_number(s.snapshot.sum);
+      out += format_exposition_number(h.sum());
       out += '\n';
       out += name;
       out += "_count";
-      append_labels(out, s.labels);
+      append_labels(out, labels);
       out += ' ';
-      out += std::to_string(s.snapshot.count);
+      out += std::to_string(h.count());
       out += '\n';
     }
   }
   return out;
-}
-
-std::string text_exposition(const MetricsRegistry& registry) {
-  return text_exposition(registry.snapshot());
 }
 
 namespace {
@@ -313,7 +309,8 @@ void write_text_exposition(const std::string& path,
   }
 }
 
-MetricsExporter::MetricsExporter(MetricsRegistry& registry, std::string path)
+MetricsExporter::MetricsExporter(const MetricsRegistry& registry,
+                                 std::string path)
     : registry_(registry),
       path_(checked_exposition_path(std::move(path))),
       worker_([this] { worker_loop(); }) {}
@@ -329,18 +326,19 @@ MetricsExporter::~MetricsExporter() {
 
 void MetricsExporter::worker_loop() {
   for (;;) {
+    std::optional<MetricsRegistry> state;
     {
       MutexLock lock(mu_);
-      while (!publish_requested_ && !stop_) cv_.wait(mu_);
-      // Drain the pending request even when stopping, so a request made
+      while (!pending_ && !stop_) cv_.wait(mu_);
+      // Drain the pending copy even when stopping, so a request made
       // just before destruction still lands on disk.
-      if (!publish_requested_) return;
-      publish_requested_ = false;
+      if (!pending_) return;
+      state.swap(pending_);
       busy_ = true;
     }
     std::exception_ptr error;
     try {
-      write_text_exposition(path_, registry_);
+      write_text_exposition(path_, *state);
     } catch (...) {
       error = std::current_exception();
     }
@@ -350,7 +348,7 @@ void MetricsExporter::worker_loop() {
       if (error) {
         if (!error_) error_ = error;
       } else {
-        writes_.fetch_add(1, std::memory_order_release);
+        ++writes_;
       }
     }
     cv_.notify_all();
@@ -358,16 +356,19 @@ void MetricsExporter::worker_loop() {
 }
 
 void MetricsExporter::request_publish() {
+  std::optional<MetricsRegistry> state(registry_);
   {
     MutexLock lock(mu_);
-    publish_requested_ = true;
+    // Latest wins: a copy the writer has not taken yet is swapped out
+    // and freed below, off the lock.
+    pending_.swap(state);
   }
   cv_.notify_all();
 }
 
 void MetricsExporter::flush() {
   MutexLock lock(mu_);
-  while (publish_requested_ || busy_) cv_.wait(mu_);
+  while (pending_ || busy_) cv_.wait(mu_);
   if (error_) {
     const std::exception_ptr error = error_;
     error_ = nullptr;

@@ -2,15 +2,13 @@
 // MetricsExporter observer that re-publishes a scrape file as training
 // progresses.
 //
-// The renderer walks one MetricsSnapshot, so every line of a document
-// reflects a single consistent read of the registry: per family a
-// `# HELP` line (when set_help was called), a `# TYPE` line, then one
-// sample per label set. Histograms expand to the cumulative
-// `<name>_bucket{le="..."}` series (last bucket `le="+Inf"`), plus
-// `<name>_sum` and `<name>_count`. Label values are escaped per the
-// spec (`\\`, `\"`, `\n`); families print counters, then gauges, then
-// histograms, each sorted by name, so the document is deterministic and
-// golden-testable.
+// The renderer walks one registry: per family a `# HELP` line (when
+// set_help was called), a `# TYPE` line, then one sample per label set.
+// Histograms expand to the cumulative `<name>_bucket{le="..."}` series
+// (last bucket `le="+Inf"`), plus `<name>_sum` and `<name>_count`. Label
+// values are escaped per the spec (`\\`, `\"`, `\n`); families print
+// counters, then gauges, then histograms, each sorted by name, so the
+// document is deterministic and golden-testable.
 //
 // MetricsExporter publishes with write-temp-then-rename so an external
 // scraper (or tools/trace_lint --metrics) always reads a complete file,
@@ -24,21 +22,21 @@
 //                                    // sees the round it just finished
 //
 // Publishing happens on a background writer thread: every on_round_end
-// only flags a request (a mutex lock + notify), and the worker renders
-// the snapshot and does the temp+rename off the round thread, so
-// filesystem latency never stalls training. Requests coalesce
-// latest-wins — if the disk is slower than the round cadence,
-// back-to-back requests collapse into one write of the current registry
-// state (counters are cumulative, so a scraper never observes a
-// regression). flush() blocks until the
-// queue drains; on_run_end publishes and flushes so the file always ends
-// on the final state before run() returns.
+// copies the registry on the round thread and hands the copy over (a
+// mutex lock + notify); the worker renders it and does the temp+rename,
+// so rendering and filesystem latency never stall training, and each
+// published file is the state of one round end. Requests coalesce
+// latest-wins — if the disk is slower than the round cadence, a newer
+// copy replaces the one still waiting (counters are cumulative, so a
+// scraper never observes a regression). flush() blocks until the
+// hand-off drains; on_run_end publishes and flushes so the file always
+// ends on the final state before run() returns.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <exception>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -59,7 +57,6 @@ std::string escape_help_text(const std::string& value);
 std::string format_exposition_number(double v);
 
 // Renders the full document, terminated by a trailing newline.
-std::string text_exposition(const MetricsSnapshot& snapshot);
 std::string text_exposition(const MetricsRegistry& registry);
 
 // Atomically publishes `registry` to `path`: renders to `<path>.tmp`,
@@ -111,14 +108,14 @@ std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
 // Rewrites `path` after every completed round (and once more at run
 // end, so the file always ends on the final state). The exporter only
 // reads the registry — pair it with a MetricsObserver registered
-// *before* it, which does the feeding. Writes run on the exporter's own
-// writer thread (see file comment); call flush() before reading the
-// published file from the requesting thread.
+// *before* it, which does the feeding. Each request copies the registry
+// on the calling thread; writes run on the exporter's own writer thread
+// (see file comment); call flush() before reading the published file.
 class MetricsExporter final : public TrainingObserver {
  public:
   // Throws std::runtime_error when `path` cannot be written (its parent
   // directories are created first).
-  MetricsExporter(MetricsRegistry& registry, std::string path);
+  MetricsExporter(const MetricsRegistry& registry, std::string path);
   ~MetricsExporter() override;
 
   MetricsExporter(const MetricsExporter&) = delete;
@@ -136,24 +133,26 @@ class MetricsExporter final : public TrainingObserver {
   const std::string& path() const { return path_; }
   // Completed publishes. Coalescing means this can be lower than the
   // number of rounds — it counts files actually written.
-  std::size_t writes() const {
-    return writes_.load(std::memory_order_acquire);
+  std::size_t writes() const FED_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return writes_;
   }
 
  private:
   void request_publish() FED_EXCLUDES(mu_);
   void worker_loop() FED_EXCLUDES(mu_);
 
-  MetricsRegistry& registry_;
+  const MetricsRegistry& registry_;
   std::string path_;
-  std::atomic<std::size_t> writes_{0};
 
-  // mu_ guards the round-thread <-> writer-thread handshake; cv_ signals
-  // both directions (request posted / write finished).
-  Mutex mu_;
+  // mu_ guards the round-thread <-> writer-thread hand-off, the only
+  // state the two threads share; cv_ signals both directions (copy
+  // posted / write finished).
+  mutable Mutex mu_;
   CondVar cv_;
-  bool publish_requested_ FED_GUARDED_BY(mu_) = false;
+  std::optional<MetricsRegistry> pending_ FED_GUARDED_BY(mu_);  // to write
   bool busy_ FED_GUARDED_BY(mu_) = false;  // a write is in flight
+  std::size_t writes_ FED_GUARDED_BY(mu_) = 0;
   bool stop_ FED_GUARDED_BY(mu_) = false;
   std::exception_ptr error_ FED_GUARDED_BY(mu_);  // first write failure
   std::thread worker_;

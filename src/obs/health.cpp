@@ -9,6 +9,13 @@
 
 namespace fed {
 
+namespace {
+
+constexpr std::size_t kMedianWindow = 9;  // evaluated losses kept
+constexpr double kStallTolerance = 1e-6;  // relative improvement needed
+
+}  // namespace
+
 const char* to_string(HealthIncident::Kind kind) {
   switch (kind) {
     case HealthIncident::Kind::kNonFiniteWeights: return "nonfinite_weights";
@@ -39,7 +46,7 @@ void HealthMonitor::on_aggregate(std::size_t round,
           .round = round,
           .message = "round " + std::to_string(round) +
                      ": aggregated weights contain NaN/Inf"},
-         config_.abort_on_nonfinite);
+         /*fatal=*/true);
 }
 
 void HealthMonitor::check_loss(std::size_t round, double loss) {
@@ -51,7 +58,7 @@ void HealthMonitor::check_loss(std::size_t round, double loss) {
     std::ostringstream msg;
     msg << "round " << round << ": evaluated train loss is non-finite";
     incident.message = msg.str();
-    record(std::move(incident), config_.abort_on_nonfinite);
+    record(std::move(incident), /*fatal=*/true);
     return;
   }
 
@@ -73,13 +80,13 @@ void HealthMonitor::check_loss(std::size_t round, double loss) {
     }
   }
   recent_losses_.push_back(loss);
-  if (recent_losses_.size() > std::max<std::size_t>(1, config_.median_window)) {
+  if (recent_losses_.size() > kMedianWindow) {
     recent_losses_.erase(recent_losses_.begin());
   }
 
   if (config_.stall_patience == 0) return;
   if (!has_best_loss_ ||
-      loss < best_loss_ * (1.0 - config_.stall_tolerance)) {
+      loss < best_loss_ * (1.0 - kStallTolerance)) {
     best_loss_ = loss;
     has_best_loss_ = true;
     evals_since_improvement_ = 0;

@@ -34,17 +34,17 @@ namespace fed {
 
 class MetricsRegistry;  // obs/metrics.h
 
+// Fixed in obs/health.cpp: the running median covers the last 9
+// evaluated losses, a loss improves on the best one only when it is
+// lower by a relative 1e-6, and non-finite weights or losses always
+// throw HealthError.
 struct HealthConfig {
   // Evaluated loss > blowup_factor x running median -> kLossBlowup.
   double blowup_factor = 25.0;
-  // Evaluated losses kept for the running median.
-  std::size_t median_window = 9;
-  // Consecutive evaluated rounds without relative improvement >
-  // stall_tolerance before a kStalledConvergence incident; 0 disables.
+  // Consecutive evaluated rounds without improvement before a
+  // kStalledConvergence incident; 0 disables.
   std::size_t stall_patience = 50;
-  double stall_tolerance = 1e-6;
-  // Fatal kinds throw HealthError; non-fatal kinds only record.
-  bool abort_on_nonfinite = true;
+  // A blow-up throws HealthError instead of only being recorded.
   bool abort_on_blowup = false;
 };
 

@@ -16,8 +16,8 @@
 //   Printer printer;
 //   trainer.add_observer(printer);
 //
-// CompositeObserver stacks metrics, tracing, live printing, and
-// checkpointing hooks behind a single registration.
+// Register one observer per concern (metrics, tracing, live printing);
+// the Trainer fans every hook out to them in registration order.
 
 #pragma once
 
@@ -96,28 +96,6 @@ class TrainingObserver {
 
   // Once, after the final round, before Trainer::run returns.
   virtual void on_run_end(const TrainHistory& history) { (void)history; }
-};
-
-// Fans every hook out to its children in registration order. Children
-// must outlive the composite.
-class CompositeObserver final : public TrainingObserver {
- public:
-  void add(TrainingObserver& observer);
-  std::size_t size() const { return children_.size(); }
-
-  void on_run_start(const RunInfo& info) override;
-  void on_round_start(std::size_t round,
-                      std::span<const std::size_t> selected) override;
-  void on_fault(const FaultEvent& event) override;
-  void on_client_result(std::size_t round, const ClientResult& result) override;
-  void on_aggregate(std::size_t round,
-                    std::span<const double> weights) override;
-  void on_round_end(const RoundMetrics& metrics,
-                    const RoundTrace& trace) override;
-  void on_run_end(const TrainHistory& history) override;
-
- private:
-  std::vector<TrainingObserver*> children_;
 };
 
 // Collects every trace of a run; handy for tests and benchmarks.

@@ -99,7 +99,6 @@ void JsonlTraceSink::rotate() {
 void JsonlTraceSink::begin_run(const RunInfo& info) {
   JsonObject line;
   line["run"] = run_info_json(info);
-  MutexLock lock(mutex_);
   header_line_ = serialize_json(JsonValue(std::move(line)));
   emit(header_line_);
 }
@@ -116,15 +115,12 @@ void JsonlTraceSink::write(const RoundMetrics& metrics,
   m["dissimilarity_b"] = opt_json(metrics.dissimilarity_b);
   m["mean_gamma"] = opt_json(metrics.mean_gamma);
   value.as_object()["metrics"] = std::move(m);
-  const std::string line = serialize_json(value);
-  MutexLock lock(mutex_);
-  emit(line);
+  emit(serialize_json(value));
   ++round_lines_;
 }
 
 void JsonlTraceSink::end_run(const TrainHistory& history) {
   (void)history;
-  MutexLock lock(mutex_);
   out_->flush();
 }
 

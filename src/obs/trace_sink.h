@@ -15,7 +15,6 @@
 
 #include "obs/observer.h"
 #include "obs/trace.h"
-#include "support/thread_annotations.h"
 
 namespace fed {
 
@@ -35,13 +34,8 @@ struct RotationPolicy {
 // One JSON object per line (JSONL). Each run starts with a header line
 // {"run":{...}}; every round then gets {"round":...,"phases":{...},
 // "metrics":{...}}. Reuses support/json serialization; numbers
-// round-trip exactly.
-//
-// Thread contract: the observer hooks arrive on the round thread, but
-// the sink locks internally (mutex_ below), so writes from any thread
-// serialize and rotations() is safe to poll from a monitor thread while
-// a run streams. Lines stay whole under concurrent writers; interleaving
-// order across threads is the callers' problem.
+// round-trip exactly. The sink has one writer: TraceObserver calls it
+// from the Trainer's round thread.
 class JsonlTraceSink final {
  public:
   // kTruncate starts a fresh trace; kAppend continues an existing one —
@@ -61,34 +55,26 @@ class JsonlTraceSink final {
   // rotation does not apply.
   explicit JsonlTraceSink(std::ostream& out);
 
-  void begin_run(const RunInfo& info) FED_EXCLUDES(mutex_);
-  void write(const RoundMetrics& metrics, const RoundTrace& trace)
-      FED_EXCLUDES(mutex_);
-  void end_run(const TrainHistory& history) FED_EXCLUDES(mutex_);
+  void begin_run(const RunInfo& info);
+  void write(const RoundMetrics& metrics, const RoundTrace& trace);
+  void end_run(const TrainHistory& history);
 
   const std::string& path() const { return path_; }
   // Number of times the sink rolled the active file over.
-  std::size_t rotations() const FED_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return rotations_;
-  }
+  std::size_t rotations() const { return rotations_; }
 
  private:
-  void emit(const std::string& line) FED_REQUIRES(mutex_);
-  void rotate() FED_REQUIRES(mutex_);
+  void emit(const std::string& line);
+  void rotate();
 
-  // path_ and rotation_ are set at construction and const after; mutex_
-  // guards the stream and every per-generation counter below it.
   std::string path_;
   RotationPolicy rotation_;
-  mutable Mutex mutex_;
-  std::ofstream file_ FED_GUARDED_BY(mutex_);
-  std::ostream* out_ FED_GUARDED_BY(mutex_);
-  // Replayed at the top of each generation.
-  std::string header_line_ FED_GUARDED_BY(mutex_);
-  std::size_t bytes_written_ FED_GUARDED_BY(mutex_) = 0;  // active generation
-  std::size_t round_lines_ FED_GUARDED_BY(mutex_) = 0;    // active generation
-  std::size_t rotations_ FED_GUARDED_BY(mutex_) = 0;
+  std::ofstream file_;
+  std::ostream* out_;
+  std::string header_line_;  // replayed at the top of each generation
+  std::size_t bytes_written_ = 0;  // active generation
+  std::size_t round_lines_ = 0;    // active generation
+  std::size_t rotations_ = 0;
 };
 
 // Forwards observer hooks to a sink. The sink must outlive the observer.

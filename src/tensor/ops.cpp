@@ -83,14 +83,8 @@ void gemv_accumulate(const ConstMatrixView& a, std::span<const double> x,
 
 void gemv_transposed(const ConstMatrixView& a, std::span<const double> x,
                      std::span<double> y) {
-  zero(y);
-  gemv_transposed_accumulate(a, x, y);
-}
-
-void gemv_transposed_accumulate(const ConstMatrixView& a,
-                                std::span<const double> x,
-                                std::span<double> y) {
   assert(x.size() == a.rows() && y.size() == a.cols());
+  zero(y);
   for (std::size_t r = 0; r < a.rows(); ++r) {
     axpy(x[r], a.row(r), y);
   }
@@ -279,18 +273,6 @@ bool all_finite(std::span<const double> x) {
     if (!std::isfinite(v)) return false;
   }
   return true;
-}
-
-void weighted_sum(std::span<const Vector* const> rows,
-                  std::span<const double> weights, std::span<double> dst) {
-  if (rows.size() != weights.size()) {
-    throw std::invalid_argument("weighted_sum: rows/weights size mismatch");
-  }
-  zero(dst);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    assert(rows[i]->size() == dst.size());
-    axpy(weights[i], *rows[i], dst);
-  }
 }
 
 }  // namespace fed

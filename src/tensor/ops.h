@@ -60,12 +60,6 @@ void gemv_transposed(const ConstMatrixView& a, std::span<const double> x,
 //   y[r] = y[r] + (sum from 0.0 over c ascending of A[r][c] * x[c])
 void gemv_accumulate(const ConstMatrixView& a, std::span<const double> x,
                      std::span<double> y);
-// y += A^T x
-//   y[c] = y[c] + x[0] * A[0][c] + x[1] * A[1][c] + ...  (r ascending,
-//   each term added to y directly)
-void gemv_transposed_accumulate(const ConstMatrixView& a,
-                                std::span<const double> x,
-                                std::span<double> y);
 // C = A B           (A: m x k, B: k x n, C: m x n)
 //   C[i][j] = sum from 0.0 over p ascending of A[i][p] * B[p][j]
 // Rows of C are independent, so row i of gemm(X, W^T) is bitwise
@@ -109,10 +103,5 @@ std::size_t argmax(std::span<const double> x);
 
 // Returns true if all entries are finite.
 bool all_finite(std::span<const double> x);
-
-// Weighted mean of several equal-length vectors: dst = sum_i w[i] * rows[i].
-// Weights need not sum to one; caller normalizes if desired.
-void weighted_sum(std::span<const Vector* const> rows,
-                  std::span<const double> weights, std::span<double> dst);
 
 }  // namespace fed

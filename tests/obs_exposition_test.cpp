@@ -1,12 +1,13 @@
 // Prometheus text exposition: golden document (label escaping and
 // ordering, cumulative le buckets, +Inf), shortest-round-trip number
-// formatting, the atomic MetricsExporter, concurrent labeled
-// registration, and the guarantee that attaching the full telemetry
-// stack does not perturb training results.
+// formatting, the atomic MetricsExporter and what each publish holds,
+// and the guarantee that attaching the full telemetry stack does not
+// perturb training results.
 
 #include "obs/exposition.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
 #include <cstdlib>
@@ -21,7 +22,6 @@
 #include "nn/logistic.h"
 #include "obs/metrics.h"
 #include "support/log.h"
-#include "support/threadpool.h"
 
 namespace fed {
 namespace {
@@ -115,27 +115,47 @@ TEST_F(ExpositionTest, ExporterPublishesEachRoundAndAtRunEnd) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(ExpositionTest, ConcurrentLabeledRegistrationIsLossless) {
-  // Hammers find-or-create on one family from every pool worker: the
-  // registry mutex covers only the lookup, and the returned addresses
-  // must be stable and shared per label set.
+TEST_F(ExpositionTest, PublishShowsRequestTimeStateAndCoalesces) {
+  const std::string dir = ::testing::TempDir() + "fedprox_obs_publish";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/metrics.prom";
   MetricsRegistry registry;
-  constexpr std::size_t kTasks = 64;
-  constexpr std::size_t kMembers = 8;
-  constexpr std::size_t kPerTask = 200;
-  ThreadPool pool(8);
-  pool.parallel_for(kTasks, [&](std::size_t i) {
-    Counter& c = registry.counter(
-        "events_total", {{"worker", std::to_string(i % kMembers)}});
-    for (std::size_t j = 0; j < kPerTask; ++j) c.add();
-  });
-  std::uint64_t total = 0;
-  for (std::size_t m = 0; m < kMembers; ++m) {
-    total +=
-        registry.counter("events_total", {{"worker", std::to_string(m)}})
-            .value();
+  Counter& ticks = registry.counter("ticks_total");
+  // Padding makes a document larger than a pipe's 64 KiB buffer, so the
+  // writer stalls mid-write until the test reads the pipe below.
+  for (int i = 0; i < 4000; ++i) {
+    registry.counter("padding_to_outgrow_a_pipe_buffer_total",
+                     {{"i", std::to_string(i)}});
   }
-  EXPECT_EQ(total, kTasks * kPerTask);
+  MetricsExporter exporter(registry, path);
+  ASSERT_EQ(::mkfifo((path + ".tmp").c_str(), 0600), 0);
+
+  const RoundMetrics metrics;
+  const RoundTrace trace;
+  ticks.add(1);
+  exporter.on_round_end(metrics, trace);  // publishes ticks_total 1
+  ticks.add(1);  // after the request: not part of that publish
+  // Opening the read end returns once the writer has opened the staging
+  // pipe, i.e. once the first publish is in flight.
+  std::ifstream pipe(path + ".tmp");
+  ASSERT_TRUE(pipe.good());
+  exporter.on_round_end(metrics, trace);  // ticks_total 2
+  ticks.add(1);
+  exporter.on_round_end(metrics, trace);  // ticks_total 3, replaces 2
+  std::ostringstream first;
+  first << pipe.rdbuf();
+  exporter.flush();
+
+  EXPECT_NE(first.str().find("\nticks_total 1\n"), std::string::npos);
+  // The two requests made during the first write coalesced into one
+  // write of the latest copy.
+  EXPECT_EQ(exporter.writes(), 2u);
+  std::ifstream in(path);
+  std::ostringstream last;
+  last << in.rdbuf();
+  EXPECT_NE(last.str().find("\nticks_total 3\n"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ExpositionTest, TelemetryStackDoesNotPerturbTraining) {

@@ -1,5 +1,5 @@
-// Metrics registry: instrument semantics, concurrent updates from pool
-// workers, snapshots, and the Trainer-fed MetricsObserver.
+// Metrics registry: instrument semantics, stable references, registry
+// copies, and the Trainer-fed MetricsObserver.
 
 #include "obs/metrics.h"
 
@@ -14,7 +14,6 @@
 #include "obs/observer.h"
 #include "support/log.h"
 #include "support/serialize.h"
-#include "support/threadpool.h"
 
 namespace fed {
 namespace {
@@ -53,7 +52,7 @@ TEST_F(MetricsTest, CounterAddsAndResets) {
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
+  c = Counter{};  // a plain value: resetting is assigning a fresh one
   EXPECT_EQ(c.value(), 0u);
 }
 
@@ -70,12 +69,11 @@ TEST_F(MetricsTest, HistogramTracksSumMinMaxMean) {
   h.observe(2e-6);
   h.observe(8e-6);
   h.observe(32e-6);
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, 3u);
-  EXPECT_NEAR(snap.sum, 42e-6, 1e-12);
-  EXPECT_NEAR(snap.min, 2e-6, 1e-12);
-  EXPECT_NEAR(snap.max, 32e-6, 1e-12);
-  EXPECT_NEAR(snap.mean(), 14e-6, 1e-12);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_NEAR(h.sum(), 42e-6, 1e-12);
+  EXPECT_NEAR(h.min(), 2e-6, 1e-12);
+  EXPECT_NEAR(h.max(), 32e-6, 1e-12);
+  EXPECT_NEAR(h.mean(), 14e-6, 1e-12);
 }
 
 TEST_F(MetricsTest, HistogramBucketsAreExponential) {
@@ -86,14 +84,8 @@ TEST_F(MetricsTest, HistogramBucketsAreExponential) {
   h.observe(4.0);   // bucket 2
   h.observe(100.0); // clamps to the last bucket
   h.observe(0.25);  // clamps to the first bucket
-  const auto snap = h.snapshot();
-  ASSERT_EQ(snap.buckets.size(), 4u);
-  EXPECT_EQ(snap.buckets[0], 2u);
-  EXPECT_EQ(snap.buckets[1], 1u);
-  EXPECT_EQ(snap.buckets[2], 1u);
-  EXPECT_EQ(snap.buckets[3], 1u);
-  h.reset();
-  EXPECT_EQ(h.snapshot().count, 0u);
+  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{2, 1, 1, 1}));
+  EXPECT_EQ(h.count(), 5u);
 }
 
 TEST_F(MetricsTest, RegistryReturnsStableInstruments) {
@@ -104,34 +96,17 @@ TEST_F(MetricsTest, RegistryReturnsStableInstruments) {
   a.add(7);
   EXPECT_EQ(registry.counter("x").value(), 7u);
   EXPECT_NE(&registry.counter("y"), &a);
-}
 
-TEST_F(MetricsTest, ConcurrentUpdatesFromPoolWorkersAreLossless) {
-  MetricsRegistry registry;
-  Counter& events = registry.counter("events_total");
-  Gauge& last = registry.gauge("last_value");
-  Histogram& values = registry.histogram("values", /*scale=*/1.0);
-
-  constexpr std::size_t kTasks = 64;
-  constexpr std::size_t kPerTask = 250;
-  ThreadPool pool(8);
-  pool.parallel_for(kTasks, [&](std::size_t i) {
-    for (std::size_t j = 0; j < kPerTask; ++j) {
-      events.add();
-      last.set(static_cast<double>(i));
-      values.observe(static_cast<double>(i % 8 + 1));
-    }
-  });
-
-  EXPECT_EQ(events.value(), kTasks * kPerTask);
-  const auto snap = values.snapshot();
-  EXPECT_EQ(snap.count, kTasks * kPerTask);
-  EXPECT_DOUBLE_EQ(snap.min, 1.0);
-  EXPECT_DOUBLE_EQ(snap.max, 8.0);
-  // Sum of i%8+1 over i in [0,64) is 64*4.5; each repeated kPerTask times.
-  EXPECT_NEAR(snap.sum, 4.5 * kTasks * kPerTask, 1e-6);
-  EXPECT_GE(last.value(), 0.0);
-  EXPECT_LT(last.value(), static_cast<double>(kTasks));
+  // Registering more instruments never moves the cached ones, and a copy
+  // of the registry is independent of the original.
+  for (int i = 0; i < 100; ++i) {
+    registry.counter("z", {{"i", std::to_string(i)}});
+  }
+  EXPECT_EQ(&registry.counter("x"), &a);
+  const MetricsRegistry copy = registry;
+  a.add(1);
+  EXPECT_EQ(copy.counters().at("x").at({}).value(), 7u);
+  EXPECT_EQ(registry.counter("x").value(), 8u);
 }
 
 TEST_F(MetricsTest, MetricsObserverFedByTrainerRun) {
@@ -166,9 +141,9 @@ TEST_F(MetricsTest, MetricsObserverFedByTrainerRun) {
   EXPECT_DOUBLE_EQ(registry.gauge("fed_train_loss").value(),
                    *history.final_metrics().train_loss);
 
-  EXPECT_EQ(registry.histogram("fed_round_seconds").snapshot().count,
+  EXPECT_EQ(registry.histogram("fed_round_seconds").count(),
             history.rounds.size());
-  EXPECT_EQ(registry.histogram("fed_client_solve_seconds").snapshot().count,
+  EXPECT_EQ(registry.histogram("fed_client_solve_seconds").count(),
             5u * 4u);
 }
 
@@ -192,7 +167,7 @@ TEST_F(MetricsTest, FedAvgClientsCountAcceptedUpdatesNotContributors) {
     contributors += t.contributors;
   }
   EXPECT_EQ(registry.counter("fed_clients_total").value(), solves);
-  EXPECT_EQ(registry.histogram("fed_client_solve_seconds").snapshot().count,
+  EXPECT_EQ(registry.histogram("fed_client_solve_seconds").count(),
             solves);
   EXPECT_GT(solves, contributors);
 }

@@ -152,30 +152,6 @@ TEST_F(ObserverTest, RunInfoDescribesTheRun) {
   EXPECT_GE(rec.run_info.threads, 1u);
 }
 
-TEST_F(ObserverTest, CompositeFansOutInRegistrationOrder) {
-  CompositeObserver composite;
-  std::vector<int> order;
-  struct Tagger : TrainingObserver {
-    Tagger(std::vector<int>& order_log, int id) : order(order_log), tag(id) {}
-    void on_round_end(const RoundMetrics&, const RoundTrace&) override {
-      order.push_back(tag);
-    }
-    std::vector<int>& order;
-    int tag;
-  };
-  Tagger first(order, 1), second(order, 2), third(order, 3);
-  composite.add(first);
-  composite.add(second);
-  composite.add(third);
-  EXPECT_EQ(composite.size(), 3u);
-
-  RoundMetrics m;
-  RoundTrace t;
-  composite.on_round_end(m, t);
-  composite.on_round_end(m, t);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1, 2, 3}));
-}
-
 TEST_F(ObserverTest, MultipleObserversSeeIdenticalCadence) {
   LogisticRegression model(data().input_dim, data().num_classes);
   Trainer trainer(model, data(), config());

@@ -309,15 +309,6 @@ TEST(Misc, AllFiniteDetectsNanAndInf) {
   EXPECT_FALSE(all_finite(inf));
 }
 
-TEST(Misc, WeightedSumCombinesRows) {
-  Vector a{1.0, 0.0}, b{0.0, 1.0};
-  std::vector<const Vector*> rows{&a, &b};
-  Vector weights{0.25, 0.75}, dst(2);
-  weighted_sum(rows, weights, dst);
-  EXPECT_DOUBLE_EQ(dst[0], 0.25);
-  EXPECT_DOUBLE_EQ(dst[1], 0.75);
-}
-
 TEST(MatrixType, ConstructorValidatesBuffer) {
   EXPECT_THROW(Matrix(2, 3, Vector(5)), std::invalid_argument);
   Matrix m(2, 3, Vector(6, 1.0));
