@@ -1,11 +1,15 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <iostream>
 #include <map>
+#include <sstream>
 
 #include "comm/transport.h"
 #include "support/log.h"
+#include "support/stopwatch.h"
 
 namespace fed::bench {
 
@@ -92,10 +96,6 @@ void apply_common_flags(TrainerConfig& config, const BenchOptions& options) {
                << config.checkpoint.every << " round(s), keeping "
                << config.checkpoint.retain << " generation(s)";
   }
-  apply_faults(config, options);
-}
-
-void apply_faults(TrainerConfig& config, const BenchOptions& options) {
   config.faults = options.faults;
   config.recovery = options.recovery;
   if (options.faults.any()) {
@@ -162,6 +162,169 @@ bool open_capture(std::optional<TraceCapture>& capture,
     std::cerr << error.what() << "\n";
     return false;
   }
+}
+
+namespace {
+
+// The per-variant summary line, expressed as an observer so run_variants
+// reports progress through the same channel as every other consumer.
+class VariantLogObserver final : public TrainingObserver {
+ public:
+  VariantLogObserver(std::string workload, std::string label)
+      : workload_(std::move(workload)), label_(std::move(label)) {}
+
+  void on_run_end(const TrainHistory& history) override {
+    const auto& fin = history.final_metrics();
+    log_info() << workload_ << " | " << label_ << " | loss "
+               << fin.train_loss.value_or(0.0) << " | test acc "
+               << fin.test_accuracy.value_or(0.0) << " | " << timer_.seconds()
+               << "s";
+  }
+
+ private:
+  std::string workload_;
+  std::string label_;
+  Stopwatch timer_;
+};
+
+std::string opt_cell(const std::optional<double>& v) {
+  if (!v) return {};
+  std::ostringstream out;
+  out << *v;
+  return out.str();
+}
+
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool bits_equal(const std::optional<double>& a,
+                const std::optional<double>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || bits_equal(*a, *b);
+}
+
+}  // namespace
+
+std::vector<VariantResult> run_variants(
+    const Workload& workload, const std::vector<VariantSpec>& specs,
+    const std::vector<TrainingObserver*>& observers) {
+  std::vector<VariantResult> results;
+  results.reserve(specs.size());
+  for (const auto& spec : specs) {
+    Trainer trainer(*workload.model, workload.data, spec.config);
+    VariantLogObserver logger(workload.name, spec.label);
+    trainer.add_observer(logger);
+    for (TrainingObserver* observer : observers) {
+      trainer.add_observer(*observer);
+    }
+    results.push_back(VariantResult{spec.label, trainer.run()});
+  }
+  return results;
+}
+
+TrainerConfig base_config(const Workload& workload, Algorithm algorithm,
+                          double mu, double straggler_fraction,
+                          std::size_t epochs, std::uint64_t seed) {
+  TrainerConfig c;
+  c.algorithm = algorithm;
+  c.mu = mu;
+  c.rounds = workload.default_rounds;
+  c.devices_per_round = std::min<std::size_t>(10, workload.data.num_clients());
+  c.batch_size = workload.batch_size;
+  c.learning_rate = workload.learning_rate;
+  c.systems.straggler_fraction = straggler_fraction;
+  c.systems.epochs = epochs;
+  c.seed = seed;
+  c.eval_every = workload.default_eval_every;
+  return c;
+}
+
+std::vector<std::string> history_csv_header() {
+  return {"dataset",     "variant",        "round",
+          "train_loss",  "train_accuracy", "test_accuracy",
+          "grad_variance", "dissimilarity_b", "mu",
+          "contributors", "stragglers"};
+}
+
+void append_history_csv(CsvWriter& csv, const std::string& dataset,
+                        const std::vector<VariantResult>& results) {
+  for (const auto& r : results) {
+    for (const auto& m : r.history.rounds) {
+      if (!m.evaluated()) continue;
+      csv.write_row({dataset, r.label, std::to_string(m.round),
+                     std::to_string(*m.train_loss),
+                     std::to_string(*m.train_accuracy),
+                     std::to_string(*m.test_accuracy),
+                     opt_cell(m.grad_variance), opt_cell(m.dissimilarity_b),
+                     std::to_string(m.mu), std::to_string(m.contributors),
+                     std::to_string(m.stragglers)});
+    }
+  }
+}
+
+double settled_accuracy(const TrainHistory& history) {
+  std::vector<const RoundMetrics*> evaluated;
+  for (const auto& m : history.rounds) {
+    if (m.evaluated()) evaluated.push_back(&m);
+  }
+  if (evaluated.empty()) {
+    throw std::logic_error("settled_accuracy: no evaluated rounds");
+  }
+  for (std::size_t i = 1; i < evaluated.size(); ++i) {
+    const double f_t = *evaluated[i]->train_loss;
+    const double f_prev = *evaluated[i - 1]->train_loss;
+    if (!std::isfinite(f_t)) {
+      // Diverged to NaN/inf: read accuracy just before the blow-up.
+      return *evaluated[i - 1]->test_accuracy;
+    }
+    if (std::abs(f_t - f_prev) < 1e-4) return *evaluated[i]->test_accuracy;
+    if (i >= 10 && f_t - *evaluated[i - 10]->train_loss > 1.0) {
+      return *evaluated[i]->test_accuracy;
+    }
+  }
+  return *evaluated.back()->test_accuracy;
+}
+
+std::string history_divergence(const TrainHistory& a, const TrainHistory& b) {
+  if (a.rounds.size() != b.rounds.size()) {
+    return "round count " + std::to_string(a.rounds.size()) + " != " +
+           std::to_string(b.rounds.size());
+  }
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    const RoundMetrics& x = a.rounds[i];
+    const RoundMetrics& y = b.rounds[i];
+    const auto diverged = [&](const char* field) {
+      return "round " + std::to_string(x.round) + ": " + field + " diverged";
+    };
+    if (x.round != y.round) return diverged("round id");
+    if (!bits_equal(x.mu, y.mu)) return diverged("mu");
+    if (x.contributors != y.contributors) return diverged("contributors");
+    if (x.stragglers != y.stragglers) return diverged("stragglers");
+    if (!bits_equal(x.train_loss, y.train_loss)) return diverged("train_loss");
+    if (!bits_equal(x.train_accuracy, y.train_accuracy)) {
+      return diverged("train_accuracy");
+    }
+    if (!bits_equal(x.test_accuracy, y.test_accuracy)) {
+      return diverged("test_accuracy");
+    }
+    if (!bits_equal(x.grad_variance, y.grad_variance)) {
+      return diverged("grad_variance");
+    }
+    if (!bits_equal(x.dissimilarity_b, y.dissimilarity_b)) {
+      return diverged("dissimilarity_b");
+    }
+    if (!bits_equal(x.mean_gamma, y.mean_gamma)) return diverged("mean_gamma");
+  }
+  if (a.final_parameters.size() != b.final_parameters.size()) {
+    return "final parameter dimension diverged";
+  }
+  for (std::size_t i = 0; i < a.final_parameters.size(); ++i) {
+    if (!bits_equal(a.final_parameters[i], b.final_parameters[i])) {
+      return "final parameters diverged at index " + std::to_string(i);
+    }
+  }
+  return "";
 }
 
 const char* metric_name(Metric metric) {

@@ -1,6 +1,7 @@
-// Shared scaffolding for the figure/table reproduction drivers.
+// The reproduction harness: shared flags, the variant runner, CSV and
+// series output, and the bit-exact history comparator.
 //
-// Every driver accepts:
+// Every training driver (figures.h) and soak accept:
 //   --rounds N       override the per-dataset default round count
 //   --scale S        dataset scale factor in (0, 1] (device counts etc.)
 //   --seed S         experiment seed (default 1)
@@ -33,7 +34,8 @@
 //                    of truncating and --metrics-out counters carry over
 //                    from the published exposition file
 //   --quick          very small run for smoke-testing the harness
-// and prints the paper-style series table to stdout plus a CSV per figure.
+// The figure drivers print the paper-style series tables to stdout plus
+// a CSV per figure.
 
 #pragma once
 
@@ -43,8 +45,8 @@
 #include <vector>
 
 #include "comm/fault.h"
-#include "core/experiment.h"
 #include "core/registry.h"
+#include "core/trainer.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -81,8 +83,7 @@ struct BenchOptions {
 BenchOptions parse_options(int argc, char** argv);
 BenchOptions parse_options(const CliFlags& flags);
 
-// Loads a workload applying --scale/--quick/--rounds and dividing round
-// counts when quick mode is on.
+// Loads a workload at the experiment seed and --scale (--quick caps it).
 Workload load_workload(const std::string& name, const BenchOptions& options);
 
 // Applies the round override / quick shrink to a config built from the
@@ -91,25 +92,17 @@ void apply_rounds(TrainerConfig& config, const Workload& workload,
                   const BenchOptions& options);
 
 // Installs every shared channel/server flag on the config in one place —
-// --transport, --shards, and the fault/recovery knobs below — so a new
-// common flag lands here once instead of in every driver. For drivers
-// that size rounds themselves instead of going through apply_rounds.
+// --transport, --shards, --churn, checkpointing and the fault/recovery
+// knobs — so a new common flag lands here once instead of in every
+// driver. For drivers that size rounds themselves instead of going
+// through apply_rounds.
 void apply_common_flags(TrainerConfig& config, const BenchOptions& options);
-
-// Installs --faults/--retries/--deadline-ms/--quorum on the config and
-// logs the channel-fault banner (part of apply_common_flags).
-void apply_faults(TrainerConfig& config, const BenchOptions& options);
 
 // Owns the JSONL trace sink + observer created from --trace-out (with
 // --trace-rotate-mb rotation) and the Prometheus registry/feeder/exporter
 // stack created from --metrics-out. Keep it alive for the whole driver
 // run and register every observers() entry (none when no flag is set),
-// e.g. through RunVariantsOptions::observers:
-//
-//   TraceCapture trace(options);
-//   RunVariantsOptions rv;
-//   rv.observers = trace.observers();
-//   auto results = run_variants(workload, specs, rv);
+// e.g. through run_variants.
 class TraceCapture {
  public:
   explicit TraceCapture(const BenchOptions& options);
@@ -134,6 +127,48 @@ class TraceCapture {
 // before any training; the driver then exits 1.
 bool open_capture(std::optional<TraceCapture>& capture,
                   const BenchOptions& options);
+
+struct VariantSpec {
+  std::string label;  // e.g. "FedProx (mu=0)"
+  TrainerConfig config;
+};
+
+struct VariantResult {
+  std::string label;
+  TrainHistory history;
+};
+
+// Runs each variant on the workload, sequentially (each run parallelizes
+// internally over devices), logging one summary line per variant at info
+// level. `observers` (e.g. TraceCapture::observers()) are attached to
+// every variant's Trainer, in order, after that logger.
+std::vector<VariantResult> run_variants(
+    const Workload& workload, const std::vector<VariantSpec>& specs,
+    const std::vector<TrainingObserver*>& observers = {});
+
+// Builds a TrainerConfig pre-filled from the workload's hyper-parameters.
+TrainerConfig base_config(const Workload& workload, Algorithm algorithm,
+                          double mu, double straggler_fraction,
+                          std::size_t epochs, std::uint64_t seed);
+
+// Appends every evaluated round of every variant to `csv` with rows
+// [dataset, variant, round, train_loss, train_acc, test_acc, variance,
+//  dissimilarity_b, mu, contributors, stragglers].
+void append_history_csv(CsvWriter& csv, const std::string& dataset,
+                        const std::vector<VariantResult>& results);
+// Header matching append_history_csv.
+std::vector<std::string> history_csv_header();
+
+// Paper's Appendix C.3.2 rule for where to read off a method's accuracy:
+// the first round where |f_t - f_{t-1}| < 1e-4 (converged) or
+// f_t - f_{t-10} > 1 (diverging), else the last evaluated round.
+// Returns the test accuracy at that round.
+double settled_accuracy(const TrainHistory& history);
+
+// Bit-exact TrainHistory comparison — every RoundMetrics field and the
+// final parameters, doubles by their bits. Returns the first differing
+// field ("round 7: train_loss diverged"), or "" when identical.
+std::string history_divergence(const TrainHistory& a, const TrainHistory& b);
 
 // Renders one metric (selected by `metric`) of every variant against the
 // evaluated rounds, one column per variant — the paper's "series".

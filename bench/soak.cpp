@@ -24,7 +24,6 @@
 // so the file carries one {"run":...} header per segment — lint it with
 // trace_lint --jsonl --checkpoint.
 
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -43,61 +42,6 @@ namespace {
 
 using namespace fed;
 using namespace fed::bench;
-
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool bits_equal(const std::optional<double>& a,
-                const std::optional<double>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  return !a || bits_equal(*a, *b);
-}
-
-// Bit-exact RoundMetrics comparison; returns a description of the first
-// divergence (empty = identical).
-std::string compare_histories(const TrainHistory& reference,
-                              const TrainHistory& segmented) {
-  if (reference.rounds.size() != segmented.rounds.size()) {
-    return "round count " + std::to_string(segmented.rounds.size()) +
-           " != " + std::to_string(reference.rounds.size());
-  }
-  for (std::size_t i = 0; i < reference.rounds.size(); ++i) {
-    const RoundMetrics& a = reference.rounds[i];
-    const RoundMetrics& b = segmented.rounds[i];
-    const auto diverged = [&](const char* field) {
-      return "round " + std::to_string(a.round) + ": " + field + " diverged";
-    };
-    if (a.round != b.round) return diverged("round id");
-    if (!bits_equal(a.mu, b.mu)) return diverged("mu");
-    if (a.contributors != b.contributors) return diverged("contributors");
-    if (a.stragglers != b.stragglers) return diverged("stragglers");
-    if (!bits_equal(a.train_loss, b.train_loss)) return diverged("train_loss");
-    if (!bits_equal(a.train_accuracy, b.train_accuracy)) {
-      return diverged("train_accuracy");
-    }
-    if (!bits_equal(a.test_accuracy, b.test_accuracy)) {
-      return diverged("test_accuracy");
-    }
-    if (!bits_equal(a.grad_variance, b.grad_variance)) {
-      return diverged("grad_variance");
-    }
-    if (!bits_equal(a.dissimilarity_b, b.dissimilarity_b)) {
-      return diverged("dissimilarity_b");
-    }
-    if (!bits_equal(a.mean_gamma, b.mean_gamma)) return diverged("mean_gamma");
-  }
-  if (reference.final_parameters.size() != segmented.final_parameters.size()) {
-    return "final parameter dimension diverged";
-  }
-  for (std::size_t i = 0; i < reference.final_parameters.size(); ++i) {
-    if (!bits_equal(reference.final_parameters[i],
-                    segmented.final_parameters[i])) {
-      return "final parameters diverged at index " + std::to_string(i);
-    }
-  }
-  return "";
-}
 
 // Per-segment churn/fault/checkpoint totals summed from the traces.
 struct SegmentStats {
@@ -256,7 +200,7 @@ int main(int argc, char** argv) {
     segmented_seconds = timer.seconds();
   }
 
-  const std::string divergence = compare_histories(reference, segmented);
+  const std::string divergence = history_divergence(reference, segmented);
   const bool identical = divergence.empty();
 
   TablePrinter table({"segment", "rounds", "arrivals", "departures",

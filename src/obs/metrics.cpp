@@ -23,9 +23,11 @@ Histogram::Histogram(double scale, std::size_t num_buckets)
 
 void Histogram::observe(double v) {
   std::size_t idx = 0;
-  if (v > scale_) {
-    const int exp = std::ilogb(v / scale_);
-    idx = std::min<std::size_t>(static_cast<std::size_t>(std::max(exp, 0)),
+  if (v > 2.0 * scale_) {
+    // v / scale_ rounds, so settle an edge against the exact edge value.
+    int exp = std::ilogb(v / scale_);
+    if (v <= std::ldexp(scale_, exp)) --exp;
+    idx = std::min<std::size_t>(static_cast<std::size_t>(exp),
                                 buckets_.size() - 1);
   }
   ++buckets_[idx];

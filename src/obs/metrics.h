@@ -59,8 +59,8 @@ class Gauge {
 };
 
 // Exponentially-bucketed distribution: bucket 0 covers everything up to
-// 2 * scale, bucket i >= 1 covers [scale * 2^i, scale * 2^(i+1)), and
-// the last bucket absorbs every overflow.
+// and including 2 * scale, bucket i >= 1 covers (scale * 2^i,
+// scale * 2^(i+1)], and the last bucket absorbs every overflow.
 class Histogram {
  public:
   explicit Histogram(double scale = 1e-6, std::size_t num_buckets = 32);
@@ -78,7 +78,7 @@ class Histogram {
 
   // Inclusive upper edge of bucket `i` (the Prometheus `le` bound):
   // scale * 2^(i+1). The last bucket's edge is +infinity. A value landing
-  // exactly on an edge is counted in the *next* bucket.
+  // exactly on an edge is counted in the bucket it closes.
   double bucket_upper_edge(std::size_t i) const;
 
  private:

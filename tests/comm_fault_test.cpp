@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "comm/client_runtime.h"
 #include "comm/transport.h"
 #include "core/trainer.h"
@@ -113,17 +114,6 @@ class CommFaultTest : public ::testing::Test {
   // (the same set tools/trace_lint enforces on JSONL artifacts).
   static void check_trace_invariants(const RoundTrace& t) {
     EXPECT_EQ(check_round_trace(t), "") << "round " << t.round;
-  }
-
-  static void expect_bit_identical(const TrainHistory& a,
-                                   const TrainHistory& b) {
-    EXPECT_EQ(a.final_parameters, b.final_parameters);  // exact doubles
-    ASSERT_EQ(a.rounds.size(), b.rounds.size());
-    for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-      EXPECT_EQ(a.rounds[i].train_loss, b.rounds[i].train_loss);
-      EXPECT_EQ(a.rounds[i].contributors, b.rounds[i].contributors);
-      EXPECT_EQ(a.rounds[i].stragglers, b.rounds[i].stragglers);
-    }
   }
 };
 
@@ -228,14 +218,14 @@ TEST_F(CommFaultTest, ChaosSoakConvergesWithoutFatalIncidents) {
 
   // Bit-reproducible: an identical config replays the identical run.
   const RunArtifacts b = run(chaos_config());
-  expect_bit_identical(a.history, b.history);
+  EXPECT_EQ(bench::history_divergence(a.history, b.history), "");
   EXPECT_EQ(a.events, b.events);
 
   // ... regardless of thread count.
   TrainerConfig threaded = chaos_config();
   threaded.threads = 4;
   const RunArtifacts c = run(threaded);
-  expect_bit_identical(a.history, c.history);
+  EXPECT_EQ(bench::history_divergence(a.history, c.history), "");
   EXPECT_EQ(a.events, c.events);
 }
 
@@ -337,7 +327,7 @@ TEST_F(CommFaultTest, QuorumCutsLateArrivalsDeterministically) {
   EXPECT_EQ(it->second, quorum_drops);
 
   const RunArtifacts b = run(c);
-  expect_bit_identical(a.history, b.history);
+  EXPECT_EQ(bench::history_divergence(a.history, b.history), "");
 }
 
 // Regression: fed_comm_faults_total is committed from the trace columns.
@@ -475,7 +465,7 @@ TEST_F(CommFaultTest, UpdateThatDoesNotAnswerItsBroadcastIsRetried) {
           if (b.attempt == 0) tamper(b, u);
         });
     const RunArtifacts a = run(variant);
-    expect_bit_identical(a.history, clean.history);
+    EXPECT_EQ(bench::history_divergence(a.history, clean.history), "");
     std::size_t selected = 0;
     for (const RoundTrace& t : a.traces) {
       check_trace_invariants(t);

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "bench_common.h"
 #include "comm/client_runtime.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -58,21 +59,6 @@ class CommTransportTest : public ::testing::Test {
     if (collector) trainer.add_observer(*collector);
     return trainer.run();
   }
-
-  static void expect_bit_identical(const TrainHistory& a,
-                                   const TrainHistory& b) {
-    EXPECT_EQ(a.final_parameters, b.final_parameters);  // exact doubles
-    ASSERT_EQ(a.rounds.size(), b.rounds.size());
-    for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-      EXPECT_EQ(a.rounds[i].round, b.rounds[i].round);
-      EXPECT_EQ(a.rounds[i].train_loss, b.rounds[i].train_loss);
-      EXPECT_EQ(a.rounds[i].train_accuracy, b.rounds[i].train_accuracy);
-      EXPECT_EQ(a.rounds[i].test_accuracy, b.rounds[i].test_accuracy);
-      EXPECT_EQ(a.rounds[i].mean_gamma, b.rounds[i].mean_gamma);
-      EXPECT_EQ(a.rounds[i].contributors, b.rounds[i].contributors);
-      EXPECT_EQ(a.rounds[i].stragglers, b.rounds[i].stragglers);
-    }
-  }
 };
 
 TEST_F(CommTransportTest, HistoriesAreBitIdenticalAcrossTransports) {
@@ -81,8 +67,9 @@ TEST_F(CommTransportTest, HistoriesAreBitIdenticalAcrossTransports) {
   for (const Algorithm algorithm :
        {Algorithm::kFedAvg, Algorithm::kFedProx, Algorithm::kFedDane}) {
     const TrainerConfig c = base_config(algorithm);
-    expect_bit_identical(run(c, TransportKind::kInProcess),
-                         run(c, TransportKind::kSerialized));
+    EXPECT_EQ(bench::history_divergence(run(c, TransportKind::kInProcess),
+                                        run(c, TransportKind::kSerialized)),
+              "");
   }
 }
 
@@ -184,7 +171,7 @@ TEST_F(CommTransportTest, ZeroFaultWrapperIsBitIdenticalPassThrough) {
         make_transport(kind), FaultProfile{}, c.seed);
     LogisticRegression model(data().input_dim, data().num_classes);
     const TrainHistory faulty = Trainer(model, data(), wrapped).run();
-    expect_bit_identical(bare, faulty);
+    EXPECT_EQ(bench::history_divergence(bare, faulty), "");
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.h"
+#include "bench_common.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/grad_check.h"
@@ -149,20 +149,7 @@ TEST_F(EdgeCaseTest, SettledAccuracyDivergenceRule) {
     h.rounds.push_back(m);
   }
   // First i with f_i - f_{i-10} > 1: 0.11 * 10 = 1.1 at i = 10.
-  EXPECT_DOUBLE_EQ(settled_accuracy(h), 0.10);
-}
-
-TEST_F(EdgeCaseTest, TrajectoryStringHandlesSparseEvaluations) {
-  TrainHistory h;
-  for (std::size_t i = 0; i < 3; ++i) {
-    RoundMetrics m;
-    m.round = i * 10;
-    m.train_loss = 3.0 - static_cast<double>(i);
-    h.rounds.push_back(m);
-  }
-  const std::string s = trajectory_string(h, 5);
-  EXPECT_NE(s.find("r0:3"), std::string::npos);
-  EXPECT_NE(s.find("r20:1"), std::string::npos);
+  EXPECT_DOUBLE_EQ(bench::settled_accuracy(h), 0.10);
 }
 
 // Device budgets for devices with a single training sample.

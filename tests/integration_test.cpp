@@ -2,13 +2,35 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.h"
 #include "core/registry.h"
 #include "core/trainer.h"
+#include "figures.h"
 #include "support/log.h"
 
 namespace fed {
 namespace {
+
+using bench::append_history_csv;
+using bench::base_config;
+using bench::history_csv_header;
+using bench::run_variants;
+using bench::settled_accuracy;
+using bench::VariantSpec;
+
+// The variants of figure row `name`'s section `tag` on `workload` at
+// `seed`, as the figure's driver builds them.
+std::vector<VariantSpec> figure_specs(const std::string& name,
+                                      const Workload& workload,
+                                      std::uint64_t seed,
+                                      const std::string& tag) {
+  bench::BenchOptions options;
+  options.seed = seed;
+  for (auto& section : bench::figure(name).sections(workload, options)) {
+    if (section.tag == tag) return section.specs;
+  }
+  ADD_FAILURE() << name << " has no section " << tag;
+  return {};
+}
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -17,40 +39,33 @@ class IntegrationTest : public ::testing::Test {
 
 // Figure 1's headline claim at mini scale: on heterogeneous synthetic
 // data with 90% stragglers, tolerating partial work (FedProx mu=0) and
-// adding the proximal term (mu=1) both end with a lower global loss than
-// FedAvg's drop-the-stragglers policy.
+// adding the proximal term (the best mu, 1) both end with a lower global
+// loss than FedAvg's drop-the-stragglers policy.
 TEST_F(IntegrationTest, FedProxBeatsFedAvgUnderHighSystemsHeterogeneity) {
   const Workload w = make_workload("synthetic_1_1", /*seed=*/4);
-  auto make = [&](Algorithm algorithm, double mu) {
-    TrainerConfig c = base_config(w, algorithm, mu, /*stragglers=*/0.9,
-                                  /*epochs=*/20, /*seed=*/4);
-    c.rounds = 60;
-    c.eval_every = 60;  // only final evaluation; keeps the test fast
-    return c;
-  };
-  const double avg_loss =
-      *Trainer(*w.model, w.data, make(Algorithm::kFedAvg, 0.0))
-           .run()
-           .final_metrics()
-           .train_loss;
-  const double prox0_loss =
-      *Trainer(*w.model, w.data, make(Algorithm::kFedProx, 0.0))
-           .run()
-           .final_metrics()
-           .train_loss;
-  const double prox1_loss =
-      *Trainer(*w.model, w.data, make(Algorithm::kFedProx, 1.0))
-           .run()
-           .final_metrics()
-           .train_loss;
-  EXPECT_LT(prox0_loss, avg_loss);
-  EXPECT_LT(prox1_loss, avg_loss);
+  auto specs = figure_specs("fig1_systems_heterogeneity", w, 4,
+                            "synthetic_1_1@90%stragglers");
+  ASSERT_EQ(specs.size(), 3u);  // FedAvg, FedProx mu=0, FedProx best mu
+  std::vector<double> loss;
+  for (auto& spec : specs) {
+    spec.config.rounds = 60;
+    spec.config.eval_every = 60;  // only final evaluation; keeps it fast
+    loss.push_back(*Trainer(*w.model, w.data, spec.config)
+                        .run()
+                        .final_metrics()
+                        .train_loss);
+  }
+  EXPECT_LT(loss[1], loss[0]);
+  EXPECT_LT(loss[2], loss[0]);
 }
 
 // Figure 5's control: on IID data FedAvg is robust to stragglers.
 TEST_F(IntegrationTest, FedAvgRobustOnIidData) {
   const Workload w = make_workload("synthetic_iid", 4);
-  TrainerConfig c = base_config(w, Algorithm::kFedAvg, 0.0, 0.5, 20, 4);
+  TrainerConfig c = figure_specs("fig5_iid_stragglers", w, 4,
+                                 "synthetic_iid@50% stragglers")
+                        .at(0)  // FedAvg
+                        .config;
   c.rounds = 40;
   c.eval_every = 40;
   auto history = Trainer(*w.model, w.data, c).run();
@@ -62,17 +77,17 @@ TEST_F(IntegrationTest, FedAvgRobustOnIidData) {
 // The proximal term shrinks measured dissimilarity (Section 5.3.3).
 TEST_F(IntegrationTest, ProximalTermReducesGradientVariance) {
   const Workload w = make_workload("synthetic_1_1", 9);
-  auto make = [&](double mu) {
-    TrainerConfig c = base_config(w, Algorithm::kFedProx, mu, 0.0, 20, 9);
-    c.rounds = 30;
-    c.eval_every = 30;
-    c.measure_dissimilarity = true;
-    return c;
-  };
-  const auto h0 = Trainer(*w.model, w.data, make(0.0)).run();
-  const auto h1 = Trainer(*w.model, w.data, make(1.0)).run();
-  EXPECT_LT(*h1.final_metrics().grad_variance,
-            *h0.final_metrics().grad_variance);
+  auto specs =
+      figure_specs("fig2_statistical_heterogeneity", w, 9, "synthetic_1_1");
+  ASSERT_EQ(specs.size(), 2u);  // mu = 0, mu = 1
+  std::vector<TrainHistory> h;
+  for (auto& spec : specs) {
+    spec.config.rounds = 30;
+    spec.config.eval_every = 30;
+    h.push_back(Trainer(*w.model, w.data, spec.config).run());
+  }
+  EXPECT_LT(*h[1].final_metrics().grad_variance,
+            *h[0].final_metrics().grad_variance);
 }
 
 // Both LSTM workloads run end to end without divergence at tiny scale.
@@ -124,7 +139,7 @@ TEST_F(IntegrationTest, HistoryCsvRoundTrip) {
   TrainerConfig c = base_config(w, Algorithm::kFedProx, 0.0, 0.0, 5, 4);
   c.rounds = 3;
   std::vector<VariantSpec> specs{{"FedProx (mu=0)", c}};
-  auto results = run_variants(w, specs, /*verbose=*/false);
+  auto results = run_variants(w, specs);
   CsvWriter csv("/tmp/fedprox_integration_test.csv", history_csv_header());
   append_history_csv(csv, w.name, results);
   SUCCEED();

@@ -41,7 +41,7 @@ TEST_F(ExpositionTest, GoldenDocument) {
   registry.gauge("temp").set(21.5);
   Histogram& lat = registry.histogram("lat", /*scale=*/1.0, /*num_buckets=*/3);
   lat.observe(1.0);    // bucket 0: <= 2
-  lat.observe(3.0);    // bucket 1: [2, 4)
+  lat.observe(3.0);    // bucket 1: (2, 4]
   lat.observe(100.0);  // overflow clamps into the +Inf bucket
 
   // Families print counters, then gauges, then histograms; the unlabeled
@@ -61,6 +61,17 @@ TEST_F(ExpositionTest, GoldenDocument) {
       "lat_sum 104\n"
       "lat_count 3\n";
   EXPECT_EQ(text_exposition(registry), want);
+}
+
+// A value on a bucket edge is inside that edge's inclusive le bound.
+TEST_F(ExpositionTest, EdgeValueCountsUnderItsLeBound) {
+  MetricsRegistry registry;
+  Histogram& lat = registry.histogram("lat", /*scale=*/1.0, /*num_buckets=*/3);
+  lat.observe(2.0);
+  lat.observe(4.0);
+  const std::string text = text_exposition(registry);
+  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("lat_bucket{le=\"4\"} 2\n"), std::string::npos) << text;
 }
 
 TEST_F(ExpositionTest, LabelOrderIsCanonical) {

@@ -77,15 +77,17 @@ TEST_F(MetricsTest, HistogramTracksSumMinMaxMean) {
 }
 
 TEST_F(MetricsTest, HistogramBucketsAreExponential) {
-  // scale = 1: bucket i covers [2^i, 2^(i+1)).
+  // scale = 1: bucket 0 covers up to 2, bucket i covers (2^i, 2^(i+1)].
   Histogram h(/*scale=*/1.0, /*num_buckets=*/4);
   h.observe(1.0);   // bucket 0
+  h.observe(2.0);   // bucket 0: an edge counts in the bucket it closes
   h.observe(3.0);   // bucket 1
-  h.observe(4.0);   // bucket 2
+  h.observe(4.0);   // bucket 1
+  h.observe(5.0);   // bucket 2
   h.observe(100.0); // clamps to the last bucket
   h.observe(0.25);  // clamps to the first bucket
-  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{2, 1, 1, 1}));
-  EXPECT_EQ(h.count(), 5u);
+  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{3, 2, 1, 1}));
+  EXPECT_EQ(h.count(), 7u);
 }
 
 TEST_F(MetricsTest, RegistryReturnsStableInstruments) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
@@ -113,30 +114,6 @@ TEST_F(DeterminismTest, RunOrderDoesNotLeakBetweenTrainers) {
   EXPECT_EQ(solo.final_parameters, after.final_parameters);
 }
 
-namespace {
-
-// Full per-round equality of the deterministic RoundMetrics fields.
-void expect_histories_equal(const TrainHistory& a, const TrainHistory& b) {
-  EXPECT_EQ(a.final_parameters, b.final_parameters);
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    const auto& x = a.rounds[i];
-    const auto& y = b.rounds[i];
-    EXPECT_EQ(x.round, y.round);
-    EXPECT_EQ(x.train_loss, y.train_loss);
-    EXPECT_EQ(x.train_accuracy, y.train_accuracy);
-    EXPECT_EQ(x.test_accuracy, y.test_accuracy);
-    EXPECT_EQ(x.grad_variance, y.grad_variance);
-    EXPECT_EQ(x.dissimilarity_b, y.dissimilarity_b);
-    EXPECT_EQ(x.mu, y.mu);
-    EXPECT_EQ(x.mean_gamma, y.mean_gamma);
-    EXPECT_EQ(x.contributors, y.contributors);
-    EXPECT_EQ(x.stragglers, y.stragglers);
-  }
-}
-
-}  // namespace
-
 // Attaching observers must not perturb training, and the structural trace
 // fields (everything except wall times) must themselves be thread-count
 // invariant.
@@ -150,7 +127,7 @@ TEST_F(DeterminismTest, ObserversDoNotPerturbTraining) {
   observed.add_observer(collector);
   const auto with_observer = observed.run();
 
-  expect_histories_equal(bare, with_observer);
+  EXPECT_EQ(bench::history_divergence(bare, with_observer), "");
   EXPECT_EQ(collector.traces().size(), bare.rounds.size());
 }
 
@@ -170,7 +147,7 @@ TEST_F(DeterminismTest, TracesStructurallyIdenticalAcrossThreadCounts) {
   const auto [h1, t1] = run_with_threads(1);
   const auto [h4, t4] = run_with_threads(4);
 
-  expect_histories_equal(h1, h4);
+  EXPECT_EQ(bench::history_divergence(h1, h4), "");
   ASSERT_EQ(t1.size(), t4.size());
   for (std::size_t i = 0; i < t1.size(); ++i) {
     EXPECT_EQ(t1[i].round, t4[i].round);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "bench_common.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -105,21 +106,6 @@ class ShardedDeterminismTest : public ::testing::Test {
     if (collector) trainer.add_observer(*collector);
     return trainer.run();
   }
-
-  static void expect_bit_identical(const TrainHistory& a,
-                                   const TrainHistory& b) {
-    EXPECT_EQ(a.final_parameters, b.final_parameters);  // exact doubles
-    ASSERT_EQ(a.rounds.size(), b.rounds.size());
-    for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-      EXPECT_EQ(a.rounds[i].round, b.rounds[i].round);
-      EXPECT_EQ(a.rounds[i].train_loss, b.rounds[i].train_loss);
-      EXPECT_EQ(a.rounds[i].train_accuracy, b.rounds[i].train_accuracy);
-      EXPECT_EQ(a.rounds[i].test_accuracy, b.rounds[i].test_accuracy);
-      EXPECT_EQ(a.rounds[i].mean_gamma, b.rounds[i].mean_gamma);
-      EXPECT_EQ(a.rounds[i].contributors, b.rounds[i].contributors);
-      EXPECT_EQ(a.rounds[i].stragglers, b.rounds[i].stragglers);
-    }
-  }
 };
 
 TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossShardCounts) {
@@ -130,7 +116,7 @@ TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossShardCounts) {
     const TrainHistory baseline = run(c);
     for (const std::size_t shards : {2ul, 8ul}) {
       c.shards = shards;
-      expect_bit_identical(baseline, run(c));
+      EXPECT_EQ(bench::history_divergence(baseline, run(c)), "");
     }
   }
 }
@@ -141,7 +127,7 @@ TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossThreadCounts) {
   c.threads = 1;
   const TrainHistory single = run(c);
   c.threads = 4;
-  expect_bit_identical(single, run(c));
+  EXPECT_EQ(bench::history_divergence(single, run(c)), "");
 }
 
 TEST_F(ShardedDeterminismTest, LstmHistoryIsBitIdenticalAcrossThreadsAndShards) {
@@ -163,9 +149,9 @@ TEST_F(ShardedDeterminismTest, LstmHistoryIsBitIdenticalAcrossThreadsAndShards) 
   };
   const TrainHistory baseline = run_with(1, 1);
   ASSERT_EQ(baseline.rounds.size(), 4u);
-  expect_bit_identical(baseline, run_with(1, 4));
-  expect_bit_identical(baseline, run_with(4, 1));
-  expect_bit_identical(baseline, run_with(4, 4));
+  EXPECT_EQ(bench::history_divergence(baseline, run_with(1, 4)), "");
+  EXPECT_EQ(bench::history_divergence(baseline, run_with(4, 1)), "");
+  EXPECT_EQ(bench::history_divergence(baseline, run_with(4, 4)), "");
 }
 
 TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossThreadsShardsAndBlocks) {
@@ -197,7 +183,8 @@ TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalAcrossThreadsShardsAndBlocks
     for (const std::size_t shards : {1ul, 3ul, 4ul, 7ul}) {
       SCOPED_TRACE(::testing::Message()
                    << "threads " << threads << ", shards " << shards);
-      expect_bit_identical(baseline, run_with(threads, shards));
+      EXPECT_EQ(
+          bench::history_divergence(baseline, run_with(threads, shards)), "");
     }
   }
 }
@@ -216,7 +203,7 @@ TEST_F(ShardedDeterminismTest, HistoryIsBitIdenticalUnderFaultsAndQuorum) {
   const TrainHistory baseline = run(c);
   for (const std::size_t shards : {2ul, 8ul}) {
     c.shards = shards;
-    expect_bit_identical(baseline, run(c));
+    EXPECT_EQ(bench::history_divergence(baseline, run(c)), "");
   }
 }
 
@@ -240,7 +227,7 @@ TEST_F(ShardedDeterminismTest, MoreShardsThanDevicesIsHarmless) {
   c.shards = 64;  // more shards than selected devices: some slices empty
   const TrainHistory sharded = run(c);
   c.shards = 1;
-  expect_bit_identical(run(c), sharded);
+  EXPECT_EQ(bench::history_divergence(run(c), sharded), "");
 }
 
 }  // namespace
