@@ -48,7 +48,6 @@ BenchOptions parse_options(const CliFlags& flags) {
   options.checkpoint_dir = flags.get_string("checkpoint-dir", "");
   options.checkpoint_retain =
       static_cast<std::size_t>(flags.get_int("checkpoint-retain", 3));
-  options.resume = flags.get_bool("resume", false);
   options.quick = flags.get_bool("quick", false);
   for (const auto& name : flags.unused()) {
     log_warn() << "ignoring unknown flag --" << name;
@@ -65,10 +64,13 @@ Workload load_workload(const std::string& name, const BenchOptions& options) {
 
 void apply_rounds(TrainerConfig& config, const Workload& workload,
                   const BenchOptions& options) {
-  config.rounds = options.rounds_override ? options.rounds_override
-                                          : workload.default_rounds;
-  if (options.quick) {
-    config.rounds = std::max<std::size_t>(2, config.rounds / 20);
+  // An explicit --rounds wins; --quick shrinks only the default.
+  if (options.rounds_override) {
+    config.rounds = options.rounds_override;
+  } else if (options.quick) {
+    config.rounds = std::max<std::size_t>(2, workload.default_rounds / 20);
+  } else {
+    config.rounds = workload.default_rounds;
   }
   config.devices_per_round =
       std::min(config.devices_per_round, workload.data.num_clients());
@@ -108,18 +110,18 @@ void apply_common_flags(TrainerConfig& config, const BenchOptions& options) {
 
 TraceCapture::TraceCapture(const BenchOptions& options) {
   if (!options.trace_out.empty()) {
-    RotationPolicy rotation;
-    rotation.max_bytes = options.trace_rotate_mb * 1024 * 1024;
+    const std::size_t rotate_bytes = options.trace_rotate_mb * 1024 * 1024;
     // A resumed run appends a new segment after the crashed run's lines
     // instead of truncating them away (trace_lint understands the
     // multi-segment layout).
     const auto mode = options.resume ? JsonlTraceSink::OpenMode::kAppend
                                      : JsonlTraceSink::OpenMode::kTruncate;
-    sink_ = std::make_unique<JsonlTraceSink>(options.trace_out, rotation, mode);
+    sink_ = std::make_unique<JsonlTraceSink>(options.trace_out, rotate_bytes,
+                                             mode);
     tracer_ = std::make_unique<TraceObserver>(*sink_);
     log_info() << "streaming round traces to " << options.trace_out
                << (options.resume ? " (append)" : "")
-               << (rotation.max_bytes
+               << (rotate_bytes
                        ? " (rotating past " +
                              std::to_string(options.trace_rotate_mb) + " MiB)"
                        : "");

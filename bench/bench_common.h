@@ -30,10 +30,10 @@
 //   --checkpoint-dir DIR  where checkpoints land (default
 //                    <out-dir>/checkpoints)
 //   --checkpoint-retain G newest checkpoint generations kept (default 3)
-//   --resume         continue a crashed run: --trace-out appends instead
-//                    of truncating and --metrics-out counters carry over
-//                    from the published exposition file
-//   --quick          very small run for smoke-testing the harness
+//   --quick          very small run for smoke-testing the harness; shrinks
+//                    the default round count 20x unless --rounds is given
+// Only a driver that resumes its Trainer sets BenchOptions::resume:
+// quickstart reads its own --resume flag, soak sets it per segment.
 // The figure drivers print the paper-style series tables to stdout plus
 // a CSV per figure.
 
@@ -73,7 +73,9 @@ struct BenchOptions {
   std::size_t checkpoint_every = 0;     // 0 = checkpointing off
   std::string checkpoint_dir;           // empty = <out-dir>/checkpoints
   std::size_t checkpoint_retain = 3;    // newest generations kept
-  bool resume = false;                  // append-mode traces/metrics
+  // Set by the driver, never parsed here: a resumed run appends to
+  // --trace-out and carries --metrics-out counters over.
+  bool resume = false;
   bool quick = false;
 };
 

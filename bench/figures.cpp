@@ -116,7 +116,7 @@ Sections sampling_schemes(const Workload& w, const BenchOptions& o) {
 }
 
 // Fixed mu = 1, the adaptive heuristic, and the theory-guided
-// mu_t = c (B_t^2 - 1) that Corollary 7 suggests.
+// mu_t = 0.05 (B_t^2 - 1) that Corollary 7 suggests.
 Sections mu_policies(const Workload& w, const BenchOptions& o) {
   VariantSpec adaptive = variant("adaptive (loss heuristic)", w, o,
                                  Algorithm::kFedProx, 0.0);
@@ -124,8 +124,7 @@ Sections mu_policies(const Workload& w, const BenchOptions& o) {
   adaptive.config.adaptive_mu.initial_mu = adversarial_mu(w);
   VariantSpec theory =
       variant("theory (mu ~ B^2-1)", w, o, Algorithm::kFedProx, 0.0);
-  theory.config.theory_mu.enabled = true;
-  theory.config.theory_mu.coefficient = 0.05;
+  theory.config.theory_mu = true;
   return {{w.name,
            {variant("fixed (mu=1)", w, o, Algorithm::kFedProx, 1.0), adaptive,
             theory}}};

@@ -39,8 +39,6 @@ int main(int argc, char** argv) {
   config.algorithm = Algorithm::kFedProx;
   config.adaptive_mu.enabled = true;
   config.adaptive_mu.initial_mu = initial_mu;
-  config.adaptive_mu.step = 0.1;      // the paper's increments
-  config.adaptive_mu.patience = 5;    // decreases before relaxing mu
   config.rounds = static_cast<std::size_t>(flags.get_int("rounds", 80));
   config.devices_per_round = 10;
   config.systems.epochs = 20;

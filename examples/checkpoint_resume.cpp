@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   config.learning_rate = w.learning_rate;
   config.seed = 8;
   config.eval_every = 1;  // adaptive mu moves on evaluated rounds
-  config.adaptive_mu = {.enabled = true, .initial_mu = 1.0, .step = 0.1};
+  config.adaptive_mu = {.enabled = true, .initial_mu = 1.0};
   config.churn.arrive = 0.05;
   config.churn.depart = 0.05;
 

@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
   adaptive.adaptive_mu.initial_mu = 0.0;
 
   TrainerConfig theory = base();
-  theory.theory_mu.enabled = true;
-  theory.theory_mu.coefficient = 0.05;
+  theory.theory_mu = true;
 
   TablePrinter table({"policy", "final mu", "final loss", "final test acc"});
   auto run = [&](const std::string& label, const TrainerConfig& config) {

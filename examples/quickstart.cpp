@@ -12,7 +12,7 @@
 //                [--checkpoint-retain G] [--resume] [--seed 1]
 //
 // The channel/server flags are the shared bench set (bench/bench_common.h):
-// quickstart only adds --mu/--rounds/--stragglers on top.
+// quickstart only adds --mu/--rounds/--stragglers/--resume on top.
 
 #include <iostream>
 #include <optional>
@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
   const double mu = flags.get_double("mu", 1.0);
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 50));
   const double stragglers = flags.get_double("stragglers", 0.5);
-  const bench::BenchOptions options = bench::parse_options(flags);
+  const bool resume = flags.get_bool("resume", false);
+  bench::BenchOptions options = bench::parse_options(flags);
+  options.resume = resume;
 
   // 1. Build a federated dataset and its model. Workloads bundle the
   //    paper's hyper-parameters; you can also construct datasets and

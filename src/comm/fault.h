@@ -46,16 +46,14 @@ std::string to_string(const FaultProfile& profile);
 
 // The round driver's recovery policy for a faulty channel. All times are
 // simulated milliseconds — nothing ever wall-sleeps, so the policy is
-// deterministic and free to test at any scale.
+// deterministic and free to test at any scale. Retry k (1-based) waits
+// 10 * 2^(k-1) ms first (core/round_driver.cpp).
 struct RecoveryConfig {
   // Extra exchange attempts after the first, per device per round.
   std::size_t max_retries = 2;
   // An update whose injected channel latency exceeds this arrives after
   // the round window and is retried as a timeout. 0 disables the check.
   double deadline_ms = 0.0;
-  // Simulated wait before retry k (1-based): base * factor^(k-1).
-  double backoff_base_ms = 10.0;
-  double backoff_factor = 2.0;
   // Aggregation proceeds once ceil(quorum * selected) devices have
   // reported (by simulated arrival time); later arrivals are counted as
   // dropped. 1.0 (default) waits for every device — no behavior change.

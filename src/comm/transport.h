@@ -122,9 +122,6 @@ class FaultInjectingTransport final : public Transport {
                           const ClientRuntime& client) const override;
   std::string name() const override { return "faulty(" + inner_->name() + ")"; }
 
-  const FaultProfile& profile() const { return profile_; }
-  const Transport& inner() const { return *inner_; }
-
  private:
   std::shared_ptr<const Transport> inner_;
   FaultProfile profile_;

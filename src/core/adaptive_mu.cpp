@@ -6,21 +6,20 @@
 
 namespace fed {
 
-AdaptiveMu::AdaptiveMu(double initial_mu, double step, std::size_t patience)
-    : mu_(initial_mu), step_(step), patience_(patience) {
-  if (initial_mu < 0.0 || step <= 0.0 || patience == 0) {
-    throw std::invalid_argument("AdaptiveMu: bad parameters");
+AdaptiveMu::AdaptiveMu(double initial_mu) : mu_(initial_mu) {
+  if (initial_mu < 0.0) {
+    throw std::invalid_argument("AdaptiveMu: negative initial mu");
   }
 }
 
 double AdaptiveMu::update(double loss) {
   if (has_last_) {
     if (loss > last_loss_) {
-      mu_ += step_;
+      mu_ += kStep;
       consecutive_decreases_ = 0;
     } else if (loss < last_loss_) {
-      if (++consecutive_decreases_ >= patience_) {
-        mu_ = std::max(0.0, mu_ - step_);
+      if (++consecutive_decreases_ >= kPatience) {
+        mu_ = std::max(0.0, mu_ - kStep);
         consecutive_decreases_ = 0;
       }
     } else {
@@ -32,27 +31,18 @@ double AdaptiveMu::update(double loss) {
   return mu_;
 }
 
-DissimilarityMu::DissimilarityMu(double coefficient, double max_mu,
-                                 double smoothing)
-    : coefficient_(coefficient), max_mu_(max_mu), smoothing_(smoothing) {
-  if (coefficient <= 0.0 || max_mu <= 0.0 || smoothing < 0.0 ||
-      smoothing >= 1.0) {
-    throw std::invalid_argument("DissimilarityMu: bad parameters");
-  }
-}
-
 double DissimilarityMu::update(double measured_b) {
   if (measured_b < 0.0 || !std::isfinite(measured_b)) {
     throw std::invalid_argument("DissimilarityMu: bad B measurement");
   }
   const double b_sq = measured_b * measured_b;
   if (has_estimate_) {
-    b_sq_ema_ = smoothing_ * b_sq_ema_ + (1.0 - smoothing_) * b_sq;
+    b_sq_ema_ = kSmoothing * b_sq_ema_ + (1.0 - kSmoothing) * b_sq;
   } else {
     b_sq_ema_ = b_sq;
     has_estimate_ = true;
   }
-  mu_ = std::clamp(coefficient_ * (b_sq_ema_ - 1.0), 0.0, max_mu_);
+  mu_ = std::clamp(kCoefficient * (b_sq_ema_ - 1.0), 0.0, kMaxMu);
   return mu_;
 }
 

@@ -1,7 +1,7 @@
 // The paper's adaptive-mu heuristic (Section 5.3.2, Figures 3 and 11):
-// increase mu by `step` whenever the global training loss increases, and
-// decrease it by `step` after `patience` consecutive decreases. mu never
-// goes below zero.
+// increase mu by 0.1 whenever the global training loss increases, and
+// decrease it by 0.1 after 5 consecutive decreases. mu never goes below
+// zero.
 
 #pragma once
 
@@ -11,7 +11,10 @@ namespace fed {
 
 class AdaptiveMu {
  public:
-  AdaptiveMu(double initial_mu, double step = 0.1, std::size_t patience = 5);
+  static constexpr double kStep = 0.1;
+  static constexpr std::size_t kPatience = 5;
+
+  explicit AdaptiveMu(double initial_mu);
 
   // Feeds the loss observed after a round; returns the mu to use for the
   // next round.
@@ -21,7 +24,7 @@ class AdaptiveMu {
 
   // The mutable controller state, for checkpointing (core/checkpoint.h):
   // restoring a snapshot makes future update() calls bit-identical to a
-  // controller that never stopped. step/patience stay config-side.
+  // controller that never stopped.
   struct State {
     double mu = 0.0;
     double last_loss = 0.0;
@@ -40,8 +43,6 @@ class AdaptiveMu {
 
  private:
   double mu_;
-  double step_;
-  std::size_t patience_;
   double last_loss_ = 0.0;
   bool has_last_ = false;
   std::size_t consecutive_decreases_ = 0;
@@ -51,16 +52,17 @@ class AdaptiveMu {
 // theoretical groundwork provided here"): Corollary 7 shows convergence
 // with mu ~ 6 L B^2, i.e. the penalty should scale with the measured
 // dissimilarity. This controller sets
-//   mu_t = clamp(coefficient * (B_ema^2 - 1), 0, max_mu)
-// where B_ema is an exponential moving average of the measured B(w^t)
-// (Definition 3). B = 1 (IID) maps to mu = 0; larger dissimilarity maps
-// to a proportionally stronger proximal term. The absolute scale (the
-// paper's 6L) is unknown without estimating L, so it is exposed as
-// `coefficient`.
+//   mu_t = clamp(kCoefficient * (B_ema^2 - 1), 0, kMaxMu)
+// where B_ema^2 is an exponential moving average (weight kSmoothing on
+// the previous estimate) of the measured B(w^t)^2 (Definition 3). B = 1
+// (IID) maps to mu = 0; larger dissimilarity maps to a proportionally
+// stronger proximal term. The absolute scale (the paper's 6L) is unknown
+// without estimating L; kCoefficient is the one the benches use.
 class DissimilarityMu {
  public:
-  DissimilarityMu(double coefficient, double max_mu = 10.0,
-                  double smoothing = 0.5);
+  static constexpr double kCoefficient = 0.05;
+  static constexpr double kMaxMu = 10.0;
+  static constexpr double kSmoothing = 0.5;
 
   // Feeds a new measurement of B(w^t); returns the mu for the next round.
   double update(double measured_b);
@@ -81,9 +83,6 @@ class DissimilarityMu {
   }
 
  private:
-  double coefficient_;
-  double max_mu_;
-  double smoothing_;  // EMA weight on the previous estimate, in [0, 1)
   double b_sq_ema_ = 1.0;
   bool has_estimate_ = false;
   double mu_ = 0.0;

@@ -64,21 +64,13 @@ std::uint64_t config_fingerprint(const TrainerConfig& config,
   fp.mix(config.mu);
   fp.mix(config.adaptive_mu.enabled);
   fp.mix(config.adaptive_mu.initial_mu);
-  fp.mix(config.adaptive_mu.step);
-  fp.mix(static_cast<std::uint64_t>(config.adaptive_mu.patience));
-  fp.mix(config.theory_mu.enabled);
-  fp.mix(config.theory_mu.coefficient);
-  fp.mix(config.theory_mu.max_mu);
-  fp.mix(config.theory_mu.smoothing);
+  fp.mix(config.theory_mu);
   fp.mix(static_cast<std::uint64_t>(config.rounds));
   fp.mix(static_cast<std::uint64_t>(config.devices_per_round));
   fp.mix(static_cast<std::uint64_t>(config.batch_size));
   fp.mix(config.learning_rate);
-  fp.mix(config.clip_norm);
   fp.mix(config.systems.straggler_fraction);
   fp.mix(static_cast<std::uint64_t>(config.systems.epochs));
-  fp.mix(config.systems.profile.enabled);
-  fp.mix(config.systems.profile.speed_sigma_log);
   fp.mix(static_cast<std::uint64_t>(config.sampling));
   fp.mix(config.seed);
   fp.mix(static_cast<std::uint64_t>(config.eval_every));
@@ -90,8 +82,6 @@ std::uint64_t config_fingerprint(const TrainerConfig& config,
   fp.mix(config.faults.delay_ms);
   fp.mix(static_cast<std::uint64_t>(config.recovery.max_retries));
   fp.mix(config.recovery.deadline_ms);
-  fp.mix(config.recovery.backoff_base_ms);
-  fp.mix(config.recovery.backoff_factor);
   fp.mix(config.recovery.quorum);
   fp.mix(config.churn.arrive);
   fp.mix(config.churn.depart);

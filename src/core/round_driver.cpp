@@ -18,6 +18,11 @@ namespace fed {
 
 namespace {
 
+// Simulated exponential backoff: retry k (1-based) waits
+// kBackoffBaseMs * kBackoffFactor^(k-1) ms before it starts.
+constexpr double kBackoffBaseMs = 10.0;
+constexpr double kBackoffFactor = 2.0;
+
 // Names the first field in which a delivered `update` fails to answer
 // `broadcast`, or returns "" when it answers it: its round, its device,
 // its sample count (the aggregation weight) and its straggler flag (which
@@ -233,7 +238,7 @@ RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
     oc.events.push_back({FaultEvent::Kind::kDepart, round, device, 0,
                          "device left the federation mid-round"});
   }
-  double backoff = recovery.backoff_base_ms;
+  double backoff = kBackoffBaseMs;
   for (std::size_t attempt = 0; attempt <= recovery.max_retries; ++attempt) {
     broadcast.attempt = attempt;
     ExchangeRecord record;
@@ -291,7 +296,7 @@ RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
     }
     if (attempt < recovery.max_retries) {
       oc.arrival_ms += backoff;  // simulated wait before the retry
-      backoff *= recovery.backoff_factor;
+      backoff *= kBackoffFactor;
     }
   }
   std::ostringstream detail;

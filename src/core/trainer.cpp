@@ -13,6 +13,7 @@
 #include "optim/sgd.h"
 #include "support/serialize.h"
 #include "support/stopwatch.h"
+#include "support/threadpool.h"
 
 namespace fed {
 
@@ -72,29 +73,24 @@ bool TrainHistory::diverged(double threshold) const {
 }
 
 Trainer::Trainer(const Model& model, const FederatedDataset& data,
-                 TrainerConfig config, ThreadPool* pool)
-    : model_(model),
-      data_(data),
-      config_(std::move(config)),
-      external_pool_(pool) {
+                 TrainerConfig config)
+    : model_(model), data_(data), config_(std::move(config)) {
   if (config_.rounds == 0 || config_.devices_per_round == 0 ||
       config_.devices_per_round > data_.num_clients()) {
     throw std::invalid_argument("Trainer: bad rounds/devices_per_round");
   }
   if (config_.mu < 0.0) throw std::invalid_argument("Trainer: mu < 0");
-  if (config_.adaptive_mu.enabled && config_.theory_mu.enabled) {
+  if (config_.adaptive_mu.enabled && config_.theory_mu) {
     throw std::invalid_argument(
         "Trainer: adaptive_mu and theory_mu are mutually exclusive");
   }
-  if (config_.theory_mu.enabled) config_.measure_dissimilarity = true;
+  if (config_.theory_mu) config_.measure_dissimilarity = true;
   if (config_.eval_every == 0) config_.eval_every = 1;
   if (config_.recovery.quorum <= 0.0 || config_.recovery.quorum > 1.0) {
     throw std::invalid_argument("Trainer: recovery.quorum outside (0, 1]");
   }
-  if (config_.recovery.backoff_base_ms < 0.0 ||
-      config_.recovery.backoff_factor < 1.0 ||
-      config_.recovery.deadline_ms < 0.0) {
-    throw std::invalid_argument("Trainer: bad recovery backoff/deadline");
+  if (config_.recovery.deadline_ms < 0.0) {
+    throw std::invalid_argument("Trainer: negative recovery deadline");
   }
   if (config_.shards == 0) config_.shards = 1;
   if (!config_.solver) config_.solver = std::make_shared<SgdSolver>();
@@ -148,12 +144,7 @@ TrainHistory Trainer::resume(const std::string& checkpoint_path) {
 
 TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   run_started_ = true;
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = external_pool_;
-  if (!pool) {
-    owned_pool = std::make_unique<ThreadPool>(config_.threads);
-    pool = owned_pool.get();
-  }
+  ThreadPool pool(config_.threads);
 
   const std::size_t d = model_.parameter_count();
 
@@ -175,12 +166,10 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   std::optional<DissimilarityMu> theory;
   double mu = config_.mu;
   if (config_.adaptive_mu.enabled) {
-    adaptive.emplace(config_.adaptive_mu.initial_mu, config_.adaptive_mu.step,
-                     config_.adaptive_mu.patience);
+    adaptive.emplace(config_.adaptive_mu.initial_mu);
     mu = adaptive->mu();
-  } else if (config_.theory_mu.enabled) {
-    theory.emplace(config_.theory_mu.coefficient, config_.theory_mu.max_mu,
-                   config_.theory_mu.smoothing);
+  } else if (config_.theory_mu) {
+    theory.emplace();
     mu = theory->mu();
   }
   if (restored) {
@@ -213,7 +202,7 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
                        .devices_per_round = config_.devices_per_round,
                        .num_clients = data_.num_clients(),
                        .parameter_count = d,
-                       .threads = pool->size(),
+                       .threads = pool.size(),
                        .seed = config_.seed,
                        .resumed = restored != nullptr};
     for (auto* o : observers_) o->on_run_start(info);
@@ -229,7 +218,7 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
     transport = std::make_shared<FaultInjectingTransport>(
         std::move(transport), config_.faults, config_.seed);
   }
-  RoundDriver driver(model_, data_, config_, *transport, runtime, pool,
+  RoundDriver driver(model_, data_, config_, *transport, runtime, &pool,
                      registry, observers_);
 
   std::optional<CheckpointWriter> checkpoints;

@@ -43,7 +43,6 @@
 #include "sim/client.h"
 #include "sim/sampling.h"
 #include "sim/systems.h"
-#include "support/threadpool.h"
 
 namespace fed {
 
@@ -58,21 +57,10 @@ enum class Algorithm {
 
 std::string to_string(Algorithm algorithm);
 
+// The paper's adaptive-mu heuristic (AdaptiveMu), started at initial_mu.
 struct AdaptiveMuConfig {
   bool enabled = false;
   double initial_mu = 0.0;
-  double step = 0.1;
-  std::size_t patience = 5;
-};
-
-// Theory-guided mu from the measured dissimilarity (Corollary 7; see
-// DissimilarityMu). Enabling this forces per-evaluation dissimilarity
-// measurement. Mutually exclusive with AdaptiveMuConfig.
-struct TheoryMuConfig {
-  bool enabled = false;
-  double coefficient = 0.05;  // mu = coefficient * (B^2 - 1)
-  double max_mu = 10.0;
-  double smoothing = 0.5;
 };
 
 // Periodic durable checkpoints (core/checkpoint.h): every `every`
@@ -102,13 +90,15 @@ struct TrainerConfig {
   Algorithm algorithm = Algorithm::kFedProx;
   double mu = 0.0;
   AdaptiveMuConfig adaptive_mu;
-  TheoryMuConfig theory_mu;
+  // Theory-guided mu from the measured dissimilarity (Corollary 7; see
+  // DissimilarityMu). Enabling this forces per-evaluation dissimilarity
+  // measurement. Mutually exclusive with adaptive_mu.
+  bool theory_mu = false;
 
   std::size_t rounds = 200;             // T
   std::size_t devices_per_round = 10;   // K
   std::size_t batch_size = 10;
   double learning_rate = 0.01;
-  double clip_norm = 0.0;               // 0 = no gradient clipping
 
   SystemsConfig systems;                // E and straggler fraction
   SamplingScheme sampling = SamplingScheme::kUniformThenWeightedAverage;
@@ -159,7 +149,6 @@ struct TrainerConfig {
     return RoundConfig{.mu = effective_mu,
                        .batch_size = batch_size,
                        .learning_rate = learning_rate,
-                       .clip_norm = clip_norm,
                        .measure_gamma = measure_gamma};
   }
 };
@@ -210,10 +199,10 @@ struct CheckpointState;  // support/serialize.h (the FPC1 payload)
 
 class Trainer {
  public:
-  // `model` and `data` must outlive the trainer. An external ThreadPool
-  // can be shared across trainers; otherwise one is created per run.
+  // `model` and `data` must outlive the trainer. Each run creates its
+  // own ThreadPool of `config.threads` workers.
   Trainer(const Model& model, const FederatedDataset& data,
-          TrainerConfig config, ThreadPool* pool = nullptr);
+          TrainerConfig config);
 
   TrainHistory run();
 
@@ -240,7 +229,6 @@ class Trainer {
   const Model& model_;
   const FederatedDataset& data_;
   TrainerConfig config_;
-  ThreadPool* external_pool_;
   std::vector<TrainingObserver*> observers_;
   bool run_started_ = false;
 };

@@ -409,7 +409,8 @@ void LstmClassifier::init_parameters(std::span<double> w, Rng& rng) const {
       w[off++] = rng.uniform(-sh, sh);
     }
     for (std::size_t g = 0; g < 4; ++g) {
-      const double bias = (g == kForget) ? config_.forget_bias : 0.0;
+      // Forget-gate bias 1 (the standard trick for gradient flow).
+      const double bias = (g == kForget) ? 1.0 : 0.0;
       for (std::size_t i = 0; i < h; ++i) w[off++] = bias;
     }
   }

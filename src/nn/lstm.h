@@ -44,8 +44,6 @@ struct LstmConfig {
   // embedding is excluded from the parameter vector.
   bool trainable_embedding = true;
   std::shared_ptr<const EmbeddingTable> frozen_embedding;
-  // Forget-gate bias initialization (standard trick for gradient flow).
-  double forget_bias = 1.0;
 };
 
 class LstmClassifier final : public Model {

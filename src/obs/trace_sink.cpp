@@ -31,8 +31,8 @@ JsonObject run_info_json(const RunInfo& info) {
 }  // namespace
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path,
-                               RotationPolicy rotation, OpenMode mode)
-    : path_(path), rotation_(rotation), out_(nullptr) {
+                               std::size_t rotate_bytes, OpenMode mode)
+    : path_(path), rotate_bytes_(rotate_bytes), out_(nullptr) {
   const auto slash = path.find_last_of('/');
   if (slash != std::string::npos) {
     ensure_directory(path.substr(0, slash));
@@ -64,8 +64,8 @@ void JsonlTraceSink::emit(const std::string& line) {
   // mid-line — but only once the active generation holds at least one
   // round line, so a budget smaller than header+line degrades to one
   // line per generation instead of rotating forever.
-  if (&file_ == out_ && rotation_.max_bytes > 0 && round_lines_ > 0 &&
-      bytes_written_ + line.size() + 1 > rotation_.max_bytes) {
+  if (&file_ == out_ && rotate_bytes_ > 0 && round_lines_ > 0 &&
+      bytes_written_ + line.size() + 1 > rotate_bytes_) {
     rotate();
   }
   *out_ << line << '\n';
@@ -76,8 +76,8 @@ void JsonlTraceSink::rotate() {
   file_.close();
   namespace fs = std::filesystem;
   std::error_code ec;  // rotation never throws; a failed shift is dropped
-  fs::remove(path_ + "." + std::to_string(rotation_.max_generations), ec);
-  for (std::size_t g = rotation_.max_generations; g > 1; --g) {
+  fs::remove(path_ + "." + std::to_string(kRotatedGenerations), ec);
+  for (std::size_t g = kRotatedGenerations; g > 1; --g) {
     fs::rename(path_ + "." + std::to_string(g - 1),
                path_ + "." + std::to_string(g), ec);
   }

@@ -18,19 +18,6 @@
 
 namespace fed {
 
-// Size-bounded log rotation for JsonlTraceSink (--trace-rotate-mb).
-// When the active file would grow past `max_bytes`, it is renamed to
-// `<path>.1` (older generations shifting to `.2`, `.3`, ... with the
-// oldest beyond `max_generations` deleted) and a fresh file opens at
-// `path`. Rotation happens only at line boundaries and every new
-// generation re-writes the run-header line first, so each generation is
-// a self-contained JSONL trace that passes `trace_lint --jsonl` on its
-// own. `max_bytes == 0` (the default) disables rotation.
-struct RotationPolicy {
-  std::size_t max_bytes = 0;
-  std::size_t max_generations = 3;  // rotated files kept besides `path`
-};
-
 // One JSON object per line (JSONL). Each run starts with a header line
 // {"run":{...}}; every round then gets {"round":...,"phases":{...},
 // "metrics":{...}}. Reuses support/json serialization; numbers
@@ -47,9 +34,21 @@ class JsonlTraceSink final {
   // tools/trace_lint understands the layout.
   enum class OpenMode { kTruncate, kAppend };
 
+  // Rotated files kept besides `path` (see the constructor).
+  static constexpr std::size_t kRotatedGenerations = 3;
+
   // Creates parent directories and opens `path` per `mode`.
+  //
+  // Size-bounded log rotation (--trace-rotate-mb): when the active file
+  // would grow past `rotate_bytes`, it is renamed to `<path>.1` (older
+  // generations shifting to `.2` and `.3`, the oldest beyond
+  // kRotatedGenerations deleted) and a fresh file opens at `path`.
+  // Rotation happens only at line boundaries and every new generation
+  // re-writes the run-header line first, so each generation is a
+  // self-contained JSONL trace that passes `trace_lint --jsonl` on its
+  // own. `rotate_bytes == 0` (the default) disables rotation.
   explicit JsonlTraceSink(const std::string& path,
-                          RotationPolicy rotation = {},
+                          std::size_t rotate_bytes = 0,
                           OpenMode mode = OpenMode::kTruncate);
   // Streams to an externally-owned ostream (tests, stdout piping);
   // rotation does not apply.
@@ -68,7 +67,7 @@ class JsonlTraceSink final {
   void rotate();
 
   std::string path_;
-  RotationPolicy rotation_;
+  std::size_t rotate_bytes_ = 0;
   std::ofstream file_;
   std::ostream* out_;
   std::string header_line_;  // replayed at the top of each generation

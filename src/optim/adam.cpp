@@ -2,20 +2,11 @@
 
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "optim/prox_sgd.h"
 #include "tensor/ops.h"
 
 namespace fed {
-
-AdamSolver::AdamSolver(double beta1, double beta2, double epsilon)
-    : beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {
-  if (beta1 < 0.0 || beta1 >= 1.0 || beta2 < 0.0 || beta2 >= 1.0 ||
-      epsilon <= 0.0) {
-    throw std::invalid_argument("AdamSolver: bad hyper-parameters");
-  }
-}
 
 void AdamSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
                        Rng& rng, std::span<double> w) const {
@@ -40,15 +31,14 @@ void AdamSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
     cursor += take;
 
     objective.loss_and_grad(w, batch, grad);
-    clip_gradient(grad, budget.clip_norm);
-    beta1_t *= beta1_;
-    beta2_t *= beta2_;
+    beta1_t *= kBeta1;
+    beta2_t *= kBeta2;
     for (std::size_t i = 0; i < d; ++i) {
-      m[i] = beta1_ * m[i] + (1.0 - beta1_) * grad[i];
-      v[i] = beta2_ * v[i] + (1.0 - beta2_) * grad[i] * grad[i];
+      m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * grad[i];
+      v[i] = kBeta2 * v[i] + (1.0 - kBeta2) * grad[i] * grad[i];
       const double m_hat = m[i] / (1.0 - beta1_t);
       const double v_hat = v[i] / (1.0 - beta2_t);
-      w[i] -= budget.learning_rate * m_hat / (std::sqrt(v_hat) + epsilon_);
+      w[i] -= budget.learning_rate * m_hat / (std::sqrt(v_hat) + kEpsilon);
     }
   }
 }

@@ -10,20 +10,17 @@
 
 namespace fed {
 
+// Kingma & Ba's default hyper-parameters.
 class AdamSolver final : public LocalSolver {
  public:
-  explicit AdamSolver(double beta1 = 0.9, double beta2 = 0.999,
-                      double epsilon = 1e-8);
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEpsilon = 1e-8;
 
   std::string name() const override { return "adam"; }
 
   void solve(const LocalProblem& problem, const SolveBudget& budget, Rng& rng,
              std::span<double> w) const override;
-
- private:
-  double beta1_;
-  double beta2_;
-  double epsilon_;
 };
 
 }  // namespace fed

@@ -12,7 +12,6 @@ void GdSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
   Vector grad(objective.dimension());
   for (std::size_t it = 0; it < budget.iterations; ++it) {
     objective.full_loss_and_grad(w, grad);
-    clip_gradient(grad, budget.clip_norm);
     axpy(-budget.learning_rate, grad, w);
   }
 }

@@ -78,10 +78,4 @@ std::size_t iterations_for_epochs(std::size_t epochs, std::size_t n,
   return epochs * per_epoch;
 }
 
-void clip_gradient(std::span<double> grad, double clip_norm) {
-  if (clip_norm <= 0.0) return;
-  const double norm = norm2(grad);
-  if (norm > clip_norm) scale(grad, clip_norm / norm);
-}
-
 }  // namespace fed

@@ -27,7 +27,6 @@ void SgdSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
     std::span<const std::size_t> batch(order.data() + cursor, take);
     cursor += take;
     objective.loss_and_grad(w, batch, grad);
-    clip_gradient(grad, budget.clip_norm);
     axpy(-budget.learning_rate, grad, w);
   }
 }

@@ -36,14 +36,7 @@ struct SolveBudget {
   std::size_t iterations = 0;
   std::size_t batch_size = 10;
   double learning_rate = 0.01;
-  // L2 gradient clipping threshold; 0 disables clipping. Useful for the
-  // LSTM workloads where per-step gradients can spike.
-  double clip_norm = 0.0;
 };
-
-// Rescales grad in place to norm `clip_norm` when it exceeds it (no-op
-// when clip_norm <= 0).
-void clip_gradient(std::span<double> grad, double clip_norm);
 
 // Iterations corresponding to `epochs` full passes over n samples.
 std::size_t iterations_for_epochs(std::size_t epochs, std::size_t n,

@@ -25,8 +25,7 @@ ClientResult run_client(const Model& model, const ClientData& data,
                        .correction = correction};
   SolveBudget solve_budget{.iterations = budget.iterations,
                            .batch_size = config.batch_size,
-                           .learning_rate = config.learning_rate,
-                           .clip_norm = config.clip_norm};
+                           .learning_rate = config.learning_rate};
 
   result.update.assign(w_global.begin(), w_global.end());
   Stopwatch solve_timer;

@@ -20,7 +20,6 @@ struct RoundConfig {
   double mu = 0.0;
   std::size_t batch_size = 10;
   double learning_rate = 0.01;
-  double clip_norm = 0.0;
   // When true, the client evaluates gamma-inexactness of its solution
   // (an extra pair of full-batch gradient evaluations).
   bool measure_gamma = false;

@@ -27,43 +27,6 @@ std::size_t straggler_count(double fraction, std::size_t k) {
       std::llround(fraction * static_cast<double>(k)));
 }
 
-double device_speed_factor(const DeviceProfileConfig& config,
-                           std::uint64_t seed, std::size_t device) {
-  if (config.speed_sigma_log < 0.0) {
-    throw std::invalid_argument("device_speed_factor: negative sigma");
-  }
-  // Keyed only by (seed, device): the profile persists across rounds.
-  // Salt 0xd01ce distinguishes profile draws from per-round straggler draws.
-  Rng rng = make_stream(seed, StreamKind::kStraggler, 0xd01ce, device + 1);
-  const double factor = std::exp(rng.normal(0.0, config.speed_sigma_log));
-  return std::min(1.0, factor);
-}
-
-namespace {
-
-std::vector<DeviceBudget> assign_profile_budgets(
-    const SystemsConfig& config, std::uint64_t seed,
-    std::span<const std::size_t> selected,
-    std::span<const std::size_t> train_sizes, std::size_t batch_size) {
-  std::vector<DeviceBudget> budgets(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    DeviceBudget& b = budgets[i];
-    b.device = selected[i];
-    const double speed = device_speed_factor(config.profile, seed, selected[i]);
-    const std::size_t per_epoch =
-        iterations_for_epochs(1, train_sizes[i], batch_size);
-    const std::size_t full = config.epochs * per_epoch;
-    b.iterations = std::max<std::size_t>(
-        1, static_cast<std::size_t>(speed * static_cast<double>(full)));
-    b.straggler = b.iterations < full;
-    b.epochs = std::max<std::size_t>(1, b.iterations / per_epoch);
-    if (!b.straggler) b.epochs = config.epochs;
-  }
-  return budgets;
-}
-
-}  // namespace
-
 std::vector<DeviceBudget> assign_budgets(
     const SystemsConfig& config, std::uint64_t seed, std::uint64_t round,
     std::span<const std::size_t> selected,
@@ -73,10 +36,6 @@ std::vector<DeviceBudget> assign_budgets(
   }
   if (config.epochs == 0) {
     throw std::invalid_argument("assign_budgets: epochs must be > 0");
-  }
-  if (config.profile.enabled) {
-    return assign_profile_budgets(config, seed, selected, train_sizes,
-                                  batch_size);
   }
   const std::size_t k = selected.size();
   std::vector<DeviceBudget> budgets(k);

@@ -21,30 +21,10 @@
 
 namespace fed {
 
-// Alternative systems model: persistent per-device capability profiles.
-// The paper's simulation redraws stragglers each round; real fleets have
-// *persistently* slow devices ("the storage, computational, and
-// communication capabilities of each device ... may differ due to
-// variability in hardware", Section 2). With this model, device k has a
-// fixed speed factor s_k = min(1, exp(N(0, speed_sigma_log))) relative to
-// a reference device that completes exactly E epochs per clock cycle;
-// device k completes floor(s_k * E * iters_per_epoch) iterations
-// (at least 1). straggler_fraction is ignored while enabled.
-struct DeviceProfileConfig {
-  bool enabled = false;
-  double speed_sigma_log = 1.0;
-};
-
 struct SystemsConfig {
   double straggler_fraction = 0.0;  // 0.0, 0.5, 0.9 in the paper
   std::size_t epochs = 20;          // E, the full workload per round
-  DeviceProfileConfig profile;      // persistent-capability alternative
 };
-
-// The persistent speed factor of `device` under the profile model;
-// deterministic in (seed, device), in (0, 1].
-double device_speed_factor(const DeviceProfileConfig& config,
-                           std::uint64_t seed, std::size_t device);
 
 struct DeviceBudget {
   std::size_t device = 0;

@@ -166,7 +166,6 @@ WireBuffer encode_broadcast(const ModelBroadcast& message) {
   w.f64(message.config.mu);
   w.u64(message.config.batch_size);
   w.f64(message.config.learning_rate);
-  w.f64(message.config.clip_norm);
   w.flag(message.config.measure_gamma);
   w.u64(message.budget.device);
   w.flag(message.budget.straggler);
@@ -185,7 +184,6 @@ OwnedBroadcast decode_broadcast(std::span<const std::uint8_t> buffer) {
   m.config.mu = r.f64();
   m.config.batch_size = r.u64();
   m.config.learning_rate = r.f64();
-  m.config.clip_norm = r.f64();
   m.config.measure_gamma = r.flag();
   m.budget.device = r.u64();
   m.budget.straggler = r.flag();

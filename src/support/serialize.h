@@ -8,7 +8,7 @@
 // magics only catch a frame handed to the wrong decoder:
 //   ModelBroadcast  magic "FPB1" | u64 round
 //                   | f64 mu | u64 batch_size | f64 learning_rate
-//                   | f64 clip_norm | u8 measure_gamma
+//                   | u8 measure_gamma
 //                   | u64 device | u8 straggler | u64 epochs | u64 iterations
 //                   | u64 param_dim | param_dim * f64
 //                   | u64 correction_dim | correction_dim * f64
@@ -84,7 +84,7 @@ using WireBuffer = std::vector<std::uint8_t>;
 // parameter-vector-size proxy older traces estimated bytes with.
 inline constexpr std::size_t kBroadcastEnvelopeBytes =
     4 + 8 +                  // magic, round
-    8 + 8 + 8 + 8 + 1 +      // mu, batch_size, learning_rate, clip, gamma
+    8 + 8 + 8 + 1 +          // mu, batch_size, learning_rate, gamma
     8 + 1 + 8 + 8 +          // device, straggler, epochs, iterations
     8 + 8;                   // param_dim, correction_dim
 inline constexpr std::size_t kUpdateEnvelopeBytes =

@@ -1,11 +1,8 @@
-// Tests for the Adam local solver and gradient clipping.
+// Tests for the Adam local solver.
 
 #include <gtest/gtest.h>
 
 #include "optim/adam.h"
-#include "optim/prox_sgd.h"
-#include "optim/sgd.h"
-#include "tensor/ops.h"
 #include "test_util.h"
 
 namespace fed {
@@ -13,21 +10,6 @@ namespace {
 
 using testing::QuadraticModel;
 using testing::make_dense_dataset;
-
-TEST(ClipGradient, NoOpBelowThresholdAndWhenDisabled) {
-  Vector g{3.0, 4.0};  // norm 5
-  clip_gradient(g, 10.0);
-  EXPECT_DOUBLE_EQ(g[0], 3.0);
-  clip_gradient(g, 0.0);  // disabled
-  EXPECT_DOUBLE_EQ(g[1], 4.0);
-}
-
-TEST(ClipGradient, RescalesToThreshold) {
-  Vector g{3.0, 4.0};  // norm 5
-  clip_gradient(g, 1.0);
-  EXPECT_NEAR(norm2(g), 1.0, 1e-12);
-  EXPECT_NEAR(g[0] / g[1], 0.75, 1e-12);  // direction preserved
-}
 
 struct QuadSetup {
   QuadraticModel model{2};
@@ -72,12 +54,6 @@ TEST(AdamSolverTest, ZeroBudgetIsNoOp) {
   EXPECT_DOUBLE_EQ(w[0], 7.0);
 }
 
-TEST(AdamSolverTest, RejectsBadHyperparameters) {
-  EXPECT_THROW(AdamSolver(1.0, 0.999), std::invalid_argument);
-  EXPECT_THROW(AdamSolver(0.9, -0.1), std::invalid_argument);
-  EXPECT_THROW(AdamSolver(0.9, 0.999, 0.0), std::invalid_argument);
-}
-
 TEST(AdamSolverTest, DeterministicGivenSameStream) {
   QuadSetup q;
   LocalProblem problem{&q.model, &q.data, q.anchor, 0.5, {}};
@@ -88,21 +64,6 @@ TEST(AdamSolverTest, DeterministicGivenSameStream) {
   AdamSolver().solve(problem, budget, rng1, w1);
   AdamSolver().solve(problem, budget, rng2, w2);
   EXPECT_EQ(w1, w2);
-}
-
-TEST(SgdClipping, ClippedStepsAreBounded) {
-  // Huge targets make raw gradients enormous; with clip_norm the per-step
-  // movement is bounded by lr * clip_norm.
-  QuadraticModel model(1);
-  Dataset data = make_dense_dataset({{1e6}});
-  Vector anchor{0.0};
-  LocalProblem problem{&model, &data, anchor, 0.0, {}};
-  SolveBudget budget{.iterations = 1, .batch_size = 1, .learning_rate = 0.1,
-                     .clip_norm = 1.0};
-  Rng rng = make_stream(5, StreamKind::kTest);
-  Vector w = anchor;
-  SgdSolver().solve(problem, budget, rng, w);
-  EXPECT_NEAR(std::abs(w[0]), 0.1, 1e-12);  // exactly lr * clip_norm
 }
 
 }  // namespace

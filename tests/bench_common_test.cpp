@@ -43,6 +43,15 @@ TEST_F(BenchCommonTest, ApplyRoundsHonorsOverrideAndQuick) {
   options.quick = true;
   apply_rounds(c, w, options);
   EXPECT_EQ(c.rounds, std::max<std::size_t>(2, w.default_rounds / 20));
+
+  // An explicit --rounds beats --quick's shrink, even below its floor.
+  const char* quick_argv[] = {"prog", "--quick", "--rounds", "3"};
+  options = parse_options(4, const_cast<char**>(quick_argv));
+  apply_rounds(c, w, options);
+  EXPECT_EQ(c.rounds, 3u);
+  options.rounds_override = 1;
+  apply_rounds(c, w, options);
+  EXPECT_EQ(c.rounds, 1u);
 }
 
 TEST_F(BenchCommonTest, RenderSeriesAlignsVariants) {

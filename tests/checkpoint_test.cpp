@@ -14,7 +14,10 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "comm/transport.h"
 #include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -353,14 +356,25 @@ TEST_F(CheckpointTest, AdaptiveMuStateSurvivesTheCrash) {
   c.eval_every = 1;  // adaptive mu moves on evaluated rounds
   c.adaptive_mu.enabled = true;
   c.adaptive_mu.initial_mu = 0.5;
-  c.adaptive_mu.step = 0.1;
-  c.adaptive_mu.patience = 2;
   const TrainHistory reference = Trainer(model, data(), c).run();
 
   TrainerConfig crashed = c;
+  crashed.checkpoint.dir = dir_;
   crashed.checkpoint.every = 4;
   crashed.crash.at_round = 10;
-  const TrainHistory resumed = run_with_recovery(model, crashed, dir_);
+  EXPECT_THROW((void)Trainer(model, data(), crashed).run(), ServerCrashed);
+  // The round-8 checkpoint is mid-streak: the controller's count of
+  // consecutive decreases toward its patience of 5 must carry over.
+  const auto newest = latest_checkpoint(dir_);
+  ASSERT_TRUE(newest.has_value());
+  const CheckpointState state = load_checkpoint_state(*newest);
+  EXPECT_EQ(state.next_round, 9u);
+  ASSERT_TRUE(state.adaptive.has_value());
+  EXPECT_GT(state.adaptive->consecutive_decreases, 0u);
+  EXPECT_LT(state.adaptive->consecutive_decreases, AdaptiveMu::kPatience);
+
+  const TrainHistory resumed =
+      Trainer(model, data(), c).resume(*newest);
   ASSERT_EQ(reference.rounds.size(), resumed.rounds.size());
   for (std::size_t i = 0; i < reference.rounds.size(); ++i) {
     EXPECT_EQ(reference.rounds[i].mu, resumed.rounds[i].mu)
@@ -387,6 +401,79 @@ TEST_F(CheckpointTest, FingerprintMismatchRefusesToResume) {
   same.threads = 8;  // neutral knobs must NOT be caught
   const TrainHistory ok = Trainer(model, data(), same).resume(*newest);
   EXPECT_FALSE(ok.rounds.empty());
+}
+
+TEST_F(CheckpointTest, FingerprintCoversEveryTrajectoryKnob) {
+  using Perturb = void (*)(TrainerConfig&);
+  const auto fingerprint = [](const TrainerConfig& c) {
+    return config_fingerprint(c, 12, 100);
+  };
+  const std::uint64_t base = fingerprint(config());
+
+  const std::vector<std::pair<const char*, Perturb>> relevant = {
+      {"algorithm", [](TrainerConfig& c) { c.algorithm = Algorithm::kFedDane; }},
+      {"mu", [](TrainerConfig& c) { c.mu = 0.25; }},
+      {"adaptive_mu.enabled",
+       [](TrainerConfig& c) { c.adaptive_mu.enabled = true; }},
+      {"adaptive_mu.initial_mu",
+       [](TrainerConfig& c) { c.adaptive_mu.initial_mu = 0.3; }},
+      {"theory_mu", [](TrainerConfig& c) { c.theory_mu = true; }},
+      {"rounds", [](TrainerConfig& c) { c.rounds = 13; }},
+      {"devices_per_round", [](TrainerConfig& c) { c.devices_per_round = 5; }},
+      {"batch_size", [](TrainerConfig& c) { c.batch_size = 7; }},
+      {"learning_rate", [](TrainerConfig& c) { c.learning_rate = 0.02; }},
+      {"straggler_fraction",
+       [](TrainerConfig& c) { c.systems.straggler_fraction = 0.9; }},
+      {"epochs", [](TrainerConfig& c) { c.systems.epochs = 4; }},
+      {"sampling",
+       [](TrainerConfig& c) {
+         c.sampling = SamplingScheme::kWeightedThenSimpleAverage;
+       }},
+      {"seed", [](TrainerConfig& c) { c.seed = 34; }},
+      {"eval_every", [](TrainerConfig& c) { c.eval_every = 4; }},
+      {"measure_gamma", [](TrainerConfig& c) { c.measure_gamma = true; }},
+      {"measure_dissimilarity",
+       [](TrainerConfig& c) { c.measure_dissimilarity = true; }},
+      {"faults.drop", [](TrainerConfig& c) { c.faults.drop = 0.1; }},
+      {"faults.corrupt", [](TrainerConfig& c) { c.faults.corrupt = 0.1; }},
+      {"faults.duplicate", [](TrainerConfig& c) { c.faults.duplicate = 0.1; }},
+      {"faults.delay_ms", [](TrainerConfig& c) { c.faults.delay_ms = 5.0; }},
+      {"recovery.max_retries",
+       [](TrainerConfig& c) { c.recovery.max_retries = 3; }},
+      {"recovery.deadline_ms",
+       [](TrainerConfig& c) { c.recovery.deadline_ms = 50.0; }},
+      {"recovery.quorum", [](TrainerConfig& c) { c.recovery.quorum = 0.5; }},
+      {"churn.arrive", [](TrainerConfig& c) { c.churn.arrive = 0.1; }},
+      {"churn.depart", [](TrainerConfig& c) { c.churn.depart = 0.1; }},
+      {"churn.initial", [](TrainerConfig& c) { c.churn.initial = 8; }},
+      {"churn.min_active", [](TrainerConfig& c) { c.churn.min_active = 6; }},
+  };
+  for (const auto& [name, perturb] : relevant) {
+    TrainerConfig c = config();
+    perturb(c);
+    EXPECT_NE(fingerprint(c), base) << name << " is not in the fingerprint";
+  }
+  EXPECT_NE(config_fingerprint(config(), 13, 100), base) << "population";
+  EXPECT_NE(config_fingerprint(config(), 12, 101), base) << "parameter count";
+
+  const std::vector<std::pair<const char*, Perturb>> neutral = {
+      {"threads", [](TrainerConfig& c) { c.threads = 8; }},
+      {"shards", [](TrainerConfig& c) { c.shards = 3; }},
+      {"transport",
+       [](TrainerConfig& c) {
+         c.transport = make_transport(TransportKind::kSerialized);
+       }},
+      {"checkpoint",
+       [](TrainerConfig& c) {
+         c.checkpoint = {.dir = "elsewhere", .every = 2, .retain = 5};
+       }},
+      {"crash", [](TrainerConfig& c) { c.crash.at_round = 3; }},
+  };
+  for (const auto& [name, perturb] : neutral) {
+    TrainerConfig c = config();
+    perturb(c);
+    EXPECT_EQ(fingerprint(c), base) << name << " must not block a resume";
+  }
 }
 
 TEST_F(CheckpointTest, ResumeRejectsAWrongLengthParameterVector) {
@@ -491,7 +578,7 @@ TEST_F(CheckpointTest, ResumedCountersIncludeReplayedRounds) {
   EXPECT_GT(seed_counters_from_exposition(registry, metrics_path), 0u);
   {
     MetricsObserver metrics(registry);
-    JsonlTraceSink sink(trace_path, RotationPolicy{},
+    JsonlTraceSink sink(trace_path, /*rotate_bytes=*/0,
                         JsonlTraceSink::OpenMode::kAppend);
     TraceObserver trace(sink);
     Trainer trainer(model, data(), c);
@@ -535,7 +622,7 @@ TEST_F(CheckpointTest, JsonlSinkAppendKeepsEarlierSegments) {
     RunInfo resumed = info;
     resumed.resumed = true;
     resumed.first_round = 1;
-    JsonlTraceSink sink(path, RotationPolicy{},
+    JsonlTraceSink sink(path, /*rotate_bytes=*/0,
                         JsonlTraceSink::OpenMode::kAppend);
     sink.begin_run(resumed);
     metrics.round = trace.round = 2;

@@ -158,7 +158,7 @@ TEST_F(CommFaultTest, RecoveryConfigIsValidatedUpFront) {
   c.recovery.quorum = 1.5;
   EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument);
   c = chaos_config();
-  c.recovery.backoff_factor = 0.5;
+  c.recovery.deadline_ms = -1.0;
   EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument);
   c = chaos_config();
   c.faults.drop = 2.0;  // caught when the trainer wraps the transport

@@ -374,9 +374,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()));
 
 TEST(LstmModel, ForgetBiasInitialized) {
-  LstmConfig config = tiny_config(1, false);
-  config.forget_bias = 1.0;
-  LstmClassifier model(config);
+  LstmClassifier model(tiny_config(1, false));
   Vector w(model.parameter_count());
   Rng rng = make_stream(22, StreamKind::kTest);
   model.init_parameters(w, rng);

@@ -312,7 +312,7 @@ TEST_F(TraceTest, RoundAccountingIsPinned) {
   closed.threads = 2;
   AccountingRecorder closed_rec;
   record_accounting(closed, closed_rec);
-  EXPECT_EQ(closed_rec.digest(), 0x58146bd36f4aec6full) << closed_rec.text();
+  EXPECT_EQ(closed_rec.digest(), 0x88dfb31b7d6a67bfull) << closed_rec.text();
 
   // Open world on a faulty channel: FedAvg drops its stragglers, and
   // drops, corruptions, duplicates, delays, a deadline, a 0.7 quorum,
@@ -338,7 +338,7 @@ TEST_F(TraceTest, RoundAccountingIsPinned) {
   open.churn.initial = 9;
   AccountingRecorder open_rec;
   record_accounting(open, open_rec);
-  EXPECT_EQ(open_rec.digest(), 0x4a9bebff4d6bb07aull) << open_rec.text();
+  EXPECT_EQ(open_rec.digest(), 0x97d27c670d0943eeull) << open_rec.text();
   // The pin covers every per-device incident kind.
   for (const FaultEvent::Kind kind :
        {FaultEvent::Kind::kDrop, FaultEvent::Kind::kCorrupt,
@@ -450,33 +450,34 @@ TEST_F(TraceTest, JsonlSinkRotatesWithBoundedGenerations) {
   const std::string dir = ::testing::TempDir() + "fedprox_obs_rotate";
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/trace.jsonl";
-  RotationPolicy policy;
-  policy.max_bytes = 4096;
-  policy.max_generations = 2;
+  constexpr std::size_t kRotateBytes = 4096;
   {
-    JsonlTraceSink sink(path, policy);
+    JsonlTraceSink sink(path, kRotateBytes);
     RunInfo info;
     info.algorithm = "FedProx";
     sink.begin_run(info);
     RoundMetrics m;
     RoundTrace t;
-    for (std::size_t r = 0; r < 100; ++r) {
+    for (std::size_t r = 0; r < 200; ++r) {
       t.round = r;
       sink.write(m, t);
     }
     sink.end_run(TrainHistory{});
-    EXPECT_GE(sink.rotations(), 2u);  // enough data to cycle generations
+    // Enough data to cycle past the kept generations.
+    EXPECT_GT(sink.rotations(), JsonlTraceSink::kRotatedGenerations);
   }
-  // Bounded: the active file plus at most max_generations rotated ones.
+  // Bounded: the active file plus at most three rotated ones.
+  EXPECT_EQ(JsonlTraceSink::kRotatedGenerations, 3u);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".1"));
   EXPECT_TRUE(std::filesystem::exists(path + ".2"));
-  EXPECT_FALSE(std::filesystem::exists(path + ".3"));
+  EXPECT_TRUE(std::filesystem::exists(path + ".3"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".4"));
   // Every generation is a self-contained trace: the run header line
   // first (re-written at each rotation), then round lines, within the
   // byte budget.
-  for (const std::string& p : {path, path + ".1", path + ".2"}) {
-    EXPECT_LE(std::filesystem::file_size(p), policy.max_bytes);
+  for (const std::string& p : {path, path + ".1", path + ".2", path + ".3"}) {
+    EXPECT_LE(std::filesystem::file_size(p), kRotateBytes);
     std::ifstream in(p);
     ASSERT_TRUE(in.good()) << p;
     std::string line;

@@ -88,14 +88,6 @@ TEST_P(SkewedThreadCountTest, IdenticalResultsAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(Threads, SkewedThreadCountTest,
                          ::testing::Values(1, 2, 4, 8));
 
-TEST_F(DeterminismTest, SharedExternalPoolMatchesOwnedPool) {
-  LogisticRegression model(data().input_dim, data().num_classes);
-  const auto owned = Trainer(model, data(), config()).run();
-  ThreadPool pool(3);
-  const auto shared = Trainer(model, data(), config(), &pool).run();
-  EXPECT_EQ(owned.final_parameters, shared.final_parameters);
-}
-
 TEST_F(DeterminismTest, RunOrderDoesNotLeakBetweenTrainers) {
   // Running FedAvg before FedProx must not change FedProx's trajectory
   // (all randomness is derived from (seed, purpose, round, device), not

@@ -89,7 +89,6 @@ class SerializeFuzzTest : public ::testing::Test {
     b.config = RoundConfig{.mu = 0.5,
                            .batch_size = 10,
                            .learning_rate = 0.05,
-                           .clip_norm = 1.0,
                            .measure_gamma = true};
     b.budget = DeviceBudget{.device = 4,
                             .straggler = true,

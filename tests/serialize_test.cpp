@@ -246,7 +246,6 @@ OwnedBroadcast sample_broadcast() {
   b.config = RoundConfig{.mu = 0.1 + 0.2,  // not representable exactly
                          .batch_size = 32,
                          .learning_rate = 1e-3,
-                         .clip_norm = 5.5,
                          .measure_gamma = true};
   b.budget = DeviceBudget{
       .device = 6, .straggler = true, .epochs = 3, .iterations = 41};
@@ -278,7 +277,6 @@ TEST_F(SerializeTest, BroadcastRoundTripsExactly) {
   EXPECT_EQ(back.config.mu, b.config.mu);
   EXPECT_EQ(back.config.batch_size, b.config.batch_size);
   EXPECT_EQ(back.config.learning_rate, b.config.learning_rate);
-  EXPECT_EQ(back.config.clip_norm, b.config.clip_norm);
   EXPECT_EQ(back.config.measure_gamma, b.config.measure_gamma);
   EXPECT_EQ(back.budget.device, b.budget.device);
   EXPECT_EQ(back.budget.straggler, b.budget.straggler);
@@ -486,7 +484,7 @@ TEST_F(SerializeTest, DecodeBroadcastRejectsCorruptBuffers) {
   EXPECT_THROW(decode_broadcast(trailing), std::runtime_error);
 
   WireBuffer bad_flag = wire;
-  bad_flag[4 + 8 + 8 + 8 + 8 + 8] = 7;  // measure_gamma byte: not 0/1
+  bad_flag[4 + 8 + 8 + 8 + 8] = 7;  // measure_gamma byte: not 0/1
   EXPECT_THROW(decode_broadcast(bad_flag), std::runtime_error);
 }
 

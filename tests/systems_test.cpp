@@ -35,7 +35,7 @@ class BudgetFractionTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(BudgetFractionTest, ExactStragglerFraction) {
   const double fraction = GetParam();
-  SystemsConfig config{.straggler_fraction = fraction, .epochs = 20, .profile = {}};
+  SystemsConfig config{.straggler_fraction = fraction, .epochs = 20};
   std::vector<std::size_t> selected{3, 1, 4, 1, 5, 9, 2, 6, 8, 7};
   // device ids may repeat across positions in this synthetic list; the
   // budget is per-position.
@@ -51,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(Fractions, BudgetFractionTest,
                          ::testing::Values(0.0, 0.1, 0.5, 0.9, 1.0));
 
 TEST(AssignBudgets, NonStragglersGetFullWork) {
-  SystemsConfig config{.straggler_fraction = 0.5, .epochs = 20, .profile = {}};
+  SystemsConfig config{.straggler_fraction = 0.5, .epochs = 20};
   std::vector<std::size_t> selected{0, 1, 2, 3};
   const auto budgets =
       assign_budgets(config, 7, 3, selected, sizes(4, 35), 10);
@@ -68,7 +68,7 @@ TEST(AssignBudgets, NonStragglersGetFullWork) {
 }
 
 TEST(AssignBudgets, DeterministicInSeedAndRound) {
-  SystemsConfig config{.straggler_fraction = 0.9, .epochs = 20, .profile = {}};
+  SystemsConfig config{.straggler_fraction = 0.9, .epochs = 20};
   std::vector<std::size_t> selected{5, 6, 7, 8, 9};
   const auto a = assign_budgets(config, 11, 4, selected, sizes(5, 20), 10);
   const auto b = assign_budgets(config, 11, 4, selected, sizes(5, 20), 10);
@@ -91,7 +91,7 @@ TEST(AssignBudgets, DeterministicInSeedAndRound) {
 }
 
 TEST(AssignBudgets, EpochOneDrawsPartialIterations) {
-  SystemsConfig config{.straggler_fraction = 1.0, .epochs = 1, .profile = {}};
+  SystemsConfig config{.straggler_fraction = 1.0, .epochs = 1};
   std::vector<std::size_t> selected{0};
   bool saw_partial = false;
   for (std::uint64_t round = 0; round < 50; ++round) {
@@ -106,7 +106,7 @@ TEST(AssignBudgets, EpochOneDrawsPartialIterations) {
 }
 
 TEST(AssignBudgets, StragglerEpochsCoverFullRange) {
-  SystemsConfig config{.straggler_fraction = 1.0, .epochs = 5, .profile = {}};
+  SystemsConfig config{.straggler_fraction = 1.0, .epochs = 5};
   std::vector<std::size_t> selected{0, 1, 2};
   std::vector<bool> seen(6, false);
   for (std::uint64_t round = 0; round < 200; ++round) {
@@ -118,56 +118,12 @@ TEST(AssignBudgets, StragglerEpochsCoverFullRange) {
   for (std::size_t e = 1; e <= 5; ++e) EXPECT_TRUE(seen[e]) << "epoch " << e;
 }
 
-TEST(DeviceProfile, SpeedFactorPersistentAndBounded) {
-  DeviceProfileConfig profile{.enabled = true, .speed_sigma_log = 1.0};
-  for (std::size_t device = 0; device < 50; ++device) {
-    const double s1 = device_speed_factor(profile, 7, device);
-    const double s2 = device_speed_factor(profile, 7, device);
-    EXPECT_DOUBLE_EQ(s1, s2);  // persistent across calls/rounds
-    EXPECT_GT(s1, 0.0);
-    EXPECT_LE(s1, 1.0);
-  }
-  // Speeds vary across devices.
-  EXPECT_NE(device_speed_factor(profile, 7, 0),
-            device_speed_factor(profile, 7, 1));
-}
-
-TEST(DeviceProfile, BudgetsFollowPersistentSpeeds) {
-  SystemsConfig config{.straggler_fraction = 0.9,  // ignored under profile
-                       .epochs = 10,
-                       .profile = {.enabled = true, .speed_sigma_log = 1.5}};
-  std::vector<std::size_t> selected{0, 1, 2, 3, 4};
-  const auto round0 =
-      assign_budgets(config, 7, 0, selected, sizes(5, 40), 10);
-  const auto round9 =
-      assign_budgets(config, 7, 9, selected, sizes(5, 40), 10);
-  for (std::size_t i = 0; i < 5; ++i) {
-    // Same device, same speed: identical budgets in every round.
-    EXPECT_EQ(round0[i].iterations, round9[i].iterations);
-    EXPECT_GE(round0[i].iterations, 1u);
-    EXPECT_LE(round0[i].iterations, 10u * 4u);
-    EXPECT_EQ(round0[i].straggler, round0[i].iterations < 40u);
-  }
-}
-
-TEST(DeviceProfile, FullSpeedDeviceGetsFullBudget) {
-  SystemsConfig config{.straggler_fraction = 0.0,
-                       .epochs = 6,
-                       .profile = {.enabled = true, .speed_sigma_log = 0.0}};
-  // sigma 0: every device has speed exactly 1.0 (min(1, e^0)).
-  std::vector<std::size_t> selected{3};
-  const auto budgets = assign_budgets(config, 1, 0, selected, sizes(1, 25), 10);
-  EXPECT_FALSE(budgets[0].straggler);
-  EXPECT_EQ(budgets[0].epochs, 6u);
-  EXPECT_EQ(budgets[0].iterations, 6u * 3u);
-}
-
 TEST(AssignBudgets, ValidatesInput) {
-  SystemsConfig config{.straggler_fraction = 0.0, .epochs = 0, .profile = {}};
+  SystemsConfig config{.straggler_fraction = 0.0, .epochs = 0};
   std::vector<std::size_t> selected{0};
   EXPECT_THROW(assign_budgets(config, 1, 0, selected, sizes(1, 10), 10),
                std::invalid_argument);
-  SystemsConfig ok{.straggler_fraction = 0.0, .epochs = 1, .profile = {}};
+  SystemsConfig ok{.straggler_fraction = 0.0, .epochs = 1};
   EXPECT_THROW(assign_budgets(ok, 1, 0, selected, sizes(2, 10), 10),
                std::invalid_argument);
 }

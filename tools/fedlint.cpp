@@ -37,12 +37,14 @@
 //                         make_unique/containers so sanitizer and
 //                         fault-injection paths can't leak.
 //   libm-in-model         std::exp/log/log1p/expm1/tanh/pow/sin/cos
-//                         inside nn/, tensor/ or optim/ — libm's last
-//                         bit varies by host and glibc code path, so
-//                         the model path uses tensor/vmath.h. Data
-//                         generation (data/, support/rng, sim/systems)
-//                         may call libm; its outputs are pinned by
-//                         digest (tests/golden_test.cpp).
+//                         inside nn/, tensor/, optim/, sim/, core/ or
+//                         comm/ — libm's last bit varies by host and
+//                         glibc code path, so the model path uses
+//                         tensor/vmath.h and the simulator, trainer
+//                         and channel call no transcendental. Data
+//                         generation (data/, support/rng) may call
+//                         libm; its outputs are pinned by digest
+//                         (tests/golden_test.cpp).
 //
 // Allowlist file: one `path-prefix rule-id` pair per line (# comments),
 // paths relative to --root with forward slashes. An entry that matches
@@ -165,9 +167,10 @@ const std::vector<Rule>& rules() {
       {"libm-in-model",
        patterns({"std :: exp", "std :: log", "std :: log1p", "std :: expm1",
                  "std :: tanh", "std :: pow", "std :: sin", "std :: cos"}),
-       {"nn", "tensor", "optim"},
-       "libm transcendental on the model path; its last bit depends on "
-       "the host, so use tensor/vmath.h (exp, log, tanh, sigmoid)"},
+       {"nn", "tensor", "optim", "sim", "core", "comm"},
+       "libm transcendental on the model or simulation path; its last bit "
+       "depends on the host, so use tensor/vmath.h (exp, log, tanh, "
+       "sigmoid)"},
   };
   return kRules;
 }
@@ -466,6 +469,8 @@ int run_self_test() {
       {"src/optim/l2.cpp", "auto p = std :: pow(b, 2.0);\n",
        {"libm-in-model"}},
       {"src/tensor/l3.cpp", "double a = std::log1p(x), b = std::cos(x);\n",
+       {"libm-in-model"}},
+      {"src/sim/l3b.cpp", "double s = std::exp(rng.normal());\n",
        {"libm-in-model"}},
       // Data generation may call libm; sqrt is exact, so it is not flagged;
       // the in-repo kernel's names are not libm's.
