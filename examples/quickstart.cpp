@@ -31,7 +31,7 @@
 namespace {
 
 // Observers receive every round's metrics on the round thread; this one
-// prints the evaluated ones (the old RoundCallback, as an observer).
+// prints the evaluated ones.
 struct ProgressPrinter : fed::TrainingObserver {
   void on_round_end(const fed::RoundMetrics& m,
                     const fed::RoundTrace&) override {

@@ -28,19 +28,6 @@ void validate(const FaultProfile& profile) {
   }
 }
 
-// FNV-1a over the wire buffer: the link-layer integrity check. Bit flips
-// inside the float64 payload decode "successfully" (they just change a
-// double), so structural validation alone cannot catch them; a real
-// network frame carries a CRC for exactly this reason.
-std::uint64_t fnv1a(const WireBuffer& buffer) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::uint8_t byte : buffer) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 }  // namespace
 
 FaultProfile parse_fault_profile(const std::string& spec) {

@@ -40,13 +40,6 @@ TrainerConfig fedprox_config(double mu) {
   return c;
 }
 
-TrainerConfig feddane_config(double mu) {
-  TrainerConfig c;
-  c.algorithm = Algorithm::kFedDane;
-  c.mu = mu;
-  return c;
-}
-
 const RoundMetrics& TrainHistory::final_metrics() const {
   for (auto it = rounds.rbegin(); it != rounds.rend(); ++it) {
     if (it->evaluated()) return *it;

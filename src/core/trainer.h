@@ -156,7 +156,6 @@ struct TrainerConfig {
 // Canonical configurations used throughout the benches.
 TrainerConfig fedavg_config();
 TrainerConfig fedprox_config(double mu);
-TrainerConfig feddane_config(double mu);
 
 // Per-round record. Optional fields are engaged only when the quantity
 // was actually measured that round: the three evaluation metrics are set

@@ -1,10 +1,11 @@
-// Batch plumbing shared by the models: chunking, gathers, and the
-// softmax output layer of the dense models (logistic regression, MLP).
+// Batch plumbing of the models: scratch shaping, and the chunking,
+// gathers and softmax output layer of the dense model (logistic
+// regression).
 //
-// A dense model runs a call's batch in chunks of at most kChunkRows
+// The dense model runs a call's batch in chunks of at most kChunkRows
 // samples, so its scratch is bounded by the chunk, never by the client.
 // Within a chunk the features are gathered feature-major (one column per
-// sample) and a layer runs as one gemm(W, X^T), whose column i is
+// sample) and the layer runs as one gemm(W, X^T), whose column i is
 // gemv(W, x_i) bit for bit: the same products, in the same operand and
 // summation order (tensor/ops.h). Parameter gradients run as one
 // ger_batch over sample-major rows, bitwise the sample-by-sample ger
@@ -25,18 +26,18 @@
 
 namespace fed {
 
-// Most samples a dense model holds in scratch at once.
+// Most samples the dense model holds in scratch at once.
 inline constexpr std::size_t kChunkRows = 64;
 
 // Grows `buf` to hold a rows x cols matrix and views that prefix.
 MatrixView shape(Vector& buf, std::size_t rows, std::size_t cols);
 
-// Scratch of the dense models' passes, one per thread. Each buffer grows
+// Scratch of the dense model's passes, one per thread. Each buffer grows
 // to the largest chunk it has held and is reused by every later call on
 // the thread, so a warm call allocates nothing; a buffer holds at most
 // kChunkRows rows of one model width.
 struct DenseScratch {
-  Vector x_t, x, hidden_t, hidden, dhidden, product, logits;
+  Vector x_t, x, product, logits;
 };
 DenseScratch& dense_scratch();
 

@@ -87,7 +87,7 @@ class TrainingObserver {
   }
 
   // After each round's metrics are recorded — including the round-0
-  // evaluation record, matching the old RoundCallback cadence.
+  // evaluation record.
   virtual void on_round_end(const RoundMetrics& metrics,
                             const RoundTrace& trace) {
     (void)metrics;

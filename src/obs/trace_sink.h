@@ -28,10 +28,9 @@ class JsonlTraceSink final {
   // kTruncate starts a fresh trace; kAppend continues an existing one —
   // the resumed run's header and rounds land after the crashed run's
   // lines, and the existing bytes count against the rotation budget, so
-  // resuming never silently discards prior generations (it used to:
-  // reopening with kTruncate after a crash lost the whole pre-crash
-  // trace). A multi-segment file has one {"run":...} header per segment;
-  // tools/trace_lint understands the layout.
+  // resuming never silently discards prior generations. A multi-segment
+  // file has one {"run":...} header per segment; tools/trace_lint
+  // understands the layout.
   enum class OpenMode { kTruncate, kAppend };
 
   // Rotated files kept besides `path` (see the constructor).

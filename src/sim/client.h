@@ -14,8 +14,7 @@ namespace fed {
 // The per-round hyper-parameters the server sends every selected device.
 // One struct shared by TrainerConfig (which derives it per round, with
 // the effective mu), the ModelBroadcast that carries it over the wire
-// (comm/message.h), and the local solve that consumes it — replacing the
-// old TrainerConfig/ClientRoundConfig field duplication.
+// (comm/message.h), and the local solve that consumes it.
 struct RoundConfig {
   double mu = 0.0;
   std::size_t batch_size = 10;

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "support/stopwatch.h"
-
 namespace fed {
 
 namespace {
@@ -39,7 +37,6 @@ PerClientEval evaluate_client(const Model& model, const ClientData& client,
 
 GlobalEval evaluate_global(const Model& model, const FederatedDataset& data,
                            std::span<const double> w, ThreadPool* pool) {
-  Stopwatch timer;
   const std::size_t n_clients = data.num_clients();
   std::vector<PerClientEval> per_client(n_clients);
   if (pool) {
@@ -72,7 +69,6 @@ GlobalEval evaluate_global(const Model& model, const FederatedDataset& data,
     eval.test_accuracy =
         static_cast<double>(test_correct) / static_cast<double>(test_total);
   }
-  eval.seconds = timer.seconds();
   return eval;
 }
 

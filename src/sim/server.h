@@ -15,7 +15,6 @@ struct GlobalEval {
   double train_loss = 0.0;      // f(w), weighted by p_k = n_k/n
   double train_accuracy = 0.0;  // pooled over all training samples
   double test_accuracy = 0.0;   // pooled over all test samples
-  double seconds = 0.0;         // wall time of this evaluation
 };
 
 // `pool` may be nullptr for single-threaded evaluation.

@@ -49,17 +49,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   out_.flush();
 }
 
-void CsvWriter::write_row_numeric(const std::vector<double>& cells) {
-  std::vector<std::string> text;
-  text.reserve(cells.size());
-  for (double v : cells) {
-    std::ostringstream ss;
-    ss << std::setprecision(10) << v;
-    text.push_back(ss.str());
-  }
-  write_row(text);
-}
-
 TablePrinter::TablePrinter(std::vector<std::string> header)
     : header_(std::move(header)) {}
 

@@ -17,8 +17,6 @@ class CsvWriter {
   CsvWriter(const std::string& path, std::vector<std::string> header);
 
   void write_row(const std::vector<std::string>& cells);
-  // Convenience: formats doubles with enough precision to round-trip.
-  void write_row_numeric(const std::vector<double>& cells);
 
   const std::string& path() const { return path_; }
 

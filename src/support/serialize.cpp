@@ -139,6 +139,15 @@ class ByteReader {
 
 }  // namespace
 
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
 std::size_t broadcast_wire_size(std::size_t param_dim,
                                 std::size_t correction_dim) {
   return kBroadcastEnvelopeBytes + (param_dim + correction_dim) * sizeof(double);
@@ -277,19 +286,6 @@ namespace {
 constexpr char kCheckpointMagic[4] = {'F', 'P', 'C', '1'};
 constexpr std::uint64_t kCheckpointVersion = 2;
 
-// FNV-1a over a byte range: the checkpoint's integrity trailer. Bit
-// flips inside the float64 payload decode "successfully" (they just
-// change a double), so structural validation alone cannot catch a torn
-// or corrupted checkpoint file.
-std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 }  // namespace
 
 WireBuffer encode_checkpoint_state(const CheckpointState& state) {
@@ -337,7 +333,7 @@ WireBuffer encode_checkpoint_state(const CheckpointState& state) {
     w.u64(m.contributors);
     w.u64(m.stragglers);
   }
-  w.u64(fnv1a_bytes(out.data(), out.size()));
+  w.u64(fnv1a(out));
   return out;
 }
 
@@ -352,7 +348,7 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   const std::size_t body = buffer.size() - kTrailerBytes;
   std::uint64_t stored = 0;
   std::memcpy(&stored, buffer.data() + body, kTrailerBytes);
-  if (stored != fnv1a_bytes(buffer.data(), body)) {
+  if (stored != fnv1a(buffer.first(body))) {
     throw std::runtime_error("decode_checkpoint_state: checksum mismatch");
   }
   ByteReader r(buffer.first(body), "decode_checkpoint_state");

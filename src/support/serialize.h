@@ -64,6 +64,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,12 @@ namespace fed {
 // Federation payload codecs.
 
 using WireBuffer = std::vector<std::uint8_t>;
+
+// 64-bit FNV-1a over `bytes`: the FPC1 trailer, and the link checksum a
+// faulty channel (comm/fault.h) compares across a damaged FPU1 frame.
+// Bit flips inside a float64 payload decode "successfully" (they just
+// change a double), so structural validation alone cannot catch them.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 
 // Fixed envelope (header + metadata) sizes of the two wire formats; the
 // rest of a message is the float64 payload — exactly the analytical

@@ -256,12 +256,6 @@ double sum_exp(std::span<const double> x, double shift) {
   return total;
 }
 
-double log_sum_exp(std::span<const double> logits) {
-  assert(!logits.empty());
-  const double m = *std::max_element(logits.begin(), logits.end());
-  return m + vmath::log(sum_exp(logits, m));
-}
-
 std::size_t argmax(std::span<const double> x) {
   assert(!x.empty());
   return static_cast<std::size_t>(

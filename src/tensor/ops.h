@@ -93,9 +93,6 @@ void transpose(const ConstMatrixView& a, MatrixView at);
 // sum of vmath::exp(x[i] - shift), i ascending. Bitwise equal to
 // subtracting `shift`, one span vmath::exp, then sum().
 double sum_exp(std::span<const double> x, double shift);
-// max + vmath::log(sum_exp(logits, max)): log(sum(exp(logits))) without
-// overflow.
-double log_sum_exp(std::span<const double> logits);
 // Index of the maximum element. Requires non-empty input; ties -> lowest.
 std::size_t argmax(std::span<const double> x);
 

@@ -1,7 +1,7 @@
 // The model path's transcendentals: exp, log, tanh and sigmoid over
 // spans, plus scalar entry points. Every nonlinearity the models compute
-// (nn/: LSTM gates, MLP hidden layer, softmax cross-entropy) goes through
-// here, so a TrainHistory depends on no libm and no CPU dispatch:
+// (nn/: LSTM gates, softmax cross-entropy) goes through here, so a
+// TrainHistory depends on no libm and no CPU dispatch:
 //
 // - Each element's result is a pure function of that element's input.
 //   It does not depend on the element's lane, its offset in the span, or

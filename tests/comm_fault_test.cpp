@@ -271,9 +271,9 @@ TEST_F(CommFaultTest, AllDroppedRoundKeepsParametersAndReportsDegraded) {
             c.rounds);
 }
 
-// Satellite regression: FedAvg with every device straggling degrades the
-// round at aggregation even on a perfect channel — previously a silent
-// log line, now a degraded trace + incident.
+// FedAvg with every device straggling degrades the round at aggregation
+// even on a perfect channel: a degraded trace + incident, not only a log
+// line.
 TEST_F(CommFaultTest, FedAvgAllStragglersDegradesWithoutChannelFaults) {
   LogisticRegression model(data().input_dim, data().num_classes);
   TrainerConfig c;

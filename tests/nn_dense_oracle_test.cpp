@@ -1,4 +1,4 @@
-// The dense models' chunked, batched passes against the sample-by-sample
+// The dense model's chunked, batched passes against the sample-by-sample
 // code they replaced, kept here as the oracle: one gemv and one ger per
 // sample. Loss, gradient and predictions must match bit for bit,
 // including NaN and Inf features, which must propagate identically.
@@ -6,15 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <limits>
 
 #include "nn/batch.h"
 #include "nn/logistic.h"
 #include "nn/loss.h"
-#include "nn/mlp.h"
 #include "tensor/ops.h"
-#include "tensor/vmath.h"
 #include "test_util.h"
 
 namespace fed {
@@ -72,104 +69,17 @@ class ReferenceLogistic {
   std::size_t dim_, classes_;
 };
 
-// Per-sample tanh MLP: gemv forward, gemv_transposed backward.
-class ReferenceMlp {
- public:
-  ReferenceMlp(std::size_t dim, std::size_t hidden, std::size_t classes)
-      : dim_(dim), hidden_(hidden), classes_(classes) {}
-
-  double loss_and_grad(std::span<const double> w, const Dataset& data,
-                       std::span<const std::size_t> batch,
-                       std::span<double> grad) const {
-    const Blocks p = view(w);
-    zero(grad);
-    std::size_t off = 0;
-    MatrixView g_w1(grad.subspan(off, hidden_ * dim_), hidden_, dim_);
-    off += hidden_ * dim_;
-    auto g_b1 = grad.subspan(off, hidden_);
-    off += hidden_;
-    MatrixView g_w2(grad.subspan(off, classes_ * hidden_), classes_, hidden_);
-    off += classes_ * hidden_;
-    auto g_b2 = grad.subspan(off, classes_);
-
-    Vector hidden(hidden_), logits(classes_), dhidden(hidden_);
-    double total = 0.0;
-    for (std::size_t idx : batch) {
-      auto x = data.features.row(idx);
-      forward(p, x, hidden, logits);
-      total += softmax_cross_entropy_grad(logits, data.labels[idx]);
-      ger(1.0, logits, hidden, g_w2);
-      add(g_b2, logits, g_b2);
-      gemv_transposed(p.w2, logits, dhidden);
-      for (std::size_t h = 0; h < hidden_; ++h) {
-        dhidden[h] *= 1.0 - hidden[h] * hidden[h];
-      }
-      ger(1.0, dhidden, x, g_w1);
-      add(g_b1, dhidden, g_b1);
-    }
-    const double inv = 1.0 / static_cast<double>(batch.size());
-    scale(grad, inv);
-    return total * inv;
-  }
-
-  double evaluate(std::span<const double> w, const Dataset& data,
-                  std::span<const std::size_t> batch,
-                  std::vector<std::int32_t>& out) const {
-    const Blocks p = view(w);
-    out.resize(batch.size());
-    Vector hidden(hidden_), logits(classes_);
-    double total = 0.0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      forward(p, data.features.row(batch[i]), hidden, logits);
-      total += softmax_cross_entropy(logits, data.labels[batch[i]]);
-      out[i] = static_cast<std::int32_t>(argmax(logits));
-    }
-    return total / static_cast<double>(batch.size());
-  }
-
- private:
-  struct Blocks {
-    ConstMatrixView w1;
-    std::span<const double> b1;
-    ConstMatrixView w2;
-    std::span<const double> b2;
-  };
-
-  Blocks view(std::span<const double> w) const {
-    const std::size_t b1 = hidden_ * dim_;
-    const std::size_t w2 = b1 + hidden_;
-    const std::size_t b2 = w2 + classes_ * hidden_;
-    return {ConstMatrixView(w.subspan(0, b1), hidden_, dim_),
-            w.subspan(b1, hidden_),
-            ConstMatrixView(w.subspan(w2, classes_ * hidden_), classes_,
-                            hidden_),
-            w.subspan(b2, classes_)};
-  }
-
-  void forward(const Blocks& p, std::span<const double> x,
-               std::span<double> hidden, std::span<double> logits) const {
-    gemv(p.w1, x, hidden);
-    for (std::size_t h = 0; h < hidden_; ++h) {
-      hidden[h] = vmath::tanh(hidden[h] + p.b1[h]);
-    }
-    gemv(p.w2, hidden, logits);
-    for (std::size_t c = 0; c < classes_; ++c) logits[c] += p.b2[c];
-  }
-
-  std::size_t dim_, hidden_, classes_;
-};
-
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 enum class Batch { kAscending, kShuffledWithRepeats, kNonFinite };
 
-// MLP (or logistic), batch size, batch kind.
-using OracleParam = std::tuple<bool, std::size_t, Batch>;
+// Batch size, batch kind.
+using OracleParam = std::tuple<std::size_t, Batch>;
 
 class DenseOracleTest : public ::testing::TestWithParam<OracleParam> {};
 
-template <class M, class Oracle>
-void expect_bitwise(const M& model, const Oracle& oracle, Rng& gen,
+void expect_bitwise(const LogisticRegression& model,
+                    const ReferenceLogistic& oracle, Rng& gen,
                     const Dataset& data, std::span<const std::size_t> batch) {
   Vector w(model.parameter_count());
   model.init_parameters(w, gen);
@@ -197,10 +107,10 @@ void expect_bitwise(const M& model, const Oracle& oracle, Rng& gen,
 }
 
 TEST_P(DenseOracleTest, BatchedPassIsBitwiseTheSampleBySampleOracle) {
-  const auto [mlp, batch_size, kind] = GetParam();
+  const auto [batch_size, kind] = GetParam();
   // Odd widths, so no gemm or ger_batch tile divides them evenly.
-  constexpr std::size_t kDim = 7, kHidden = 9, kClasses = 5;
-  Rng gen = make_stream(41, StreamKind::kTest, mlp,
+  constexpr std::size_t kDim = 7, kClasses = 5;
+  Rng gen = make_stream(41, StreamKind::kTest, 0,
                         batch_size * 3 + static_cast<std::size_t>(kind));
   const std::size_t n = batch_size + 7;
   Dataset data = testing::make_random_dataset(n, kDim, kClasses, gen);
@@ -220,20 +130,14 @@ TEST_P(DenseOracleTest, BatchedPassIsBitwiseTheSampleBySampleOracle) {
     data.features(batch[batch_size - 1 - batch_size / 3], 6) = -inf;
   }
 
-  if (mlp) {
-    expect_bitwise(Mlp(kDim, kHidden, kClasses),
-                   ReferenceMlp(kDim, kHidden, kClasses), gen, data, batch);
-  } else {
-    expect_bitwise(LogisticRegression(kDim, kClasses),
-                   ReferenceLogistic(kDim, kClasses), gen, data, batch);
-  }
+  expect_bitwise(LogisticRegression(kDim, kClasses),
+                 ReferenceLogistic(kDim, kClasses), gen, data, batch);
 }
 
 // Batch sizes below, at, just above and several times the chunk size.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DenseOracleTest,
-    ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(1u, 10u, kChunkRows - 1, kChunkRows,
+    ::testing::Combine(::testing::Values(1u, 10u, kChunkRows - 1, kChunkRows,
                                          kChunkRows + 1, 3 * kChunkRows + 5),
                        ::testing::Values(Batch::kAscending,
                                          Batch::kShuffledWithRepeats,

@@ -14,8 +14,9 @@
 namespace fed {
 namespace {
 
-// FNV-1a over a byte range: the FPC1 trailer checksum.
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+// FNV-1a over a byte range, written independently of fed::fnv1a: the
+// FPC1 trailer checksum, and the digest of pinned frames.
+std::uint64_t reference_fnv1a(std::span<const std::uint8_t> bytes) {
   std::uint64_t hash = 1469598103934665603ull;
   for (const std::uint8_t byte : bytes) {
     hash ^= byte;
@@ -30,7 +31,7 @@ class SerializeTest : public ::testing::Test {
   // the body then reaches the structural checks instead of stopping at
   // the checksum.
   static WireBuffer reseal(WireBuffer body) {
-    const std::uint64_t hash = fnv1a(body);
+    const std::uint64_t hash = reference_fnv1a(body);
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(&hash);
     body.insert(body.end(), bytes, bytes + sizeof(hash));
     return body;
@@ -74,23 +75,27 @@ TEST_F(SerializeTest, CheckpointRoundTripsExactly) {
   }
 }
 
-// The FPC1 layout of support/serialize.h, written field by field
-// independently of the encoder.
-class Fpc1Frame {
+// A frame of the layouts in support/serialize.h, written field by field
+// independently of the encoders.
+class FrameBuilder {
  public:
-  Fpc1Frame& u8(std::uint8_t v) {
+  explicit FrameBuilder(const char (&magic)[5]) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(magic[i]));
+  }
+  FrameBuilder& u8(std::uint8_t v) {
     bytes_.push_back(v);
     return *this;
   }
-  Fpc1Frame& u64(std::uint64_t v) {
+  FrameBuilder& u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
     return *this;
   }
-  Fpc1Frame& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
-  // Seals the frame with its FNV-1a trailer.
+  FrameBuilder& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
+  const WireBuffer& bytes() const { return bytes_; }
+  // Seals the frame with its FNV-1a trailer (FPC1).
   WireBuffer sealed() const {
-    Fpc1Frame out = *this;
-    return out.u64(fnv1a(bytes_)).bytes_;
+    FrameBuilder out = *this;
+    return out.u64(reference_fnv1a(bytes_)).bytes_;
   }
 
  private:
@@ -102,8 +107,7 @@ class Fpc1Frame {
 enum class Controller { kNone, kAdaptive, kTheory };
 
 WireBuffer pinned_checkpoint_frame(Controller controller) {
-  Fpc1Frame f;
-  for (const char c : {'F', 'P', 'C', '1'}) f.u8(static_cast<std::uint8_t>(c));
+  FrameBuilder f("FPC1");
   f.u64(2).u64(0x0123456789abcdefull).u64(7).u64(3).f64(0.25);
   if (controller == Controller::kAdaptive) {
     f.u8(1).f64(0.2).f64(1.125).u8(1).u64(3);
@@ -136,7 +140,7 @@ TEST_F(SerializeTest, CheckpointFrameBytesArePinned) {
   for (const auto& [controller, digest] : cases) {
     const WireBuffer frame = pinned_checkpoint_frame(controller);
     EXPECT_EQ(frame.size(), 328u);
-    EXPECT_EQ(fnv1a(frame), digest);
+    EXPECT_EQ(reference_fnv1a(frame), digest);
     EXPECT_EQ(encode_checkpoint_state(decode(frame)), frame)
         << "controller " << static_cast<int>(controller);
   }
@@ -302,6 +306,36 @@ TEST_F(SerializeTest, UpdateRoundTripsExactly) {
   EXPECT_EQ(back.result.solve_seconds, u.result.solve_seconds);
 }
 
+// The FPB1 and FPU1 layouts of support/serialize.h. Each sample's two
+// flags differ in one of the frames, so swapping them shows.
+TEST_F(SerializeTest, BroadcastFrameBytesArePinned) {
+  for (const bool measure_gamma : {true, false}) {
+    OwnedBroadcast b = sample_broadcast();
+    b.config.measure_gamma = measure_gamma;
+    FrameBuilder want("FPB1");
+    want.u64(17).f64(0.1 + 0.2).u64(32).f64(1e-3).u8(measure_gamma);
+    want.u64(6).u8(1).u64(3).u64(41);  // budget
+    want.u64(6).f64(1.5).f64(-2.25).f64(0.0).f64(1e-300).f64(1e300);
+    want.f64(3.141592653589793);       // parameters
+    want.u64(2).f64(-0.5).f64(0.125);  // correction
+    EXPECT_EQ(encode_broadcast(b.view()), want.bytes())
+        << "measure_gamma " << measure_gamma;
+  }
+}
+
+TEST_F(SerializeTest, UpdateFrameBytesArePinned) {
+  for (const bool gamma_measured : {true, false}) {
+    ClientUpdate u = sample_update();
+    u.result.gamma_measured = gamma_measured;
+    FrameBuilder want("FPU1");
+    want.u64(17).u64(6).u64(128).u8(1).u64(41);
+    want.f64(0.01).u8(gamma_measured).f64(0.0025);
+    want.u64(3).f64(0.75).f64(-1e-20).f64(42.0);  // update
+    EXPECT_EQ(encode_update(u), want.bytes())
+        << "gamma_measured " << gamma_measured;
+  }
+}
+
 TEST_F(SerializeTest, WirePayloadMatchesOldAnalyticalEstimate) {
   // Regression for the byte-accounting switch: for the uncompressed
   // float64 wire format, the payload past the fixed envelope is exactly
@@ -362,6 +396,14 @@ TEST_F(SerializeTest, PartialSumRoundTripsExactly) {
   ASSERT_TRUE(p.partial.finalize(expected));
   ASSERT_TRUE(back.partial.finalize(decoded));
   EXPECT_EQ(expected, decoded);
+}
+
+// FPS2 registers are sized by their content, so the frame is pinned by
+// size and digest rather than field by field.
+TEST_F(SerializeTest, PartialSumFrameIsPinned) {
+  const WireBuffer wire = encode_partial_sum(sample_partial());
+  EXPECT_EQ(wire.size(), 87u);
+  EXPECT_EQ(reference_fnv1a(wire), 0xf4ef052309360079ull);
 }
 
 TEST_F(SerializeTest, EmptyPartialSumRoundTrips) {

@@ -288,13 +288,6 @@ TEST(Nonlinearities, SoftmaxStableAtExtremeLogits) {
   EXPECT_NEAR(logits[2], 0.0, 1e-9);
 }
 
-TEST(Nonlinearities, LogSumExpStable) {
-  Vector logits{1000.0, 999.0};
-  const double lse = log_sum_exp(logits);
-  EXPECT_TRUE(std::isfinite(lse));
-  EXPECT_NEAR(lse, 1000.0 + std::log1p(std::exp(-1.0)), 1e-9);
-}
-
 TEST(Nonlinearities, ArgmaxBreaksTiesLow) {
   Vector x{1.0, 3.0, 3.0, 2.0};
   EXPECT_EQ(argmax(x), 1u);
