@@ -5,7 +5,9 @@
 #         -P figure_smoke.cmake
 #
 # Passes only when the driver exits 0, wrote OUT/trace.jsonl and
-# OUT/metrics.prom, and trace_lint --metrics accepts the latter.
+# OUT/metrics.prom, and trace_lint accepts both: the trace (one run
+# header per variant the figure trains), the exposition, and the
+# counters the exposition shares with the trace's round lines.
 
 foreach(var CMD OUT LINT)
   if(NOT DEFINED ${var})
@@ -26,7 +28,9 @@ foreach(file ${trace} ${prom})
     message(FATAL_ERROR "driver did not write ${file}")
   endif()
 endforeach()
-execute_process(COMMAND ${LINT} --metrics ${prom} RESULT_VARIABLE rc)
+execute_process(COMMAND ${LINT} --jsonl ${trace} --metrics ${prom}
+                RESULT_VARIABLE rc)
 if(NOT rc STREQUAL "0")
-  message(FATAL_ERROR "trace_lint --metrics ${prom} exited with '${rc}'")
+  message(FATAL_ERROR
+          "trace_lint --jsonl ${trace} --metrics ${prom} exited with '${rc}'")
 endif()

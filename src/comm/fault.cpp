@@ -1,5 +1,6 @@
 #include "comm/fault.h"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,8 +12,9 @@ namespace fed {
 
 namespace {
 
+// Written so NaN fails: every comparison with it is false.
 void check_probability(const char* key, double value) {
-  if (value < 0.0 || value > 1.0) {
+  if (!(value >= 0.0 && value <= 1.0)) {
     throw std::invalid_argument("fault profile: " + std::string(key) + "=" +
                                 std::to_string(value) +
                                 " outside [0, 1]");
@@ -23,8 +25,9 @@ void validate(const FaultProfile& profile) {
   check_probability("drop", profile.drop);
   check_probability("corrupt", profile.corrupt);
   check_probability("duplicate", profile.duplicate);
-  if (profile.delay_ms < 0.0) {
-    throw std::invalid_argument("fault profile: delay_ms < 0");
+  if (!(profile.delay_ms >= 0.0 && std::isfinite(profile.delay_ms))) {
+    throw std::invalid_argument(
+        "fault profile: delay_ms must be finite and >= 0");
   }
 }
 

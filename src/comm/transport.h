@@ -13,8 +13,9 @@
 //
 // Both bundled transports are lossless, so TrainHistory is bit-identical
 // across them (enforced by tests/comm_transport_test.cpp), and both
-// report identical byte counts: the in-process one computes the wire
-// size analytically, the serializing one measures its actual buffers.
+// report identical byte counts by construction: each frame's layout is
+// one field list (support/serialize.cpp) that the serializing transport
+// encodes and the in-process one only counts.
 
 #pragma once
 
@@ -82,7 +83,8 @@ class Transport {
 
 // Zero-copy: the client sees the server's own parameter/correction
 // buffers (today's monolithic-trainer behavior). Bytes are the exact
-// sizes the wire format *would* produce, computed without serializing.
+// sizes the wire format *would* produce, counted from the frames' field
+// lists without serializing.
 class InProcessTransport final : public Transport {
  public:
   ExchangeRecord exchange(const ModelBroadcast& broadcast,

@@ -7,8 +7,9 @@
 namespace fed {
 
 AdaptiveMu::AdaptiveMu(double initial_mu) : mu_(initial_mu) {
-  if (initial_mu < 0.0) {
-    throw std::invalid_argument("AdaptiveMu: negative initial mu");
+  if (!(initial_mu >= 0.0 && std::isfinite(initial_mu))) {
+    throw std::invalid_argument(
+        "AdaptiveMu: initial mu must be finite and >= 0");
   }
 }
 

@@ -72,18 +72,23 @@ Trainer::Trainer(const Model& model, const FederatedDataset& data,
       config_.devices_per_round > data_.num_clients()) {
     throw std::invalid_argument("Trainer: bad rounds/devices_per_round");
   }
-  if (config_.mu < 0.0) throw std::invalid_argument("Trainer: mu < 0");
+  // The range checks are written so NaN fails them.
+  if (!(config_.mu >= 0.0 && std::isfinite(config_.mu))) {
+    throw std::invalid_argument("Trainer: mu must be finite and >= 0");
+  }
   if (config_.adaptive_mu.enabled && config_.theory_mu) {
     throw std::invalid_argument(
         "Trainer: adaptive_mu and theory_mu are mutually exclusive");
   }
   if (config_.theory_mu) config_.measure_dissimilarity = true;
   if (config_.eval_every == 0) config_.eval_every = 1;
-  if (config_.recovery.quorum <= 0.0 || config_.recovery.quorum > 1.0) {
+  if (!(config_.recovery.quorum > 0.0 && config_.recovery.quorum <= 1.0)) {
     throw std::invalid_argument("Trainer: recovery.quorum outside (0, 1]");
   }
-  if (config_.recovery.deadline_ms < 0.0) {
-    throw std::invalid_argument("Trainer: negative recovery deadline");
+  if (!(config_.recovery.deadline_ms >= 0.0 &&
+        std::isfinite(config_.recovery.deadline_ms))) {
+    throw std::invalid_argument(
+        "Trainer: recovery deadline must be finite and >= 0");
   }
   if (config_.shards == 0) config_.shards = 1;
   if (!config_.solver) config_.solver = std::make_shared<SgdSolver>();
@@ -131,6 +136,24 @@ TrainHistory Trainer::resume(const std::string& checkpoint_path) {
   if (!contiguous) {
     throw std::runtime_error(
         "Trainer::resume: checkpoint history is not rounds 0..next_round-1");
+  }
+  // The restored values themselves: a frame that decodes can still hold
+  // a mu or weights no run could train from, or no live device.
+  const auto bad = [](double mu) { return !(mu >= 0.0 && std::isfinite(mu)); };
+  if (bad(state.mu) || (state.adaptive && bad(state.adaptive->mu)) ||
+      (state.theory && bad(state.theory->mu))) {
+    throw std::runtime_error("Trainer::resume: checkpoint mu is out of range");
+  }
+  if (!std::ranges::all_of(state.parameters,
+                           [](double v) { return std::isfinite(v); })) {
+    throw std::runtime_error("Trainer::resume: checkpoint weight not finite");
+  }
+  std::size_t live = 0;
+  for (std::size_t k = 0; k < state.population; ++k) {
+    live += (state.active[k / 8] >> (k % 8)) & 1u;
+  }
+  if (live == 0) {
+    throw std::runtime_error("Trainer::resume: checkpoint has no live device");
   }
   return run_impl(&state);
 }

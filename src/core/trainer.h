@@ -212,7 +212,9 @@ class Trainer {
   // run that never stopped — regardless of the thread or shard count of
   // either segment. Throws std::runtime_error, before any observer hook
   // fires, on a missing, corrupt, or config-mismatched checkpoint, or one
-  // whose weights, population or round history do not fit this run.
+  // whose weights, population or round history do not fit this run: a
+  // mu (or controller mu) that is not finite and >= 0, a non-finite
+  // weight and an active mask with no device set are refused too.
   TrainHistory resume(const std::string& checkpoint_path);
 
   // Registers an observer for run/round/client telemetry (obs/observer.h).

@@ -1,6 +1,7 @@
 #include "sim/churn.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,11 +11,22 @@ namespace fed {
 
 namespace {
 
+// Written so NaN fails: every comparison with it is false.
 void check_probability(const char* key, double value) {
-  if (value < 0.0 || value > 1.0) {
+  if (!(value >= 0.0 && value <= 1.0)) {
     throw std::invalid_argument("churn config: " + std::string(key) + "=" +
                                 std::to_string(value) + " outside [0, 1]");
   }
+}
+
+// A device count read as a double: it must be finite and >= 0 before
+// the cast to size_t, which is undefined for NaN, inf and negatives.
+std::size_t device_count(const std::string& key, double value) {
+  if (!(value >= 0.0 && std::isfinite(value))) {
+    throw std::invalid_argument("churn config: " + key +
+                                " must be finite and >= 0");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 void validate(const ChurnConfig& config) {
@@ -50,13 +62,9 @@ ChurnConfig parse_churn_config(const std::string& spec) {
     } else if (key == "depart") {
       config.depart = value;
     } else if (key == "initial") {
-      if (value < 0.0) throw std::invalid_argument("churn config: initial < 0");
-      config.initial = static_cast<std::size_t>(value);
+      config.initial = device_count(key, value);
     } else if (key == "min_active") {
-      if (value < 0.0) {
-        throw std::invalid_argument("churn config: min_active < 0");
-      }
-      config.min_active = static_cast<std::size_t>(value);
+      config.min_active = device_count(key, value);
     } else {
       throw std::invalid_argument(
           "churn config: unknown key \"" + key +

@@ -1,50 +1,205 @@
 #include "support/serialize.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 namespace fed {
 
 namespace {
 
+// Every frame's layout is stated once, as a field list: a generic lambda
+// over a walker `w` and a message. Three walkers run the same list —
+// ByteWriter encodes it, ByteReader decodes and checks it, ByteCounter
+// (a ByteWriter that only counts) sums its size — so the codecs and the
+// byte accounting cannot drift apart. The walker's vocabulary, encoded
+// little-endian with doubles bit for bit:
+//   magic(m) 4 bytes | version(v) u64 | u64 | f64 | flag u8 (0 or 1)
+//   packed(v)        u64 n | n elements (f64 or u8)
+//   registers(v, n)  n canonical ExactSum registers (tensor/exact_sum.h)
+//   optional(o, f)   flag | the fields f of *o, or of a default T
+//   optionals(o...)  one flag, set if any o is present | each o as f64
+//   array(v, f)      u64 n | n * the fields f of one element
+
 constexpr char kBroadcastMagic[4] = {'F', 'P', 'B', '1'};
 constexpr char kUpdateMagic[4] = {'F', 'P', 'U', '1'};
 constexpr char kPartialMagic[4] = {'F', 'P', 'S', '2'};
+constexpr char kCheckpointMagic[4] = {'F', 'P', 'C', '1'};
+constexpr std::uint64_t kCheckpointVersion = 2;
 
-// Append-only little-endian writer over a WireBuffer.
+// FPB1: a ModelBroadcast to encode, an OwnedBroadcast to decode into.
+constexpr auto kBroadcastFields = [](auto& w, auto& m) {
+  w.magic(kBroadcastMagic);
+  w.u64(m.round);
+  w.f64(m.config.mu);
+  w.u64(m.config.batch_size);
+  w.f64(m.config.learning_rate);
+  w.flag(m.config.measure_gamma);
+  w.u64(m.budget.device);
+  w.flag(m.budget.straggler);
+  w.u64(m.budget.epochs);
+  w.u64(m.budget.iterations);
+  w.packed(m.parameters);
+  w.packed(m.correction);
+};
+
+// FPU1: a ClientUpdate.
+constexpr auto kUpdateFields = [](auto& w, auto& m) {
+  w.magic(kUpdateMagic);
+  w.u64(m.round);
+  w.u64(m.result.device);
+  w.u64(m.result.num_samples);
+  w.flag(m.result.straggler);
+  w.u64(m.result.iterations);
+  w.f64(m.result.gamma);
+  w.flag(m.result.gamma_measured);
+  w.f64(m.result.solve_seconds);
+  w.packed(m.result.update);
+};
+
+// FPS2's view of a PartialSumUpdate: spans over the partial's registers
+// to encode, over the frame's validated bytes after a decode (which hands
+// them to PartialAggregate::restore).
+struct PartialFrame {
+  std::uint64_t round = 0;
+  std::uint64_t shard = 0;
+  bool simple = false;  // the scheme byte: 0 weighted, 1 simple average
+  std::uint64_t contributors = 0;
+  std::span<const std::uint8_t> weight;
+  std::uint64_t dim = 0;
+  std::span<const std::uint8_t> coordinates;
+};
+
+PartialFrame partial_frame(const PartialSumUpdate& m) {
+  const PartialAggregate& p = m.partial;
+  return {m.round, m.shard,
+          p.scheme() == SamplingScheme::kWeightedThenSimpleAverage,
+          p.contributors(), p.weight_register(), p.dim(),
+          p.coordinate_registers()};
+}
+
+// FPS2: a PartialFrame.
+constexpr auto kPartialFields = [](auto& w, auto& f) {
+  w.magic(kPartialMagic);
+  w.u64(f.round);
+  w.u64(f.shard);
+  w.flag(f.simple);
+  w.u64(f.contributors);
+  w.registers(f.weight, 1);
+  w.u64(f.dim);
+  w.registers(f.coordinates, f.dim);
+};
+
+// One FPC1 round record: a RoundMetrics, doubles bit-exact.
+constexpr auto kRoundRecordFields = [](auto& w, auto& m) {
+  w.u64(m.round);
+  w.optionals(m.train_loss, m.train_accuracy, m.test_accuracy);
+  w.optionals(m.grad_variance, m.dissimilarity_b);
+  w.f64(m.mu);
+  w.optionals(m.mean_gamma);
+  w.u64(m.contributors);
+  w.u64(m.stragglers);
+};
+
+// The mu controllers' state in FPC1 (core/adaptive_mu.h).
+constexpr auto kAdaptiveFields = [](auto& w, auto& a) {
+  w.f64(a.mu);
+  w.f64(a.last_loss);
+  w.flag(a.has_last);
+  w.u64(a.consecutive_decreases);
+};
+constexpr auto kTheoryFields = [](auto& w, auto& t) {
+  w.f64(t.mu);
+  w.f64(t.b_sq_ema);
+  w.flag(t.has_estimate);
+};
+
+// FPC1: a CheckpointState, before its u64 FNV-1a trailer over every
+// preceding byte.
+constexpr auto kCheckpointFields = [](auto& w, auto& s) {
+  w.magic(kCheckpointMagic);
+  w.version(kCheckpointVersion);
+  w.u64(s.fingerprint);
+  w.u64(s.seed);
+  w.u64(s.next_round);
+  w.f64(s.mu);
+  w.optional(s.adaptive, kAdaptiveFields);
+  w.optional(s.theory, kTheoryFields);
+  w.packed(s.parameters);
+  w.u64(s.population);
+  w.u64(s.churn_arrivals);
+  w.u64(s.churn_departures);
+  w.packed(s.active);
+  w.array(s.rounds, kRoundRecordFields);
+};
+
+constexpr std::size_t kTrailerBytes = sizeof(std::uint64_t);
+
+// Writes a field list, little-endian, into `Out`: the bytes themselves
+// into a WireBuffer, or only their count into a std::size_t
+// (ByteCounter). Both grow by the same amounts, so the count is the
+// length of the encoding.
+template <typename Out>
 class ByteWriter {
  public:
-  explicit ByteWriter(WireBuffer& out) : out_(out) {}
+  explicit ByteWriter(Out& out) : out_(out) {}
+  static constexpr bool kBytes = std::is_same_v<Out, WireBuffer>;
 
+  // Opens the frame. An insert into the empty buffer would draw a false
+  // -Wstringop-overflow from GCC 12; assign does not.
   void magic(const char (&m)[4]) {
-    const std::size_t at = out_.size();
-    out_.resize(at + sizeof(m));
-    std::memcpy(out_.data() + at, m, sizeof(m));
+    if constexpr (kBytes) {
+      out_.assign(m, m + sizeof(m));
+    } else {
+      raw(m, sizeof(m));
+    }
   }
+  void version(std::uint64_t v) { u64(v); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
   void f64(double v) { raw(&v, sizeof(v)); }
-  void flag(bool v) { out_.push_back(v ? 1 : 0); }
-  void doubles(std::span<const double> v) {
-    u64(v.size());
-    raw(v.data(), v.size() * sizeof(double));
+  void flag(bool v) {
+    const std::uint8_t byte = v ? 1 : 0;
+    raw(&byte, sizeof(byte));
   }
-  void bytes(std::span<const std::uint8_t> v) {
-    u64(v.size());
+  void packed(const auto& v) {  // a span or vector of doubles or bytes
+    const std::span values(v);
+    u64(values.size());
+    raw(values.data(), values.size_bytes());
+  }
+  void registers(std::span<const std::uint8_t> v, std::uint64_t) {
     raw(v.data(), v.size());
   }
-  void raw_bytes(std::span<const std::uint8_t> v) {
-    out_.insert(out_.end(), v.begin(), v.end());
+  template <typename T, typename Fields>
+  void optional(const std::optional<T>& o, const Fields& fields) {
+    flag(o.has_value());
+    const T value = o.value_or(T{});
+    fields(*this, value);
+  }
+  template <typename... O>
+  void optionals(const O&... group) {
+    flag((group.has_value() || ...));
+    (f64(group.value_or(0.0)), ...);
+  }
+  template <typename T, typename Fields>
+  void array(const std::vector<T>& v, const Fields& fields) {
+    u64(v.size());
+    for (const T& element : v) fields(*this, element);
   }
 
  private:
   void raw(const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), bytes, bytes + n);
+    if constexpr (kBytes) {
+      const auto* bytes = static_cast<const std::uint8_t*>(p);
+      out_.insert(out_.end(), bytes, bytes + n);
+    } else {
+      out_ += n;
+    }
   }
-  WireBuffer& out_;
+  Out& out_;
 };
+
+using ByteCounter = ByteWriter<std::size_t>;
 
 // Bounds-checked cursor over an encoded buffer. Every read throws on
 // truncation; finish() rejects trailing bytes.
@@ -54,79 +209,93 @@ class ByteReader {
       : buffer_(buffer), what_(what) {}
 
   void magic(const char (&m)[4]) {
-    if (buffer_.size() < pos_ + 4 ||
-        std::memcmp(buffer_.data() + pos_, m, 4) != 0) {
-      throw std::runtime_error(std::string(what_) + ": bad magic");
+    if (buffer_.size() < pos_ + sizeof(m) ||
+        std::memcmp(buffer_.data() + pos_, m, sizeof(m)) != 0) {
+      fail("bad magic");
     }
-    pos_ += 4;
+    pos_ += sizeof(m);
   }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    raw(&v, sizeof(v));
-    return v;
+  void version(std::uint64_t v) {
+    std::uint64_t got = 0;
+    u64(got);
+    if (got != v) fail("unsupported version");
   }
-  double f64() {
-    double v;
-    raw(&v, sizeof(v));
-    return v;
+  template <typename T>
+  void u64(T& v) {
+    std::uint64_t got = 0;
+    raw(&got, sizeof(got));
+    v = static_cast<T>(got);
   }
-  bool flag() {
-    std::uint8_t v;
-    raw(&v, sizeof(v));
-    if (v > 1) {
-      throw std::runtime_error(std::string(what_) + ": corrupt boolean flag");
-    }
-    return v == 1;
+  void f64(double& v) { raw(&v, sizeof(v)); }
+  void flag(bool& v) {
+    std::uint8_t got = 0;
+    raw(&got, sizeof(got));
+    if (got > 1) fail("corrupt boolean flag");
+    v = got == 1;
   }
-  Vector doubles() {
-    const std::uint64_t n = u64();
-    if ((buffer_.size() - pos_) / sizeof(double) < n) {
-      throw std::runtime_error(std::string(what_) + ": truncated payload");
-    }
-    Vector v(n);
-    raw(v.data(), n * sizeof(double));
-    return v;
+  template <typename T>
+  void packed(std::vector<T>& v) {
+    std::uint64_t n = 0;
+    u64(n);
+    if ((buffer_.size() - pos_) / sizeof(T) < n) fail("truncated payload");
+    v.resize(n);
+    raw(v.data(), n * sizeof(T));
   }
-  std::vector<std::uint8_t> bytes() {
-    const std::uint64_t n = u64();
-    if (buffer_.size() - pos_ < n) {
-      throw std::runtime_error(std::string(what_) + ": truncated payload");
-    }
-    std::vector<std::uint8_t> v(n);
-    raw(v.data(), n);
-    return v;
-  }
-  // `count` canonical ExactSum registers back to back, each validated
-  // (tensor/exact_sum.h); returns their bytes.
-  std::span<const std::uint8_t> registers(std::uint64_t count) {
+  // `count` canonical registers, each validated (tensor/exact_sum.h);
+  // `v` views their bytes.
+  void registers(std::span<const std::uint8_t>& v, std::uint64_t count) {
     // Every register is at least two bytes: refuse an impossible count
     // before walking it.
     if ((buffer_.size() - pos_) / ExactSum::register_bytes(0) < count) {
-      throw std::runtime_error(std::string(what_) + ": truncated payload");
+      fail("truncated payload");
     }
     const std::size_t start = pos_;
     for (std::uint64_t i = 0; i < count; ++i) {
       std::size_t length = 0;
       const char* error =
           ExactSum::check_register(buffer_.subspan(pos_), length);
-      if (error != nullptr) {
-        throw std::runtime_error(std::string(what_) + ": " + error);
-      }
+      if (error != nullptr) fail(error);
       pos_ += length;
     }
-    return buffer_.subspan(start, pos_ - start);
+    v = buffer_.subspan(start, pos_ - start);
+  }
+  template <typename T, typename Fields>
+  void optional(std::optional<T>& o, const Fields& fields) {
+    bool present = false;
+    flag(present);
+    T value{};
+    fields(*this, value);
+    if (present) o = value;
+  }
+  template <typename... O>
+  void optionals(O&... group) {
+    bool present = false;
+    flag(present);
+    const auto read = [&](auto& o) {
+      double value = 0.0;
+      f64(value);
+      if (present) o = value;
+    };
+    (read(group), ...);
+  }
+  template <typename T, typename Fields>
+  void array(std::vector<T>& v, const Fields& fields) {
+    std::uint64_t n = 0;
+    u64(n);
+    v.clear();
+    v.reserve(std::min<std::uint64_t>(n, 1 << 20));
+    for (std::uint64_t i = 0; i < n; ++i) fields(*this, v.emplace_back());
   }
   void finish() const {
-    if (pos_ != buffer_.size()) {
-      throw std::runtime_error(std::string(what_) + ": trailing bytes");
-    }
+    if (pos_ != buffer_.size()) fail("trailing bytes");
   }
 
  private:
+  [[noreturn]] void fail(const char* why) const {
+    throw std::runtime_error(std::string(what_) + ": " + why);
+  }
   void raw(void* p, std::size_t n) {
-    if (buffer_.size() - pos_ < n) {
-      throw std::runtime_error(std::string(what_) + ": truncated");
-    }
+    if (buffer_.size() - pos_ < n) fail("truncated");
     if (n > 0) {  // empty Vector::data() may be null; memcpy(null,..,0) is UB
       std::memcpy(p, buffer_.data() + pos_, n);
     }
@@ -136,6 +305,35 @@ class ByteReader {
   std::size_t pos_ = 0;
   const char* what_;
 };
+
+template <typename Fields, typename M>
+std::size_t wire_size(const Fields& fields, const M& message) {
+  std::size_t size = 0;
+  ByteCounter counter(size);
+  fields(counter, message);
+  return size;
+}
+
+// `extra` leaves room for a trailer the caller appends.
+template <typename Fields, typename M>
+WireBuffer encode(const Fields& fields, const M& message,
+                  std::size_t extra = 0) {
+  WireBuffer out;
+  out.reserve(wire_size(fields, message) + extra);
+  ByteWriter writer(out);
+  fields(writer, message);
+  return out;
+}
+
+template <typename M, typename Fields>
+M decode(const Fields& fields, std::span<const std::uint8_t> buffer,
+         const char* what) {
+  ByteReader reader(buffer, what);
+  M message;
+  fields(reader, message);
+  reader.finish();
+  return message;
+}
 
 }  // namespace
 
@@ -150,190 +348,60 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
 
 std::size_t broadcast_wire_size(std::size_t param_dim,
                                 std::size_t correction_dim) {
-  return kBroadcastEnvelopeBytes + (param_dim + correction_dim) * sizeof(double);
+  return broadcast_wire_size(ModelBroadcast{}) +
+         (param_dim + correction_dim) * sizeof(double);
 }
 
 std::size_t broadcast_wire_size(const ModelBroadcast& message) {
-  return broadcast_wire_size(message.parameters.size(),
-                             message.correction.size());
+  return wire_size(kBroadcastFields, message);
 }
 
 std::size_t update_wire_size(std::size_t dim) {
-  return kUpdateEnvelopeBytes + dim * sizeof(double);
+  return update_wire_size(ClientUpdate{}) + dim * sizeof(double);
 }
 
 std::size_t update_wire_size(const ClientUpdate& message) {
-  return update_wire_size(message.result.update.size());
-}
-
-WireBuffer encode_broadcast(const ModelBroadcast& message) {
-  WireBuffer out;
-  out.reserve(broadcast_wire_size(message));
-  ByteWriter w(out);
-  w.magic(kBroadcastMagic);
-  w.u64(message.round);
-  w.f64(message.config.mu);
-  w.u64(message.config.batch_size);
-  w.f64(message.config.learning_rate);
-  w.flag(message.config.measure_gamma);
-  w.u64(message.budget.device);
-  w.flag(message.budget.straggler);
-  w.u64(message.budget.epochs);
-  w.u64(message.budget.iterations);
-  w.doubles(message.parameters);
-  w.doubles(message.correction);
-  return out;
-}
-
-OwnedBroadcast decode_broadcast(std::span<const std::uint8_t> buffer) {
-  ByteReader r(buffer, "decode_broadcast");
-  r.magic(kBroadcastMagic);
-  OwnedBroadcast m;
-  m.round = r.u64();
-  m.config.mu = r.f64();
-  m.config.batch_size = r.u64();
-  m.config.learning_rate = r.f64();
-  m.config.measure_gamma = r.flag();
-  m.budget.device = r.u64();
-  m.budget.straggler = r.flag();
-  m.budget.epochs = r.u64();
-  m.budget.iterations = r.u64();
-  m.parameters = r.doubles();
-  m.correction = r.doubles();
-  r.finish();
-  return m;
-}
-
-WireBuffer encode_update(const ClientUpdate& message) {
-  WireBuffer out;
-  out.reserve(update_wire_size(message));
-  ByteWriter w(out);
-  w.magic(kUpdateMagic);
-  w.u64(message.round);
-  w.u64(message.result.device);
-  w.u64(message.result.num_samples);
-  w.flag(message.result.straggler);
-  w.u64(message.result.iterations);
-  w.f64(message.result.gamma);
-  w.flag(message.result.gamma_measured);
-  w.f64(message.result.solve_seconds);
-  w.doubles(message.result.update);
-  return out;
+  return wire_size(kUpdateFields, message);
 }
 
 std::size_t partial_sum_wire_size(const PartialSumUpdate& message) {
-  return kPartialEnvelopeBytes + message.partial.weight_register().size() +
-         message.partial.coordinate_registers().size();
+  return wire_size(kPartialFields, partial_frame(message));
 }
 
-WireBuffer encode_partial_sum(const PartialSumUpdate& message) {
-  WireBuffer out;
-  out.reserve(partial_sum_wire_size(message));
-  ByteWriter w(out);
-  w.magic(kPartialMagic);
-  w.u64(message.round);
-  w.u64(message.shard);
-  // Scheme byte: 0 = weighted average, 1 = simple average.
-  w.flag(message.partial.scheme() ==
-         SamplingScheme::kWeightedThenSimpleAverage);
-  w.u64(message.partial.contributors());
-  w.raw_bytes(message.partial.weight_register());
-  w.u64(message.partial.dim());
-  w.raw_bytes(message.partial.coordinate_registers());
-  return out;
+WireBuffer encode_broadcast(const ModelBroadcast& message) {
+  return encode(kBroadcastFields, message);
 }
 
-PartialSumUpdate decode_partial_sum(std::span<const std::uint8_t> buffer) {
-  ByteReader r(buffer, "decode_partial_sum");
-  r.magic(kPartialMagic);
-  PartialSumUpdate m;
-  m.round = r.u64();
-  m.shard = r.u64();
-  const bool simple = r.flag();  // scheme byte: 0 weighted, 1 simple
-  const SamplingScheme scheme = simple
-                                    ? SamplingScheme::kWeightedThenSimpleAverage
-                                    : SamplingScheme::kUniformThenWeightedAverage;
-  const std::uint64_t contributors = r.u64();
-  const std::span<const std::uint8_t> weight = r.registers(1);
-  const std::uint64_t dim = r.u64();
-  const std::span<const std::uint8_t> coordinates = r.registers(dim);
-  r.finish();
-  m.partial = PartialAggregate::restore(
-      scheme, dim, contributors, {weight.begin(), weight.end()},
-      {coordinates.begin(), coordinates.end()});
-  return m;
+OwnedBroadcast decode_broadcast(std::span<const std::uint8_t> buffer) {
+  return decode<OwnedBroadcast>(kBroadcastFields, buffer, "decode_broadcast");
+}
+
+WireBuffer encode_update(const ClientUpdate& message) {
+  return encode(kUpdateFields, message);
 }
 
 ClientUpdate decode_update(std::span<const std::uint8_t> buffer) {
-  ByteReader r(buffer, "decode_update");
-  r.magic(kUpdateMagic);
-  ClientUpdate m;
-  m.round = r.u64();
-  m.result.device = r.u64();
-  m.result.num_samples = r.u64();
-  m.result.straggler = r.flag();
-  m.result.iterations = r.u64();
-  m.result.gamma = r.f64();
-  m.result.gamma_measured = r.flag();
-  m.result.solve_seconds = r.f64();
-  m.result.update = r.doubles();
-  r.finish();
-  return m;
+  return decode<ClientUpdate>(kUpdateFields, buffer, "decode_update");
 }
 
-namespace {
+WireBuffer encode_partial_sum(const PartialSumUpdate& message) {
+  return encode(kPartialFields, partial_frame(message));
+}
 
-constexpr char kCheckpointMagic[4] = {'F', 'P', 'C', '1'};
-constexpr std::uint64_t kCheckpointVersion = 2;
-
-}  // namespace
+PartialSumUpdate decode_partial_sum(std::span<const std::uint8_t> buffer) {
+  const PartialFrame f =
+      decode<PartialFrame>(kPartialFields, buffer, "decode_partial_sum");
+  return {f.round, f.shard,
+          PartialAggregate::restore(
+              f.simple ? SamplingScheme::kWeightedThenSimpleAverage
+                       : SamplingScheme::kUniformThenWeightedAverage,
+              f.dim, f.contributors, {f.weight.begin(), f.weight.end()},
+              {f.coordinates.begin(), f.coordinates.end()})};
+}
 
 WireBuffer encode_checkpoint_state(const CheckpointState& state) {
-  WireBuffer out;
-  out.reserve(256 + state.parameters.size() * sizeof(double) +
-              state.active.size() + state.rounds.size() * 83);
-  ByteWriter w(out);
-  w.magic(kCheckpointMagic);
-  w.u64(kCheckpointVersion);
-  w.u64(state.fingerprint);
-  w.u64(state.seed);
-  w.u64(state.next_round);
-  w.f64(state.mu);
-  const AdaptiveMu::State adaptive =
-      state.adaptive.value_or(AdaptiveMu::State{});
-  w.flag(state.adaptive.has_value());
-  w.f64(adaptive.mu);
-  w.f64(adaptive.last_loss);
-  w.flag(adaptive.has_last);
-  w.u64(adaptive.consecutive_decreases);
-  const DissimilarityMu::State theory =
-      state.theory.value_or(DissimilarityMu::State{});
-  w.flag(state.theory.has_value());
-  w.f64(theory.mu);
-  w.f64(theory.b_sq_ema);
-  w.flag(theory.has_estimate);
-  w.doubles(state.parameters);
-  w.u64(state.population);
-  w.u64(state.churn_arrivals);
-  w.u64(state.churn_departures);
-  w.bytes(state.active);
-  w.u64(state.rounds.size());
-  for (const RoundMetrics& m : state.rounds) {
-    w.u64(m.round);
-    w.flag(m.evaluated());
-    w.f64(m.train_loss.value_or(0.0));
-    w.f64(m.train_accuracy.value_or(0.0));
-    w.f64(m.test_accuracy.value_or(0.0));
-    w.flag(m.dissimilarity_b.has_value());
-    w.f64(m.grad_variance.value_or(0.0));
-    w.f64(m.dissimilarity_b.value_or(0.0));
-    w.f64(m.mu);
-    w.flag(m.mean_gamma.has_value());
-    w.f64(m.mean_gamma.value_or(0.0));
-    w.u64(m.contributors);
-    w.u64(m.stragglers);
-  }
-  w.u64(fnv1a(out));
+  WireBuffer out = encode(kCheckpointFields, state, kTrailerBytes);
+  ByteWriter(out).u64(fnv1a(out));
   return out;
 }
 
@@ -341,8 +409,7 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   // Integrity first: the final u64 must be the FNV-1a of everything
   // before it. Any mutation — truncation, bit flip, trailing garbage —
   // invalidates the trailer before field parsing even starts.
-  constexpr std::size_t kTrailerBytes = 8;
-  if (buffer.size() < 4 + 8 + kTrailerBytes) {
+  if (buffer.size() < kTrailerBytes) {
     throw std::runtime_error("decode_checkpoint_state: truncated");
   }
   const std::size_t body = buffer.size() - kTrailerBytes;
@@ -351,68 +418,12 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   if (stored != fnv1a(buffer.first(body))) {
     throw std::runtime_error("decode_checkpoint_state: checksum mismatch");
   }
-  ByteReader r(buffer.first(body), "decode_checkpoint_state");
-  r.magic(kCheckpointMagic);
-  if (r.u64() != kCheckpointVersion) {
-    throw std::runtime_error("decode_checkpoint_state: unsupported version");
-  }
-  CheckpointState state;
-  state.fingerprint = r.u64();
-  state.seed = r.u64();
-  state.next_round = r.u64();
-  state.mu = r.f64();
-  const bool has_adaptive = r.flag();
-  AdaptiveMu::State adaptive;
-  adaptive.mu = r.f64();
-  adaptive.last_loss = r.f64();
-  adaptive.has_last = r.flag();
-  adaptive.consecutive_decreases = static_cast<std::size_t>(r.u64());
-  if (has_adaptive) state.adaptive = adaptive;
-  const bool has_theory = r.flag();
-  DissimilarityMu::State theory;
-  theory.mu = r.f64();
-  theory.b_sq_ema = r.f64();
-  theory.has_estimate = r.flag();
-  if (has_theory) state.theory = theory;
-  state.parameters = r.doubles();
-  state.population = r.u64();
-  state.churn_arrivals = r.u64();
-  state.churn_departures = r.u64();
-  state.active = r.bytes();
+  CheckpointState state = decode<CheckpointState>(
+      kCheckpointFields, buffer.first(body), "decode_checkpoint_state");
   if (state.active.size() != (state.population + 7) / 8) {
     throw std::runtime_error(
         "decode_checkpoint_state: active bitmask does not match population");
   }
-  const std::uint64_t num_rounds = r.u64();
-  state.rounds.reserve(std::min<std::uint64_t>(num_rounds, 1 << 20));
-  for (std::uint64_t i = 0; i < num_rounds; ++i) {
-    RoundMetrics m;
-    m.round = r.u64();
-    const bool evaluated = r.flag();
-    const double train_loss = r.f64();
-    const double train_accuracy = r.f64();
-    const double test_accuracy = r.f64();
-    if (evaluated) {
-      m.train_loss = train_loss;
-      m.train_accuracy = train_accuracy;
-      m.test_accuracy = test_accuracy;
-    }
-    const bool has_dissimilarity = r.flag();
-    const double grad_variance = r.f64();
-    const double dissimilarity_b = r.f64();
-    if (has_dissimilarity) {
-      m.grad_variance = grad_variance;
-      m.dissimilarity_b = dissimilarity_b;
-    }
-    m.mu = r.f64();
-    const bool has_gamma = r.flag();
-    const double mean_gamma = r.f64();
-    if (has_gamma) m.mean_gamma = mean_gamma;
-    m.contributors = r.u64();
-    m.stragglers = r.u64();
-    state.rounds.push_back(m);
-  }
-  r.finish();
   return state;
 }
 

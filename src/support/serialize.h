@@ -3,62 +3,29 @@
 // through, and the FPC1 crash-recovery checkpoint (core/checkpoint.h) —
 // the one way a run is saved and continued.
 //
-// Wire formats (little-endian, doubles round-trip bit-exactly). The
-// FPB1/FPU1/FPS2 frames never leave the process that encodes them; the
-// magics only catch a frame handed to the wrong decoder:
-//   ModelBroadcast  magic "FPB1" | u64 round
-//                   | f64 mu | u64 batch_size | f64 learning_rate
-//                   | u8 measure_gamma
-//                   | u64 device | u8 straggler | u64 epochs | u64 iterations
-//                   | u64 param_dim | param_dim * f64
-//                   | u64 correction_dim | correction_dim * f64
-//   ClientUpdate    magic "FPU1" | u64 round
-//                   | u64 device | u64 num_samples
-//                   | u8 straggler | u64 iterations | f64 gamma
-//                   | u8 gamma_measured | f64 solve_seconds
-//                   | u64 dim | dim * f64
-//   PartialSumUpdate  magic "FPS2" | u64 round
-//                     | u64 shard | u8 scheme
-//                     | u64 contributors | register(weight)
-//                     | u64 dim | dim * register(coordinate)
-//   where register(x) is one exact sum in the canonical trimmed form of
-//   tensor/exact_sum.h, as the PartialAggregate stores it:
-//     finite      u8 lo | u8 n | n * u32 digits
-//     non-finite  u8 0  | u8 0xFF | f64 value
-//   (the n-digit two's-complement window, top digit signed, digit j
-//   weighing 2^(32*(lo+j) - 1074)), so a shard's partial sum reaches the
-//   root bit-exactly — rounding happens once, at the root's finalize,
-//   never on the wire. A register's size follows its content (a typical
-//   coordinate is 14 bytes), so partial_sum_wire_size() needs the
-//   message. The decoder accepts only canonical registers: it rejects a
-//   window that runs past the 68-digit register, a zero low digit, a
-//   redundant sign digit, a nonzero lo on an empty window, a truncated
-//   digit run, and a non-finite marker whose payload is finite. The
-//   payload exists only behind the marker, so a register marked finite
-//   cannot carry one. "FPS1" frames (dense 34 x u64 registers) are
-//   refused by magic.
-//   CheckpointState  magic "FPC1" | u64 version (2)
-//                    | u64 fingerprint | u64 seed
-//                    | u64 next_round | f64 mu
-//                    | u8 has_adaptive | f64 mu | f64 last_loss
-//                    |   u8 has_last | u64 consecutive_decreases
-//                    | u8 has_theory | f64 mu | f64 b_sq_ema
-//                    |   u8 has_estimate
-//                    | u64 dim | dim * f64 parameters
-//                    | u64 population | u64 arrivals | u64 departures
-//                    | u64 mask_bytes | mask_bytes * u8 active bitmask
-//                    | u64 num_rounds | num_rounds * round record
-//                    | u64 fnv1a over every preceding byte
-//   (round record: u64 round | u8 evaluated | 3 * f64 eval metrics
-//    | u8 has_dissimilarity | 2 * f64 | f64 mu | u8 has_gamma | f64
-//    | u64 contributors | u64 stragglers — one RoundMetrics, doubles
-//    bit-exact.)
-// Decoders reject bad magic, truncation, trailing bytes, and corrupt
-// boolean/scheme flags with std::runtime_error (FPS2 also any
-// non-canonical register); the FPC1 decoder
-// additionally rejects any frame whose trailing checksum does not match,
-// so a torn or bit-flipped checkpoint can never be resumed from, and any
-// frame of another layout version.
+// Four frames, little-endian, doubles bit-exact: FPB1 (ModelBroadcast),
+// FPU1 (ClientUpdate), FPS2 (PartialSumUpdate) and FPC1
+// (CheckpointState). Each frame's layout is one field list in
+// serialize.cpp; the encoder, the decoder and the *_wire_size functions
+// all walk that list, so a size is the length of the encoding by
+// construction. The FPB1/FPU1/FPS2 frames never leave the process that
+// encodes them; the magics only catch a frame handed to the wrong
+// decoder.
+//
+// FPS2 carries a partial's exact sums as canonical registers
+// (tensor/exact_sum.h), so a shard's partial sum reaches the root
+// bit-exactly — rounding happens once, at the root's finalize, never on
+// the wire. A register's size follows its content (a typical coordinate
+// is 14 bytes), so partial_sum_wire_size() needs the message. "FPS1"
+// frames (dense 34 x u64 registers) are refused by magic.
+//
+// Decoders reject bad magic, truncation, trailing bytes, corrupt
+// boolean/scheme flags and (FPS2) any register ExactSum::check_register
+// refuses, with std::runtime_error. FPC1 ends in an FNV-1a trailer over
+// every preceding byte and opens with a layout version: its decoder also
+// rejects a frame whose trailer does not match — so a torn or
+// bit-flipped checkpoint can never be resumed from — any other version,
+// and an active bitmask whose length does not fit the population.
 
 #pragma once
 
@@ -86,30 +53,9 @@ using WireBuffer = std::vector<std::uint8_t>;
 // change a double), so structural validation alone cannot catch them.
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 
-// Fixed envelope (header + metadata) sizes of the two wire formats; the
-// rest of a message is the float64 payload — exactly the analytical
-// parameter-vector-size proxy older traces estimated bytes with.
-inline constexpr std::size_t kBroadcastEnvelopeBytes =
-    4 + 8 +                  // magic, round
-    8 + 8 + 8 + 1 +          // mu, batch_size, learning_rate, gamma
-    8 + 1 + 8 + 8 +          // device, straggler, epochs, iterations
-    8 + 8;                   // param_dim, correction_dim
-inline constexpr std::size_t kUpdateEnvelopeBytes =
-    4 + 8 +                  // magic, round
-    8 + 8 + 1 + 8 +          // device, num_samples, straggler, iterations
-    8 + 1 + 8 +              // gamma, gamma_measured, solve_seconds
-    8;                       // dim
-
-// The fixed part of the FPS2 envelope; the weight total and the
-// coordinates follow as variable-length exact-sum registers.
-inline constexpr std::size_t kPartialEnvelopeBytes =
-    4 + 8 +                  // magic, round
-    8 +                      // shard
-    1 + 8 +                  // scheme, contributors
-    8;                       // dim
-
-// Exact wire sizes, computable without serializing (the zero-copy
-// transport's byte accounting).
+// Exact wire sizes, counted from the field lists without serializing
+// (the zero-copy transport's byte accounting); the dimension-only forms
+// count payloads of that many doubles.
 std::size_t broadcast_wire_size(std::size_t param_dim,
                                 std::size_t correction_dim);
 std::size_t broadcast_wire_size(const ModelBroadcast& message);

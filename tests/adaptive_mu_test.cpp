@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace fed {
 namespace {
 
@@ -78,6 +80,12 @@ TEST(AdaptiveMuTest, EqualLossResetsStreak) {
 
 TEST(AdaptiveMuTest, RejectsBadParameters) {
   EXPECT_THROW(AdaptiveMu(-1.0), std::invalid_argument);
+  // --initial-mu reaches here from the command line; NaN fails every
+  // comparison, so a plain `< 0` check would pass it.
+  EXPECT_THROW(AdaptiveMu(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(AdaptiveMu(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   EXPECT_NO_THROW(AdaptiveMu(0.0));
 }
 

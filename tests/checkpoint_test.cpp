@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -115,6 +117,53 @@ class CheckpointTest : public ::testing::Test {
         c.crash = {};  // the next segment's server stays up
       }
     }
+  }
+
+  // Resumes from each case's frame (saved with a fresh checksum) and
+  // expects a runtime_error naming `what` before any observer hook
+  // fires.
+  void expect_refused(
+      const std::vector<std::pair<std::string, CheckpointState>>& cases,
+      const std::string& what) {
+    LogisticRegression model(data().input_dim, data().num_classes);
+    for (const auto& [name, state] : cases) {
+      SCOPED_TRACE(name);
+      const std::string path = dir_ + "/" + name + ".fpc";
+      save_checkpoint_state(path, state);
+      struct HookCounter : TrainingObserver {
+        std::size_t calls = 0;
+        void on_run_start(const RunInfo&) override { ++calls; }
+        void on_round_end(const RoundMetrics&, const RoundTrace&) override {
+          ++calls;
+        }
+      } hooks;
+      Trainer trainer(model, data(), run_config());
+      trainer.add_observer(hooks);
+      try {
+        (void)trainer.resume(path);
+        ADD_FAILURE() << name << " was resumed from";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(hooks.calls, 0u);
+    }
+  }
+
+  TrainerConfig run_config() const {
+    TrainerConfig c = config();
+    c.checkpoint.dir = dir_ + "/ckpt";
+    c.checkpoint.every = 4;
+    return c;
+  }
+
+  // The newest checkpoint of a finished run_config() run.
+  CheckpointState valid_state() {
+    LogisticRegression model(data().input_dim, data().num_classes);
+    (void)Trainer(model, data(), run_config()).run();
+    const auto newest = latest_checkpoint(run_config().checkpoint.dir);
+    EXPECT_TRUE(newest.has_value());
+    return load_checkpoint_state(*newest);
   }
 
   std::string dir_;
@@ -546,6 +595,44 @@ TEST_F(CheckpointTest, ResumeRejectsAHistoryOrPopulationThatDoesNotFit) {
     }
     EXPECT_EQ(hooks.calls, 0u);
   }
+}
+
+TEST_F(CheckpointTest, ResumeRejectsAMuOutsideItsRange) {
+  const CheckpointState valid = valid_state();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<std::string, CheckpointState>> cases;
+  for (const auto& [name, mu] :
+       {std::pair<std::string, double>{"nan_mu", nan}, {"negative_mu", -1.0},
+        {"infinite_mu", std::numeric_limits<double>::infinity()}}) {
+    CheckpointState state = valid;
+    state.mu = mu;
+    cases.emplace_back(name, state);
+  }
+  CheckpointState adaptive = valid;
+  adaptive.adaptive = AdaptiveMu::State{nan, 1.0, true, 0};
+  cases.emplace_back("nan_adaptive_mu", adaptive);
+  CheckpointState theory = valid;
+  theory.theory = DissimilarityMu::State{-1.0, 1.0, true};
+  cases.emplace_back("negative_theory_mu", theory);
+  expect_refused(cases, "mu");
+}
+
+TEST_F(CheckpointTest, ResumeRejectsNonFiniteWeights) {
+  CheckpointState state = valid_state();
+  state.parameters[3] = std::numeric_limits<double>::quiet_NaN();
+  CheckpointState infinite = state;
+  infinite.parameters[3] = -std::numeric_limits<double>::infinity();
+  expect_refused({{"nan_weight", state}, {"infinite_weight", infinite}},
+                 "weight");
+}
+
+TEST_F(CheckpointTest, ResumeRejectsAnEmptyActiveMask) {
+  CheckpointState state = valid_state();
+  std::ranges::fill(state.active, 0);
+  // Padding bits past the population do not count as devices.
+  CheckpointState padded = state;
+  padded.active.back() = 0xF0;  // 12 devices: bits 12..15 are padding
+  expect_refused({{"no_active", state}, {"padding_only", padded}}, "live");
 }
 
 TEST_F(CheckpointTest, ResumedCountersIncludeReplayedRounds) {

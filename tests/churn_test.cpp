@@ -65,6 +65,14 @@ TEST_F(ChurnTest, ParseRoundTripsAndRejectsBadSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_churn_config("arrive"), std::invalid_argument);
   EXPECT_THROW((void)parse_churn_config("leave=0.1"), std::invalid_argument);
+  // NaN fails every comparison, so a plain range check would pass it;
+  // a count cast from NaN or inf is undefined.
+  for (const char* spec : {"arrive=nan", "depart=nan", "initial=nan",
+                           "min_active=nan", "initial=inf", "min_active=-inf",
+                           "initial=-1"}) {
+    EXPECT_THROW((void)parse_churn_config(spec), std::invalid_argument)
+        << spec;
+  }
 }
 
 TEST_F(ChurnTest, RegistryRejectsImpossibleConfigs) {

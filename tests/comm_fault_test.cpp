@@ -137,6 +137,11 @@ TEST_F(CommFaultTest, ProfileParsesValidatesAndPrints) {
   EXPECT_THROW(parse_fault_profile("drop"), std::invalid_argument);
   EXPECT_THROW(parse_fault_profile("drop=abc"), std::invalid_argument);
   EXPECT_THROW(parse_fault_profile("drop=0.1x"), std::invalid_argument);
+  // NaN fails every comparison, so a plain range check would pass it.
+  for (const char* spec : {"drop=nan", "corrupt=nan", "duplicate=nan",
+                           "delay_ms=nan", "delay_ms=inf"}) {
+    EXPECT_THROW(parse_fault_profile(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST_F(CommFaultTest, EventKindsHaveStableSlugs) {
@@ -160,6 +165,19 @@ TEST_F(CommFaultTest, RecoveryConfigIsValidatedUpFront) {
   c = chaos_config();
   c.recovery.deadline_ms = -1.0;
   EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    c = chaos_config();
+    c.recovery.quorum = bad;
+    EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument) << bad;
+    c = chaos_config();
+    c.recovery.deadline_ms = bad;
+    EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument) << bad;
+    c = chaos_config();
+    c.mu = bad;
+    EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument) << bad;
+  }
   c = chaos_config();
   c.faults.drop = 2.0;  // caught when the trainer wraps the transport
   EXPECT_THROW(Trainer(model, data(), c).run(), std::invalid_argument);

@@ -75,8 +75,8 @@ TEST_F(SerializeTest, CheckpointRoundTripsExactly) {
   }
 }
 
-// A frame of the layouts in support/serialize.h, written field by field
-// independently of the encoders.
+// A frame of the layouts in support/serialize.cpp's field lists, written
+// field by field independently of them.
 class FrameBuilder {
  public:
   explicit FrameBuilder(const char (&magic)[5]) {
@@ -190,7 +190,7 @@ TEST_F(SerializeTest, TrailingBytesThrow) {
   EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
 }
 
-TEST_F(SerializeTest, HistoryRoundTrip) {
+TEST_F(SerializeTest, RoundRecordsRoundTrip) {
   // Every presence combination of the optional RoundMetrics fields.
   CheckpointState state = small_state();
   state.rounds.clear();
@@ -231,10 +231,15 @@ TEST_F(SerializeTest, HistoryRoundTrip) {
   }
 }
 
-TEST_F(SerializeTest, LoadHistoryRejectsMalformedRow) {
-  // A round record is 83 bytes and opens with u64 round | u8 evaluated.
+TEST_F(SerializeTest, RoundRecordRejectsCorruptFlag) {
+  // A round record opens with u64 round | u8 evaluated; its length is
+  // what one more record adds to the frame.
+  CheckpointState no_rounds = small_state();
+  no_rounds.rounds.clear();
+  const std::size_t record = encode_checkpoint_state(small_state()).size() -
+                             encode_checkpoint_state(no_rounds).size();
   WireBuffer body = body_of(encode_checkpoint_state(small_state()));
-  const std::size_t evaluated = body.size() - 83 + 8;
+  const std::size_t evaluated = body.size() - record + 8;
   ASSERT_EQ(body[evaluated], 1u);
   body[evaluated] = 2;  // neither false nor true
   EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
@@ -306,7 +311,7 @@ TEST_F(SerializeTest, UpdateRoundTripsExactly) {
   EXPECT_EQ(back.result.solve_seconds, u.result.solve_seconds);
 }
 
-// The FPB1 and FPU1 layouts of support/serialize.h. Each sample's two
+// The FPB1 and FPU1 layouts, byte for byte. Each sample's two
 // flags differ in one of the frames, so swapping them shows.
 TEST_F(SerializeTest, BroadcastFrameBytesArePinned) {
   for (const bool measure_gamma : {true, false}) {
@@ -341,14 +346,40 @@ TEST_F(SerializeTest, WirePayloadMatchesOldAnalyticalEstimate) {
   // float64 wire format, the payload past the fixed envelope is exactly
   // the d * sizeof(double) proxy the traces used to estimate.
   for (const std::size_t d : {0u, 1u, 61u, 7850u}) {
-    EXPECT_EQ(broadcast_wire_size(d, 0) - kBroadcastEnvelopeBytes,
+    EXPECT_EQ(broadcast_wire_size(d, 0) - broadcast_wire_size(0, 0),
               d * sizeof(double));
-    EXPECT_EQ(update_wire_size(d) - kUpdateEnvelopeBytes,
-              d * sizeof(double));
+    EXPECT_EQ(update_wire_size(d) - update_wire_size(0), d * sizeof(double));
   }
   // A FedDane correction rides as a second payload of the same shape.
-  EXPECT_EQ(broadcast_wire_size(10, 10) - kBroadcastEnvelopeBytes,
+  EXPECT_EQ(broadcast_wire_size(10, 10) - broadcast_wire_size(0, 0),
             2 * 10 * sizeof(double));
+}
+
+TEST_F(SerializeTest, WireSizesAreTheEncodedLengths) {
+  // InProcessTransport charges these sizes without encoding; they must
+  // be what SerializedTransport's encoders produce.
+  for (const std::size_t d : {0u, 1u, 61u, 4020u}) {
+    for (const bool feddane : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " feddane=" << feddane);
+      OwnedBroadcast b = sample_broadcast();
+      b.parameters = Vector(d, 0.5);
+      b.correction = feddane ? Vector(d, -0.25) : Vector{};
+      const ModelBroadcast view = b.view();
+      EXPECT_EQ(broadcast_wire_size(view), encode_broadcast(view).size());
+      EXPECT_EQ(broadcast_wire_size(d, b.correction.size()),
+                encode_broadcast(view).size());
+    }
+    ClientUpdate u = sample_update();
+    u.result.update = Vector(d, 1.5);
+    EXPECT_EQ(update_wire_size(u), encode_update(u).size()) << d;
+    EXPECT_EQ(update_wire_size(d), encode_update(u).size()) << d;
+    PartialSumUpdate p;
+    p.partial =
+        PartialAggregate(SamplingScheme::kUniformThenWeightedAverage, d);
+    const Vector update(d, 0.75);
+    p.partial.accumulate({0, &update, 3.0});
+    EXPECT_EQ(partial_sum_wire_size(p), encode_partial_sum(p).size()) << d;
+  }
 }
 
 // A shard partial with cancellation-heavy state: only an exact register

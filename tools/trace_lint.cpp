@@ -12,8 +12,11 @@
 // Every per-round fact comes from src/obs; this tool only applies it.
 // JSONL: the first line is a run header ({"run":{...}}); every later
 // line is a round line that trace_from_json reads and check_round_trace
-// accepts (obs/trace.h), or the header of a resumed segment ("resumed":
-// true, "first_round" F), whose first round line must be F + 1.
+// accepts (obs/trace.h), or a later run header: a resumed segment's
+// ("resumed": true, "first_round" F), whose first round line must be
+// F + 1, or an unmarked one that starts another run in the same file (a
+// figure driver's variants), allowed only right after a run whose round
+// lines reached its "first_round" + "rounds".
 // --checkpoint: checkpoint rounds increase within a segment, each
 // resumed segment starts from a round an earlier segment checkpointed,
 // and at least one checkpoint was written.
@@ -70,10 +73,12 @@ auto checked(const std::string& where, Read read) {
 using CounterTotals = std::vector<std::uint64_t>;
 
 // Multi-segment aware: a crashed-and-resumed run appends one run header
-// per segment to the same file; mid-file headers must be marked
-// "resumed" and the resumed segment must pick up exactly one round after
-// the checkpoint it restarted from. With `checkpoint_mode`, the embedded
-// checkpoint blocks are audited as a manifest (see the file comment).
+// per segment to the same file; a mid-file header must be marked
+// "resumed", and the resumed segment must pick up exactly one round after
+// the checkpoint it restarted from, unless the run before it finished —
+// then the header starts another run. With `checkpoint_mode`, the
+// embedded checkpoint blocks are audited as a manifest (see the file
+// comment).
 CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
   std::ifstream in(path);
   if (!in) fail("cannot open " + path);
@@ -84,10 +89,17 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
   std::size_t rounds = 0;
   std::size_t segments = 0;
   std::size_t checkpoint_writes = 0;
-  std::optional<std::uint64_t> last_checkpoint_round;
+  // The lowest round the next checkpoint may carry.
+  std::uint64_t next_checkpoint_round = 0;
   std::set<std::uint64_t> checkpoint_rounds;
   bool expect_resume_round = false;  // next round line opens a resumed segment
   std::uint64_t resume_round = 0;
+  // The current segment's last round, "first_round" + "rounds" (none
+  // when the header lacks either), and whether the latest round line
+  // reached it.
+  constexpr std::uint64_t kNoEnd = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t segment_end = kNoEnd;
+  bool finished = false;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -102,11 +114,24 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
                            checked(where, [&] {
                              return run.at("resumed").as_bool();
                            });
-      if (segments > 1 && !resumed) {
+      if (segments > 1 && !resumed && !finished) {
         fail(where + ": mid-file run header is not marked \"resumed\" "
-                     "(only a resumed run may append a new segment)");
+                     "(only a resumed run, or a new run after a finished "
+                     "one, may append a new segment)");
       }
-      if (!resumed) continue;
+      finished = false;
+      segment_end = kNoEnd;
+      if (run.contains("first_round") && run.contains("rounds")) {
+        segment_end = checked(where, [&] {
+          return run.at("first_round").as_count() + run.at("rounds").as_count();
+        });
+      }
+      if (!resumed) {
+        // Another run: its checkpoints form a manifest of their own.
+        next_checkpoint_round = 0;
+        checkpoint_rounds.clear();
+        continue;
+      }
       if (!run.contains("first_round")) {
         fail(where + ": resumed run header lacks \"first_round\"");
       }
@@ -125,13 +150,14 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
       // Rewind the monotonicity cursor: the resumed segment re-runs rounds
       // after the resume point and may re-write checkpoints the crashed
       // segment already recorded.
-      last_checkpoint_round = from;
+      next_checkpoint_round = from + 1;
       continue;
     }
     if (segments == 0) fail(path + ":1: header line lacks \"run\"");
     const fed::RoundTrace trace =
         checked(where, [&] { return fed::trace_from_json(value); });
     ++rounds;
+    finished = trace.round == segment_end;
     if (expect_resume_round) {
       if (trace.round != resume_round + 1) {
         fail(where + ": resumed segment opens with round " +
@@ -145,12 +171,12 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
     if (!broken.empty()) fail(where + ": " + broken);
     if (trace.checkpoint.written) {
       const std::uint64_t ckpt_round = trace.checkpoint.round;
-      if (last_checkpoint_round && ckpt_round <= *last_checkpoint_round) {
+      if (ckpt_round < next_checkpoint_round) {
         fail(where + ": checkpoint rounds are not strictly increasing (" +
              std::to_string(ckpt_round) + " after " +
-             std::to_string(*last_checkpoint_round) + ")");
+             std::to_string(next_checkpoint_round - 1) + ")");
       }
-      last_checkpoint_round = ckpt_round;
+      next_checkpoint_round = ckpt_round + 1;
       checkpoint_rounds.insert(ckpt_round);
       ++checkpoint_writes;
     }
