@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -18,7 +19,12 @@ BenchOptions parse_options(int argc, char** argv) {
   return parse_options(flags);
 }
 
-BenchOptions parse_options(const CliFlags& flags) {
+void exit_bad_flag(const std::invalid_argument& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  std::exit(1);
+}
+
+BenchOptions parse_options(const CliFlags& flags) try {
   BenchOptions options;
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   options.scale = flags.get_double("scale", 1.0);
@@ -39,6 +45,7 @@ BenchOptions parse_options(const CliFlags& flags) {
       static_cast<std::size_t>(flags.get_int("retries", 2));
   options.recovery.deadline_ms = flags.get_double("deadline-ms", 0.0);
   options.recovery.quorum = flags.get_double("quorum", 1.0);
+  validate(options.recovery);  // fail fast, too
   options.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   if (auto churn = flags.get_optional_string("churn")) {
     options.churn = parse_churn_config(*churn);  // fail fast, too
@@ -56,6 +63,8 @@ BenchOptions parse_options(const CliFlags& flags) {
     options.scale = std::min(options.scale, 0.1);
   }
   return options;
+} catch (const std::invalid_argument& error) {
+  exit_bad_flag(error);
 }
 
 Workload load_workload(const std::string& name, const BenchOptions& options) {

@@ -41,6 +41,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,8 +83,14 @@ struct BenchOptions {
 // Parses the shared flags; warns about unknown ones. Drivers with extra
 // flags should read them from their own CliFlags first, then hand it to
 // the CliFlags& overload so those reads suppress the unknown-flag warning.
+// A bad value (--faults drop=2, --rounds x) ends the process through
+// exit_bad_flag.
 BenchOptions parse_options(int argc, char** argv);
 BenchOptions parse_options(const CliFlags& flags);
+
+// Prints the reason a flag parser threw and exits with status 1: a bad
+// command line is the caller's error, not a crash.
+[[noreturn]] void exit_bad_flag(const std::invalid_argument& error);
 
 // Loads a workload at the experiment seed and --scale (--quick caps it).
 Workload load_workload(const std::string& name, const BenchOptions& options);

@@ -74,8 +74,12 @@ struct SegmentStats {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
-  const std::vector<double> crash_at_raw =
-      flags.get_double_list("crash-at", {});
+  std::vector<double> crash_at_raw;
+  try {
+    crash_at_raw = flags.get_double_list("crash-at", {});
+  } catch (const std::invalid_argument& error) {
+    exit_bad_flag(error);
+  }
   const std::string json_path =
       flags.get_string("bench-json", "BENCH_soak.json");
   BenchOptions options = parse_options(flags);

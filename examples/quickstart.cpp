@@ -50,10 +50,17 @@ int main(int argc, char** argv) {
 
   // Quickstart-specific flags, read before parse_options so the shared
   // parser's unknown-flag warning stays quiet about them.
-  const double mu = flags.get_double("mu", 1.0);
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 50));
-  const double stragglers = flags.get_double("stragglers", 0.5);
-  const bool resume = flags.get_bool("resume", false);
+  double mu = 1.0, stragglers = 0.5;
+  std::size_t rounds = 50;
+  bool resume = false;
+  try {
+    mu = flags.get_double("mu", mu);
+    rounds = static_cast<std::size_t>(flags.get_int("rounds", 50));
+    stragglers = flags.get_double("stragglers", stragglers);
+    resume = flags.get_bool("resume", resume);
+  } catch (const std::invalid_argument& error) {
+    bench::exit_bad_flag(error);
+  }
   bench::BenchOptions options = bench::parse_options(flags);
   options.resume = resume;
 

@@ -33,6 +33,18 @@ void validate(const FaultProfile& profile) {
 
 }  // namespace
 
+void validate(const RecoveryConfig& recovery) {
+  if (!(recovery.quorum > 0.0 && recovery.quorum <= 1.0)) {
+    throw std::invalid_argument("recovery: quorum=" +
+                                std::to_string(recovery.quorum) +
+                                " outside (0, 1]");
+  }
+  if (!(recovery.deadline_ms >= 0.0 && std::isfinite(recovery.deadline_ms))) {
+    throw std::invalid_argument(
+        "recovery: deadline_ms must be finite and >= 0");
+  }
+}
+
 FaultProfile parse_fault_profile(const std::string& spec) {
   FaultProfile profile;
   std::istringstream in(spec);

@@ -60,6 +60,10 @@ struct RecoveryConfig {
   double quorum = 1.0;
 };
 
+// Throws std::invalid_argument unless quorum lies in (0, 1] and
+// deadline_ms is finite and >= 0 (NaN fails both).
+void validate(const RecoveryConfig& recovery);
+
 // One channel incident, observed by the server. Routed to observers via
 // TrainingObserver::on_fault on the round thread, after the parallel
 // exchanges complete — never thrown across a pool-worker boundary.

@@ -82,14 +82,7 @@ Trainer::Trainer(const Model& model, const FederatedDataset& data,
   }
   if (config_.theory_mu) config_.measure_dissimilarity = true;
   if (config_.eval_every == 0) config_.eval_every = 1;
-  if (!(config_.recovery.quorum > 0.0 && config_.recovery.quorum <= 1.0)) {
-    throw std::invalid_argument("Trainer: recovery.quorum outside (0, 1]");
-  }
-  if (!(config_.recovery.deadline_ms >= 0.0 &&
-        std::isfinite(config_.recovery.deadline_ms))) {
-    throw std::invalid_argument(
-        "Trainer: recovery deadline must be finite and >= 0");
-  }
+  validate(config_.recovery);
   if (config_.shards == 0) config_.shards = 1;
   if (!config_.solver) config_.solver = std::make_shared<SgdSolver>();
 }

@@ -20,7 +20,7 @@ std::vector<std::size_t> longest_first(std::span<const DeviceBudget> budgets) {
 }
 
 std::size_t straggler_count(double fraction, std::size_t k) {
-  if (fraction < 0.0 || fraction > 1.0) {
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("straggler fraction must be in [0,1]");
   }
   return static_cast<std::size_t>(

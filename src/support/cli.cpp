@@ -89,7 +89,12 @@ std::vector<double> CliFlags::get_double_list(
   for (char c : *v + ",") {
     if (c == ',') {
       if (!cur.empty()) {
-        out.push_back(std::stod(cur));
+        try {
+          out.push_back(std::stod(cur));
+        } catch (const std::exception&) {
+          throw std::invalid_argument("flag --" + name +
+                                      " expects numbers, got '" + *v + "'");
+        }
         cur.clear();
       }
     } else {

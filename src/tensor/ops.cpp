@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
 
+#include "tensor/kernels.h"
+#include "tensor/lanes.h"
 #include "tensor/vmath.h"
 
 namespace fed {
@@ -97,55 +98,52 @@ namespace {
 // tile_grid covers an m x n output with kR x kC tiles, then the column
 // tail with C halved down to 1 and the row tail one row at a time, so
 // every tile size is a compile-time constant the compiler can keep in
-// registers.
+// registers. Everything here is always inlined into the variant's entry
+// point, so the avx2 variant's lane code is compiled for AVX2.
 template <std::size_t R, std::size_t C, class Kernel>
-void tile_cols(Kernel& kernel, std::size_t i, std::size_t& j, std::size_t n) {
+[[gnu::always_inline]] inline void tile_cols(const Kernel& kernel,
+                                             std::size_t i, std::size_t& j,
+                                             std::size_t n) {
   for (; j + C <= n; j += C) kernel.template run<R, C>(i, j);
   if constexpr (C > 1) tile_cols<R, C / 2>(kernel, i, j, n);
 }
 
 template <std::size_t R, std::size_t C, class Kernel>
-void tile_row(Kernel& kernel, std::size_t i, std::size_t n) {
+[[gnu::always_inline]] inline void tile_row(const Kernel& kernel,
+                                            std::size_t i, std::size_t n) {
   std::size_t j = 0;
   tile_cols<R, C>(kernel, i, j, n);
 }
 
 template <std::size_t kR, std::size_t kC, class Kernel>
-void tile_grid(Kernel& kernel, std::size_t m, std::size_t n) {
+[[gnu::always_inline]] inline void tile_grid(const Kernel& kernel,
+                                             std::size_t m, std::size_t n) {
   std::size_t i = 0;
   for (; i + kR <= m; i += kR) tile_row<kR, kC>(kernel, i, n);
   for (; i < m; ++i) tile_row<1, kC>(kernel, i, n);
 }
 
-// Two doubles in one SIMD register (SSE2 on x86-64, NEON on arm64).
-// Lane-wise + and * are the scalar IEEE operations, so each lane holds
-// exactly the sum a scalar loop would, in the same order.
-typedef double Pair __attribute__((vector_size(16)));
+using lanes::at;
+using lanes::kWidth;
+using lanes::Pair;
+#ifdef FEDPROX_KERNELS_AVX2
+using lanes::Quad;
+#endif
 
-// A tile C columns wide is C / 2 Pairs, or one double when C == 1.
-template <std::size_t C>
-struct Lanes {
-  static_assert(C == 1 || C % 2 == 0);
-  using Type = std::conditional_t<C == 1, double, Pair>;
-  static constexpr std::size_t kWidth = C == 1 ? 1 : 2;
-  static constexpr std::size_t kCount = C / kWidth;
-
-  static Type load(const double* p) {
-    Type v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-  }
-  static void store(double* p, Type v) { std::memcpy(p, &v, sizeof v); }
-  static Type splat(double v) {
-    if constexpr (C == 1) {
-      return v;
-    } else {
-      return Pair{v, v};
-    }
-  }
+// The lanes of a tile C columns wide, in a variant whose widest lane is V:
+// V where C has room for it, else a Pair, else one double, kCount of them
+// per row. Lane-wise + and * are the scalar IEEE operations, so each lane
+// holds exactly the sum a scalar loop would, in the same order.
+template <class V, std::size_t C>
+struct TileLanes {
+  using Type = std::conditional_t<
+      C >= kWidth<V>, V, std::conditional_t<C == 1, double, Pair>>;
+  static constexpr std::size_t kCount = C / kWidth<Type>;
+  static_assert(kCount * kWidth<Type> == C);
 };
 
 // C = A B, one sum per element running p ascending from 0.0.
+template <class V>
 struct GemmKernel {
   const double* a;
   const double* b;
@@ -153,28 +151,30 @@ struct GemmKernel {
   std::size_t k, n;
 
   template <std::size_t R, std::size_t C>
-  void run(std::size_t i0, std::size_t j0) const {
-    using L = Lanes<C>;
-    typename L::Type acc[R][L::kCount] = {};
+  [[gnu::always_inline]] void run(std::size_t i0, std::size_t j0) const {
+    using T = typename TileLanes<V, C>::Type;
+    constexpr std::size_t kCount = TileLanes<V, C>::kCount;
+    T acc[R][kCount] = {};
     for (std::size_t p = 0; p < k; ++p) {
-      typename L::Type b_row[L::kCount];
-      for (std::size_t q = 0; q < L::kCount; ++q) {
-        b_row[q] = L::load(b + p * n + j0 + q * L::kWidth);
+      T b_row[kCount];
+      for (std::size_t q = 0; q < kCount; ++q) {
+        b_row[q] = *at<T>(b + p * n + j0 + q * kWidth<T>);
       }
       for (std::size_t r = 0; r < R; ++r) {
-        const auto a_ip = L::splat(a[(i0 + r) * k + p]);
-        for (std::size_t q = 0; q < L::kCount; ++q) acc[r][q] += a_ip * b_row[q];
+        const double a_ip = a[(i0 + r) * k + p];
+        for (std::size_t q = 0; q < kCount; ++q) acc[r][q] += a_ip * b_row[q];
       }
     }
     for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t q = 0; q < L::kCount; ++q) {
-        L::store(c + (i0 + r) * n + j0 + q * L::kWidth, acc[r][q]);
+      for (std::size_t q = 0; q < kCount; ++q) {
+        *at<T>(c + (i0 + r) * n + j0 + q * kWidth<T>) = acc[r][q];
       }
     }
   }
 };
 
 // C += X^T Y, one rank-1 term per row of X and Y, added in row order.
+template <class V>
 struct GerBatchKernel {
   const double* x;
   const double* y;
@@ -182,40 +182,98 @@ struct GerBatchKernel {
   std::size_t rows, m, n;
 
   template <std::size_t R, std::size_t C>
-  void run(std::size_t i0, std::size_t j0) const {
-    using L = Lanes<C>;
-    typename L::Type acc[R][L::kCount];
+  [[gnu::always_inline]] void run(std::size_t i0, std::size_t j0) const {
+    using T = typename TileLanes<V, C>::Type;
+    constexpr std::size_t kCount = TileLanes<V, C>::kCount;
+    T acc[R][kCount];
     for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t q = 0; q < L::kCount; ++q) {
-        acc[r][q] = L::load(c + (i0 + r) * n + j0 + q * L::kWidth);
+      for (std::size_t q = 0; q < kCount; ++q) {
+        acc[r][q] = *at<T>(c + (i0 + r) * n + j0 + q * kWidth<T>);
       }
     }
     for (std::size_t k = 0; k < rows; ++k) {
-      typename L::Type y_row[L::kCount];
-      for (std::size_t q = 0; q < L::kCount; ++q) {
-        y_row[q] = L::load(y + k * n + j0 + q * L::kWidth);
+      T y_row[kCount];
+      for (std::size_t q = 0; q < kCount; ++q) {
+        y_row[q] = *at<T>(y + k * n + j0 + q * kWidth<T>);
       }
       for (std::size_t r = 0; r < R; ++r) {
-        const auto x_ki = L::splat(x[k * m + i0 + r]);
-        for (std::size_t q = 0; q < L::kCount; ++q) acc[r][q] += x_ki * y_row[q];
+        const double x_ki = x[k * m + i0 + r];
+        for (std::size_t q = 0; q < kCount; ++q) acc[r][q] += x_ki * y_row[q];
       }
     }
     for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t q = 0; q < L::kCount; ++q) {
-        L::store(c + (i0 + r) * n + j0 + q * L::kWidth, acc[r][q]);
+      for (std::size_t q = 0; q < kCount; ++q) {
+        *at<T>(c + (i0 + r) * n + j0 + q * kWidth<T>) = acc[r][q];
       }
     }
   }
 };
 
+// Tiles of four V per row for gemm (2 x 8 doubles in Pairs, 2 x 16 in
+// Quads) and two for ger_batch (4 x 4, 4 x 8).
+template <class V>
+[[gnu::always_inline]] inline void gemm_tiles(const ConstMatrixView& a,
+                                              const ConstMatrixView& b,
+                                              MatrixView c) {
+  const GemmKernel<V> kernel{a.data(), b.data(), c.data(), a.cols(),
+                             b.cols()};
+  tile_grid<2, 4 * kWidth<V>>(kernel, a.rows(), b.cols());
+}
+
+template <class V>
+[[gnu::always_inline]] inline void ger_batch_tiles(const ConstMatrixView& x,
+                                                   const ConstMatrixView& y,
+                                                   MatrixView c) {
+  const GerBatchKernel<V> kernel{x.data(), y.data(), c.data(), x.rows(),
+                                 x.cols(), y.cols()};
+  tile_grid<4, 2 * kWidth<V>>(kernel, c.rows(), c.cols());
+}
+
 }  // namespace
+
+namespace kernels {
+
+#ifdef FEDPROX_KERNELS_AVX2
+const bool kCpuHasAvx2 = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+}();
+#else
+const bool kCpuHasAvx2 = false;
+#endif
+
+void sse2::gemm(const ConstMatrixView& a, const ConstMatrixView& b,
+                MatrixView c) {
+  gemm_tiles<Pair>(a, b, c);
+}
+
+void sse2::ger_batch(const ConstMatrixView& x, const ConstMatrixView& y,
+                     MatrixView c) {
+  ger_batch_tiles<Pair>(x, y, c);
+}
+
+#ifdef FEDPROX_KERNELS_AVX2
+FEDPROX_AVX2 void avx2::gemm(const ConstMatrixView& a,
+                             const ConstMatrixView& b, MatrixView c) {
+  gemm_tiles<Quad>(a, b, c);
+}
+
+FEDPROX_AVX2 void avx2::ger_batch(const ConstMatrixView& x,
+                                  const ConstMatrixView& y, MatrixView c) {
+  ger_batch_tiles<Quad>(x, y, c);
+}
+#endif
+
+}  // namespace kernels
 
 void gemm(const ConstMatrixView& a, const ConstMatrixView& b, MatrixView c) {
   if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols()) {
     throw std::invalid_argument("gemm: shape mismatch");
   }
-  GemmKernel kernel{a.data(), b.data(), c.data(), a.cols(), b.cols()};
-  tile_grid<2, 8>(kernel, a.rows(), b.cols());
+#ifdef FEDPROX_KERNELS_AVX2
+  if (kernels::kCpuHasAvx2) return kernels::avx2::gemm(a, b, c);
+#endif
+  kernels::sse2::gemm(a, b, c);
 }
 
 void ger(double alpha, std::span<const double> x, std::span<const double> y,
@@ -231,9 +289,10 @@ void ger_batch(const ConstMatrixView& x, const ConstMatrixView& y,
   if (x.rows() != y.rows() || c.rows() != x.cols() || c.cols() != y.cols()) {
     throw std::invalid_argument("ger_batch: shape mismatch");
   }
-  GerBatchKernel kernel{x.data(), y.data(), c.data(), x.rows(), x.cols(),
-                        y.cols()};
-  tile_grid<4, 4>(kernel, c.rows(), c.cols());
+#ifdef FEDPROX_KERNELS_AVX2
+  if (kernels::kCpuHasAvx2) return kernels::avx2::ger_batch(x, y, c);
+#endif
+  kernels::sse2::ger_batch(x, y, c);
 }
 
 void transpose(const ConstMatrixView& a, MatrixView at) {

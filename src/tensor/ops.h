@@ -65,7 +65,10 @@ void gemv_accumulate(const ConstMatrixView& a, std::span<const double> x,
 // Rows of C are independent, so row i of gemm(X, W^T) is bitwise
 // gemv(W, X.row(i)) and row i of gemm(D, W) is bitwise
 // gemv_transposed(W, D.row(i)). Register-blocked: each tile keeps 2 x 8
-// sums in registers and streams a row of B per step of p.
+// sums in 16-byte registers, or 2 x 16 in 32-byte AVX2 registers, and
+// streams a row of B per step of p. The AVX2 variant runs where the CPU
+// has it, picked once at start-up (tensor/kernels.h); lane width only
+// decides which elements share a register, so both write the same bits.
 void gemm(const ConstMatrixView& a, const ConstMatrixView& b, MatrixView c);
 // A += alpha * x y^T  (rank-1 update; A: m x n, x: m, y: n)
 //   A[r][c] = A[r][c] + (alpha * x[r]) * y[c]
@@ -76,7 +79,8 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 //   C[i][j] = ((C[i][j] + X[0][i] * Y[0][j]) + X[1][i] * Y[1][j]) + ...
 // Bitwise equal to ger(1.0, X.row(k), Y.row(k), C) for k = 0..K-1, so a
 // caller picks the accumulation order by the order of its rows.
-// Register-blocked: each tile of C stays in registers (4 x 4) for all K.
+// Register-blocked: each tile of C stays in registers for all K, 4 x 4 in
+// 16-byte lanes or 4 x 8 in AVX2 lanes, dispatched as gemm is.
 void ger_batch(const ConstMatrixView& x, const ConstMatrixView& y,
                MatrixView c);
 // At = A^T          (A: m x n, At: n x m). Exact copy, no arithmetic.

@@ -1,51 +1,47 @@
-// The model path's transcendentals (see vmath.h), written once over
-// Pair lanes: two doubles in one SIMD register (SSE2 on x86-64, NEON on
-// arm64), the idiom tensor/ops.cpp uses. Lane-wise +, -, *, / and the
-// integer bit operations are the scalar IEEE operations, so each lane
-// computes exactly what a scalar loop would: the span calls, their odd
-// tail and the scalar entry points all run the same lane code.
+// The model path's transcendentals (see vmath.h), written once on the
+// lane type V: a Pair (two doubles in one SIMD register, SSE2 on x86-64,
+// NEON on arm64) or, in the avx2 variant, a Quad (four doubles). Lane-wise
+// +, -, *, / and the integer bit operations are the scalar IEEE
+// operations, so each lane computes exactly what a scalar loop would: the
+// span calls of both variants, their tails and the scalar entry points
+// all run the same lane code (tensor/kernels.h).
 //
-// The file is compiled with -ffp-contract=off (src/CMakeLists.txt): a
+// The lane code takes its vector by reference and is always inlined into
+// a variant's span loop, so a Quad never crosses a function boundary that
+// is not compiled for AVX2. A constant c in vector context is c in every
+// lane (V{} + c, or c as an operand next to a vector).
+//
+// The library is compiled with -ffp-contract=off (src/CMakeLists.txt): a
 // fused multiply-add would round differently on hosts that have one.
 // Every constant is a hex-float literal, so no libm call runs, not even
 // at start-up.
 
 #include "tensor/vmath.h"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <limits>
+
+#include "tensor/kernels.h"
+#include "tensor/lanes.h"
 
 namespace fed::vmath {
 namespace {
 
-typedef double Pair __attribute__((vector_size(16)));
-typedef std::uint64_t Bits __attribute__((vector_size(16)));
-// What a Pair comparison yields: all-ones lanes where it holds.
-using Mask = decltype(Pair{} < Pair{});
-
-constexpr Pair splat(double v) { return Pair{v, v}; }
-constexpr Bits splat_bits(std::uint64_t v) { return Bits{v, v}; }
-Bits bits(Pair v) { return std::bit_cast<Bits>(v); }
-Pair from_bits(Bits b) { return std::bit_cast<Pair>(b); }
-
-// Lanes of `a` where `m` holds, else lanes of `b`.
-Bits select(Mask m, Bits a, Bits b) {
-  const Bits mb = std::bit_cast<Bits>(m);
-  return (mb & a) | (~mb & b);
-}
-Pair select(Mask m, Pair a, Pair b) {
-  return from_bits(select(m, bits(a), bits(b)));
-}
+using lanes::at;
+using lanes::Bits;
+using lanes::kWidth;
+using lanes::Pair;
+#ifdef FEDPROX_KERNELS_AVX2
+using lanes::Quad;
+#endif
 
 constexpr std::uint64_t kSign = 0x8000000000000000ull;
 constexpr std::uint64_t kOneBits = 0x3ff0000000000000ull;  // 1.0
+constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;  // 2^52
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-Pair abs(Pair x) { return from_bits(bits(x) & splat_bits(~kSign)); }
 
 // ---- exp --------------------------------------------------------------
 //
@@ -57,7 +53,7 @@ Pair abs(Pair x) { return from_bits(bits(x) & splat_bits(~kSign)); }
 // The table: hi[j] is 2^(j/128) rounded to nearest and tail[j] is
 // (2^(j/128) - hi[j]) / hi[j] rounded to nearest, both computed at 80
 // digits (Python: decimal.Decimal(2).ln() * j / 128, then .exp()).
-// {hi[j], tail[j]} for j = 0..127: one 16-byte load per lane.
+// {hi[j], tail[j]} for j = 0..127.
 alignas(64) constexpr double kExp2[256] = {
     0x1.0000000000000p+0, 0x0.0p+0,
     0x1.0163da9fb3335p+0, 0x1.b3b4f1a88bf6ep-54,
@@ -203,43 +199,52 @@ constexpr double kExpC3 = 0x1.5555555555555p-3;  // 1/6
 constexpr double kExpC4 = 0x1.5555555555555p-5;  // 1/24
 constexpr double kExpC5 = 0x1.1111111111111p-7;  // 1/120
 
-// kNonPositive: the caller guarantees x <= 0 or NaN (tanh and sigmoid),
-// which drops the upper clamp and fixes b below at -64. The result is the
-// same: both scalings are exact wherever e^x is a normal number.
-template <bool kNonPositive = false>
-[[gnu::always_inline]] inline Pair exp_lanes(Pair x) {
+// x = e^x, lane-wise. kNonPositive: the caller guarantees x <= 0 or NaN
+// (tanh and sigmoid), which drops the upper clamp and fixes b below at
+// -64. The result is the same: both scalings are exact wherever e^x is a
+// normal number.
+template <bool kNonPositive = false, class V>
+[[gnu::always_inline]] inline void exp_lanes(V& x) {
+  using B = Bits<V>;
   // The clamps keep k in the scale's range; NaN compares false and
   // flows through to the result.
-  if constexpr (!kNonPositive) x = splat(kExpMax) < x ? splat(kExpMax) : x;
-  x = x < splat(kExpMin) ? splat(kExpMin) : x;
-  const Pair shifted = x * splat(kInvLn2N) + splat(kShift);
-  const Pair kd = shifted - splat(kShift);
-  const Pair r = (x - kd * splat(kLn2HiN)) - kd * splat(kLn2LoN);
-  // k in two's complement in the low bits of `shifted`.
-  const Bits k = bits(shifted);
-  const Bits j = k & splat_bits(127);
-  Pair t0, t1;
-  std::memcpy(&t0, kExp2 + 2 * j[0], sizeof t0);
-  std::memcpy(&t1, kExp2 + 2 * j[1], sizeof t1);
-  const Pair hi{t0[0], t1[0]};
-  const Pair tail{t0[1], t1[1]};
-  const Pair r2 = r * r;
-  const Pair p = tail + r + r2 * (splat(kExpC2) + r * splat(kExpC3)) +
-                 r2 * r2 * (splat(kExpC4) + r * splat(kExpC5));
-  const Pair y = hi + hi * p;
+  if constexpr (!kNonPositive) x = kExpMax < x ? V{} + kExpMax : x;
+  x = x < kExpMin ? V{} + kExpMin : x;
+  const V shifted = x * kInvLn2N + kShift;
+  const V kd = shifted - kShift;
+  const V r = (x - kd * kLn2HiN) - kd * kLn2LoN;
+  // k in two's complement in the low bits of `shifted`. The table index
+  // j goes through memory: taking lane 1 of a Pair out of a register,
+  // GCC emits a movhlps that also waits on the register's old contents,
+  // which chained each pair of elements to the one before.
+  const B k = __builtin_bit_cast(B, shifted);
+  double lane[kWidth<V>];
+  *at<V>(lane) = shifted;
+  V hi{}, tail{};
+  for (std::size_t l = 0; l < kWidth<V>; ++l) {
+    const std::uint64_t j = __builtin_bit_cast(std::uint64_t, lane[l]) & 127;
+    hi[l] = kExp2[2 * j];
+    tail[l] = kExp2[2 * j + 1];
+  }
+  const V r2 = r * r;
+  const V p = tail + r + r2 * (kExpC2 + r * kExpC3) +
+              r2 * r2 * (kExpC4 + r * kExpC5);
+  const V y = hi + hi * p;
   // 2^(k>>7) = 2^(k>>7 - b) * 2^b with b = -64 for x < 0, else +64, so
   // both factors are normal numbers even at the clamps: the first
   // product is exact, and the second rounds once, into the subnormals or
   // to +inf when the result lies there.
   // (k>>7) << 52, wrapped to 64 bits like any two's complement number.
-  const Bits scale = (k & splat_bits(~std::uint64_t{127})) << 45;
-  const Bits minus64 = splat_bits(std::uint64_t{0} - (64ull << 52));
-  const Bits b = kNonPositive ? minus64
-                              : select(x < splat(0.0), minus64,
-                                       splat_bits(64ull << 52));
-  const Pair s1 = from_bits(splat_bits(kOneBits) + scale - b);
-  const Pair s2 = from_bits(splat_bits(kOneBits) + b);
-  return (y * s1) * s2;
+  const B scale = (k & ~std::uint64_t{127}) << 45;
+  const B minus64 = B{} + (std::uint64_t{0} - (64ull << 52));
+  B b = minus64;
+  if constexpr (!kNonPositive) {
+    const B negative = __builtin_bit_cast(B, x < 0.0);
+    b = (negative & minus64) | (~negative & (64ull << 52));
+  }
+  const V s1 = __builtin_bit_cast(V, kOneBits + scale - b);
+  const V s2 = __builtin_bit_cast(V, kOneBits + b);
+  x = (y * s1) * s2;
 }
 
 // ---- log --------------------------------------------------------------
@@ -259,43 +264,42 @@ constexpr double kLg6 = 0x1.39a09d078c69fp-3;
 constexpr double kLg7 = 0x1.2f112df3e5244p-3;
 constexpr std::uint64_t kSqrtHalfBits = 0x3fe6a09e667f3bcdull;  // sqrt(2)/2
 
-[[gnu::always_inline]] inline Pair log_lanes(Pair x) {
+template <class V>
+[[gnu::always_inline]] inline void log_lanes(V& x) {
+  using B = Bits<V>;
   // Subnormals are scaled into the normal range first (x 2^54, k - 54).
-  const Mask subnormal = x < splat(0x1p-1022);
-  const Pair xs = select(subnormal, x * splat(0x1p54), x);
-  const Bits ix = bits(xs);
+  const auto subnormal = x < 0x1p-1022;
+  const V xs = subnormal ? x * 0x1p54 : x;
+  const B ix = __builtin_bit_cast(B, xs);
   // The top 12 bits of ix - bits(sqrt(2)/2) are k, two's complement;
   // removing them from ix leaves 1 + f.
-  const Bits top = (ix - splat_bits(kSqrtHalfBits)) &
-                   splat_bits(0xfff0000000000000ull);
-  const Pair m = from_bits(ix - top);
+  const B top = (ix - kSqrtHalfBits) & 0xfff0000000000000ull;
+  const V m = __builtin_bit_cast(V, ix - top);
   // k as a double, through the mantissa of 2^52: u in [0, 4096).
-  const Pair u = from_bits(bits(splat(0x1p52)) + (top >> 52)) - splat(0x1p52);
-  const Pair k = u - select(u >= splat(2048.0), splat(4096.0), splat(0.0)) -
-                 select(subnormal, splat(54.0), splat(0.0));
+  const V u = __builtin_bit_cast(V, kTwo52Bits + (top >> 52)) - 0x1p52;
+  const V k = u - (u >= 2048.0 ? V{} + 4096.0 : V{}) -
+              (subnormal ? V{} + 54.0 : V{});
 
-  const Pair f = m - splat(1.0);
-  const Pair s = f / (splat(2.0) + f);
-  const Pair z = s * s;
-  const Pair w = z * z;
-  const Pair t1 = w * (splat(kLg2) + w * (splat(kLg4) + w * splat(kLg6)));
-  const Pair t2 =
-      z * (splat(kLg1) +
-           w * (splat(kLg3) + w * (splat(kLg5) + w * splat(kLg7))));
-  const Pair r = t2 + t1;
-  const Pair hfsq = splat(0.5) * f * f;
+  const V f = m - 1.0;
+  const V s = f / (2.0 + f);
+  const V z = s * s;
+  const V w = z * z;
+  const V t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const V t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const V r = t2 + t1;
+  const V hfsq = 0.5 * f * f;
   // fdlibm uses the hfsq form for 1 + f in [1.38, 1.42] before
   // normalization, which is 1 + f > 1.38 or 1 + f < 0.71 after it.
-  const Mask far = (m > splat(0x1.6147ap+0)) | (m < splat(0x1.6b851p-1));
-  const Pair k_lo = k * splat(kLn2Lo);
-  const Pair near_form = (s * (f - r) - k_lo) - f;
-  const Pair far_form = (hfsq - (s * (hfsq + r) + k_lo)) - f;
-  Pair y = k * splat(kLn2Hi) - select(far, far_form, near_form);
+  const auto far = (m > 0x1.6147ap+0) | (m < 0x1.6b851p-1);
+  const V k_lo = k * kLn2Lo;
+  const V near_form = (s * (f - r) - k_lo) - f;
+  const V far_form = (hfsq - (s * (hfsq + r) + k_lo)) - f;
+  V y = k * kLn2Hi - (far ? far_form : near_form);
 
-  y = select(x == splat(kInf), splat(kInf), y);
-  y = select(x < splat(0.0), splat(kNaN), y);
-  y = select(x == splat(0.0), splat(-kInf), y);
-  return select(x != x, x, y);
+  y = x == kInf ? V{} + kInf : y;
+  y = x < 0.0 ? V{} + kNaN : y;
+  y = x == 0.0 ? V{} - kInf : y;
+  x = x != x ? x : y;
 }
 
 // ---- tanh and sigmoid -------------------------------------------------
@@ -311,66 +315,141 @@ constexpr double kTanhQ0 = 0x1.c33f28a581b86p+6;
 constexpr double kTanhQ1 = 0x1.176fa0e5535fap+11;
 constexpr double kTanhQ2 = 0x1.2ec102442040cp+12;
 
-[[gnu::always_inline]] inline Pair tanh_lanes(Pair x) {
-  const Pair a = abs(x);
-  const Pair e = exp_lanes<true>(splat(-2.0) * a);
-  const Pair z = a * a;
-  const Pair p = (splat(kTanhP0) * z + splat(kTanhP1)) * z + splat(kTanhP2);
-  const Pair q =
-      ((z + splat(kTanhQ0)) * z + splat(kTanhQ1)) * z + splat(kTanhQ2);
-  const Mask small = a < splat(0x1.4p-1);  // 0.625
-  const Pair ratio = select(small, p, splat(1.0) - e) /
-                     select(small, q, splat(1.0) + e);
-  const Pair t = select(small, a + (a * z) * ratio, ratio);
-  return from_bits(bits(t) | (bits(x) & splat_bits(kSign)));
+template <class V>
+[[gnu::always_inline]] inline void tanh_lanes(V& x) {
+  using B = Bits<V>;
+  const B sign = __builtin_bit_cast(B, x) & kSign;
+  const V a = __builtin_bit_cast(V, __builtin_bit_cast(B, x) & ~kSign);
+  V e = -2.0 * a;
+  exp_lanes<true>(e);
+  const V z = a * a;
+  const V p = (kTanhP0 * z + kTanhP1) * z + kTanhP2;
+  const V q = ((z + kTanhQ0) * z + kTanhQ1) * z + kTanhQ2;
+  const auto small = a < 0x1.4p-1;  // 0.625
+  const V ratio = (small ? p : 1.0 - e) / (small ? q : 1.0 + e);
+  const V t = small ? a + (a * z) * ratio : ratio;
+  x = __builtin_bit_cast(V, __builtin_bit_cast(B, t) | sign);
 }
 
 // sigmoid: with e = e^(-|x|), 1 / (1 + e) for x >= 0 and e / (1 + e)
 // for x < 0, so neither side cancels or overflows.
-[[gnu::always_inline]] inline Pair sigmoid_lanes(Pair x) {
-  const Pair e = exp_lanes<true>(-abs(x));
-  return select(x < splat(0.0), e, splat(1.0)) / (splat(1.0) + e);
+template <class V>
+[[gnu::always_inline]] inline void sigmoid_lanes(V& x) {
+  using B = Bits<V>;
+  V e = __builtin_bit_cast(V, __builtin_bit_cast(B, x) | kSign);  // -|x|
+  exp_lanes<true>(e);
+  x = (x < 0.0 ? e : V{} + 1.0) / (1.0 + e);
 }
 
-template <Pair (*F)(Pair)>
+enum class Fn { kExp, kLog, kTanh, kSigmoid };
+
+template <Fn kFn, class V>
+[[gnu::always_inline]] inline void apply(V& x) {
+  if constexpr (kFn == Fn::kExp) exp_lanes(x);
+  if constexpr (kFn == Fn::kLog) log_lanes(x);
+  if constexpr (kFn == Fn::kTanh) tanh_lanes(x);
+  if constexpr (kFn == Fn::kSigmoid) sigmoid_lanes(x);
+}
+
+// The scalar entry points run the sse2 variant's Pair code on {x, x}.
+template <Fn kFn>
 double scalar(double x) {
-  return F(splat(x))[0];
+  Pair v{x, x};
+  apply<kFn>(v);
+  return v[0];
 }
 
-template <Pair (*F)(Pair)>
-void span(std::span<const double> x, std::span<double> y) {
+// y = f(x) in lanes of V.
+template <Fn kFn, class V>
+[[gnu::always_inline]] inline void span_lanes(std::span<const double> x,
+                                              std::span<double> y) {
   assert(x.size() == y.size());
   const std::size_t n = x.size();
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    Pair v;
-    std::memcpy(&v, x.data() + i, sizeof v);
-    v = F(v);
-    std::memcpy(y.data() + i, &v, sizeof v);
+  for (; i + kWidth<V> <= n; i += kWidth<V>) {
+    V v = *at<V>(x.data() + i);
+    apply<kFn>(v);
+    *at<V>(y.data() + i) = v;
   }
-  if (i < n) y[i] = scalar<F>(x[i]);
+  if (i == n) return;
+  // The tail: one more V, its spare lanes copies of the last element.
+  // Fixed-count loops, which the compiler unrolls into register moves.
+  V v{};
+  for (std::size_t j = 0; j < kWidth<V>; ++j) v[j] = x[std::min(i + j, n - 1)];
+  apply<kFn>(v);
+  for (std::size_t j = 0; j < kWidth<V>; ++j) {
+    if (i + j < n) y[i + j] = v[j];
+  }
 }
 
 }  // namespace
 
-double exp(double x) { return scalar<exp_lanes<>>(x); }
+double exp(double x) { return scalar<Fn::kExp>(x); }
 void exp(std::span<const double> x, std::span<double> y) {
-  span<exp_lanes<>>(x, y);
+#ifdef FEDPROX_KERNELS_AVX2
+  if (kernels::kCpuHasAvx2) return kernels::avx2::exp(x, y);
+#endif
+  kernels::sse2::exp(x, y);
 }
 
-double log(double x) { return scalar<log_lanes>(x); }
+double log(double x) { return scalar<Fn::kLog>(x); }
 void log(std::span<const double> x, std::span<double> y) {
-  span<log_lanes>(x, y);
+#ifdef FEDPROX_KERNELS_AVX2
+  if (kernels::kCpuHasAvx2) return kernels::avx2::log(x, y);
+#endif
+  kernels::sse2::log(x, y);
 }
 
-double tanh(double x) { return scalar<tanh_lanes>(x); }
+double tanh(double x) { return scalar<Fn::kTanh>(x); }
 void tanh(std::span<const double> x, std::span<double> y) {
-  span<tanh_lanes>(x, y);
+#ifdef FEDPROX_KERNELS_AVX2
+  if (kernels::kCpuHasAvx2) return kernels::avx2::tanh(x, y);
+#endif
+  kernels::sse2::tanh(x, y);
 }
 
-double sigmoid(double x) { return scalar<sigmoid_lanes>(x); }
+double sigmoid(double x) { return scalar<Fn::kSigmoid>(x); }
 void sigmoid(std::span<const double> x, std::span<double> y) {
-  span<sigmoid_lanes>(x, y);
+#ifdef FEDPROX_KERNELS_AVX2
+  if (kernels::kCpuHasAvx2) return kernels::avx2::sigmoid(x, y);
+#endif
+  kernels::sse2::sigmoid(x, y);
 }
 
 }  // namespace fed::vmath
+
+namespace fed::kernels {
+
+using vmath::Fn;
+using vmath::span_lanes;
+
+void sse2::exp(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kExp, vmath::Pair>(x, y);
+}
+void sse2::log(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kLog, vmath::Pair>(x, y);
+}
+void sse2::tanh(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kTanh, vmath::Pair>(x, y);
+}
+void sse2::sigmoid(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kSigmoid, vmath::Pair>(x, y);
+}
+
+#ifdef FEDPROX_KERNELS_AVX2
+FEDPROX_AVX2 void avx2::exp(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kExp, vmath::Quad>(x, y);
+}
+FEDPROX_AVX2 void avx2::log(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kLog, vmath::Quad>(x, y);
+}
+FEDPROX_AVX2 void avx2::tanh(std::span<const double> x, std::span<double> y) {
+  span_lanes<Fn::kTanh, vmath::Quad>(x, y);
+}
+FEDPROX_AVX2 void avx2::sigmoid(std::span<const double> x,
+                                std::span<double> y) {
+  span_lanes<Fn::kSigmoid, vmath::Quad>(x, y);
+}
+#endif
+
+}  // namespace fed::kernels

@@ -1,14 +1,18 @@
 // The model path's transcendentals: exp, log, tanh and sigmoid over
 // spans, plus scalar entry points. Every nonlinearity the models compute
 // (nn/: LSTM gates, softmax cross-entropy) goes through here, so a
-// TrainHistory depends on no libm and no CPU dispatch:
+// TrainHistory depends on no libm, and on no CPU feature:
 //
 // - Each element's result is a pure function of that element's input.
 //   It does not depend on the element's lane, its offset in the span, or
-//   whether it falls in the odd tail, and the scalar call returns the
-//   same bits as the span call. The code is fixed IEEE double arithmetic
-//   (no FMA contraction, no fast-math), so the bits are the same on every
+//   whether it falls in the tail, and the scalar call returns the same
+//   bits as the span call. The code is fixed IEEE double arithmetic (no
+//   FMA contraction, no fast-math), so the bits are the same on every
 //   host and compiler.
+// - The span calls run in 16-byte lanes, or in 32-byte AVX2 lanes on an
+//   x86-64 CPU that has them, picked once at start-up (tensor/kernels.h).
+//   Both variants are the same lane code, so by the rule above they
+//   return the same bits; the scalar calls always run the 16-byte code.
 // - NaN propagates; ±inf map to their limits.
 // - Accuracy against the exact value, in units of the last place:
 //   exp and log ≤ 1, tanh ≤ 2, sigmoid ≤ 4 (tests/tensor_math_test.cpp).

@@ -35,9 +35,13 @@ TEST(CliFlags, FallbacksWhenAbsent) {
 }
 
 TEST(CliFlags, MalformedValueThrows) {
-  const char* argv[] = {"prog", "--rounds=abc"};
-  CliFlags flags(2, argv);
+  const char* argv[] = {"prog", "--rounds=abc", "--crash-at=5,x",
+                        "--mus=1e999"};
+  CliFlags flags(4, argv);
   EXPECT_THROW(flags.get_int("rounds", 0), std::invalid_argument);
+  // A list entry that is no number, or out of range, is the same error.
+  EXPECT_THROW(flags.get_double_list("crash-at", {}), std::invalid_argument);
+  EXPECT_THROW(flags.get_double_list("mus", {}), std::invalid_argument);
 }
 
 TEST(CliFlags, DoubleListParsing) {

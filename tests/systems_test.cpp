@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace fed {
 namespace {
 
@@ -16,6 +18,8 @@ TEST(StragglerCount, RoundsToNearest) {
   EXPECT_EQ(straggler_count(1.0, 10), 10u);
   EXPECT_THROW(straggler_count(-0.1, 10), std::invalid_argument);
   EXPECT_THROW(straggler_count(1.1, 10), std::invalid_argument);
+  EXPECT_THROW(straggler_count(std::numeric_limits<double>::quiet_NaN(), 10),
+               std::invalid_argument);
 }
 
 TEST(LongestFirst, DescendingIterationsTiesInIndexOrder) {

@@ -13,6 +13,8 @@
 #include <limits>
 #include <vector>
 
+#include "tensor/kernels.h"
+
 namespace fed {
 namespace {
 
@@ -211,6 +213,68 @@ TEST(VmathTest, SpanEqualsScalarAtEveryLengthAndOffset) {
         for (std::size_t i = 0; i < offset; ++i) EXPECT_EQ(y[i], 42.0);
       }
     }
+  }
+}
+
+// Both variants' span calls (tensor/kernels.h) give every element the bits
+// of the scalar call, at every length 0-17: the Pair and Quad loops, their
+// tails, and the special inputs (signed zeros, subnormals, infinities,
+// NaN, the exp clamps and tanh's switch at 0.625).
+TEST(VmathTest, VariantsMatchScalarBitwise) {
+  std::vector<double> pool = {
+      0.0,     -0.0,    kMinSub, -kMinSub, 1e-310, -1e-310, 0x1p-1022,
+      kInf,    -kInf,   kNaN,    -kNaN,    710.0,  -710.0,  -746.0,
+      709.78,  709.79,  -745.13, -745.14,  0.625,  -0.625,  0x1.3ffffffffffffp-1,
+      0.3,     -1.7,    2.5,     40.0,     -8.5,   1e300,   -1e300,
+      0.5,     -3e-5,   0.01,    7.25,     1.0,    -1.0,    3.0};
+  using Span = void (*)(std::span<const double>, std::span<double>);
+  struct Fn {
+    const char* name;
+    double (*scalar)(double);
+    Span sse2;
+    Span avx2;  // null where the variant is not built
+  };
+#ifdef FEDPROX_KERNELS_AVX2
+  const bool avx2 = kernels::kCpuHasAvx2;
+  const Fn fns[] = {
+      {"exp", vmath::exp, kernels::sse2::exp, kernels::avx2::exp},
+      {"log", vmath::log, kernels::sse2::log, kernels::avx2::log},
+      {"tanh", vmath::tanh, kernels::sse2::tanh, kernels::avx2::tanh},
+      {"sigmoid", vmath::sigmoid, kernels::sse2::sigmoid,
+       kernels::avx2::sigmoid},
+  };
+#else
+  const bool avx2 = false;
+  const Fn fns[] = {
+      {"exp", vmath::exp, kernels::sse2::exp, nullptr},
+      {"log", vmath::log, kernels::sse2::log, nullptr},
+      {"tanh", vmath::tanh, kernels::sse2::tanh, nullptr},
+      {"sigmoid", vmath::sigmoid, kernels::sse2::sigmoid, nullptr},
+  };
+#endif
+  for (const Fn& fn : fns) {
+    for (std::size_t n = 0; n <= 17; ++n) {
+      // Every start in the pool, so each input meets every lane.
+      for (std::size_t start = 0; start + n <= pool.size(); ++start) {
+        const std::span<const double> x(pool.data() + start, n);
+        std::vector<double> y_sse2(n), y_avx2(n);
+        fn.sse2(x, y_sse2);
+        if (avx2) fn.avx2(x, y_avx2);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto want = std::bit_cast<std::uint64_t>(fn.scalar(x[i]));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(y_sse2[i]), want)
+              << fn.name << " sse2, n=" << n << " x=" << x[i];
+          if (avx2) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(y_avx2[i]), want)
+                << fn.name << " avx2, n=" << n << " x=" << x[i];
+          }
+        }
+      }
+    }
+  }
+  if (!avx2) {
+    GTEST_SKIP() << "sse2 checked; the avx2 variant cannot run here (x86-64 "
+                    "builds only, on a CPU with AVX2)";
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "data/sequence.h"
 #include "support/rng.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/vmath.h"
 
@@ -255,6 +256,65 @@ TEST(KernelContract, GerBatchPropagatesNanAndInf) {
 TEST(KernelContract, GerBatchShapeMismatchThrows) {
   Matrix x(3, 2), y(4, 2), c(2, 2);
   EXPECT_THROW(ger_batch(x, y, c), std::invalid_argument);
+}
+
+// The two instruction-set variants (tensor/kernels.h) write the same bits
+// on every tile tail of both: m 0..9 covers the 2- and 4-row blocks and
+// their row tails, n 0..37 every column tail of the 8/16-wide gemm and
+// 4/8-wide ger_batch tiles, with NaN and Inf in A, in B, or in both.
+//
+// The NaN is x86's default NaN, the one 0 * Inf and Inf - Inf make, so
+// every NaN in a sum has the same bits. Which of two different NaNs an add
+// returns depends on the operand order the compiler picks for a
+// commutative operation, which IEEE 754 leaves open, in either variant.
+Matrix poisoned(std::size_t rows, std::size_t cols, std::uint64_t key,
+                bool poison) {
+  Matrix m = random_matrix(rows, cols, key);
+  if (poison && m.size() > 0) {
+    m.storage()[key % m.size()] = std::bit_cast<double>(0xfff8000000000000ull);
+    m.storage()[(7 * key + 3) % m.size()] =
+        std::numeric_limits<double>::infinity();
+    m.storage()[(13 * key + 5) % m.size()] =
+        -std::numeric_limits<double>::infinity();
+  }
+  return m;
+}
+
+TEST(KernelContract, Avx2VariantMatchesSse2Bitwise) {
+#ifndef FEDPROX_KERNELS_AVX2
+  GTEST_SKIP() << "no avx2 variant: it is built on x86-64 only";
+#else
+  if (!kernels::kCpuHasAvx2) {
+    GTEST_SKIP() << "this CPU has no AVX2, so the avx2 variant cannot run";
+  }
+  for (std::size_t m = 0; m <= 9; ++m) {
+    for (std::size_t n = 0; n <= 37; ++n) {
+      for (const std::size_t k : {0, 1, 2, 7, 8, 16, 60}) {
+        for (int poison = 0; poison < 4; ++poison) {
+          SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n
+                                            << " poison " << poison);
+          const std::uint64_t key = m * 100000 + n * 100 + k;
+          const Matrix a = poisoned(m, k, key, poison & 1);
+          const Matrix b = poisoned(k, n, key + 1, poison & 2);
+          Matrix c_sse2(m, n, 99.0), c_avx2(m, n, -99.0);
+          kernels::sse2::gemm(a, b, c_sse2);
+          kernels::avx2::gemm(a, b, c_avx2);
+          expect_bitwise_equal(c_avx2, c_sse2);
+
+          // ger_batch with k rank-1 rows, NaN and Inf in C as well.
+          const Matrix x = poisoned(k, m, key + 2, poison & 1);
+          const Matrix y = poisoned(k, n, key + 3, poison & 2);
+          Matrix g_sse2 = poisoned(m, n, key + 4, poison == 3);
+          Matrix g_avx2 = g_sse2;
+          kernels::sse2::ger_batch(x, y, g_sse2);
+          kernels::avx2::ger_batch(x, y, g_avx2);
+          expect_bitwise_equal(g_avx2, g_sse2);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+#endif
 }
 
 TEST(MatrixOps, GemmShapeMismatchThrows) {

@@ -45,6 +45,14 @@
 //                         generation (data/, support/rng) may call
 //                         libm; its outputs are pinned by digest
 //                         (tests/golden_test.cpp).
+//   isa-target            a target(...)/target_clones attribute or
+//                         #pragma GCC target outside src/tensor/, or
+//                         one whose string names fma or avx512 anywhere
+//                         — instruction-set variants live in
+//                         tensor/kernels.h, where each is checked bit
+//                         for bit against SSE2; an FMA contracts a
+//                         multiply and an add into one rounding, and no
+//                         test holds an AVX-512 variant to SSE2's bits.
 //
 // Allowlist file: one `path-prefix rule-id` pair per line (# comments),
 // paths relative to --root with forward slashes. An entry that matches
@@ -63,6 +71,7 @@
 #include <initializer_list>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -171,14 +180,23 @@ const std::vector<Rule>& rules() {
        "libm transcendental on the model or simulation path; its last bit "
        "depends on the host, so use tensor/vmath.h (exp, log, tanh, "
        "sigmoid)"},
+      // Matched by isa_target_finding(), not by token patterns.
+      {"isa-target",
+       {},
+       {},
+       "instruction-set target outside src/tensor/, or one naming fma or "
+       "avx512; ISA variants belong in tensor/kernels.h, which checks each "
+       "against SSE2 bit for bit, and neither FMA nor AVX-512 is one"},
   };
   return kRules;
 }
 
-// Replaces comments and string/char literal *contents* with spaces,
-// preserving line structure so findings report real line numbers.
-// Handles //, /* */, "..." with escapes, '...', and R"delim(...)delim".
-std::string strip_comments_and_strings(const std::string& src) {
+// Replaces comments and, unless `keep_strings`, string/char literal
+// *contents* with spaces, preserving line structure so findings report
+// real line numbers. Handles //, /* */, "..." with escapes, '...', and
+// R"delim(...)delim".
+std::string strip_comments_and_strings(const std::string& src,
+                                       bool keep_strings = false) {
   std::string out = src;
   enum class State {
     kCode,
@@ -212,7 +230,9 @@ std::string strip_comments_and_strings(const std::string& src) {
           std::size_t open = src.find('(', i + 2);
           if (open == std::string::npos) break;  // malformed; give up
           raw_delim = std::string_view(src).substr(i + 2, open - (i + 2));
-          for (std::size_t j = i; j <= open; ++j) out[j] = ' ';
+          for (std::size_t j = i; j <= open && !keep_strings; ++j) {
+            out[j] = ' ';
+          }
           i = open;
           state = State::kRawString;
         } else if (c == '"') {
@@ -238,24 +258,16 @@ std::string strip_comments_and_strings(const std::string& src) {
         }
         break;
       case State::kString:
-        if (c == '\\' && next != '\0') {
-          out[i] = ' ';
-          if (next != '\n') out[i + 1] = ' ';
-          ++i;
-        } else if (c == '"') {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
       case State::kChar:
         if (c == '\\' && next != '\0') {
-          out[i] = ' ';
-          if (next != '\n') out[i + 1] = ' ';
+          if (!keep_strings) {
+            out[i] = ' ';
+            if (next != '\n') out[i + 1] = ' ';
+          }
           ++i;
-        } else if (c == '\'') {
+        } else if (c == (state == State::kString ? '"' : '\'')) {
           state = State::kCode;
-        } else if (c != '\n') {
+        } else if (c != '\n' && !keep_strings) {
           out[i] = ' ';
         }
         break;
@@ -264,10 +276,12 @@ std::string strip_comments_and_strings(const std::string& src) {
             c == ')' && end < src.size() && src[end] == '"' &&
             std::string_view(src).substr(i + 1, raw_delim.size()) ==
                 raw_delim) {
-          for (std::size_t j = i; j <= end; ++j) out[j] = ' ';
+          for (std::size_t j = i; j <= end && !keep_strings; ++j) {
+            out[j] = ' ';
+          }
           i = end;
           state = State::kCode;
-        } else if (c != '\n') {
+        } else if (c != '\n' && !keep_strings) {
           out[i] = ' ';
         }
         break;
@@ -298,14 +312,73 @@ std::size_t match_at(const std::vector<Token>& tokens, std::size_t k,
   return pattern.size();
 }
 
+// Whether a line's code tokens name an instruction-set target: a
+// target(...) inside a GNU __attribute__ or as [[gnu::target(...)]],
+// target_clones, or #pragma GCC target. A call such as f(target(x)) is
+// none of these.
+bool names_isa_target(const std::vector<Token>& tokens) {
+  bool in_attribute = false;
+  for (std::size_t k = 0; k < tokens.size(); ++k) {
+    const std::string& t = tokens[k].text;
+    if (t == "__attribute__") in_attribute = true;
+    if (t == "target_clones" || t == "__target_clones__" ||
+        t == "__target__") {
+      return true;
+    }
+    const bool gnu_scoped = k >= 3 && tokens[k - 1].text == ":" &&
+                            tokens[k - 2].text == ":" &&
+                            tokens[k - 3].text == "gnu";
+    if (t == "target" && k + 1 < tokens.size() &&
+        tokens[k + 1].text == "(" && (in_attribute || gnu_scoped)) {
+      return true;
+    }
+    if (t == "pragma" && k + 2 < tokens.size() &&
+        tokens[k + 1].text == "GCC" && tokens[k + 2].text == "target") {
+      return true;
+    }
+  }
+  return false;
+}
+
+// isa-target on one line: `code` has comments and strings blanked,
+// `with_strings` only comments. The target strings are the characters the
+// two differ in.
+std::optional<Finding> isa_target_finding(const std::string& rel_path,
+                                          std::size_t line_no,
+                                          const std::string& code,
+                                          const std::string& with_strings) {
+  if (!names_isa_target(tokenize(code))) return std::nullopt;
+  std::string strings;
+  for (std::size_t i = 0; i < code.size() && i < with_strings.size(); ++i) {
+    if (code[i] != with_strings[i]) {
+      strings += static_cast<char>(
+          std::tolower(static_cast<unsigned char>(with_strings[i])));
+    }
+  }
+  const bool banned = strings.find("fma") != std::string::npos ||
+                      strings.find("avx512") != std::string::npos;
+  if (!banned && path_has_dir(rel_path, {"tensor"})) return std::nullopt;
+  const std::size_t first = with_strings.find_first_not_of(" \t");
+  const std::size_t last = with_strings.find_last_not_of(" \t");
+  return Finding{rel_path, line_no, "isa-target",
+                 with_strings.substr(first, last - first + 1)};
+}
+
 void scan_content(const std::string& rel_path, const std::string& content,
                   std::vector<Finding>& findings) {
   const std::string stripped = strip_comments_and_strings(content);
   std::istringstream lines(stripped);
-  std::string line;
+  std::istringstream lines_with_strings(
+      strip_comments_and_strings(content, /*keep_strings=*/true));
+  std::string line, line_with_strings;
   std::size_t line_no = 0;
   while (std::getline(lines, line)) {
+    std::getline(lines_with_strings, line_with_strings);
     ++line_no;
+    if (auto finding =
+            isa_target_finding(rel_path, line_no, line, line_with_strings)) {
+      findings.push_back(std::move(*finding));
+    }
     const std::vector<Token> tokens = tokenize(line);
     for (const Rule& rule : rules()) {
       if (!path_has_dir(rel_path, rule.dir_filter)) continue;
@@ -479,6 +552,22 @@ int run_self_test() {
        "double r = std::sqrt(x); double e = vmath::exp(x);\n"
        "std::exponential_distribution<> d; auto l = std::logic_error(\"\");\n",
        {}},
+      // Instruction-set targets: only in tensor/, and never FMA/AVX-512.
+      {"src/sim/t1.cpp", "__attribute__((target(\"avx2\"))) void f();\n",
+       {"isa-target"}},
+      {"src/nn/t2.cpp", "#pragma GCC target(\"avx2\")\n", {"isa-target"}},
+      {"src/tensor/t3.cpp", "[[gnu::target(\"avx2\")]] void f();\n", {}},
+      {"src/tensor/t4.cpp",
+       "__attribute__((target(\"avx2,FMA\"))) void f();\n", {"isa-target"}},
+      {"src/tensor/t5.cpp",
+       "__attribute__((target_clones(\"avx512f\", \"default\"))) void f();\n",
+       {"isa-target"}},
+      {"src/core/t6.cpp",
+       "__attribute__((noinline, target(\"sse4.2\"))) void f();\n",
+       {"isa-target"}},
+      // Calls named target, and fma in a comment, are no target.
+      {"src/nn/t7.cpp", "auto t = target(x);  // fma\n", {}},
+      {"src/nn/t8.cpp", "g(target(x), target(\"avx512f\"));\n", {}},
       // The seeded-good snippet: deterministic idioms pass everything.
       {"src/good.cpp",
        "#include <map>\n#include <memory>\n"
