@@ -8,11 +8,57 @@
 #include <map>
 #include <sstream>
 
-#include "comm/transport.h"
 #include "support/log.h"
 #include "support/stopwatch.h"
 
 namespace fed::bench {
+
+namespace {
+
+// The harness flags; config_flags_help lists the config ones after them.
+constexpr const char* kHarnessHelp =
+    "  --scale S               dataset scale factor in (0, 1] (default 1)\n"
+    "  --out-dir DIR           where CSVs land (default bench_out)\n"
+    "  --trace-out P           stream per-round JSONL traces to P\n"
+    "  --trace-rotate-mb N     roll the trace past N MiB, keeping .1/.2/.3;"
+    " 0 = off\n"
+    "  --metrics-out P         Prometheus scrape file, rewritten each round\n"
+    "  --quick                 smoke-test size: scale <= 0.1, default rounds"
+    " / 20\n";
+
+}  // namespace
+
+void log_setup(const TrainerConfig& config) {
+  if (config.shards > 1) {
+    log_info() << "sharded aggregation: " << config.shards
+               << " aggregator shards per round";
+  }
+  if (config.churn.any()) {
+    log_info() << "open-world churn: " << to_string(config.churn);
+  }
+  if (config.checkpoint.enabled()) {
+    log_info() << "checkpointing to " << config.checkpoint.dir << " every "
+               << config.checkpoint.every << " round(s), keeping "
+               << config.checkpoint.retain << " generation(s)";
+  }
+  if (config.faults.any()) {
+    log_info() << "channel faults: " << to_string(config.faults)
+               << " (retries " << config.recovery.max_retries << ", deadline "
+               << config.recovery.deadline_ms << " ms, quorum "
+               << config.recovery.quorum << ")";
+  }
+}
+
+TrainerConfig figure_defaults() {
+  TrainerConfig c;
+  c.seed = 1;
+  c.rounds = 0;
+  return c;
+}
+
+bool figure_flags(std::string_view flag) {
+  return flag != "mu" && flag != "stragglers";
+}
 
 BenchOptions parse_options(int argc, char** argv) {
   CliFlags flags(argc, argv);
@@ -24,37 +70,25 @@ void exit_bad_flag(const std::invalid_argument& error) {
   std::exit(1);
 }
 
-BenchOptions parse_options(const CliFlags& flags) try {
+BenchOptions parse_options(const CliFlags& flags, TrainerConfig defaults,
+                           FlagFilter offered) try {
+  if (flags.get_bool("help", false)) {
+    std::cout << "flags:\n"
+              << kHarnessHelp << config_flags_help(defaults, offered);
+    std::exit(0);
+  }
   BenchOptions options;
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  options.config = std::move(defaults);
+  read_config_flags(flags, options.config, offered);
   options.scale = flags.get_double("scale", 1.0);
-  options.epochs = static_cast<std::size_t>(flags.get_int("epochs", 20));
-  options.rounds_override =
-      static_cast<std::size_t>(flags.get_int("rounds", 0));
   options.out_dir = flags.get_string("out-dir", "bench_out");
-  options.trace_out = flags.get_optional_string("trace-out").value_or("");
-  options.trace_rotate_mb =
-      static_cast<std::size_t>(flags.get_int("trace-rotate-mb", 0));
-  options.metrics_out = flags.get_optional_string("metrics-out").value_or("");
-  options.transport = flags.get_string("transport", "inprocess");
-  parse_transport_kind(options.transport);  // fail fast on a bad value
-  if (auto faults = flags.get_optional_string("faults")) {
-    options.faults = parse_fault_profile(*faults);  // fail fast, too
+  options.trace_out = flags.get_string("trace-out", "");
+  const std::int64_t rotate_mb = flags.get_int("trace-rotate-mb", 0);
+  if (rotate_mb < 0) {
+    throw std::invalid_argument("flag --trace-rotate-mb: expects a count >= 0");
   }
-  options.recovery.max_retries =
-      static_cast<std::size_t>(flags.get_int("retries", 2));
-  options.recovery.deadline_ms = flags.get_double("deadline-ms", 0.0);
-  options.recovery.quorum = flags.get_double("quorum", 1.0);
-  validate(options.recovery);  // fail fast, too
-  options.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
-  if (auto churn = flags.get_optional_string("churn")) {
-    options.churn = parse_churn_config(*churn);  // fail fast, too
-  }
-  options.checkpoint_every =
-      static_cast<std::size_t>(flags.get_int("checkpoint-every", 0));
-  options.checkpoint_dir = flags.get_string("checkpoint-dir", "");
-  options.checkpoint_retain =
-      static_cast<std::size_t>(flags.get_int("checkpoint-retain", 3));
+  options.trace_rotate_mb = static_cast<std::size_t>(rotate_mb);
+  options.metrics_out = flags.get_string("metrics-out", "");
   options.quick = flags.get_bool("quick", false);
   for (const auto& name : flags.unused()) {
     log_warn() << "ignoring unknown flag --" << name;
@@ -62,59 +96,17 @@ BenchOptions parse_options(const CliFlags& flags) try {
   if (options.quick) {
     options.scale = std::min(options.scale, 0.1);
   }
+  CheckpointConfig& checkpoint = options.config.checkpoint;
+  if (checkpoint.every > 0 && checkpoint.dir.empty()) {
+    checkpoint.dir = options.out_dir + "/checkpoints";
+  }
   return options;
 } catch (const std::invalid_argument& error) {
   exit_bad_flag(error);
 }
 
 Workload load_workload(const std::string& name, const BenchOptions& options) {
-  return make_workload(name, options.seed, options.scale);
-}
-
-void apply_rounds(TrainerConfig& config, const Workload& workload,
-                  const BenchOptions& options) {
-  // An explicit --rounds wins; --quick shrinks only the default.
-  if (options.rounds_override) {
-    config.rounds = options.rounds_override;
-  } else if (options.quick) {
-    config.rounds = std::max<std::size_t>(2, workload.default_rounds / 20);
-  } else {
-    config.rounds = workload.default_rounds;
-  }
-  config.devices_per_round =
-      std::min(config.devices_per_round, workload.data.num_clients());
-  apply_common_flags(config, options);
-}
-
-void apply_common_flags(TrainerConfig& config, const BenchOptions& options) {
-  config.transport = make_transport(parse_transport_kind(options.transport));
-  config.shards = options.shards ? options.shards : 1;
-  if (config.shards > 1) {
-    log_info() << "sharded aggregation: " << config.shards
-               << " aggregator shards per round";
-  }
-  config.churn = options.churn;
-  if (config.churn.any()) {
-    log_info() << "open-world churn: " << to_string(config.churn);
-  }
-  if (options.checkpoint_every > 0) {
-    config.checkpoint.dir = options.checkpoint_dir.empty()
-                                ? options.out_dir + "/checkpoints"
-                                : options.checkpoint_dir;
-    config.checkpoint.every = options.checkpoint_every;
-    config.checkpoint.retain = options.checkpoint_retain;
-    log_info() << "checkpointing to " << config.checkpoint.dir << " every "
-               << config.checkpoint.every << " round(s), keeping "
-               << config.checkpoint.retain << " generation(s)";
-  }
-  config.faults = options.faults;
-  config.recovery = options.recovery;
-  if (options.faults.any()) {
-    log_info() << "channel faults: " << to_string(options.faults)
-               << " (retries " << options.recovery.max_retries << ", deadline "
-               << options.recovery.deadline_ms << " ms, quorum "
-               << options.recovery.quorum << ")";
-  }
+  return make_workload(name, options.config.seed, options.scale);
 }
 
 TraceCapture::TraceCapture(const BenchOptions& options) {
@@ -234,20 +226,25 @@ std::vector<VariantResult> run_variants(
   return results;
 }
 
-TrainerConfig base_config(const Workload& workload, Algorithm algorithm,
-                          double mu, double straggler_fraction,
-                          std::size_t epochs, std::uint64_t seed) {
-  TrainerConfig c;
+TrainerConfig base_config(const Workload& workload, const BenchOptions& options,
+                          Algorithm algorithm, double mu,
+                          double straggler_fraction) {
+  TrainerConfig c = options.config;
   c.algorithm = algorithm;
   c.mu = mu;
-  c.rounds = workload.default_rounds;
+  c.systems.straggler_fraction = straggler_fraction;
   c.devices_per_round = std::min<std::size_t>(10, workload.data.num_clients());
   c.batch_size = workload.batch_size;
   c.learning_rate = workload.learning_rate;
-  c.systems.straggler_fraction = straggler_fraction;
-  c.systems.epochs = epochs;
-  c.seed = seed;
   c.eval_every = workload.default_eval_every;
+  // An explicit --rounds wins; --quick shrinks only the default.
+  c.rounds = workload.default_rounds;
+  if (options.config.rounds) {
+    c.rounds = options.config.rounds;
+  } else if (options.quick) {
+    c.rounds = std::max<std::size_t>(2, workload.default_rounds / 20);
+  }
+  log_setup(c);
   return c;
 }
 

@@ -1,39 +1,11 @@
 // The reproduction harness: shared flags, the variant runner, CSV and
 // series output, and the bit-exact history comparator.
 //
-// Every training driver (figures.h) and soak accept:
-//   --rounds N       override the per-dataset default round count
-//   --scale S        dataset scale factor in (0, 1] (device counts etc.)
-//   --seed S         experiment seed (default 1)
-//   --epochs E       local epochs E (default 20, the paper's Figure 1/2)
-//   --out-dir DIR    where CSVs land (default bench_out/)
-//   --trace-out P    stream per-round JSONL phase traces to P (obs/)
-//   --trace-rotate-mb N  roll the JSONL trace when it passes N MiB,
-//                    keeping a bounded set of .1/.2/... generations that
-//                    each re-start with the run header (0 = off)
-//   --metrics-out P  publish a Prometheus text-format scrape file to P,
-//                    atomically rewritten after every round (obs/
-//                    exposition.h); lint with trace_lint --metrics
-//   --transport T    federation transport: inprocess (default, zero-copy)
-//                    or serialized (round-trip the binary wire format)
-//   --faults SPEC    inject channel faults (comm/fault.h), e.g.
-//                    drop=0.1,corrupt=0.01,delay_ms=50,duplicate=0.05
-//   --retries N      extra exchange attempts per device (default 2)
-//   --deadline-ms D  delivery deadline in simulated ms (0 = off)
-//   --quorum Q       aggregate once Q of selected devices reported (0, 1]
-//   --shards N       aggregator shards per round (sim/sharded.h); any
-//                    value yields a bit-identical history (default 1)
-//   --churn SPEC     open-world device churn (sim/churn.h), e.g.
-//                    arrive=0.05,depart=0.02,initial=100,min_active=10
-//   --checkpoint-every N  write a durable FPC1 checkpoint every N rounds
-//                    (core/checkpoint.h); 0 = off
-//   --checkpoint-dir DIR  where checkpoints land (default
-//                    <out-dir>/checkpoints)
-//   --checkpoint-retain G newest checkpoint generations kept (default 3)
-//   --quick          very small run for smoke-testing the harness; shrinks
-//                    the default round count 20x unless --rounds is given
-// Only a driver that resumes its Trainer sets BenchOptions::resume:
-// quickstart reads its own --resume flag, soak sets it per segment.
+// Every driver takes the harness flags of BenchOptions plus the
+// flag-bearing TrainerConfig fields of core/config.h; `--help` lists
+// both, with the driver's defaults. A figure driver does not offer --mu
+// or --stragglers: it sets them per variant, so there they stay unknown
+// flags.
 // The figure drivers print the paper-style series tables to stdout plus
 // a CSV per figure.
 
@@ -43,50 +15,53 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "comm/fault.h"
+#include "core/config.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
-#include "sim/churn.h"
 #include "support/cli.h"
 #include "support/csv.h"
 
 namespace fed::bench {
 
+// The defaults a figure driver reads its flags over: seed 1, and rounds
+// 0, which base_config reads as the workload's own count.
+TrainerConfig figure_defaults();
+// The flags a figure driver offers: every config flag but the ones it
+// sets per variant (--mu, --stragglers).
+bool figure_flags(std::string_view flag);
+
 struct BenchOptions {
-  std::uint64_t seed = 1;
-  double scale = 1.0;
-  std::size_t epochs = 20;
-  std::size_t rounds_override = 0;  // 0 = workload default
+  // The driver's defaults with every offered config flag read over them
+  // (core/config.h); the checkpoint dir defaults to <out-dir>/checkpoints
+  // once checkpoint.every is set.
+  TrainerConfig config = figure_defaults();
+  double scale = 1.0;               // dataset scale factor in (0, 1]
   std::string out_dir = "bench_out";
   std::string trace_out;            // empty = tracing disabled
   std::size_t trace_rotate_mb = 0;  // 0 = no JSONL rotation
   std::string metrics_out;          // empty = no Prometheus exposition
-  std::string transport = "inprocess";  // parse_transport_kind values
-  FaultProfile faults;                  // all-zero = clean channel
-  RecoveryConfig recovery;              // retry/deadline/quorum policy
-  std::size_t shards = 1;               // aggregator shards per round
-  ChurnConfig churn;                    // all-zero = closed world
-  std::size_t checkpoint_every = 0;     // 0 = checkpointing off
-  std::string checkpoint_dir;           // empty = <out-dir>/checkpoints
-  std::size_t checkpoint_retain = 3;    // newest generations kept
   // Set by the driver, never parsed here: a resumed run appends to
   // --trace-out and carries --metrics-out counters over.
   bool resume = false;
   bool quick = false;
 };
 
-// Parses the shared flags; warns about unknown ones. Drivers with extra
-// flags should read them from their own CliFlags first, then hand it to
-// the CliFlags& overload so those reads suppress the unknown-flag warning.
-// A bad value (--faults drop=2, --rounds x) ends the process through
-// exit_bad_flag.
+// Parses the harness flags and the offered config flags over `defaults`;
+// warns about unknown ones; --help prints them all and exits 0. Drivers
+// with extra flags should read them from their own CliFlags first, then
+// hand it to the CliFlags& overload so those reads suppress the
+// unknown-flag warning. A bad value (--faults drop=2, --rounds x) ends
+// the process through exit_bad_flag.
 BenchOptions parse_options(int argc, char** argv);
-BenchOptions parse_options(const CliFlags& flags);
+BenchOptions parse_options(const CliFlags& flags,
+                           TrainerConfig defaults = figure_defaults(),
+                           FlagFilter offered = figure_flags);
 
 // Prints the reason a flag parser threw and exits with status 1: a bad
 // command line is the caller's error, not a crash.
@@ -95,17 +70,9 @@ BenchOptions parse_options(const CliFlags& flags);
 // Loads a workload at the experiment seed and --scale (--quick caps it).
 Workload load_workload(const std::string& name, const BenchOptions& options);
 
-// Applies the round override / quick shrink to a config built from the
-// workload defaults (includes apply_common_flags).
-void apply_rounds(TrainerConfig& config, const Workload& workload,
-                  const BenchOptions& options);
-
-// Installs every shared channel/server flag on the config in one place —
-// --transport, --shards, --churn, checkpointing and the fault/recovery
-// knobs — so a new common flag lands here once instead of in every
-// driver. For drivers that size rounds themselves instead of going
-// through apply_rounds.
-void apply_common_flags(TrainerConfig& config, const BenchOptions& options);
+// Logs one line per non-default channel/server setting of `config`
+// (shards, churn, checkpoints, faults).
+void log_setup(const TrainerConfig& config);
 
 // Owns the JSONL trace sink + observer created from --trace-out (with
 // --trace-rotate-mb rotation) and the Prometheus registry/feeder/exporter
@@ -155,10 +122,14 @@ std::vector<VariantResult> run_variants(
     const Workload& workload, const std::vector<VariantSpec>& specs,
     const std::vector<TrainingObserver*>& observers = {});
 
-// Builds a TrainerConfig pre-filled from the workload's hyper-parameters.
-TrainerConfig base_config(const Workload& workload, Algorithm algorithm,
-                          double mu, double straggler_fraction,
-                          std::size_t epochs, std::uint64_t seed);
+// One variant's config: options.config with the algorithm, mu and
+// straggler fraction, the workload's K (at most 10, and at most its
+// devices), batch size, step size and eval cadence, and its rounds (an
+// explicit --rounds, else the workload default, shrunk 20x by --quick);
+// logged through log_setup.
+TrainerConfig base_config(const Workload& workload, const BenchOptions& options,
+                          Algorithm algorithm, double mu,
+                          double straggler_fraction);
 
 // Appends every evaluated round of every variant to `csv` with rows
 // [dataset, variant, round, train_loss, train_acc, test_acc, variance,

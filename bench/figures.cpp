@@ -13,14 +13,12 @@ namespace {
 
 using Sections = std::vector<Section>;
 
-// A variant built from the workload defaults with every shared flag
+// A variant built from the workload defaults with every offered flag
 // applied; callers adjust its config afterwards.
 VariantSpec variant(std::string label, const Workload& w,
                     const BenchOptions& o, Algorithm algorithm, double mu,
                     double stragglers = 0.0) {
-  TrainerConfig c = base_config(w, algorithm, mu, stragglers, o.epochs, o.seed);
-  apply_rounds(c, w, o);
-  return {std::move(label), std::move(c)};
+  return {std::move(label), base_config(w, o, algorithm, mu, stragglers)};
 }
 
 // One section per straggler rate, tagged "<workload>@<rate><suffix>":
@@ -308,7 +306,7 @@ const std::vector<Figure>& figures() {
        fig1_sets,
        [](W w, O o) {
          BenchOptions e1 = o;
-         e1.epochs = 1;  // the defining setting of this figure
+         e1.config.systems.epochs = 1;  // the defining setting of this figure
          return straggler_sweep(w, e1, {0.0, 0.5, 0.9}, "% stragglers",
                                 "FedProx (best mu)");
        },

@@ -14,7 +14,8 @@
 // reference's; the process exits non-zero when it does not. Open-world
 // churn (--churn) and channel faults (--faults) stay on the whole time,
 // so recovery is exercised against a moving population and a lossy
-// channel, not a lab-clean run. Results land in BENCH_soak.json.
+// channel, not a lab-clean run. Results land in BENCH_soak.json, with
+// the run's whole config as the trace header writes it.
 //
 //   ./soak [--rounds 2000] [--checkpoint-every 25] [--crash-at 800,1400]
 //          [--churn arrive=0.03,depart=0.03] [--faults drop=0.05,...]
@@ -24,6 +25,7 @@
 // so the file carries one {"run":...} header per segment — lint it with
 // trace_lint --jsonl --checkpoint.
 
+#include <cmath>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -82,51 +84,52 @@ int main(int argc, char** argv) {
   }
   const std::string json_path =
       flags.get_string("bench-json", "BENCH_soak.json");
-  BenchOptions options = parse_options(flags);
 
   // Soak defaults: a couple thousand rounds, periodic checkpoints,
-  // continuous churn and channel faults. Every knob yields to an
-  // explicit flag.
-  const std::size_t rounds =
-      options.rounds_override ? options.rounds_override : 2000;
-  if (options.checkpoint_every == 0) options.checkpoint_every = 25;
-  if (!options.churn.any()) {
-    options.churn = parse_churn_config("arrive=0.03,depart=0.03");
-  }
-  if (!options.faults.any()) {
-    options.faults = parse_fault_profile("drop=0.05,corrupt=0.01");
+  // continuous churn and channel faults, on a small federation so
+  // thousands of rounds stay cheap. Every knob yields to an explicit flag.
+  TrainerConfig defaults = fedprox_config(/*mu=*/1.0);
+  defaults.rounds = 2000;
+  defaults.systems.epochs = 2;
+  defaults.systems.straggler_fraction = 0.5;
+  defaults.eval_every = 10;  // thousands of rounds; evaluate sparsely
+  defaults.seed = 1;
+  defaults.checkpoint.every = 25;
+  defaults.churn = parse_churn_config("arrive=0.03,depart=0.03");
+  defaults.faults = parse_fault_profile("drop=0.05,corrupt=0.01");
+  const BenchOptions options = parse_options(flags, defaults);
+  const std::size_t rounds = options.config.rounds;
+  const std::size_t checkpoint_every = options.config.checkpoint.every;
+
+  if (crash_at_raw.empty()) {  // two kill/resume cycles
+    crash_at_raw = {static_cast<double>(rounds * 2 / 5),
+                    static_cast<double>(rounds * 7 / 10)};
   }
   std::vector<std::size_t> crashes;
-  for (double c : crash_at_raw) crashes.push_back(static_cast<std::size_t>(c));
-  if (crashes.empty()) {
-    crashes = {rounds * 2 / 5, rounds * 7 / 10};  // two kill/resume cycles
-  }
-  for (const std::size_t c : crashes) {
-    if (c <= options.checkpoint_every || c > rounds) {
-      std::cerr << "soak: --crash-at " << c << " must lie in ("
-                << options.checkpoint_every << ", " << rounds
+  for (const double c : crash_at_raw) {
+    // Checked before the cast: a negative, fractional or NaN value names
+    // no round.
+    if (!(c > static_cast<double>(checkpoint_every) &&
+          c <= static_cast<double>(rounds) && c == std::floor(c))) {
+      std::cerr << "soak: --crash-at " << c << " must be a round in ("
+                << checkpoint_every << ", " << rounds
                 << "] so a checkpoint exists to resume from\n";
       return 2;
     }
+    crashes.push_back(static_cast<std::size_t>(c));
   }
 
   print_banner("soak",
                "long-horizon crash/recovery soak under churn + faults");
 
-  // A small federation so thousands of rounds stay cheap: the soak
-  // stresses the recovery machinery, not the solver.
-  SyntheticConfig synth = synthetic_config(1.0, 1.0, options.seed);
+  // The soak stresses the recovery machinery, not the solver.
+  SyntheticConfig synth = synthetic_config(1.0, 1.0, options.config.seed);
   const FederatedDataset data = make_synthetic(synth);
   LogisticRegression model(synth.input_dim, synth.num_classes);
 
-  TrainerConfig config = fedprox_config(/*mu=*/1.0);
-  config.rounds = rounds;
+  TrainerConfig config = options.config;
   config.devices_per_round = std::min<std::size_t>(10, data.num_clients());
-  config.systems.epochs = 2;
-  config.systems.straggler_fraction = 0.5;
-  config.eval_every = 10;  // thousands of rounds; evaluate sparsely
-  config.seed = options.seed;
-  apply_common_flags(config, options);
+  log_setup(config);
 
   // A rerun must not resume from a previous invocation's generations:
   // wipe stale checkpoints so the first segment always starts cold.
@@ -230,11 +233,7 @@ int main(int argc, char** argv) {
 
   JsonObject out;
   out["benchmark"] = "soak_crash_resume";
-  out["rounds"] = rounds;
-  out["seed"] = options.seed;
-  out["checkpoint_every"] = options.checkpoint_every;
-  out["churn"] = to_string(options.churn);
-  out["faults"] = to_string(options.faults);
+  out["config"] = config_to_json(config);
   JsonArray crash_rounds;
   for (const std::size_t c : crashes) crash_rounds.push_back(c);
   out["crash_rounds"] = std::move(crash_rounds);

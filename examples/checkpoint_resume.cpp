@@ -7,20 +7,27 @@
 // unbroken one. Exits non-zero unless it does.
 //
 //   ./checkpoint_resume [--rounds 40]
+//
+// A bad --rounds value exits 1 with the reason.
 
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/checkpoint.h"
+#include "core/config.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fed;
-  CliFlags flags(argc, argv);
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 40));
+  TrainerConfig config = fedprox_config(/*mu=*/1.0);
+  config.rounds = 40;
+  read_config_flags(CliFlags(argc, argv), config,
+                    [](std::string_view flag) { return flag == "rounds"; });
+  const std::size_t rounds = config.rounds;
   if (rounds < 2) {
     std::cerr << "checkpoint_resume: --rounds must be at least 2\n";
     return 1;
@@ -31,8 +38,6 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(dir);
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/8);
-  TrainerConfig config = fedprox_config(/*mu=*/1.0);
-  config.rounds = rounds;
   config.devices_per_round = 10;
   config.systems.epochs = 20;
   config.systems.straggler_fraction = 0.5;
@@ -84,4 +89,7 @@ int main(int argc, char** argv) {
             << (identical ? "resume is bit-exact\n"
                           : "WARNING: trajectories diverged\n");
   return identical ? 0 : 1;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -5,10 +5,14 @@
 // measuring the realized gamma-inexactness of each.
 //
 //   ./custom_solver [--rounds 40]
+//
+// A bad --rounds value exits 1 with the reason.
 
 #include <iostream>
 #include <numeric>
+#include <stdexcept>
 
+#include "core/config.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "optim/prox_sgd.h"
@@ -59,20 +63,21 @@ class MomentumSgdSolver final : public LocalSolver {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fed;
-  CliFlags flags(argc, argv);
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 40));
+  TrainerConfig base = fedprox_config(/*mu=*/1.0);
+  base.rounds = 40;
+  read_config_flags(CliFlags(argc, argv), base,
+                    [](std::string_view flag) { return flag == "rounds"; });
 
   const Workload w = make_workload("synthetic_0.5_0.5", /*seed=*/3);
 
   auto run = [&](std::shared_ptr<const LocalSolver> solver) {
-    TrainerConfig config = fedprox_config(/*mu=*/1.0);
-    config.rounds = rounds;
+    TrainerConfig config = base;
     config.devices_per_round = 10;
     config.systems.epochs = 20;
     config.learning_rate = w.learning_rate;
-    config.eval_every = rounds;
+    config.eval_every = config.rounds;
     config.measure_gamma = true;  // log realized inexactness (Definition 2)
     config.seed = 3;
     config.solver = std::move(solver);
@@ -110,4 +115,7 @@ int main(int argc, char** argv) {
                "pipeline — swapping the local solver is the only change, and\n"
                "its realized inexactness is measured rather than assumed.\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -4,22 +4,30 @@
 // run on *real* LEAF data, tokenize/flatten it into the same layout plus
 // a `<prefix>_meta.json` and point --prefix at it.
 //
-//   ./leaf_interchange [--prefix /tmp/fedprox_leaf_demo]
+//   ./leaf_interchange [--prefix /tmp/fedprox_leaf_demo] [--rounds 10]
+//
+// A bad --rounds value exits 1 with the reason.
 
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 
+#include "core/config.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "data/leaf_json.h"
 #include "data/stats.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fed;
   CliFlags flags(argc, argv);
   const std::string prefix =
       flags.get_string("prefix", "/tmp/fedprox_leaf_demo");
+  TrainerConfig config = fedprox_config(1.0);
+  config.rounds = 10;
+  read_config_flags(flags, config,
+                    [](std::string_view flag) { return flag == "rounds"; });
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/12);
   export_leaf(w.data, prefix);
@@ -31,8 +39,6 @@ int main(int argc, char** argv) {
 
   // Train on the imported copy; with identical data and seeds the
   // trajectory matches training on the original exactly.
-  TrainerConfig config = fedprox_config(1.0);
-  config.rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
   config.devices_per_round = 10;
   config.systems.epochs = 5;
   config.learning_rate = w.learning_rate;
@@ -52,4 +58,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove(prefix + "_test.json");
   std::filesystem::remove(prefix + "_meta.json");
   return original.final_parameters == roundtrip.final_parameters ? 0 : 1;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -1,31 +1,22 @@
 // Quickstart: train FedProx on the paper's Synthetic(1,1) dataset and
 // watch the global loss fall.
 //
-//   ./quickstart [--rounds 50] [--mu 1.0] [--stragglers 0.5]
-//                [--transport inprocess|serialized] [--shards N]
-//                [--faults drop=0.1,corrupt=0.01,delay_ms=50]
-//                [--retries 2] [--deadline-ms 0] [--quorum 1.0]
-//                [--trace-out trace.jsonl] [--trace-rotate-mb N]
-//                [--metrics-out metrics.prom]
-//                [--churn arrive=0.05,depart=0.05]
-//                [--checkpoint-every N] [--checkpoint-dir DIR]
-//                [--checkpoint-retain G] [--resume] [--seed 1]
+//   ./quickstart [--rounds 50] [--mu 1.0] [--stragglers 0.5] [--resume]
 //
-// The channel/server flags are the shared bench set (bench/bench_common.h):
-// quickstart only adds --mu/--rounds/--stragglers/--resume on top.
+// `./quickstart --help` lists every flag: the shared bench set
+// (bench/bench_common.h) plus every config flag with quickstart's
+// defaults. --resume continues from the newest checkpoint.
 
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 
 #include "bench_common.h"
-#include "comm/transport.h"
 #include "core/checkpoint.h"
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "obs/health.h"
 #include "obs/observer.h"
-#include "support/cli.h"
 #include "support/csv.h"
 
 namespace {
@@ -44,51 +35,42 @@ struct ProgressPrinter : fed::TrainingObserver {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A bad flag, or a config the Trainer refuses, ends the run with exit
+// status 1 and the reason.
+int main(int argc, char** argv) try {
   using namespace fed;
   CliFlags flags(argc, argv);
+  const bool resume = flags.get_bool("resume", false);
 
-  // Quickstart-specific flags, read before parse_options so the shared
-  // parser's unknown-flag warning stays quiet about them.
-  double mu = 1.0, stragglers = 0.5;
-  std::size_t rounds = 50;
-  bool resume = false;
-  try {
-    mu = flags.get_double("mu", mu);
-    rounds = static_cast<std::size_t>(flags.get_int("rounds", 50));
-    stragglers = flags.get_double("stragglers", stragglers);
-    resume = flags.get_bool("resume", resume);
-  } catch (const std::invalid_argument& error) {
-    bench::exit_bad_flag(error);
-  }
-  bench::BenchOptions options = bench::parse_options(flags);
+  // 1. Configure FedProx: K=10 devices per round, E=20 local epochs,
+  //    proximal coefficient mu, and a straggler fraction to simulate
+  //    systems heterogeneity. Every flag reads over these defaults
+  //    (core/config.h), among them the channel/server ones: --transport
+  //    (serialized round-trips every payload through the binary wire
+  //    format, bit-identically), --shards (hierarchical aggregation,
+  //    also bit-identical), and the fault/recovery knobs.
+  TrainerConfig defaults = fedprox_config(/*mu=*/1.0);
+  defaults.rounds = 50;
+  defaults.devices_per_round = 10;
+  defaults.systems.epochs = 20;
+  defaults.systems.straggler_fraction = 0.5;
+  defaults.eval_every = 5;
+  defaults.seed = 1;
+  bench::BenchOptions options =
+      bench::parse_options(flags, defaults, /*offered=*/nullptr);
   options.resume = resume;
+  TrainerConfig config = options.config;
 
-  // 1. Build a federated dataset and its model. Workloads bundle the
+  // 2. Build a federated dataset and its model. Workloads bundle the
   //    paper's hyper-parameters; you can also construct datasets and
   //    models directly (see the other examples).
-  const Workload workload = make_workload("synthetic_1_1", options.seed);
+  const Workload workload = make_workload("synthetic_1_1", config.seed);
   std::cout << "dataset: " << workload.data.name << " with "
             << workload.data.num_clients() << " devices, "
             << workload.data.total_train_samples() << " training samples\n";
-
-  // 2. Configure FedProx: K=10 devices per round, E=20 local epochs,
-  //    proximal coefficient mu, and a straggler fraction to simulate
-  //    systems heterogeneity. apply_common_flags installs the shared
-  //    channel/server options: --transport (serialized round-trips every
-  //    payload through the binary wire format, bit-identically),
-  //    --shards (hierarchical aggregation, also bit-identical), and the
-  //    fault/recovery knobs.
-  TrainerConfig config = fedprox_config(mu);
-  config.rounds = rounds;
-  config.devices_per_round = 10;
-  config.systems.epochs = 20;
-  config.systems.straggler_fraction = stragglers;
   config.learning_rate = workload.learning_rate;
-  config.eval_every = 5;
-  config.seed = options.seed;
-  bench::apply_common_flags(config, options);
-  std::cout << "transport: " << config.transport->name() << "\n";
+  bench::log_setup(config);
+  std::cout << "transport: " << name_of(config.transport) << "\n";
   if (config.shards > 1) {
     std::cout << "aggregator shards: " << config.shards << "\n";
   }
@@ -149,4 +131,6 @@ int main(int argc, char** argv) {
             << ", final test accuracy "
             << *history.final_metrics().test_accuracy << "\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  fed::bench::exit_bad_flag(error);
 }

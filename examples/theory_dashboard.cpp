@@ -5,9 +5,13 @@
 // Corollary 7's prescription.
 //
 //   ./theory_dashboard [--dataset synthetic_1_1] [--epochs 20]
+//
+// A bad --epochs value or an unknown dataset exits 1 with the reason.
 
 #include <iostream>
+#include <stdexcept>
 
+#include "core/config.h"
 #include "core/convergence.h"
 #include "core/dissimilarity.h"
 #include "core/registry.h"
@@ -16,11 +20,14 @@
 #include "support/cli.h"
 #include "support/csv.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fed;
   CliFlags flags(argc, argv);
   const std::string dataset = flags.get_string("dataset", "synthetic_1_1");
-  const auto epochs = static_cast<std::size_t>(flags.get_int("epochs", 20));
+  TrainerConfig config;  // only its E is read, through the --epochs flag
+  read_config_flags(flags, config,
+                    [](std::string_view flag) { return flag == "epochs"; });
+  const std::size_t epochs = config.systems.epochs;
 
   const Workload w = make_workload(dataset, /*seed=*/11);
   const Model& model = *w.model;
@@ -111,4 +118,7 @@ int main(int argc, char** argv) {
   std::cout << "Corollary 7 mu (6 L B^2) = "
             << TablePrinter::fmt(corollary7_mu(in.l, in.b), 3) << "\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -1,7 +1,5 @@
 #include "comm/fault.h"
 
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "comm/transport.h"
@@ -9,95 +7,6 @@
 #include "support/serialize.h"
 
 namespace fed {
-
-namespace {
-
-// Written so NaN fails: every comparison with it is false.
-void check_probability(const char* key, double value) {
-  if (!(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument("fault profile: " + std::string(key) + "=" +
-                                std::to_string(value) +
-                                " outside [0, 1]");
-  }
-}
-
-void validate(const FaultProfile& profile) {
-  check_probability("drop", profile.drop);
-  check_probability("corrupt", profile.corrupt);
-  check_probability("duplicate", profile.duplicate);
-  if (!(profile.delay_ms >= 0.0 && std::isfinite(profile.delay_ms))) {
-    throw std::invalid_argument(
-        "fault profile: delay_ms must be finite and >= 0");
-  }
-}
-
-}  // namespace
-
-void validate(const RecoveryConfig& recovery) {
-  if (!(recovery.quorum > 0.0 && recovery.quorum <= 1.0)) {
-    throw std::invalid_argument("recovery: quorum=" +
-                                std::to_string(recovery.quorum) +
-                                " outside (0, 1]");
-  }
-  if (!(recovery.deadline_ms >= 0.0 && std::isfinite(recovery.deadline_ms))) {
-    throw std::invalid_argument(
-        "recovery: deadline_ms must be finite and >= 0");
-  }
-}
-
-FaultProfile parse_fault_profile(const std::string& spec) {
-  FaultProfile profile;
-  std::istringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("fault profile: expected key=value, got \"" +
-                                  item + "\"");
-    }
-    const std::string key = item.substr(0, eq);
-    double value = 0.0;
-    try {
-      std::size_t used = 0;
-      value = std::stod(item.substr(eq + 1), &used);
-      if (used != item.size() - eq - 1) throw std::invalid_argument("trailing");
-    } catch (const std::exception&) {
-      throw std::invalid_argument("fault profile: bad value in \"" + item +
-                                  "\"");
-    }
-    if (key == "drop") {
-      profile.drop = value;
-    } else if (key == "corrupt") {
-      profile.corrupt = value;
-    } else if (key == "duplicate") {
-      profile.duplicate = value;
-    } else if (key == "delay_ms") {
-      profile.delay_ms = value;
-    } else {
-      throw std::invalid_argument(
-          "fault profile: unknown key \"" + key +
-          "\" (expected drop, corrupt, duplicate, or delay_ms)");
-    }
-  }
-  validate(profile);
-  return profile;
-}
-
-std::string to_string(const FaultProfile& profile) {
-  std::ostringstream out;
-  const auto emit = [&out](const char* key, double value) {
-    if (value <= 0.0) return;
-    if (out.tellp() > 0) out << ",";
-    out << key << "=" << value;
-  };
-  emit("drop", profile.drop);
-  emit("corrupt", profile.corrupt);
-  emit("duplicate", profile.duplicate);
-  emit("delay_ms", profile.delay_ms);
-  const std::string s = out.str();
-  return s.empty() ? "none" : s;
-}
 
 const char* to_string(FaultEvent::Kind kind) {
   switch (kind) {
@@ -120,7 +29,6 @@ FaultInjectingTransport::FaultInjectingTransport(
   if (!inner_) {
     throw std::invalid_argument("FaultInjectingTransport: null inner");
   }
-  validate(profile_);
 }
 
 ExchangeRecord FaultInjectingTransport::exchange(

@@ -37,9 +37,10 @@ struct FaultProfile {
   }
 };
 
-// Parses "key=value[,key=value...]" with keys drop/corrupt/duplicate/
-// delay_ms; probabilities must lie in [0, 1], delay_ms must be >= 0.
-// Throws std::invalid_argument on unknown keys or out-of-range values.
+// Parses "key=value[,key=value...]" over the profile's entries in the
+// config field list (core/config.h, where both are defined): keys drop/
+// corrupt/duplicate in [0, 1], delay_ms finite and >= 0. Throws
+// std::invalid_argument on unknown keys or out-of-range values.
 FaultProfile parse_fault_profile(const std::string& spec);
 // Canonical "drop=0.1,corrupt=0.01,..." form (only the non-zero knobs).
 std::string to_string(const FaultProfile& profile);
@@ -59,10 +60,6 @@ struct RecoveryConfig {
   // dropped. 1.0 (default) waits for every device — no behavior change.
   double quorum = 1.0;
 };
-
-// Throws std::invalid_argument unless quorum lies in (0, 1] and
-// deadline_ms is finite and >= 0 (NaN fails both).
-void validate(const RecoveryConfig& recovery);
 
 // One channel incident, observed by the server. Routed to observers via
 // TrainingObserver::on_fault on the round thread, after the parallel

@@ -114,9 +114,10 @@ class SerializedTransport final : public Transport {
 // to the bare inner transport.
 class FaultInjectingTransport final : public Transport {
  public:
-  // Throws std::invalid_argument when the profile is out of range
-  // (probabilities outside [0, 1] or negative delay). `seed` should be
-  // the training seed; Trainer wraps its transport with exactly that.
+  // Throws std::invalid_argument on a null inner. The profile's ranges
+  // are checked with the rest of the config (core/config.h). `seed`
+  // should be the training seed; Trainer wraps its transport with
+  // exactly that.
   FaultInjectingTransport(std::shared_ptr<const Transport> inner,
                           FaultProfile profile, std::uint64_t seed);
 

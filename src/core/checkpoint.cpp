@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
+#include "core/config.h"
 #include "support/csv.h"
 
 namespace fed {
@@ -24,7 +26,13 @@ class Fingerprint {
     }
   }
   void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(bool v) { mix(static_cast<std::uint64_t>(v ? 1 : 0)); }
+  void mix(const std::string& s) {
+    mix(static_cast<std::uint64_t>(s.size()));
+    for (const char c : s) {
+      hash_ ^= static_cast<std::uint8_t>(c);
+      hash_ *= 1099511628211ull;
+    }
+  }
   std::uint64_t value() const { return hash_; }
 
  private:
@@ -59,34 +67,20 @@ bool parse_checkpoint_name(const std::string& name, std::uint64_t& round) {
 std::uint64_t config_fingerprint(const TrainerConfig& config,
                                  std::size_t population,
                                  std::size_t parameter_count) {
+  // Every trajectory-relevant leaf of the field list, in list order; the
+  // solver and the transport by name_of.
   Fingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(config.algorithm));
-  fp.mix(config.mu);
-  fp.mix(config.adaptive_mu.enabled);
-  fp.mix(config.adaptive_mu.initial_mu);
-  fp.mix(config.theory_mu);
-  fp.mix(static_cast<std::uint64_t>(config.rounds));
-  fp.mix(static_cast<std::uint64_t>(config.devices_per_round));
-  fp.mix(static_cast<std::uint64_t>(config.batch_size));
-  fp.mix(config.learning_rate);
-  fp.mix(config.systems.straggler_fraction);
-  fp.mix(static_cast<std::uint64_t>(config.systems.epochs));
-  fp.mix(static_cast<std::uint64_t>(config.sampling));
-  fp.mix(config.seed);
-  fp.mix(static_cast<std::uint64_t>(config.eval_every));
-  fp.mix(config.measure_gamma);
-  fp.mix(config.measure_dissimilarity);
-  fp.mix(config.faults.drop);
-  fp.mix(config.faults.corrupt);
-  fp.mix(config.faults.duplicate);
-  fp.mix(config.faults.delay_ms);
-  fp.mix(static_cast<std::uint64_t>(config.recovery.max_retries));
-  fp.mix(config.recovery.deadline_ms);
-  fp.mix(config.recovery.quorum);
-  fp.mix(config.churn.arrive);
-  fp.mix(config.churn.depart);
-  fp.mix(static_cast<std::uint64_t>(config.churn.initial));
-  fp.mix(static_cast<std::uint64_t>(config.churn.min_active));
+  visit_config(config, [&fp](const auto& leaf, const ConfigField& f) {
+    using T = std::remove_cvref_t<decltype(leaf)>;
+    if (!f.trajectory) return;
+    if constexpr (std::is_same_v<T, double> || std::is_same_v<T, std::string>) {
+      fp.mix(leaf);
+    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+      fp.mix(static_cast<std::uint64_t>(leaf));
+    } else {
+      fp.mix(name_of(leaf));
+    }
+  });
   fp.mix(static_cast<std::uint64_t>(population));
   fp.mix(static_cast<std::uint64_t>(parameter_count));
   return fp.value();
@@ -153,11 +147,11 @@ std::optional<std::string> latest_checkpoint(const std::string& dir) {
 
 CheckpointWriter::CheckpointWriter(CheckpointConfig config)
     : config_(std::move(config)) {
-  if (!config_.enabled()) {
+  if (!config_.enabled() || config_.retain == 0) {
     throw std::invalid_argument(
-        "CheckpointWriter: config has no directory or zero cadence");
+        "CheckpointWriter: config has no directory, zero cadence or zero "
+        "retention");
   }
-  if (config_.retain == 0) config_.retain = 1;
   ensure_directory(config_.dir);
 }
 

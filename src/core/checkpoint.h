@@ -55,12 +55,13 @@ class ServerCrashed : public std::runtime_error {
   std::size_t round_;
 };
 
-// FNV-1a over every TrainerConfig knob that can influence the training
-// trajectory (algorithm, mu policy, schedule, sampling, systems, faults,
-// recovery, churn, seed, ...) plus the data/model shape. Knobs that are
-// bit-identity-neutral by contract — threads, shards, transport, the
-// checkpoint/crash plans themselves — are excluded, so a run may legally
-// resume with a different thread or shard count.
+// FNV-1a over every TrainerConfig leaf the field list (core/config.h)
+// marks trajectory-relevant (algorithm, mu policy, schedule, sampling,
+// systems, the local solver's name, faults, recovery, churn, seed, ...)
+// plus the data/model shape. Leaves that are bit-identity-neutral by
+// contract — threads, shards, transport, the checkpoint/crash plans
+// themselves — are excluded, so a run may legally resume with a
+// different thread or shard count.
 std::uint64_t config_fingerprint(const TrainerConfig& config,
                                  std::size_t population,
                                  std::size_t parameter_count);

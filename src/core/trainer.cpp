@@ -8,6 +8,7 @@
 #include "comm/client_runtime.h"
 #include "comm/transport.h"
 #include "core/checkpoint.h"
+#include "core/config.h"
 #include "core/round_driver.h"
 #include "obs/observer.h"
 #include "optim/sgd.h"
@@ -68,22 +69,12 @@ bool TrainHistory::diverged(double threshold) const {
 Trainer::Trainer(const Model& model, const FederatedDataset& data,
                  TrainerConfig config)
     : model_(model), data_(data), config_(std::move(config)) {
-  if (config_.rounds == 0 || config_.devices_per_round == 0 ||
-      config_.devices_per_round > data_.num_clients()) {
-    throw std::invalid_argument("Trainer: bad rounds/devices_per_round");
-  }
-  // The range checks are written so NaN fails them.
-  if (!(config_.mu >= 0.0 && std::isfinite(config_.mu))) {
-    throw std::invalid_argument("Trainer: mu must be finite and >= 0");
-  }
-  if (config_.adaptive_mu.enabled && config_.theory_mu) {
+  validate(config_);
+  if (config_.devices_per_round > data_.num_clients()) {
     throw std::invalid_argument(
-        "Trainer: adaptive_mu and theory_mu are mutually exclusive");
+        "Trainer: devices_per_round exceeds the dataset's devices");
   }
   if (config_.theory_mu) config_.measure_dissimilarity = true;
-  if (config_.eval_every == 0) config_.eval_every = 1;
-  validate(config_.recovery);
-  if (config_.shards == 0) config_.shards = 1;
   if (!config_.solver) config_.solver = std::make_shared<SgdSolver>();
 }
 
@@ -205,15 +196,13 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
   if (!observers_.empty()) {
     // Resumed: first_round is the checkpointed round, and the first
     // executed round is + 1.
-    const RunInfo info{.algorithm = to_string(config_.algorithm),
-                       .rounds = config_.rounds - start_t,
+    const RunInfo info{.rounds = config_.rounds - start_t,
                        .first_round = start_t,
-                       .devices_per_round = config_.devices_per_round,
                        .num_clients = data_.num_clients(),
                        .parameter_count = d,
                        .threads = pool.size(),
-                       .seed = config_.seed,
-                       .resumed = restored != nullptr};
+                       .resumed = restored != nullptr,
+                       .config = config_};
     for (auto* o : observers_) o->on_run_start(info);
   }
 

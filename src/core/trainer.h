@@ -86,6 +86,8 @@ struct CrashPlan {
   bool armed() const { return at_round > 0; }
 };
 
+// Every leaf's range, flag, fingerprint bit and doc is one entry of the
+// field list in core/config.h; the Trainer constructor checks them all.
 struct TrainerConfig {
   Algorithm algorithm = Algorithm::kFedProx;
   double mu = 0.0;
@@ -114,8 +116,8 @@ struct TrainerConfig {
   std::size_t threads = 0;  // 0 = hardware concurrency
   // Aggregator shards per round (sim/sharded.h): the selected devices
   // are split into `shards` contiguous slices, each aggregated into an
-  // exact partial sum and merged at the root. Any value produces a
-  // bit-identical TrainHistory (0 is treated as 1); the knob trades
+  // exact partial sum and merged at the root. Any value >= 1 produces a
+  // bit-identical TrainHistory; the knob trades
   // server-side parallelism/topology against per-round FPS2 uplink
   // bytes, never results.
   std::size_t shards = 1;
@@ -199,7 +201,9 @@ struct CheckpointState;  // support/serialize.h (the FPC1 payload)
 class Trainer {
  public:
   // `model` and `data` must outlive the trainer. Each run creates its
-  // own ThreadPool of `config.threads` workers.
+  // own ThreadPool of `config.threads` workers. Throws
+  // std::invalid_argument for a config outside the ranges of core/
+  // config.h or with more devices_per_round than the dataset has.
   Trainer(const Model& model, const FederatedDataset& data,
           TrainerConfig config);
 

@@ -33,17 +33,17 @@ namespace fed {
 
 // Immutable run-level facts, delivered once at on_run_start.
 struct RunInfo {
-  std::string algorithm;           // "FedAvg" / "FedProx" / "FedDane"
-  std::size_t rounds = 0;          // T (training rounds this run)
+  std::size_t rounds = 0;          // training rounds this run executes
   std::size_t first_round = 0;     // 0, or the resumed checkpoint round
-  std::size_t devices_per_round = 0;
   std::size_t num_clients = 0;
   std::size_t parameter_count = 0;
   std::size_t threads = 0;         // pool size actually used
-  std::uint64_t seed = 0;
   // True when this run continues from an FPC1 checkpoint; first_round is
   // then the checkpointed round (the first executed round is + 1).
   bool resumed = false;
+  // The run's whole config as the Trainer validated it (solver set);
+  // config.rounds is the whole run's T.
+  TrainerConfig config;
 };
 
 class TrainingObserver {

@@ -19,8 +19,9 @@
 namespace fed {
 
 // One JSON object per line (JSONL). Each run starts with a header line
-// {"run":{...}}; every round then gets {"round":...,"phases":{...},
-// "metrics":{...}}. Reuses support/json serialization; numbers
+// {"run":{...}} whose "config" object holds every TrainerConfig leaf
+// (core/config.h; "rounds" outside it counts this segment's rounds);
+// every round then gets {"round":...,"phases":{...},"metrics":{...}}. Reuses support/json serialization; numbers
 // round-trip exactly. The sink has one writer: TraceObserver calls it
 // from the Trainer's round thread.
 class JsonlTraceSink final {

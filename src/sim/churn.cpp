@@ -1,99 +1,15 @@
 #include "sim/churn.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "support/rng.h"
 
 namespace fed {
 
-namespace {
-
-// Written so NaN fails: every comparison with it is false.
-void check_probability(const char* key, double value) {
-  if (!(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument("churn config: " + std::string(key) + "=" +
-                                std::to_string(value) + " outside [0, 1]");
-  }
-}
-
-// A device count read as a double: it must be finite and >= 0 before
-// the cast to size_t, which is undefined for NaN, inf and negatives.
-std::size_t device_count(const std::string& key, double value) {
-  if (!(value >= 0.0 && std::isfinite(value))) {
-    throw std::invalid_argument("churn config: " + key +
-                                " must be finite and >= 0");
-  }
-  return static_cast<std::size_t>(value);
-}
-
-void validate(const ChurnConfig& config) {
-  check_probability("arrive", config.arrive);
-  check_probability("depart", config.depart);
-}
-
-}  // namespace
-
-ChurnConfig parse_churn_config(const std::string& spec) {
-  ChurnConfig config;
-  std::istringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("churn config: expected key=value, got \"" +
-                                  item + "\"");
-    }
-    const std::string key = item.substr(0, eq);
-    double value = 0.0;
-    try {
-      std::size_t used = 0;
-      value = std::stod(item.substr(eq + 1), &used);
-      if (used != item.size() - eq - 1) throw std::invalid_argument("trailing");
-    } catch (const std::exception&) {
-      throw std::invalid_argument("churn config: bad value in \"" + item +
-                                  "\"");
-    }
-    if (key == "arrive") {
-      config.arrive = value;
-    } else if (key == "depart") {
-      config.depart = value;
-    } else if (key == "initial") {
-      config.initial = device_count(key, value);
-    } else if (key == "min_active") {
-      config.min_active = device_count(key, value);
-    } else {
-      throw std::invalid_argument(
-          "churn config: unknown key \"" + key +
-          "\" (expected arrive, depart, initial, or min_active)");
-    }
-  }
-  validate(config);
-  return config;
-}
-
-std::string to_string(const ChurnConfig& config) {
-  std::ostringstream out;
-  const auto emit = [&out](const char* key, double value) {
-    if (value <= 0.0) return;
-    if (out.tellp() > 0) out << ",";
-    out << key << "=" << value;
-  };
-  emit("arrive", config.arrive);
-  emit("depart", config.depart);
-  emit("initial", static_cast<double>(config.initial));
-  emit("min_active", static_cast<double>(config.min_active));
-  const std::string s = out.str();
-  return s.empty() ? "none" : s;
-}
-
 DeviceRegistry::DeviceRegistry(std::size_t population, ChurnConfig config,
                                std::uint64_t seed)
     : config_(config), seed_(seed) {
-  validate(config_);
   if (population == 0) {
     throw std::invalid_argument("DeviceRegistry: empty population");
   }

@@ -53,8 +53,9 @@ struct ChurnConfig {
   bool any() const { return arrive > 0.0 || depart > 0.0 || initial > 0; }
 };
 
-// Parses "key=value[,key=value...]" with keys arrive/depart/initial/
-// min_active; probabilities must lie in [0, 1]. Throws
+// Parses "key=value[,key=value...]" over the config's entries in the
+// config field list (core/config.h, where both are defined): arrive/
+// depart in [0, 1], initial/min_active whole counts. Throws
 // std::invalid_argument on unknown keys or out-of-range values.
 ChurnConfig parse_churn_config(const std::string& spec);
 // Canonical "arrive=0.05,depart=0.02,..." form (only the non-zero knobs).
@@ -63,8 +64,9 @@ std::string to_string(const ChurnConfig& config);
 // The live device population under a churn schedule. See file comment.
 class DeviceRegistry {
  public:
-  // `population` is the dataset's device count. Throws on a bad config
-  // (probabilities outside [0, 1], initial/min_active > population).
+  // `population` is the dataset's device count. Throws when initial or
+  // min_active exceeds it; the probabilities are the Trainer's to check
+  // (core/config.h).
   DeviceRegistry(std::size_t population, ChurnConfig config,
                  std::uint64_t seed);
 

@@ -1,5 +1,6 @@
 #include "support/cli.h"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace fed {
@@ -11,6 +12,27 @@ bool looks_like_flag(const std::string& s) {
 }
 
 }  // namespace
+
+namespace {
+
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> parse_integer(const std::string& text) {
+  return parse_whole<std::int64_t>(text);
+}
+
+std::optional<double> parse_number(const std::string& text) {
+  return parse_whole<double>(text);
+}
 
 CliFlags::CliFlags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -52,23 +74,23 @@ std::int64_t CliFlags::get_int(const std::string& name,
                                std::int64_t fallback) const {
   auto v = raw(name);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                *v + "'");
+  const std::optional<std::int64_t> value = parse_integer(*v);
+  if (!value) {
+    throw std::invalid_argument("flag --" + name +
+                                " expects an integer, got '" + *v + "'");
   }
+  return *value;
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {
   auto v = raw(name);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
+  const std::optional<double> value = parse_number(*v);
+  if (!value) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
                                 *v + "'");
   }
+  return *value;
 }
 
 bool CliFlags::get_bool(const std::string& name, bool fallback) const {
@@ -89,12 +111,12 @@ std::vector<double> CliFlags::get_double_list(
   for (char c : *v + ",") {
     if (c == ',') {
       if (!cur.empty()) {
-        try {
-          out.push_back(std::stod(cur));
-        } catch (const std::exception&) {
+        const std::optional<double> value = parse_number(cur);
+        if (!value) {
           throw std::invalid_argument("flag --" + name +
                                       " expects numbers, got '" + *v + "'");
         }
+        out.push_back(*value);
         cur.clear();
       }
     } else {

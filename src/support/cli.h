@@ -11,6 +11,12 @@
 
 namespace fed {
 
+// Whole-string number parses, shared by the getters below and by
+// key=value specs: nullopt for an empty or malformed value, one with
+// trailing characters ("2x"), or one out of the type's range.
+std::optional<std::int64_t> parse_integer(const std::string& text);
+std::optional<double> parse_number(const std::string& text);
+
 class CliFlags {
  public:
   CliFlags(int argc, const char* const* argv);

@@ -26,7 +26,9 @@ constexpr char kBroadcastMagic[4] = {'F', 'P', 'B', '1'};
 constexpr char kUpdateMagic[4] = {'F', 'P', 'U', '1'};
 constexpr char kPartialMagic[4] = {'F', 'P', 'S', '2'};
 constexpr char kCheckpointMagic[4] = {'F', 'P', 'C', '1'};
-constexpr std::uint64_t kCheckpointVersion = 2;
+// Version 3: the config fingerprint mixes the local solver's name, so a
+// version-2 file (fingerprinted without it) is refused.
+constexpr std::uint64_t kCheckpointVersion = 3;
 
 // FPB1: a ModelBroadcast to encode, an OwnedBroadcast to decode into.
 constexpr auto kBroadcastFields = [](auto& w, auto& m) {

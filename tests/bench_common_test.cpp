@@ -17,10 +17,10 @@ class BenchCommonTest : public ::testing::Test {
 TEST_F(BenchCommonTest, ParseOptionsDefaults) {
   const char* argv[] = {"prog"};
   const BenchOptions options = parse_options(1, const_cast<char**>(argv));
-  EXPECT_EQ(options.seed, 1u);
+  EXPECT_EQ(options.config.seed, 1u);
   EXPECT_DOUBLE_EQ(options.scale, 1.0);
-  EXPECT_EQ(options.epochs, 20u);
-  EXPECT_EQ(options.rounds_override, 0u);
+  EXPECT_EQ(options.config.systems.epochs, 20u);
+  EXPECT_EQ(options.config.rounds, 0u);  // the workload's default
   EXPECT_FALSE(options.quick);
 }
 
@@ -35,23 +35,21 @@ TEST_F(BenchCommonTest, ApplyRoundsHonorsOverrideAndQuick) {
   const char* argv[] = {"prog", "--rounds=37"};
   BenchOptions options = parse_options(2, const_cast<char**>(argv));
   const Workload w = load_workload("synthetic_iid", options);
-  TrainerConfig c = base_config(w, Algorithm::kFedProx, 0.0, 0.0, 20, 1);
-  apply_rounds(c, w, options);
-  EXPECT_EQ(c.rounds, 37u);
+  const auto rounds = [&] {
+    return base_config(w, options, Algorithm::kFedProx, 0.0, 0.0).rounds;
+  };
+  EXPECT_EQ(rounds(), 37u);
 
-  options.rounds_override = 0;
+  options.config.rounds = 0;
   options.quick = true;
-  apply_rounds(c, w, options);
-  EXPECT_EQ(c.rounds, std::max<std::size_t>(2, w.default_rounds / 20));
+  EXPECT_EQ(rounds(), std::max<std::size_t>(2, w.default_rounds / 20));
 
   // An explicit --rounds beats --quick's shrink, even below its floor.
   const char* quick_argv[] = {"prog", "--quick", "--rounds", "3"};
   options = parse_options(4, const_cast<char**>(quick_argv));
-  apply_rounds(c, w, options);
-  EXPECT_EQ(c.rounds, 3u);
-  options.rounds_override = 1;
-  apply_rounds(c, w, options);
-  EXPECT_EQ(c.rounds, 1u);
+  EXPECT_EQ(rounds(), 3u);
+  options.config.rounds = 1;
+  EXPECT_EQ(rounds(), 1u);
 }
 
 TEST_F(BenchCommonTest, RenderSeriesAlignsVariants) {

@@ -16,6 +16,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,8 +30,11 @@
 #include "obs/observer.h"
 #include "obs/trace.h"
 #include "obs/trace_sink.h"
+#include "optim/gd.h"
+#include "optim/sgd.h"
 #include "support/log.h"
 #include "support/serialize.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -452,77 +456,75 @@ TEST_F(CheckpointTest, FingerprintMismatchRefusesToResume) {
   EXPECT_FALSE(ok.rounds.empty());
 }
 
+TEST_F(CheckpointTest, ResumeUnderAnotherSolverIsRefused) {
+  // A history that is half SGD and half GD matches no real run.
+  LogisticRegression model(data().input_dim, data().num_classes);
+  TrainerConfig c = config();
+  c.checkpoint.dir = dir_;
+  c.checkpoint.every = 4;
+  (void)Trainer(model, data(), c).run();
+  const auto newest = latest_checkpoint(dir_);
+  ASSERT_TRUE(newest.has_value());
+
+  TrainerConfig gd = config();
+  gd.solver = std::make_shared<GdSolver>();
+  Trainer mismatched(model, data(), gd);
+  try {
+    (void)mismatched.resume(*newest);
+    ADD_FAILURE() << "resumed an SGD checkpoint under GD";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  // Naming the default solver is the same run as leaving it unset.
+  TrainerConfig sgd = config();
+  sgd.solver = std::make_shared<SgdSolver>();
+  EXPECT_FALSE(
+      Trainer(model, data(), sgd).resume(*newest).rounds.empty());
+}
+
 TEST_F(CheckpointTest, FingerprintCoversEveryTrajectoryKnob) {
-  using Perturb = void (*)(TrainerConfig&);
+  // Walks the config field list: changing a leaf it marks
+  // trajectory-relevant must change the fingerprint, and changing any
+  // other leaf must not, so a run may resume with other threads, shards,
+  // transport or checkpoint/crash plans.
   const auto fingerprint = [](const TrainerConfig& c) {
     return config_fingerprint(c, 12, 100);
   };
   const std::uint64_t base = fingerprint(config());
-
-  const std::vector<std::pair<const char*, Perturb>> relevant = {
-      {"algorithm", [](TrainerConfig& c) { c.algorithm = Algorithm::kFedDane; }},
-      {"mu", [](TrainerConfig& c) { c.mu = 0.25; }},
-      {"adaptive_mu.enabled",
-       [](TrainerConfig& c) { c.adaptive_mu.enabled = true; }},
-      {"adaptive_mu.initial_mu",
-       [](TrainerConfig& c) { c.adaptive_mu.initial_mu = 0.3; }},
-      {"theory_mu", [](TrainerConfig& c) { c.theory_mu = true; }},
-      {"rounds", [](TrainerConfig& c) { c.rounds = 13; }},
-      {"devices_per_round", [](TrainerConfig& c) { c.devices_per_round = 5; }},
-      {"batch_size", [](TrainerConfig& c) { c.batch_size = 7; }},
-      {"learning_rate", [](TrainerConfig& c) { c.learning_rate = 0.02; }},
-      {"straggler_fraction",
-       [](TrainerConfig& c) { c.systems.straggler_fraction = 0.9; }},
-      {"epochs", [](TrainerConfig& c) { c.systems.epochs = 4; }},
-      {"sampling",
-       [](TrainerConfig& c) {
-         c.sampling = SamplingScheme::kWeightedThenSimpleAverage;
-       }},
-      {"seed", [](TrainerConfig& c) { c.seed = 34; }},
-      {"eval_every", [](TrainerConfig& c) { c.eval_every = 4; }},
-      {"measure_gamma", [](TrainerConfig& c) { c.measure_gamma = true; }},
-      {"measure_dissimilarity",
-       [](TrainerConfig& c) { c.measure_dissimilarity = true; }},
-      {"faults.drop", [](TrainerConfig& c) { c.faults.drop = 0.1; }},
-      {"faults.corrupt", [](TrainerConfig& c) { c.faults.corrupt = 0.1; }},
-      {"faults.duplicate", [](TrainerConfig& c) { c.faults.duplicate = 0.1; }},
-      {"faults.delay_ms", [](TrainerConfig& c) { c.faults.delay_ms = 5.0; }},
-      {"recovery.max_retries",
-       [](TrainerConfig& c) { c.recovery.max_retries = 3; }},
-      {"recovery.deadline_ms",
-       [](TrainerConfig& c) { c.recovery.deadline_ms = 50.0; }},
-      {"recovery.quorum", [](TrainerConfig& c) { c.recovery.quorum = 0.5; }},
-      {"churn.arrive", [](TrainerConfig& c) { c.churn.arrive = 0.1; }},
-      {"churn.depart", [](TrainerConfig& c) { c.churn.depart = 0.1; }},
-      {"churn.initial", [](TrainerConfig& c) { c.churn.initial = 8; }},
-      {"churn.min_active", [](TrainerConfig& c) { c.churn.min_active = 6; }},
+  const auto perturb = [](auto& leaf) {
+    using T = std::remove_cvref_t<decltype(leaf)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      leaf = !leaf;
+    } else if constexpr (std::is_enum_v<T>) {
+      leaf = static_cast<T>(static_cast<int>(leaf) == 0 ? 1 : 0);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      leaf = leaf + 1;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      leaf += "x";
+    } else if constexpr (std::is_same_v<T,
+                                        std::shared_ptr<const LocalSolver>>) {
+      leaf = std::make_shared<GdSolver>();
+    } else {
+      leaf = make_transport(TransportKind::kSerialized);
+    }
   };
-  for (const auto& [name, perturb] : relevant) {
+  std::size_t relevant = 0;
+  for (const testing::ConfigLeaf& leaf : testing::config_leaves()) {
     TrainerConfig c = config();
-    perturb(c);
-    EXPECT_NE(fingerprint(c), base) << name << " is not in the fingerprint";
+    testing::edit_config_leaf(c, leaf.path, perturb);
+    if (leaf.field.trajectory) {
+      ++relevant;
+      EXPECT_NE(fingerprint(c), base) << leaf.path << " is not in it";
+    } else {
+      EXPECT_EQ(fingerprint(c), base) << leaf.path << " blocks a resume";
+    }
   }
+  EXPECT_EQ(relevant, 28u);  // 35 leaves less threads, shards, transport,
+                             // the checkpoint plan and the crash plan
   EXPECT_NE(config_fingerprint(config(), 13, 100), base) << "population";
   EXPECT_NE(config_fingerprint(config(), 12, 101), base) << "parameter count";
-
-  const std::vector<std::pair<const char*, Perturb>> neutral = {
-      {"threads", [](TrainerConfig& c) { c.threads = 8; }},
-      {"shards", [](TrainerConfig& c) { c.shards = 3; }},
-      {"transport",
-       [](TrainerConfig& c) {
-         c.transport = make_transport(TransportKind::kSerialized);
-       }},
-      {"checkpoint",
-       [](TrainerConfig& c) {
-         c.checkpoint = {.dir = "elsewhere", .every = 2, .retain = 5};
-       }},
-      {"crash", [](TrainerConfig& c) { c.crash.at_round = 3; }},
-  };
-  for (const auto& [name, perturb] : neutral) {
-    TrainerConfig c = config();
-    perturb(c);
-    EXPECT_EQ(fingerprint(c), base) << name << " must not block a resume";
-  }
 }
 
 TEST_F(CheckpointTest, ResumeRejectsAWrongLengthParameterVector) {
@@ -695,7 +697,6 @@ TEST_F(CheckpointTest, ResumedCountersIncludeReplayedRounds) {
 TEST_F(CheckpointTest, JsonlSinkAppendKeepsEarlierSegments) {
   const std::string path = dir_ + "/trace.jsonl";
   RunInfo info;
-  info.algorithm = "FedProx";
   info.rounds = 2;
   RoundMetrics metrics;
   RoundTrace trace;

@@ -179,8 +179,8 @@ TEST_F(CommFaultTest, RecoveryConfigIsValidatedUpFront) {
     EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument) << bad;
   }
   c = chaos_config();
-  c.faults.drop = 2.0;  // caught when the trainer wraps the transport
-  EXPECT_THROW(Trainer(model, data(), c).run(), std::invalid_argument);
+  c.faults.drop = 2.0;  // caught before the run starts, like the rest
+  EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument);
 }
 
 // The tentpole gate: a hostile channel (20% drop, 5% corruption, 5%

@@ -24,7 +24,7 @@ std::vector<VariantSpec> figure_specs(const std::string& name,
                                       std::uint64_t seed,
                                       const std::string& tag) {
   bench::BenchOptions options;
-  options.seed = seed;
+  options.config.seed = seed;
   for (auto& section : bench::figure(name).sections(workload, options)) {
     if (section.tag == tag) return section.specs;
   }
@@ -94,8 +94,11 @@ TEST_F(IntegrationTest, ProximalTermReducesGradientVariance) {
 TEST_F(IntegrationTest, SequenceWorkloadsTrainWithoutDivergence) {
   for (const char* name : {"shakespeare", "sent140"}) {
     Workload w = make_workload(name, 2, /*scale=*/0.12);
-    TrainerConfig c = base_config(w, Algorithm::kFedProx, w.best_mu, 0.0,
-                                  /*epochs=*/2, 2);
+    bench::BenchOptions options;
+    options.config.seed = 2;
+    options.config.systems.epochs = 2;
+    TrainerConfig c =
+        base_config(w, options, Algorithm::kFedProx, w.best_mu, 0.0);
     c.rounds = 2;
     c.devices_per_round = std::min<std::size_t>(3, w.data.num_clients());
     c.eval_every = 2;
@@ -136,7 +139,10 @@ TEST_F(IntegrationTest, SettledAccuracyRules) {
 // Trainer histories serialize to the experiment CSV without error.
 TEST_F(IntegrationTest, HistoryCsvRoundTrip) {
   const Workload w = make_workload("synthetic_iid", 4);
-  TrainerConfig c = base_config(w, Algorithm::kFedProx, 0.0, 0.0, 5, 4);
+  bench::BenchOptions options;
+  options.config.seed = 4;
+  options.config.systems.epochs = 5;
+  TrainerConfig c = base_config(w, options, Algorithm::kFedProx, 0.0, 0.0);
   c.rounds = 3;
   std::vector<VariantSpec> specs{{"FedProx (mu=0)", c}};
   auto results = run_variants(w, specs);

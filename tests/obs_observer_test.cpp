@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
@@ -143,12 +144,13 @@ TEST_F(ObserverTest, RunInfoDescribesTheRun) {
   trainer.add_observer(rec);
   trainer.run();
 
-  EXPECT_EQ(rec.run_info.algorithm, "FedProx");
+  EXPECT_EQ(rec.run_info.config.algorithm, Algorithm::kFedProx);
   EXPECT_EQ(rec.run_info.rounds, kRounds);
-  EXPECT_EQ(rec.run_info.devices_per_round, kDevices);
+  EXPECT_EQ(rec.run_info.config.devices_per_round, kDevices);
   EXPECT_EQ(rec.run_info.num_clients, data().num_clients());
   EXPECT_EQ(rec.run_info.parameter_count, model.parameter_count());
-  EXPECT_EQ(rec.run_info.seed, c.seed);
+  EXPECT_EQ(rec.run_info.config.seed, c.seed);
+  EXPECT_EQ(name_of(rec.run_info.config.solver), "sgd");
   EXPECT_GE(rec.run_info.threads, 1u);
 }
 

@@ -101,6 +101,9 @@ TEST_F(TraceTest, JsonlSinkWritesHeaderPlusOneLinePerRecord) {
   EXPECT_EQ(run.at("algorithm").as_string(), "FedProx");
   EXPECT_DOUBLE_EQ(run.at("rounds").as_number(), kRounds);
   EXPECT_DOUBLE_EQ(run.at("devices_per_round").as_number(), 4.0);
+  // The whole config rides along; "rounds" outside it is this segment's.
+  EXPECT_DOUBLE_EQ(run.at("config").at("devices_per_round").as_number(), 4.0);
+  EXPECT_EQ(run.at("config").at("solver").as_string(), "sgd");
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const JsonValue v = parse_json(lines[i]);  // every line parses
@@ -426,7 +429,6 @@ TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {
     JsonlTraceSink sink(path);
     EXPECT_EQ(sink.path(), path);
     RunInfo info;
-    info.algorithm = "FedProx";
     sink.begin_run(info);
     RoundMetrics m;
     RoundTrace t;
@@ -454,7 +456,6 @@ TEST_F(TraceTest, JsonlSinkRotatesWithBoundedGenerations) {
   {
     JsonlTraceSink sink(path, kRotateBytes);
     RunInfo info;
-    info.algorithm = "FedProx";
     sink.begin_run(info);
     RoundMetrics m;
     RoundTrace t;

@@ -108,7 +108,7 @@ enum class Controller { kNone, kAdaptive, kTheory };
 
 WireBuffer pinned_checkpoint_frame(Controller controller) {
   FrameBuilder f("FPC1");
-  f.u64(2).u64(0x0123456789abcdefull).u64(7).u64(3).f64(0.25);
+  f.u64(3).u64(0x0123456789abcdefull).u64(7).u64(3).f64(0.25);
   if (controller == Controller::kAdaptive) {
     f.u8(1).f64(0.2).f64(1.125).u8(1).u64(3);
   } else {
@@ -133,9 +133,9 @@ TEST_F(SerializeTest, CheckpointFrameBytesArePinned) {
   // Decoding a frame and encoding it again reproduces every byte: the
   // layout, an absent controller's zeros, and b_sq_ema's 1.0 included.
   const std::pair<Controller, std::uint64_t> cases[] = {
-      {Controller::kNone, 0x712d67d0e5f77e58ull},
-      {Controller::kAdaptive, 0x73f48c7dd68dd270ull},
-      {Controller::kTheory, 0xf3e137a40ddb2aebull},
+      {Controller::kNone, 0x70a5db8f12e68791ull},
+      {Controller::kAdaptive, 0x7b5c848aa8f52199ull},
+      {Controller::kTheory, 0xcf46227a22a7992full},
   };
   for (const auto& [controller, digest] : cases) {
     const WireBuffer frame = pinned_checkpoint_frame(controller);
@@ -173,9 +173,12 @@ TEST_F(SerializeTest, CheckpointVersionOneIsRejected) {
   // Version 1 frames carried one more header field; the version check
   // refuses them before any field is misread.
   WireBuffer body = body_of(encode_checkpoint_state(small_state()));
-  EXPECT_EQ(body[4], 2u);  // u64 version, little-endian, after the magic
-  body[4] = 1;
-  EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
+  EXPECT_EQ(body[4], 3u);  // u64 version, little-endian, after the magic
+  // Version 2 fingerprinted the config without the local solver.
+  for (const std::uint8_t old_version : {1, 2}) {
+    body[4] = old_version;
+    EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
+  }
 }
 
 TEST_F(SerializeTest, TruncatedPayloadThrows) {

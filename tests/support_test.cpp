@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/config.h"
 #include "support/cli.h"
 #include "support/csv.h"
 #include "support/log.h"
@@ -35,10 +36,25 @@ TEST(CliFlags, FallbacksWhenAbsent) {
 }
 
 TEST(CliFlags, MalformedValueThrows) {
-  const char* argv[] = {"prog", "--rounds=abc", "--crash-at=5,x",
-                        "--mus=1e999"};
-  CliFlags flags(4, argv);
+  const char* argv[] = {"prog",         "--rounds=abc",  "--crash-at=5,x",
+                        "--mus=1e999",  "--seed=2x",     "--mu=0.5x",
+                        "--shards=-1",  "--retries=-1",  "--epochs=3"};
+  CliFlags flags(9, argv);
   EXPECT_THROW(flags.get_int("rounds", 0), std::invalid_argument);
+  // Trailing characters are refused, not cut off ("2x" is not 2).
+  EXPECT_THROW(flags.get_int("seed", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_double("mu", 0.0), std::invalid_argument);
+  // A count flag refuses a negative value before the cast to size_t.
+  for (const char* count : {"--shards=-1", "--retries=-1", "--epochs=-3"}) {
+    const char* one[] = {"prog", count};
+    TrainerConfig config;
+    EXPECT_THROW(read_config_flags(CliFlags(2, one), config),
+                 std::invalid_argument)
+        << count;
+  }
+  EXPECT_EQ(flags.get_int("epochs", 20), 3);
+  EXPECT_FALSE(parse_integer("1.5").has_value());
+  EXPECT_FALSE(parse_number("").has_value());
   // A list entry that is no number, or out of range, is the same error.
   EXPECT_THROW(flags.get_double_list("crash-at", {}), std::invalid_argument);
   EXPECT_THROW(flags.get_double_list("mus", {}), std::invalid_argument);

@@ -10,10 +10,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "comm/transport.h"
+#include "core/config.h"
 #include "data/dataset.h"
 #include "nn/module.h"
 #include "obs/observer.h"
@@ -271,6 +273,40 @@ malformed_partial_frames() {
           1, concat({0, 0},
                     f64_bytes(std::numeric_limits<double>::infinity()))));
   return frames;
+}
+
+// One leaf of the TrainerConfig field list (core/config.h), for tests
+// that walk the list instead of keeping their own table of fields.
+struct ConfigLeaf {
+  std::string path;       // "systems.straggler_fraction"
+  ConfigField field;
+  std::string spec_flag;  // "faults" for a key of the --faults spec
+  bool real = false;      // a double
+  bool count = false;     // an integer, or an enum by its value
+};
+
+inline std::vector<ConfigLeaf> config_leaves() {
+  std::vector<ConfigLeaf> out;
+  const TrainerConfig config;
+  visit_config(config, [&out](const auto& leaf, const ConfigField& f) {
+    using T = std::remove_cvref_t<decltype(leaf)>;
+    constexpr bool integer = std::is_integral_v<T> && !std::is_same_v<T, bool>;
+    out.push_back({.path = f.path,
+                   .field = f,
+                   .spec_flag = f.spec ? f.spec->flag : "",
+                   .real = std::is_floating_point_v<T>,
+                   .count = integer || std::is_enum_v<T>});
+  });
+  return out;
+}
+
+// Calls edit(leaf) on the leaf of `config` at `path`, with its own type.
+template <typename Edit>
+void edit_config_leaf(TrainerConfig& config, const std::string& path,
+                      Edit edit) {
+  visit_config(config, [&](auto& leaf, const ConfigField& f) {
+    if (f.path == path) edit(leaf);
+  });
 }
 
 }  // namespace fed::testing

@@ -17,6 +17,11 @@
 // F + 1, or an unmarked one that starts another run in the same file (a
 // figure driver's variants), allowed only right after a run whose round
 // lines reached its "first_round" + "rounds".
+// Every header carries the run's "config" (obs/trace_sink.h), and each
+// round line must agree with it: evaluated exactly on the rounds that
+// eval_every picks (and round 0 and the final round), selected ==
+// devices_per_round on every training round, and a written checkpoint's
+// retain equal to checkpoint.retain.
 // --checkpoint: checkpoint rounds increase within a segment, each
 // resumed segment starts from a round an earlier segment checkpointed,
 // and at least one checkpoint was written.
@@ -68,6 +73,52 @@ auto checked(const std::string& where, Read read) {
   }
 }
 
+// What a run header's "config" fixes about its round lines.
+struct HeaderConfig {
+  std::uint64_t rounds = 0;
+  std::uint64_t eval_every = 1;
+  std::uint64_t devices_per_round = 0;
+  std::uint64_t retain = 0;
+};
+
+HeaderConfig read_header_config(const JsonValue& run,
+                                const std::string& where) {
+  if (!run.contains("config")) fail(where + ": run header lacks \"config\"");
+  const JsonValue& c = run.at("config");
+  const HeaderConfig config = checked(where + ": \"config\"", [&] {
+    return HeaderConfig{
+        .rounds = c.at("rounds").as_count(),
+        .eval_every = c.at("eval_every").as_count(),
+        .devices_per_round = c.at("devices_per_round").as_count(),
+        .retain = c.at("checkpoint").at("retain").as_count()};
+  });
+  if (config.eval_every == 0) fail(where + ": config.eval_every is 0");
+  return config;
+}
+
+// The first way `trace` disagrees with its header's config, or "".
+std::string check_against_config(const fed::RoundTrace& trace,
+                                 const HeaderConfig& config) {
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  const bool due = trace.round == 0 || trace.round % config.eval_every == 0 ||
+                   trace.round == config.rounds;
+  if (trace.evaluated != due) {
+    return "evaluated=" + std::string(trace.evaluated ? "true" : "false") +
+           " but eval_every=" + n(config.eval_every) + " and rounds=" +
+           n(config.rounds) + (due ? " call for" : " skip") + " round " +
+           n(trace.round);
+  }
+  if (trace.round > 0 && trace.selected != config.devices_per_round) {
+    return "selected=" + n(trace.selected) +
+           " != config.devices_per_round=" + n(config.devices_per_round);
+  }
+  if (trace.checkpoint.written && trace.checkpoint.retain != config.retain) {
+    return "checkpoint.retain=" + n(trace.checkpoint.retain) +
+           " != config.checkpoint.retain=" + n(config.retain);
+  }
+  return "";
+}
+
 // Whole-run sums over the JSONL round lines, one per trace_counters()
 // series, for reconciling against a --metrics exposition.
 using CounterTotals = std::vector<std::uint64_t>;
@@ -100,6 +151,7 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
   constexpr std::uint64_t kNoEnd = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t segment_end = kNoEnd;
   bool finished = false;
+  HeaderConfig config;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -119,6 +171,7 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
                      "(only a resumed run, or a new run after a finished "
                      "one, may append a new segment)");
       }
+      config = read_header_config(run, where);
       finished = false;
       segment_end = kNoEnd;
       if (run.contains("first_round") && run.contains("rounds")) {
@@ -167,8 +220,10 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
       }
       expect_resume_round = false;
     }
-    const std::string broken = fed::check_round_trace(trace);
-    if (!broken.empty()) fail(where + ": " + broken);
+    for (const std::string& broken :
+         {check_against_config(trace, config), fed::check_round_trace(trace)}) {
+      if (!broken.empty()) fail(where + ": " + broken);
+    }
     if (trace.checkpoint.written) {
       const std::uint64_t ckpt_round = trace.checkpoint.round;
       if (ckpt_round < next_checkpoint_round) {
