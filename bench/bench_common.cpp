@@ -90,9 +90,7 @@ BenchOptions parse_options(const CliFlags& flags, TrainerConfig defaults,
   options.trace_rotate_mb = static_cast<std::size_t>(rotate_mb);
   options.metrics_out = flags.get_string("metrics-out", "");
   options.quick = flags.get_bool("quick", false);
-  for (const auto& name : flags.unused()) {
-    log_warn() << "ignoring unknown flag --" << name;
-  }
+  flags.warn_unused();
   if (options.quick) {
     options.scale = std::min(options.scale, 0.1);
   }

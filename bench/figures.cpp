@@ -64,9 +64,8 @@ Sections adaptive_mu(const Workload& w, const BenchOptions& o) {
   const double mu0 = adversarial_mu(w);
   VariantSpec dynamic =
       variant("FedProx, dynamic mu (mu0=" + std::to_string(mu0) + ")", w, o,
-              Algorithm::kFedProx, 0.0);
-  dynamic.config.adaptive_mu.enabled = true;
-  dynamic.config.adaptive_mu.initial_mu = mu0;
+              Algorithm::kFedProx, mu0);
+  dynamic.config.mu_policy = MuPolicy::kAdaptive;
   return {{w.name,
            {variant("FedAvg (FedProx, mu=0)", w, o, Algorithm::kFedProx, 0.0),
             dynamic,
@@ -117,12 +116,11 @@ Sections sampling_schemes(const Workload& w, const BenchOptions& o) {
 // mu_t = 0.05 (B_t^2 - 1) that Corollary 7 suggests.
 Sections mu_policies(const Workload& w, const BenchOptions& o) {
   VariantSpec adaptive = variant("adaptive (loss heuristic)", w, o,
-                                 Algorithm::kFedProx, 0.0);
-  adaptive.config.adaptive_mu.enabled = true;
-  adaptive.config.adaptive_mu.initial_mu = adversarial_mu(w);
+                                 Algorithm::kFedProx, adversarial_mu(w));
+  adaptive.config.mu_policy = MuPolicy::kAdaptive;
   VariantSpec theory =
       variant("theory (mu ~ B^2-1)", w, o, Algorithm::kFedProx, 0.0);
-  theory.config.theory_mu = true;
+  theory.config.mu_policy = MuPolicy::kTheory;
   return {{w.name,
            {variant("fixed (mu=1)", w, o, Algorithm::kFedProx, 1.0), adaptive,
             theory}}};

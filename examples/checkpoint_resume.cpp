@@ -25,8 +25,10 @@ int main(int argc, char** argv) try {
   using namespace fed;
   TrainerConfig config = fedprox_config(/*mu=*/1.0);
   config.rounds = 40;
-  read_config_flags(CliFlags(argc, argv), config,
+  const CliFlags flags(argc, argv);
+  read_config_flags(flags, config,
                     [](std::string_view flag) { return flag == "rounds"; });
+  flags.warn_unused();
   const std::size_t rounds = config.rounds;
   if (rounds < 2) {
     std::cerr << "checkpoint_resume: --rounds must be at least 2\n";
@@ -44,7 +46,7 @@ int main(int argc, char** argv) try {
   config.learning_rate = w.learning_rate;
   config.seed = 8;
   config.eval_every = 1;  // adaptive mu moves on evaluated rounds
-  config.adaptive_mu = {.enabled = true, .initial_mu = 1.0};
+  config.mu_policy = MuPolicy::kAdaptive;  // from mu = 1
   config.churn.arrive = 0.05;
   config.churn.depart = 0.05;
 

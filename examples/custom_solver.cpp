@@ -67,8 +67,10 @@ int main(int argc, char** argv) try {
   using namespace fed;
   TrainerConfig base = fedprox_config(/*mu=*/1.0);
   base.rounds = 40;
-  read_config_flags(CliFlags(argc, argv), base,
+  const CliFlags flags(argc, argv);
+  read_config_flags(flags, base,
                     [](std::string_view flag) { return flag == "rounds"; });
+  flags.warn_unused();
 
   const Workload w = make_workload("synthetic_0.5_0.5", /*seed=*/3);
 

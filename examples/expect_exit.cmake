@@ -1,4 +1,5 @@
-# Runs one command and checks that it fails cleanly, as a ctest.
+# Runs one command and checks its exit code and stderr, as a ctest: that
+# it fails cleanly, or that it warns and runs on.
 #
 # Invoked by examples/CMakeLists.txt as
 #   cmake "-DCMD=prog;arg;..." -DEXPECT_RC=1 -DEXPECT_ERR=regex

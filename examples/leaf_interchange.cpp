@@ -28,6 +28,7 @@ int main(int argc, char** argv) try {
   config.rounds = 10;
   read_config_flags(flags, config,
                     [](std::string_view flag) { return flag == "rounds"; });
+  flags.warn_unused();
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/12);
   export_leaf(w.data, prefix);

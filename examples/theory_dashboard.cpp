@@ -27,6 +27,7 @@ int main(int argc, char** argv) try {
   TrainerConfig config;  // only its E is read, through the --epochs flag
   read_config_flags(flags, config,
                     [](std::string_view flag) { return flag == "epochs"; });
+  flags.warn_unused();
   const std::size_t epochs = config.systems.epochs;
 
   const Workload w = make_workload(dataset, /*seed=*/11);

@@ -28,7 +28,11 @@ double as_double(T value) {
   }
 }
 
+// Integral values up to 2^53 in full ("9007199254740992", not "9.0072e+15").
 std::string number_text(double x) {
+  if (x == std::trunc(x) && std::abs(x) <= 0x1p53) {
+    return std::to_string(static_cast<std::int64_t>(x));
+  }
   std::ostringstream out;
   out << x;
   return out.str();
@@ -41,11 +45,20 @@ std::string range_text(const ConfigField& f) {
   return text;
 }
 
-// "" when `x` is a finite value in f's range; written so NaN fails.
-std::string range_error(const ConfigField& f, double x) {
-  const bool above_lo = f.lo_open ? x > f.lo : x >= f.lo;
-  if (above_lo && x <= f.hi && std::isfinite(x)) return "";
-  return number_text(x) + " outside " + range_text(f);
+// "" when `value` is a finite value in f's range; written so NaN fails.
+// An integer is held to hi as an integer: as a double, 2^53 + 1 would
+// round to 2^53 and pass.
+template <typename T>
+std::string range_error(const ConfigField& f, T value) {
+  const double x = as_double(value);
+  bool in_range = (f.lo_open ? x > f.lo : x >= f.lo) && x <= f.hi &&
+                  std::isfinite(x);
+  std::string text = number_text(x);
+  if constexpr (std::is_integral_v<T>) {
+    if (!std::isinf(f.hi) && value > static_cast<T>(f.hi)) in_range = false;
+    text = std::to_string(value);
+  }
+  return in_range ? "" : text + " outside " + range_text(f);
 }
 
 // A spec leaf's key: its path after the last dot ("faults.drop" -> drop).
@@ -83,7 +96,7 @@ void assign(const ConfigField& f, const std::string& text, T& out,
     throw std::logic_error(std::string("config: no flag reads ") + f.path);
   }
   if constexpr (kNumeric<T>) {
-    const std::string bad = range_error(f, as_double(out));
+    const std::string bad = range_error(f, out);
     if (!bad.empty()) fail(bad);
   }
 }
@@ -146,17 +159,13 @@ void validate(const TrainerConfig& config) {
   visit_config(config, [](const auto& leaf, const ConfigField& f) {
     using T = LeafType<decltype(leaf)>;
     if constexpr (kNumeric<T>) {
-      const std::string bad = range_error(f, as_double(leaf));
+      const std::string bad = range_error(f, leaf);
       if (!bad.empty()) {
         throw std::invalid_argument("TrainerConfig: " + std::string(f.path) +
                                     ": " + bad);
       }
     }
   });
-  if (config.adaptive_mu.enabled && config.theory_mu) {
-    throw std::invalid_argument(
-        "TrainerConfig: adaptive_mu and theory_mu are mutually exclusive");
-  }
 }
 
 JsonValue config_to_json(const TrainerConfig& config) {
@@ -227,7 +236,7 @@ std::string config_flags_help(const TrainerConfig& defaults,
     } else if constexpr (kNumeric<T>) {
       what += ", in " + range_text(f);
       // A default outside the range (a figure's rounds 0) is the driver's.
-      shown = range_error(f, as_double(leaf)).empty()
+      shown = range_error(f, leaf).empty()
                   ? number_text(as_double(leaf))
                   : "set by the driver";
     } else if constexpr (std::is_same_v<T, std::string>) {

@@ -54,15 +54,9 @@ void visit_config(Config& c, Fn&& fn) {
                    .doc = "FedAvg, FedProx or FedDane"});
   fn(c.mu, {.path = "mu", .flag = "mu", .trajectory = true,
             .doc = "proximal coefficient mu"});
-  fn(c.adaptive_mu.enabled,
-     {.path = "adaptive_mu.enabled", .trajectory = true,
-      .doc = "move mu by the +/-0.1 loss heuristic (Fig 3)"});
-  fn(c.adaptive_mu.initial_mu, {.path = "adaptive_mu.initial_mu",
-                                .trajectory = true,
-                                .doc = "the heuristic's starting mu"});
-  fn(c.theory_mu, {.path = "theory_mu", .trajectory = true,
-                   .doc = "mu from the measured dissimilarity "
-                          "(Corollary 7); excludes adaptive_mu"});
+  fn(c.mu_policy, {.path = "mu_policy", .hi = 2, .trajectory = true,
+                   .doc = "fixed, adaptive (Fig 3) or theory (Corollary 7) "
+                          "mu, each starting from mu"});
   fn(c.rounds, {.path = "rounds", .flag = "rounds", .lo = 1,
                 .trajectory = true, .doc = "training rounds T"});
   fn(c.devices_per_round, {.path = "devices_per_round", .lo = 1,
@@ -79,7 +73,9 @@ void visit_config(Config& c, Fn&& fn) {
                         .trajectory = true, .doc = "local epochs E"});
   fn(c.sampling, {.path = "sampling", .hi = 1, .trajectory = true,
                   .doc = "device sampling and aggregation scheme (Fig 12)"});
-  fn(c.seed, {.path = "seed", .flag = "seed", .trajectory = true,
+  // JSON numbers are doubles: 2^53 is the largest seed a header records
+  // exactly.
+  fn(c.seed, {.path = "seed", .flag = "seed", .hi = 0x1p53, .trajectory = true,
               .doc = "experiment seed"});
   fn(c.eval_every, {.path = "eval_every", .lo = 1, .trajectory = true,
                     .doc = "evaluate every N rounds, and the final round"});
@@ -87,7 +83,7 @@ void visit_config(Config& c, Fn&& fn) {
                        .doc = "measure the realized gamma-inexactness"});
   fn(c.measure_dissimilarity,
      {.path = "measure_dissimilarity", .trajectory = true,
-      .doc = "measure B(w) on evaluated rounds; theory_mu sets it"});
+      .doc = "measure B(w) on evaluated rounds; mu_policy theory sets it"});
   fn(c.threads, {.path = "threads",
                  .doc = "pool workers; 0 = hardware concurrency"});
   fn(c.shards, {.path = "shards", .flag = "shards", .lo = 1,
@@ -147,8 +143,8 @@ void visit_config(Config& c, Fn&& fn) {
 }
 
 // Throws std::invalid_argument naming the first leaf outside its range
-// ("TrainerConfig: systems.straggler_fraction: nan outside [0, 1]"), or
-// when adaptive_mu and theory_mu are both on. Dataset-dependent bounds
+// ("TrainerConfig: systems.straggler_fraction: nan outside [0, 1]"); an
+// integer leaf is compared as an integer. Dataset-dependent bounds
 // (K and churn.initial against the device count) are the Trainer's.
 void validate(const TrainerConfig& config);
 

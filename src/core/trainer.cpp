@@ -9,6 +9,7 @@
 #include "comm/transport.h"
 #include "core/checkpoint.h"
 #include "core/config.h"
+#include "core/mu_controller.h"
 #include "core/round_driver.h"
 #include "obs/observer.h"
 #include "optim/sgd.h"
@@ -23,6 +24,15 @@ std::string to_string(Algorithm algorithm) {
     case Algorithm::kFedAvg: return "FedAvg";
     case Algorithm::kFedProx: return "FedProx";
     case Algorithm::kFedDane: return "FedDane";
+  }
+  return "?";
+}
+
+std::string to_string(MuPolicy policy) {
+  switch (policy) {
+    case MuPolicy::kFixed: return "fixed";
+    case MuPolicy::kAdaptive: return "adaptive";
+    case MuPolicy::kTheory: return "theory";
   }
   return "?";
 }
@@ -74,7 +84,9 @@ Trainer::Trainer(const Model& model, const FederatedDataset& data,
     throw std::invalid_argument(
         "Trainer: devices_per_round exceeds the dataset's devices");
   }
-  if (config_.theory_mu) config_.measure_dissimilarity = true;
+  if (config_.mu_policy == MuPolicy::kTheory) {
+    config_.measure_dissimilarity = true;
+  }
   if (!config_.solver) config_.solver = std::make_shared<SgdSolver>();
 }
 
@@ -87,7 +99,28 @@ void Trainer::add_observer(TrainingObserver& observer) {
   observers_.push_back(&observer);
 }
 
-TrainHistory Trainer::run() { return run_impl(nullptr); }
+// The live population (sim/churn.h); without churn it is inert and
+// everyone is live. The departure floor is raised to devices_per_round so
+// selection always has a full candidate set.
+DeviceRegistry Trainer::make_registry() const {
+  ChurnConfig churn = config_.churn;
+  churn.min_active = std::max(churn.min_active, config_.devices_per_round);
+  return DeviceRegistry(data_.num_clients(), churn, config_.seed);
+}
+
+TrainHistory Trainer::run() {
+  CheckpointState start;
+  start.fingerprint = config_fingerprint(config_, data_.num_clients(),
+                                         model_.parameter_count());
+  start.seed = config_.seed;
+  start.mu = config_.mu;
+  start.parameters = Vector(model_.parameter_count());
+  Rng init_rng = make_stream(config_.seed, StreamKind::kModelInit);
+  model_.init_parameters(start.parameters, init_rng);
+  start.population = data_.num_clients();
+  start.active = make_registry().pack_active();
+  return run_impl(start);
+}
 
 TrainHistory Trainer::resume(const std::string& checkpoint_path) {
   const CheckpointState state = load_checkpoint_state(checkpoint_path);
@@ -123,9 +156,7 @@ TrainHistory Trainer::resume(const std::string& checkpoint_path) {
   }
   // The restored values themselves: a frame that decodes can still hold
   // a mu or weights no run could train from, or no live device.
-  const auto bad = [](double mu) { return !(mu >= 0.0 && std::isfinite(mu)); };
-  if (bad(state.mu) || (state.adaptive && bad(state.adaptive->mu)) ||
-      (state.theory && bad(state.theory->mu))) {
+  if (!(state.mu >= 0.0 && std::isfinite(state.mu))) {
     throw std::runtime_error("Trainer::resume: checkpoint mu is out of range");
   }
   if (!std::ranges::all_of(state.parameters,
@@ -139,69 +170,34 @@ TrainHistory Trainer::resume(const std::string& checkpoint_path) {
   if (live == 0) {
     throw std::runtime_error("Trainer::resume: checkpoint has no live device");
   }
-  return run_impl(&state);
+  return run_impl(state);
 }
 
-TrainHistory Trainer::run_impl(const CheckpointState* restored) {
+TrainHistory Trainer::run_impl(const CheckpointState& start) {
   run_started_ = true;
   ThreadPool pool(config_.threads);
 
-  const std::size_t d = model_.parameter_count();
-
-  // The first `t` the round loop executes: 0, or for a resumed run the
-  // checkpointed boundary — everything before it is already in the
-  // restored history.
-  const std::size_t start_t =
-      restored ? static_cast<std::size_t>(restored->next_round) - 1 : 0;
-
-  Vector w(d);
-  if (restored) {
-    w = restored->parameters;
-  } else {
-    Rng init_rng = make_stream(config_.seed, StreamKind::kModelInit);
-    model_.init_parameters(w, init_rng);
-  }
-
-  std::optional<AdaptiveMu> adaptive;
-  std::optional<DissimilarityMu> theory;
-  double mu = config_.mu;
-  if (config_.adaptive_mu.enabled) {
-    adaptive.emplace(config_.adaptive_mu.initial_mu);
-    mu = adaptive->mu();
-  } else if (config_.theory_mu) {
-    theory.emplace();
-    mu = theory->mu();
-  }
-  if (restored) {
-    mu = restored->mu;
-    if (adaptive && restored->adaptive) adaptive->restore(*restored->adaptive);
-    if (theory && restored->theory) theory->restore(*restored->theory);
-  }
-
-  // The live population (sim/churn.h); without churn it is inert and
-  // everyone is live. The departure floor is raised to devices_per_round
-  // so selection always has a full candidate set.
-  ChurnConfig churn = config_.churn;
-  churn.min_active = std::max(churn.min_active, config_.devices_per_round);
-  DeviceRegistry registry(data_.num_clients(), churn, config_.seed);
-  if (restored) {
-    registry.restore(restored->active, restored->churn_arrivals,
-                     restored->churn_departures);
-  }
+  Vector w = start.parameters;
+  MuController controller(config_.mu_policy, start.mu);
+  controller.restore(start.mu_state);
+  DeviceRegistry registry = make_registry();
+  registry.restore(start.active, start.churn_arrivals, start.churn_departures);
 
   TrainHistory history;
   history.rounds.reserve(config_.rounds + 1);
-  if (restored) history.rounds = restored->rounds;
+  history.rounds = start.rounds;
 
   if (!observers_.empty()) {
-    // Resumed: first_round is the checkpointed round, and the first
-    // executed round is + 1.
-    const RunInfo info{.rounds = config_.rounds - start_t,
-                       .first_round = start_t,
+    // A resumed run's first_round is the checkpointed round; the first
+    // round it executes is first_round + 1.
+    const std::size_t first_round =
+        std::max<std::size_t>(history.rounds.size(), 1) - 1;
+    const RunInfo info{.rounds = config_.rounds - first_round,
+                       .first_round = first_round,
                        .num_clients = data_.num_clients(),
-                       .parameter_count = d,
+                       .parameter_count = w.size(),
                        .threads = pool.size(),
-                       .resumed = restored != nullptr,
+                       .resumed = !history.rounds.empty(),
                        .config = config_};
     for (auto* o : observers_) o->on_run_start(info);
   }
@@ -221,63 +217,43 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
 
   std::optional<CheckpointWriter> checkpoints;
   if (config_.checkpoint.enabled()) checkpoints.emplace(config_.checkpoint);
-  const std::uint64_t fingerprint =
-      config_fingerprint(config_, data_.num_clients(), d);
 
-  // Round 0 metrics: the initial model (the paper's plots start at w^0).
-  // A resumed run already recorded it — its history carries over whole.
-  if (!restored) {
-    Stopwatch round_timer;
-    RoundMetrics m;
-    m.mu = mu;
-    RoundTrace trace;
-    driver.evaluate(w, m, trace);
-    trace.round_seconds = round_timer.seconds();
-    history.rounds.push_back(m);
-    for (auto* o : observers_) o->on_round_end(history.rounds.back(), trace);
-    if (adaptive) mu = adaptive->update(*m.train_loss);
-    if (theory && m.dissimilarity_b) mu = theory->update(*m.dissimilarity_b);
-  }
-
-  for (std::size_t t = start_t; t < config_.rounds; ++t) {
+  // Round 0 evaluates the initial model (the paper's plots start at w^0);
+  // every later round trains, and evaluates every eval_every rounds and on
+  // the last. The loop starts after the rounds the history already holds.
+  for (std::size_t round = history.rounds.size(); round <= config_.rounds;
+       ++round) {
     Stopwatch round_timer;
 
-    RoundDriver::RoundOutput out = driver.run_round(t, mu, w);
-
-    const bool do_eval =
-        ((t + 1) % config_.eval_every == 0) || (t + 1 == config_.rounds);
-    if (do_eval) driver.evaluate(w, out.metrics, out.trace);
+    RoundDriver::RoundOutput out;
+    out.metrics.mu = controller.mu();  // round 0 trains nothing
+    if (round > 0) out = driver.run_round(round - 1, controller.mu(), w);
+    if (round % config_.eval_every == 0 || round == config_.rounds) {
+      driver.evaluate(w, out.metrics, out.trace);
+    }
     history.rounds.push_back(out.metrics);
 
     // Move mu for the next round *before* the checkpoint is cut, so the
     // snapshot carries exactly the state the next round would see. The
-    // reorder relative to on_round_end is observably safe: the emitted
-    // metrics/trace only carry this round's mu, never the next one's.
-    if (adaptive && out.metrics.evaluated()) {
-      mu = adaptive->update(*out.metrics.train_loss);
-    }
-    if (theory && out.metrics.evaluated() && out.metrics.dissimilarity_b) {
-      mu = theory->update(*out.metrics.dissimilarity_b);
-    }
+    // emitted metrics/trace only carry this round's mu.
+    controller.update(out.metrics);
 
-    if (checkpoints && (t + 1) % config_.checkpoint.every == 0) {
+    if (checkpoints && round > 0 && round % config_.checkpoint.every == 0) {
       Stopwatch ckpt_timer;
-      CheckpointState state;
-      state.fingerprint = fingerprint;
-      state.seed = config_.seed;
-      state.next_round = t + 2;  // 1-based id of the next round to execute
-      state.mu = mu;
-      if (adaptive) state.adaptive = adaptive->state();
-      if (theory) state.theory = theory->state();
-      state.parameters = w;
-      state.population = data_.num_clients();
-      state.churn_arrivals = registry.total_arrivals();
-      state.churn_departures = registry.total_departures();
-      state.active = registry.pack_active();
-      state.rounds = history.rounds;
-      const CheckpointWriter::WriteInfo written = checkpoints->write(state);
+      const CheckpointWriter::WriteInfo written = checkpoints->write(
+          {.fingerprint = start.fingerprint,
+           .seed = config_.seed,
+           .next_round = round + 1,
+           .mu = controller.mu(),
+           .mu_state = controller.state(),
+           .parameters = w,
+           .population = data_.num_clients(),
+           .churn_arrivals = registry.total_arrivals(),
+           .churn_departures = registry.total_departures(),
+           .active = registry.pack_active(),
+           .rounds = history.rounds});
       out.trace.checkpoint = {.written = true,
-                              .round = t + 1,
+                              .round = round,
                               .bytes = written.bytes,
                               .generations = written.generations,
                               .retain = config_.checkpoint.retain,

@@ -34,7 +34,6 @@
 #include <optional>
 
 #include "comm/fault.h"
-#include "core/adaptive_mu.h"
 #include "core/dissimilarity.h"
 #include "data/dataset.h"
 #include "nn/module.h"
@@ -57,11 +56,15 @@ enum class Algorithm {
 
 std::string to_string(Algorithm algorithm);
 
-// The paper's adaptive-mu heuristic (AdaptiveMu), started at initial_mu.
-struct AdaptiveMuConfig {
-  bool enabled = false;
-  double initial_mu = 0.0;
+// How mu moves between rounds, from TrainerConfig::mu
+// (core/mu_controller.h).
+enum class MuPolicy {
+  kFixed,     // mu stays (Algorithm 2)
+  kAdaptive,  // the paper's +/-0.1 loss heuristic (Section 5.3.2)
+  kTheory,    // mu ~ B^2 - 1 from the measured dissimilarity (Corollary 7)
 };
+
+std::string to_string(MuPolicy policy);
 
 // Periodic durable checkpoints (core/checkpoint.h): every `every`
 // completed rounds the trainer atomically writes an FPC1 snapshot under
@@ -90,12 +93,9 @@ struct CrashPlan {
 // field list in core/config.h; the Trainer constructor checks them all.
 struct TrainerConfig {
   Algorithm algorithm = Algorithm::kFedProx;
-  double mu = 0.0;
-  AdaptiveMuConfig adaptive_mu;
-  // Theory-guided mu from the measured dissimilarity (Corollary 7; see
-  // DissimilarityMu). Enabling this forces per-evaluation dissimilarity
-  // measurement. Mutually exclusive with adaptive_mu.
-  bool theory_mu = false;
+  double mu = 0.0;  // the proximal coefficient, or its policy's start
+  // kTheory forces per-evaluation dissimilarity measurement.
+  MuPolicy mu_policy = MuPolicy::kFixed;
 
   std::size_t rounds = 200;             // T
   std::size_t devices_per_round = 10;   // K
@@ -217,8 +217,8 @@ class Trainer {
   // either segment. Throws std::runtime_error, before any observer hook
   // fires, on a missing, corrupt, or config-mismatched checkpoint, or one
   // whose weights, population or round history do not fit this run: a
-  // mu (or controller mu) that is not finite and >= 0, a non-finite
-  // weight and an active mask with no device set are refused too.
+  // mu that is not finite and >= 0, a non-finite weight and an active
+  // mask with no device set are refused too.
   TrainHistory resume(const std::string& checkpoint_path);
 
   // Registers an observer for run/round/client telemetry (obs/observer.h).
@@ -229,7 +229,11 @@ class Trainer {
   void add_observer(TrainingObserver& observer);
 
  private:
-  TrainHistory run_impl(const CheckpointState* restored);
+  // The round loop, from `start`: run() hands it the state a checkpoint
+  // taken before round 0 would hold (next_round 0, no history), resume()
+  // the checkpoint it loaded.
+  TrainHistory run_impl(const CheckpointState& start);
+  DeviceRegistry make_registry() const;
 
   const Model& model_;
   const FederatedDataset& data_;

@@ -17,14 +17,11 @@ JsonValue opt_json(const std::optional<double>& v) {
 
 JsonObject run_info_json(const RunInfo& info) {
   JsonObject run;
-  run["algorithm"] = to_string(info.config.algorithm);
   run["rounds"] = info.rounds;
   run["first_round"] = info.first_round;
-  run["devices_per_round"] = info.config.devices_per_round;
   run["num_clients"] = info.num_clients;
   run["parameter_count"] = info.parameter_count;
   run["threads"] = info.threads;
-  run["seed"] = info.config.seed;
   run["resumed"] = info.resumed;
   run["config"] = config_to_json(info.config);
   return run;

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <stdexcept>
 
+#include "support/log.h"
+
 namespace fed {
 
 namespace {
@@ -132,6 +134,12 @@ std::vector<std::string> CliFlags::unused() const {
     if (!read_.contains(name)) out.push_back(name);
   }
   return out;
+}
+
+void CliFlags::warn_unused() const {
+  for (const std::string& name : unused()) {
+    log_warn() << "ignoring unknown flag --" << name;
+  }
 }
 
 }  // namespace fed

@@ -42,6 +42,9 @@ class CliFlags {
 
   // Flags seen but never read; useful to warn on typos.
   std::vector<std::string> unused() const;
+  // Logs "ignoring unknown flag --<name>" for each of unused(); call it
+  // once every flag the program takes has been read.
+  void warn_unused() const;
 
  private:
   std::optional<std::string> raw(const std::string& name) const;

@@ -18,7 +18,6 @@ namespace {
 //   magic(m) 4 bytes | version(v) u64 | u64 | f64 | flag u8 (0 or 1)
 //   packed(v)        u64 n | n elements (f64 or u8)
 //   registers(v, n)  n canonical ExactSum registers (tensor/exact_sum.h)
-//   optional(o, f)   flag | the fields f of *o, or of a default T
 //   optionals(o...)  one flag, set if any o is present | each o as f64
 //   array(v, f)      u64 n | n * the fields f of one element
 
@@ -26,9 +25,10 @@ constexpr char kBroadcastMagic[4] = {'F', 'P', 'B', '1'};
 constexpr char kUpdateMagic[4] = {'F', 'P', 'U', '1'};
 constexpr char kPartialMagic[4] = {'F', 'P', 'S', '2'};
 constexpr char kCheckpointMagic[4] = {'F', 'P', 'C', '1'};
-// Version 3: the config fingerprint mixes the local solver's name, so a
-// version-2 file (fingerprinted without it) is refused.
-constexpr std::uint64_t kCheckpointVersion = 3;
+// Version 4 holds mu once and one mu controller's state; a file of an
+// older layout, or fingerprinted without the local solver (version 2),
+// is refused.
+constexpr std::uint64_t kCheckpointVersion = 4;
 
 // FPB1: a ModelBroadcast to encode, an OwnedBroadcast to decode into.
 constexpr auto kBroadcastFields = [](auto& w, auto& m) {
@@ -104,19 +104,6 @@ constexpr auto kRoundRecordFields = [](auto& w, auto& m) {
   w.u64(m.stragglers);
 };
 
-// The mu controllers' state in FPC1 (core/adaptive_mu.h).
-constexpr auto kAdaptiveFields = [](auto& w, auto& a) {
-  w.f64(a.mu);
-  w.f64(a.last_loss);
-  w.flag(a.has_last);
-  w.u64(a.consecutive_decreases);
-};
-constexpr auto kTheoryFields = [](auto& w, auto& t) {
-  w.f64(t.mu);
-  w.f64(t.b_sq_ema);
-  w.flag(t.has_estimate);
-};
-
 // FPC1: a CheckpointState, before its u64 FNV-1a trailer over every
 // preceding byte.
 constexpr auto kCheckpointFields = [](auto& w, auto& s) {
@@ -126,8 +113,9 @@ constexpr auto kCheckpointFields = [](auto& w, auto& s) {
   w.u64(s.seed);
   w.u64(s.next_round);
   w.f64(s.mu);
-  w.optional(s.adaptive, kAdaptiveFields);
-  w.optional(s.theory, kTheoryFields);
+  w.f64(s.mu_state.last);  // the mu controller (core/mu_controller.h)
+  w.flag(s.mu_state.has_last);
+  w.u64(s.mu_state.streak);
   w.packed(s.parameters);
   w.u64(s.population);
   w.u64(s.churn_arrivals);
@@ -171,12 +159,6 @@ class ByteWriter {
   }
   void registers(std::span<const std::uint8_t> v, std::uint64_t) {
     raw(v.data(), v.size());
-  }
-  template <typename T, typename Fields>
-  void optional(const std::optional<T>& o, const Fields& fields) {
-    flag(o.has_value());
-    const T value = o.value_or(T{});
-    fields(*this, value);
   }
   template <typename... O>
   void optionals(const O&... group) {
@@ -260,14 +242,6 @@ class ByteReader {
       pos_ += length;
     }
     v = buffer_.subspan(start, pos_ - start);
-  }
-  template <typename T, typename Fields>
-  void optional(std::optional<T>& o, const Fields& fields) {
-    bool present = false;
-    flag(present);
-    T value{};
-    fields(*this, value);
-    if (present) o = value;
   }
   template <typename... O>
   void optionals(O&... group) {

@@ -30,13 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "comm/message.h"
-#include "core/adaptive_mu.h"
+#include "core/mu_controller.h"
 #include "core/trainer.h"
 #include "tensor/tensor.h"
 
@@ -77,7 +76,7 @@ PartialSumUpdate decode_partial_sum(std::span<const std::uint8_t> buffer);
 //
 // Everything the trainer needs to continue a run bit-identically to one
 // that never stopped: the exact parameter vector, the effective mu and
-// the mutable adaptive/theory controller state, the device registry's
+// the rest of the mu controller's state, the device registry's
 // live-population bitmask (sim/churn.h), and the TrainHistory recorded so
 // far. RNG streams are counter-keyed by (seed, round, ...), so "RNG
 // state" is just `seed` + `next_round` — no engine state to snapshot.
@@ -87,11 +86,7 @@ struct CheckpointState {
   std::uint64_t seed = 0;
   std::uint64_t next_round = 0;   // first round the resumed run executes
   double mu = 0.0;                // effective mu for next_round
-
-  // The mu controller's mutable state (core/adaptive_mu.h), when the run
-  // has one. An absent controller is framed as its default State.
-  std::optional<AdaptiveMu::State> adaptive;
-  std::optional<DissimilarityMu::State> theory;
+  MuController::State mu_state;   // the rest of the mu policy's state
 
   Vector parameters;  // the global model, bit-exact
 

@@ -22,6 +22,7 @@
 
 #include "comm/transport.h"
 #include "core/checkpoint.h"
+#include "core/mu_controller.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
@@ -81,7 +82,7 @@ class CheckpointTest : public ::testing::Test {
     state.seed = 42;
     state.next_round = 9;
     state.mu = 0.75;
-    state.adaptive = AdaptiveMu::State{0.5, 1.25, true, 3};
+    state.mu_state = {.last = 1.25, .has_last = true, .streak = 3};
     state.parameters = Vector{0.5, -1.25, 3.0, 0.0};
     state.population = 10;
     state.churn_arrivals = 7;
@@ -182,12 +183,9 @@ TEST_F(CheckpointTest, StateRoundTripsBitExact) {
   EXPECT_EQ(back.seed, state.seed);
   EXPECT_EQ(back.next_round, state.next_round);
   EXPECT_EQ(back.mu, state.mu);
-  ASSERT_TRUE(back.adaptive.has_value());
-  EXPECT_EQ(back.adaptive->mu, 0.5);
-  EXPECT_EQ(back.adaptive->last_loss, 1.25);
-  EXPECT_TRUE(back.adaptive->has_last);
-  EXPECT_EQ(back.adaptive->consecutive_decreases, 3u);
-  EXPECT_FALSE(back.theory.has_value());
+  EXPECT_EQ(back.mu_state.last, 1.25);
+  EXPECT_TRUE(back.mu_state.has_last);
+  EXPECT_EQ(back.mu_state.streak, 3u);
   EXPECT_EQ(back.parameters, state.parameters);
   EXPECT_EQ(back.population, state.population);
   EXPECT_EQ(back.churn_arrivals, state.churn_arrivals);
@@ -407,8 +405,8 @@ TEST_F(CheckpointTest, AdaptiveMuStateSurvivesTheCrash) {
   LogisticRegression model(data().input_dim, data().num_classes);
   TrainerConfig c = config();
   c.eval_every = 1;  // adaptive mu moves on evaluated rounds
-  c.adaptive_mu.enabled = true;
-  c.adaptive_mu.initial_mu = 0.5;
+  c.mu = 0.5;
+  c.mu_policy = MuPolicy::kAdaptive;
   const TrainHistory reference = Trainer(model, data(), c).run();
 
   TrainerConfig crashed = c;
@@ -422,9 +420,9 @@ TEST_F(CheckpointTest, AdaptiveMuStateSurvivesTheCrash) {
   ASSERT_TRUE(newest.has_value());
   const CheckpointState state = load_checkpoint_state(*newest);
   EXPECT_EQ(state.next_round, 9u);
-  ASSERT_TRUE(state.adaptive.has_value());
-  EXPECT_GT(state.adaptive->consecutive_decreases, 0u);
-  EXPECT_LT(state.adaptive->consecutive_decreases, AdaptiveMu::kPatience);
+  ASSERT_TRUE(state.mu_state.has_last);
+  EXPECT_GT(state.mu_state.streak, 0u);
+  EXPECT_LT(state.mu_state.streak, MuController::kPatience);
 
   const TrainHistory resumed =
       Trainer(model, data(), c).resume(*newest);
@@ -521,7 +519,7 @@ TEST_F(CheckpointTest, FingerprintCoversEveryTrajectoryKnob) {
       EXPECT_EQ(fingerprint(c), base) << leaf.path << " blocks a resume";
     }
   }
-  EXPECT_EQ(relevant, 28u);  // 35 leaves less threads, shards, transport,
+  EXPECT_EQ(relevant, 26u);  // 33 leaves less threads, shards, transport,
                              // the checkpoint plan and the crash plan
   EXPECT_NE(config_fingerprint(config(), 13, 100), base) << "population";
   EXPECT_NE(config_fingerprint(config(), 12, 101), base) << "parameter count";
@@ -610,12 +608,6 @@ TEST_F(CheckpointTest, ResumeRejectsAMuOutsideItsRange) {
     state.mu = mu;
     cases.emplace_back(name, state);
   }
-  CheckpointState adaptive = valid;
-  adaptive.adaptive = AdaptiveMu::State{nan, 1.0, true, 0};
-  cases.emplace_back("nan_adaptive_mu", adaptive);
-  CheckpointState theory = valid;
-  theory.theory = DissimilarityMu::State{-1.0, 1.0, true};
-  cases.emplace_back("negative_theory_mu", theory);
   expect_refused(cases, "mu");
 }
 

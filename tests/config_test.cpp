@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -44,8 +44,13 @@ std::string below_range(const ConfigLeaf& leaf) {
   return f.lo >= 1 ? number(f.lo - 1) : "";
 }
 
+// The value just above `leaf`'s range, or "" if none; a count's as an
+// integer, since as a double 2^53 + 1 rounds back to 2^53.
 std::string above_range(const ConfigLeaf& leaf) {
-  return std::isinf(leaf.field.hi) ? "" : number(leaf.field.hi + 1);
+  const double hi = leaf.field.hi;
+  if (std::isinf(hi)) return "";
+  return leaf.real ? number(hi + 1)
+                   : std::to_string(static_cast<std::uint64_t>(hi) + 1);
 }
 
 class ConfigTest : public ::testing::Test {
@@ -152,27 +157,25 @@ TEST_F(ConfigTest, ParserReadsEveryFlagIntoItsLeaf) {
 TEST_F(ConfigTest, TrainerRejectsEveryOutOfRangeLeafBeforeAnyHook) {
   LogisticRegression model(data().input_dim, data().num_classes);
   ASSERT_NO_THROW(Trainer(model, data(), valid_config()));
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
   std::size_t ranged = 0;
   for (const ConfigLeaf& leaf : config_leaves()) {
-    std::vector<double> bad;
-    if (leaf.real) bad = {nan, inf, -inf};
+    std::vector<std::string> bad;
+    if (leaf.real) bad = {"nan", "inf", "-inf"};
     for (const std::string& value : {below_range(leaf), above_range(leaf)}) {
-      if ((leaf.real || leaf.count) && !value.empty()) {
-        bad.push_back(std::stod(value));
-      }
+      if ((leaf.real || leaf.count) && !value.empty()) bad.push_back(value);
     }
     if (bad.empty()) continue;
     ++ranged;
-    for (const double value : bad) {
+    for (const std::string& value : bad) {
       TrainerConfig config = valid_config();
       edit_config_leaf(config, leaf.path, [&](auto& v) {
         using T = std::remove_cvref_t<decltype(v)>;
         if constexpr (std::is_enum_v<T>) {
-          v = static_cast<T>(static_cast<int>(value));
+          v = static_cast<T>(std::stoi(value));
+        } else if constexpr (std::is_floating_point_v<T>) {
+          v = std::stod(value);
         } else if constexpr (std::is_arithmetic_v<T>) {
-          v = static_cast<T>(value);
+          v = static_cast<T>(std::stoull(value));  // exactly, past 2^53
         }
       });
       // The constructor throws, so no observer can be registered, let
@@ -186,20 +189,22 @@ TEST_F(ConfigTest, TrainerRejectsEveryOutOfRangeLeafBeforeAnyHook) {
       }
     }
   }
-  // 12 doubles, 8 bounded counts and 2 enums. Among them are the values
+  // 11 doubles, 9 bounded counts and 3 enums. Among them are the values
   // that once got past the constructor: straggler fraction 2 or NaN,
   // epochs 0 and batch 0 (refused only inside round 1), faults.drop 2
   // (refused after on_run_start), learning rate NaN (ran to the end with
-  // every update rejected) and -1 (diverged).
-  EXPECT_EQ(ranged, 22u);
+  // every update rejected) and -1 (diverged), and seed 2^53 + 1, which a
+  // run header would record as 2^53.
+  EXPECT_EQ(ranged, 23u);
 }
 
 TEST_F(ConfigTest, RunHeaderConfigHoldsEveryLeaf) {
   TrainerConfig config = valid_config();
   config.transport = make_transport(TransportKind::kSerialized);
+  config.seed = std::uint64_t{1} << 53;  // the largest seed it holds exactly
   const JsonValue json = config_to_json(config);
   const std::vector<ConfigLeaf> leaves = config_leaves();
-  EXPECT_LE(leaves.size(), 35u) << "a new settable field: is it needed?";
+  EXPECT_LE(leaves.size(), 33u) << "a new settable field: is it needed?";
   for (const ConfigLeaf& leaf : leaves) {
     const JsonValue* node = &json;
     std::string rest = leaf.path;
@@ -213,6 +218,7 @@ TEST_F(ConfigTest, RunHeaderConfigHoldsEveryLeaf) {
   EXPECT_EQ(json.at("solver").as_string(), "sgd");
   EXPECT_EQ(json.at("transport").as_string(), "serialized");
   EXPECT_EQ(json.at("systems").at("epochs").as_count(), 1u);
+  EXPECT_EQ(json.at("seed").as_count(), std::uint64_t{1} << 53);
 }
 
 TEST_F(ConfigTest, HelpListsEveryOfferedFlagWithItsDefault) {

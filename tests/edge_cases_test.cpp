@@ -5,7 +5,7 @@
 #include "bench_common.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "nn/grad_check.h"
+#include "grad_check.h"
 #include "nn/logistic.h"
 #include "nn/lstm.h"
 #include "sim/server.h"

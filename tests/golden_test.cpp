@@ -173,22 +173,22 @@ void expect_pinned(const std::string& name, const std::vector<Pin>& pins) {
 TEST(GoldenTest, SynthSmall) {
   expect_pinned("synth_small",
                 {{0xccca9c100fca67adull, 0x6fee35c084835e6cull,
-                  0x9be279cfad1c91f8ull},
+                  0x9940dcc68e29e7bdull},
                  {0x870e46604b76cbc2ull, 0xa78dc3f74330f15bull,
-                  0x539ca389e4bcf7c7ull}});
+                  0x6c8cf850efd183faull}});
 }
 
 TEST(GoldenTest, LstmKernels) {
   expect_pinned("lstm_kernels", {{0x40b1b5e941a24b1eull, 0x484dbd7d90dea995ull,
-                                  0xf510353c7b4e34fbull}});
+                                  0xe2f4c13c70d3e3feull}});
 }
 
 TEST(GoldenTest, WideFaulty) {
   expect_pinned("wide_faulty",
                 {{0x6a0d611cb9c86241ull, 0x71d9e985fc6b258cull,
-                  0x405f65e267e76eb3ull},
+                  0x7542346208b095b7ull},
                  {0x05b2550724d416a8ull, 0x0539dd6a388a8766ull,
-                  0x34a96c18599be7f4ull}});
+                  0xdaef9506c0d4bb74ull}});
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "nn/grad_check.h"
+#include "grad_check.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,6 +1,5 @@
-// Finite-difference gradient verification. Used by the test suite to
-// certify every model's analytic backward pass, and available to users
-// adding custom models.
+// Finite-difference gradient verification: the test suite's check of
+// every model's analytic backward pass.
 
 #pragma once
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/grad_check.h"
+#include "grad_check.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 

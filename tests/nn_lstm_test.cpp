@@ -6,7 +6,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "nn/grad_check.h"
+#include "grad_check.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
 #include "tensor/vmath.h"

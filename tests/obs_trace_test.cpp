@@ -98,12 +98,17 @@ TEST_F(TraceTest, JsonlSinkWritesHeaderPlusOneLinePerRecord) {
   const JsonValue header = parse_json(lines.front());
   ASSERT_TRUE(header.contains("run"));
   const auto& run = header.at("run");
-  EXPECT_EQ(run.at("algorithm").as_string(), "FedProx");
   EXPECT_DOUBLE_EQ(run.at("rounds").as_number(), kRounds);
-  EXPECT_DOUBLE_EQ(run.at("devices_per_round").as_number(), 4.0);
-  // The whole config rides along; "rounds" outside it is this segment's.
-  EXPECT_DOUBLE_EQ(run.at("config").at("devices_per_round").as_number(), 4.0);
-  EXPECT_EQ(run.at("config").at("solver").as_string(), "sgd");
+  // The whole config rides along, each leaf once, in "config"; "rounds"
+  // outside it is this segment's.
+  for (const char* key : {"algorithm", "devices_per_round", "seed"}) {
+    EXPECT_FALSE(run.contains(key)) << key << " is stated twice";
+  }
+  const auto& config = run.at("config");
+  EXPECT_EQ(config.at("algorithm").as_string(), "FedProx");
+  EXPECT_DOUBLE_EQ(config.at("devices_per_round").as_number(), 4.0);
+  EXPECT_EQ(config.at("mu_policy").as_string(), "fixed");
+  EXPECT_EQ(config.at("solver").as_string(), "sgd");
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const JsonValue v = parse_json(lines[i]);  // every line parses

@@ -147,7 +147,7 @@ class SerializeFuzzTest : public ::testing::Test {
     state.seed = 7;
     state.next_round = 41;
     state.mu = 0.5;
-    state.adaptive = AdaptiveMu::State{0.25, 1.5, true, 2};
+    state.mu_state = {.last = 1.5, .has_last = true, .streak = 2};
     state.parameters = Vector(23);
     for (std::size_t i = 0; i < state.parameters.size(); ++i) {
       state.parameters[i] = 0.5 * static_cast<double>(i) - 4.0;

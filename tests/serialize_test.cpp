@@ -102,22 +102,18 @@ class FrameBuilder {
   WireBuffer bytes_;
 };
 
-// One frame per mu controller: none (both sections zero, b_sq_ema 1.0),
-// AdaptiveMu, and DissimilarityMu.
+// One frame per mu controller state: a fresh one (all zeros), the
+// adaptive policy's last loss mid-streak, and the theory policy's B^2
+// average.
 enum class Controller { kNone, kAdaptive, kTheory };
 
 WireBuffer pinned_checkpoint_frame(Controller controller) {
   FrameBuilder f("FPC1");
-  f.u64(3).u64(0x0123456789abcdefull).u64(7).u64(3).f64(0.25);
-  if (controller == Controller::kAdaptive) {
-    f.u8(1).f64(0.2).f64(1.125).u8(1).u64(3);
-  } else {
-    f.u8(0).f64(0.0).f64(0.0).u8(0).u64(0);
-  }
-  if (controller == Controller::kTheory) {
-    f.u8(1).f64(0.375).f64(2.5).u8(1);
-  } else {
-    f.u8(0).f64(0.0).f64(1.0).u8(0);
+  f.u64(4).u64(0x0123456789abcdefull).u64(7).u64(3).f64(0.25);
+  switch (controller) {  // last, has_last, streak
+    case Controller::kNone: f.f64(0.0).u8(0).u64(0); break;
+    case Controller::kAdaptive: f.f64(1.125).u8(1).u64(3); break;
+    case Controller::kTheory: f.f64(2.5).u8(1).u64(0); break;
   }
   f.u64(2).f64(1.5).f64(-2.0);                 // parameters
   f.u64(10).u64(4).u64(2).u64(2).u8(0xfb).u8(0x02);  // population, mask
@@ -130,16 +126,16 @@ WireBuffer pinned_checkpoint_frame(Controller controller) {
 }
 
 TEST_F(SerializeTest, CheckpointFrameBytesArePinned) {
-  // Decoding a frame and encoding it again reproduces every byte: the
-  // layout, an absent controller's zeros, and b_sq_ema's 1.0 included.
+  // Decoding a frame and encoding it again reproduces every byte, the
+  // layout and a fresh controller's zeros included.
   const std::pair<Controller, std::uint64_t> cases[] = {
-      {Controller::kNone, 0x70a5db8f12e68791ull},
-      {Controller::kAdaptive, 0x7b5c848aa8f52199ull},
-      {Controller::kTheory, 0xcf46227a22a7992full},
+      {Controller::kNone, 0xe7c1409d8eb220f8ull},
+      {Controller::kAdaptive, 0xeb0368c6e77f3c12ull},
+      {Controller::kTheory, 0x6f6592a85e6a8825ull},
   };
   for (const auto& [controller, digest] : cases) {
     const WireBuffer frame = pinned_checkpoint_frame(controller);
-    EXPECT_EQ(frame.size(), 328u);
+    EXPECT_EQ(frame.size(), 301u);
     EXPECT_EQ(reference_fnv1a(frame), digest);
     EXPECT_EQ(encode_checkpoint_state(decode(frame)), frame)
         << "controller " << static_cast<int>(controller);
@@ -173,9 +169,10 @@ TEST_F(SerializeTest, CheckpointVersionOneIsRejected) {
   // Version 1 frames carried one more header field; the version check
   // refuses them before any field is misread.
   WireBuffer body = body_of(encode_checkpoint_state(small_state()));
-  EXPECT_EQ(body[4], 3u);  // u64 version, little-endian, after the magic
-  // Version 2 fingerprinted the config without the local solver.
-  for (const std::uint8_t old_version : {1, 2}) {
+  EXPECT_EQ(body[4], 4u);  // u64 version, little-endian, after the magic
+  // Version 2 fingerprinted the config without the local solver; version
+  // 3 framed two optional mu controllers, each with its own mu.
+  for (const std::uint8_t old_version : {1, 2, 3}) {
     body[4] = old_version;
     EXPECT_THROW((void)decode(reseal(body)), std::runtime_error);
   }

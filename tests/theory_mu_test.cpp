@@ -1,13 +1,12 @@
-// Tests for the theory-guided mu controller (mu ~ B^2 - 1, Corollary 7)
-// and its integration with the Trainer, plus FPC1 crash/resume
-// bit-exactness with the controller live.
+// The Trainer under the theory-guided mu policy (mu ~ B^2 - 1,
+// Corollary 7; the controller's own tests are in mu_controller_test),
+// and FPC1 crash/resume bit-exactness with the policy live.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 
-#include "core/adaptive_mu.h"
 #include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -16,53 +15,6 @@
 
 namespace fed {
 namespace {
-
-// The controller's constants: mu = 0.05 (B_ema^2 - 1), clamped to
-// [0, 10], with EMA weight 0.5 on the previous B^2 estimate.
-
-TEST(DissimilarityMuTest, IidMapsToZeroMu) {
-  DissimilarityMu controller;
-  EXPECT_DOUBLE_EQ(controller.update(1.0), 0.0);  // B = 1: no penalty
-}
-
-TEST(DissimilarityMuTest, MuScalesWithBSquared) {
-  DissimilarityMu controller;
-  // The first measurement seeds the average.
-  EXPECT_DOUBLE_EQ(controller.update(2.0), 0.05 * (4.0 - 1.0));
-  DissimilarityMu other;
-  EXPECT_DOUBLE_EQ(other.update(3.0), 0.05 * (9.0 - 1.0));
-}
-
-TEST(DissimilarityMuTest, ClampedAtMaxMu) {
-  // 0.05 (B^2 - 1) reaches 10 at B = sqrt(201).
-  DissimilarityMu below;
-  EXPECT_DOUBLE_EQ(below.update(14.0), 0.05 * (196.0 - 1.0));  // 9.75
-  DissimilarityMu above;
-  EXPECT_DOUBLE_EQ(above.update(15.0), 10.0);  // 0.05 * 224 = 11.2
-  EXPECT_DOUBLE_EQ(above.update(100.0), 10.0);
-}
-
-TEST(DissimilarityMuTest, SmoothingAveragesEstimates) {
-  DissimilarityMu controller;
-  controller.update(1.0);  // ema = 1
-  // ema = 0.5*1 + 0.5*9 = 5 -> mu = 0.05 * 4.
-  EXPECT_DOUBLE_EQ(controller.update(3.0), 0.05 * 4.0);
-  // ema = 0.5*5 + 0.5*9 = 7 -> mu = 0.05 * 6.
-  EXPECT_DOUBLE_EQ(controller.update(3.0), 0.05 * 6.0);
-  EXPECT_DOUBLE_EQ(controller.state().b_sq_ema, 7.0);
-}
-
-TEST(DissimilarityMuTest, BBelowOneFloorsAtZero) {
-  DissimilarityMu controller;
-  EXPECT_DOUBLE_EQ(controller.update(0.5), 0.0);
-}
-
-TEST(DissimilarityMuTest, RejectsBadInput) {
-  DissimilarityMu controller;
-  EXPECT_THROW(controller.update(-1.0), std::invalid_argument);
-  EXPECT_THROW(controller.update(std::nan("")), std::invalid_argument);
-  EXPECT_THROW(controller.update(INFINITY), std::invalid_argument);
-}
 
 class TheoryMuTrainerTest : public ::testing::Test {
  protected:
@@ -89,7 +41,7 @@ TEST_F(TheoryMuTrainerTest, TheoryPolicyRaisesMuOnHeterogeneousData) {
   c.systems.epochs = 5;
   c.learning_rate = 0.03;
   c.seed = 13;
-  c.theory_mu = true;
+  c.mu_policy = MuPolicy::kTheory;
   auto h = Trainer(model, data(), c).run();
   // The controller must have measured B > 1 and produced a positive mu.
   bool positive_mu = false;
@@ -100,16 +52,6 @@ TEST_F(TheoryMuTrainerTest, TheoryPolicyRaisesMuOnHeterogeneousData) {
     }
   }
   EXPECT_TRUE(positive_mu);
-}
-
-TEST_F(TheoryMuTrainerTest, MutuallyExclusiveWithAdaptive) {
-  LogisticRegression model(data().input_dim, data().num_classes);
-  TrainerConfig c;
-  c.rounds = 2;
-  c.devices_per_round = 2;
-  c.adaptive_mu.enabled = true;
-  c.theory_mu = true;
-  EXPECT_THROW(Trainer(model, data(), c), std::invalid_argument);
 }
 
 TEST_F(TheoryMuTrainerTest, CheckpointResumeIsBitExact) {
@@ -124,7 +66,7 @@ TEST_F(TheoryMuTrainerTest, CheckpointResumeIsBitExact) {
   c.learning_rate = 0.03;
   c.seed = 13;
   c.eval_every = 2;  // theory mu moves on evaluated rounds
-  c.theory_mu = true;
+  c.mu_policy = MuPolicy::kTheory;
   const auto reference = Trainer(model, data(), c).run();
 
   const std::string dir =

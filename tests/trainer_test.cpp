@@ -167,9 +167,8 @@ TEST_F(TrainerTest, DissimilarityMeasurementRecorded) {
 
 TEST_F(TrainerTest, AdaptiveMuChangesOverTraining) {
   LogisticRegression model(noniid_data().input_dim, noniid_data().num_classes);
-  auto config = small_config(Algorithm::kFedProx, 0.0, 0.0);
-  config.adaptive_mu.enabled = true;
-  config.adaptive_mu.initial_mu = 1.0;
+  auto config = small_config(Algorithm::kFedProx, 1.0, 0.0);
+  config.mu_policy = MuPolicy::kAdaptive;
   config.rounds = 40;
   auto history = Trainer(model, noniid_data(), config).run();
   bool changed = false;
