@@ -1,12 +1,13 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "support/log.h"
 #include "support/stopwatch.h"
@@ -195,15 +196,22 @@ std::string opt_cell(const std::optional<double>& v) {
   return out.str();
 }
 
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
+// One RoundMetrics as visit_metrics walks it: per field its key,
+// whether it is set, and its bits (a count by value, a double by its
+// bytes).
+struct MetricBits {
+  std::vector<std::tuple<const char*, bool, std::uint64_t>> fields;
 
-bool bits_equal(const std::optional<double>& a,
-                const std::optional<double>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  return !a || bits_equal(*a, *b);
-}
+  void field(const char* key, std::size_t v) {
+    fields.emplace_back(key, true, v);
+  }
+  void field(const char* key, double v) { field(key, std::optional(v)); }
+  void field(const char* key, const std::optional<double>& v) {
+    fields.emplace_back(key, v.has_value(),
+                        std::bit_cast<std::uint64_t>(v.value_or(0.0)));
+  }
+  void optionals(const auto& group) { group(*this); }
+};
 
 }  // namespace
 
@@ -298,35 +306,22 @@ std::string history_divergence(const TrainHistory& a, const TrainHistory& b) {
            std::to_string(b.rounds.size());
   }
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    const RoundMetrics& x = a.rounds[i];
-    const RoundMetrics& y = b.rounds[i];
-    const auto diverged = [&](const char* field) {
-      return "round " + std::to_string(x.round) + ": " + field + " diverged";
-    };
-    if (x.round != y.round) return diverged("round id");
-    if (!bits_equal(x.mu, y.mu)) return diverged("mu");
-    if (x.contributors != y.contributors) return diverged("contributors");
-    if (x.stragglers != y.stragglers) return diverged("stragglers");
-    if (!bits_equal(x.train_loss, y.train_loss)) return diverged("train_loss");
-    if (!bits_equal(x.train_accuracy, y.train_accuracy)) {
-      return diverged("train_accuracy");
+    MetricBits x, y;
+    visit_metrics(x, a.rounds[i]);
+    visit_metrics(y, b.rounds[i]);
+    for (std::size_t f = 0; f < x.fields.size(); ++f) {
+      if (x.fields[f] != y.fields[f]) {
+        return "round " + std::to_string(a.rounds[i].round) + ": " +
+               std::get<0>(x.fields[f]) + " diverged";
+      }
     }
-    if (!bits_equal(x.test_accuracy, y.test_accuracy)) {
-      return diverged("test_accuracy");
-    }
-    if (!bits_equal(x.grad_variance, y.grad_variance)) {
-      return diverged("grad_variance");
-    }
-    if (!bits_equal(x.dissimilarity_b, y.dissimilarity_b)) {
-      return diverged("dissimilarity_b");
-    }
-    if (!bits_equal(x.mean_gamma, y.mean_gamma)) return diverged("mean_gamma");
   }
   if (a.final_parameters.size() != b.final_parameters.size()) {
     return "final parameter dimension diverged";
   }
   for (std::size_t i = 0; i < a.final_parameters.size(); ++i) {
-    if (!bits_equal(a.final_parameters[i], b.final_parameters[i])) {
+    if (std::bit_cast<std::uint64_t>(a.final_parameters[i]) !=
+        std::bit_cast<std::uint64_t>(b.final_parameters[i])) {
       return "final parameters diverged at index " + std::to_string(i);
     }
   }

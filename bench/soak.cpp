@@ -15,7 +15,8 @@
 // churn (--churn) and channel faults (--faults) stay on the whole time,
 // so recovery is exercised against a moving population and a lossy
 // channel, not a lab-clean run. Results land in BENCH_soak.json, with
-// the run's whole config as the trace header writes it.
+// the run's whole config as the trace header writes it and, per segment,
+// the sum of every trace_counters() series keyed by series.
 //
 //   ./soak [--rounds 2000] [--checkpoint-every 25] [--crash-at 800,1400]
 //          [--churn arrive=0.03,depart=0.03] [--faults drop=0.05,...]
@@ -28,6 +29,7 @@
 #include <cmath>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +38,7 @@
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "nn/logistic.h"
+#include "obs/metrics.h"
 #include "obs/observer.h"
 #include "support/json.h"
 #include "support/stopwatch.h"
@@ -45,32 +48,27 @@ namespace {
 using namespace fed;
 using namespace fed::bench;
 
-// Per-segment churn/fault/checkpoint totals summed from the traces.
-struct SegmentStats {
-  std::size_t rounds = 0;
-  std::size_t arrivals = 0;
-  std::size_t departures = 0;
-  std::size_t departs = 0;          // selected devices that left mid-round
-  std::size_t failed_devices = 0;
-  std::size_t retries = 0;
-  std::size_t checkpoint_writes = 0;
-  std::uint64_t checkpoint_bytes = 0;
+// One segment's sum of every trace_counters() series (obs/metrics.h)
+// over its round traces, keyed by series.
+using SegmentTotals = std::map<std::string, std::uint64_t>;
 
-  void accumulate(const TraceCollector& collector) {
-    for (const RoundTrace& t : collector.traces()) {
-      ++rounds;
-      arrivals += t.arrivals;
-      departures += t.departures;
-      departs += t.faults.departs;
-      failed_devices += t.faults.failed_devices;
-      retries += t.faults.retries;
-      if (t.checkpoint.written) {
-        ++checkpoint_writes;
-        checkpoint_bytes += t.checkpoint.bytes;
-      }
-    }
+SegmentTotals segment_totals(const TraceCollector& collector) {
+  SegmentTotals totals;
+  for (const TraceCounter& counter : trace_counters()) {
+    std::uint64_t& total = totals[counter.series()];
+    for (const RoundTrace& t : collector.traces()) total += counter.value(t);
   }
-};
+  return totals;
+}
+
+// The series the summary table shows, one column each.
+const std::vector<std::string> kTableSeries = {
+    "fed_rounds_total",
+    "fed_churn_arrivals_total",
+    "fed_churn_departures_total",
+    "fed_comm_faults_total{kind=\"depart\"}",
+    "fed_comm_retries_total",
+    "fed_checkpoint_writes_total"};
 
 }  // namespace
 
@@ -151,7 +149,7 @@ int main(int argc, char** argv) {
 
   // Segmented: run, crash, resume from the newest checkpoint — repeated
   // per --crash-at round — then run to completion.
-  std::vector<SegmentStats> segments;
+  std::vector<SegmentTotals> segments;
   std::vector<std::size_t> resumed_from;
   std::vector<double> recovery_seconds;
   TrainHistory segmented;
@@ -200,9 +198,7 @@ int main(int argc, char** argv) {
                   << crash.round() << " (as planned)\n";
         ++next_crash;
       }
-      SegmentStats stats;
-      stats.accumulate(collector);
-      segments.push_back(stats);
+      segments.push_back(segment_totals(collector));
     }
     segmented_seconds = timer.seconds();
   }
@@ -210,14 +206,15 @@ int main(int argc, char** argv) {
   const std::string divergence = history_divergence(reference, segmented);
   const bool identical = divergence.empty();
 
-  TablePrinter table({"segment", "rounds", "arrivals", "departures",
-                      "mid-round departs", "retries", "ckpt writes"});
+  std::vector<std::string> header = {"segment"};
+  header.insert(header.end(), kTableSeries.begin(), kTableSeries.end());
+  TablePrinter table(header);
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    const SegmentStats& st = segments[s];
-    table.add_row({std::to_string(s + 1), std::to_string(st.rounds),
-                   std::to_string(st.arrivals), std::to_string(st.departures),
-                   std::to_string(st.departs), std::to_string(st.retries),
-                   std::to_string(st.checkpoint_writes)});
+    std::vector<std::string> row = {std::to_string(s + 1)};
+    for (const std::string& series : kTableSeries) {
+      row.push_back(std::to_string(segments[s].at(series)));
+    }
+    table.add_row(row);
   }
   std::cout << table.render();
   for (std::size_t i = 0; i < resumed_from.size(); ++i) {
@@ -247,17 +244,8 @@ int main(int argc, char** argv) {
   }
   out["resumes"] = std::move(resumes);
   JsonArray segment_rows;
-  for (const SegmentStats& st : segments) {
-    JsonObject row;
-    row["rounds"] = st.rounds;
-    row["arrivals"] = st.arrivals;
-    row["departures"] = st.departures;
-    row["mid_round_departs"] = st.departs;
-    row["failed_devices"] = st.failed_devices;
-    row["retries"] = st.retries;
-    row["checkpoint_writes"] = st.checkpoint_writes;
-    row["checkpoint_bytes"] = st.checkpoint_bytes;
-    segment_rows.push_back(JsonValue(std::move(row)));
+  for (const SegmentTotals& totals : segments) {
+    segment_rows.push_back(JsonObject(totals.begin(), totals.end()));
   }
   out["segments"] = std::move(segment_rows);
   out["reference_wall_seconds"] = reference_seconds;

@@ -122,12 +122,6 @@ void visit_config(Config& c, Fn&& fn) {
   fn(c.churn.depart, {.path = "churn.depart", .hi = 1, .trajectory = true,
                       .doc = "P(an active device leaves mid-round)",
                       .spec = &kChurnSpec});
-  fn(c.churn.initial, {.path = "churn.initial", .trajectory = true,
-                       .doc = "devices [0, initial) start active; 0 = all",
-                       .spec = &kChurnSpec});
-  fn(c.churn.min_active, {.path = "churn.min_active", .trajectory = true,
-                          .doc = "departure floor; the trainer raises it to K",
-                          .spec = &kChurnSpec});
   fn(c.checkpoint.dir,
      {.path = "checkpoint.dir", .flag = "checkpoint-dir",
       .doc = "checkpoint directory; empty = <out-dir>/checkpoints"});
@@ -144,8 +138,8 @@ void visit_config(Config& c, Fn&& fn) {
 
 // Throws std::invalid_argument naming the first leaf outside its range
 // ("TrainerConfig: systems.straggler_fraction: nan outside [0, 1]"); an
-// integer leaf is compared as an integer. Dataset-dependent bounds
-// (K and churn.initial against the device count) are the Trainer's.
+// integer leaf is compared as an integer. The dataset-dependent bound
+// (K against the device count) is the Trainer's.
 void validate(const TrainerConfig& config);
 
 // Every leaf as nested JSON objects; enums by to_string, the solver and

@@ -58,14 +58,6 @@ const RoundMetrics& TrainHistory::final_metrics() const {
   throw std::logic_error("TrainHistory: no evaluated round");
 }
 
-std::vector<std::pair<std::size_t, double>> TrainHistory::loss_series() const {
-  std::vector<std::pair<std::size_t, double>> out;
-  for (const auto& r : rounds) {
-    if (r.evaluated()) out.emplace_back(r.round, *r.train_loss);
-  }
-  return out;
-}
-
 bool TrainHistory::diverged(double threshold) const {
   for (const auto& r : rounds) {
     if (r.evaluated() &&
@@ -100,12 +92,11 @@ void Trainer::add_observer(TrainingObserver& observer) {
 }
 
 // The live population (sim/churn.h); without churn it is inert and
-// everyone is live. The departure floor is raised to devices_per_round so
+// everyone is live. The departure floor is devices_per_round so
 // selection always has a full candidate set.
 DeviceRegistry Trainer::make_registry() const {
-  ChurnConfig churn = config_.churn;
-  churn.min_active = std::max(churn.min_active, config_.devices_per_round);
-  return DeviceRegistry(data_.num_clients(), churn, config_.seed);
+  return DeviceRegistry(data_.num_clients(), config_.churn,
+                        config_.devices_per_round, config_.seed);
 }
 
 TrainHistory Trainer::run() {

@@ -183,14 +183,37 @@ struct RoundMetrics {
   bool evaluated() const { return train_loss.has_value(); }
 };
 
+// The field list of a RoundMetrics, in FPC1 order. `v` is a walker over
+// a const or a mutable RoundMetrics: field(key, member) per member, and
+// optionals(group) per group of optionals measured together, which
+// calls group(walker) on the walker it picks for the group's members
+// (FPC1 stores one presence flag per group). FPC1's round record
+// (support/serialize.cpp), the JSONL round line (obs/trace.cpp),
+// bench::history_divergence and GoldenTest's digest all walk it.
+template <typename V, typename Metrics>
+void visit_metrics(V& v, Metrics& m) {
+  v.field("round", m.round);
+  v.optionals([&](auto& g) {
+    g.field("train_loss", m.train_loss);
+    g.field("train_accuracy", m.train_accuracy);
+    g.field("test_accuracy", m.test_accuracy);
+  });
+  v.optionals([&](auto& g) {
+    g.field("grad_variance", m.grad_variance);
+    g.field("dissimilarity_b", m.dissimilarity_b);
+  });
+  v.field("mu", m.mu);
+  v.optionals([&](auto& g) { g.field("mean_gamma", m.mean_gamma); });
+  v.field("contributors", m.contributors);
+  v.field("stragglers", m.stragglers);
+}
+
 struct TrainHistory {
   std::vector<RoundMetrics> rounds;
   Vector final_parameters;
 
   // Metrics of the last evaluated round. Throws if nothing was evaluated.
   const RoundMetrics& final_metrics() const;
-  // (round, train loss) over the evaluated rounds.
-  std::vector<std::pair<std::size_t, double>> loss_series() const;
   // True if any evaluated round saw a non-finite or clearly diverging
   // loss (> threshold).
   bool diverged(double threshold = 1e4) const;

@@ -33,6 +33,7 @@ HealthMonitor::HealthMonitor(HealthConfig config, MetricsRegistry* registry)
 
 void HealthMonitor::on_run_start(const RunInfo&) {
   incidents_.clear();
+  dropped_ = 0;
   recent_losses_.clear();
   has_best_loss_ = false;
   evals_since_improvement_ = 0;
@@ -123,7 +124,11 @@ void HealthMonitor::on_round_end(const RoundMetrics& metrics,
 }
 
 void HealthMonitor::record(HealthIncident incident, bool fatal) {
-  incidents_.push_back(incident);
+  if (incidents_.size() < kMaxIncidents || fatal) {
+    incidents_.push_back(incident);
+  } else {
+    ++dropped_;
+  }
   if (registry_) {
     registry_->counter("health_incidents_total").add();
     registry_->counter(std::string("health_") + to_string(incident.kind) +
@@ -135,9 +140,12 @@ void HealthMonitor::record(HealthIncident incident, bool fatal) {
 
 std::string HealthMonitor::report() const {
   if (incidents_.empty()) return "";
+  const std::size_t total = incidents_.size() + dropped_;
   std::ostringstream out;
-  out << "health: " << incidents_.size() << " incident"
-      << (incidents_.size() == 1 ? "" : "s") << " detected\n";
+  out << "health: " << total << " incident" << (total == 1 ? "" : "s")
+      << " detected";
+  if (dropped_ > 0) out << ", " << dropped_ << " not listed";
+  out << "\n";
   for (const auto& incident : incidents_) {
     out << "  [" << to_string(incident.kind) << "] " << incident.message
         << "\n";

@@ -6,10 +6,13 @@
 // a corrupt arrival.) HealthMonitor is a TrainingObserver that checks,
 // every round, the aggregated parameters for NaN/Inf, the evaluated train
 // loss for NaN/Inf, blow-up past k x the running median, and stalled
-// convergence, and records a degraded round. Incidents are counted in a
-// MetricsRegistry when one is attached (health_incidents_total plus one
-// counter per kind); fatal kinds abort the run by throwing HealthError
-// from the observer hook, with a report naming the round.
+// convergence, and records a degraded round. The log keeps the first
+// kMaxIncidents incidents and counts the rest, so a long run on a dead
+// channel (one degraded round each) stays bounded. Incidents are counted
+// in a MetricsRegistry when one is attached (health_incidents_total plus
+// one counter per kind, every incident); fatal kinds abort the run by
+// throwing HealthError from the observer hook, with a report naming the
+// round.
 //
 //   MetricsRegistry registry;
 //   HealthMonitor health(HealthConfig{}, &registry);
@@ -82,6 +85,9 @@ class HealthError : public std::runtime_error {
 
 class HealthMonitor final : public TrainingObserver {
  public:
+  // Incidents the log keeps; a fatal one is kept past it too.
+  static constexpr std::size_t kMaxIncidents = 64;
+
   explicit HealthMonitor(HealthConfig config = {},
                          MetricsRegistry* registry = nullptr);
 
@@ -96,9 +102,10 @@ class HealthMonitor final : public TrainingObserver {
                     const RoundTrace& trace) override;
 
   bool healthy() const { return incidents_.empty(); }
+  // The first kMaxIncidents incidents, and a fatal one.
   const std::vector<HealthIncident>& incidents() const { return incidents_; }
-  // "health: N incident(s)" header plus one line per incident; empty
-  // string when healthy.
+  // "health: N incident(s)" header, with the number not listed, plus one
+  // line per kept incident; empty string when healthy.
   std::string report() const;
 
  private:
@@ -108,6 +115,7 @@ class HealthMonitor final : public TrainingObserver {
   HealthConfig config_;
   MetricsRegistry* registry_;
   std::vector<HealthIncident> incidents_;
+  std::size_t dropped_ = 0;  // incidents left out of incidents_
   std::vector<double> recent_losses_;  // median window, oldest first
   double best_loss_ = 0.0;
   bool has_best_loss_ = false;

@@ -142,6 +142,11 @@ struct TraceCounter {
   const char* kind;
   const char* help;
   std::uint64_t (*value)(const RoundTrace& trace);
+
+  // The series as a selector: name{kind="<kind>"}, or the bare name.
+  std::string series() const {
+    return kind ? std::string(name) + "{kind=\"" + kind + "\"}" : name;
+  }
 };
 
 // Every RoundTrace-derived counter series, each stated once (the

@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -25,9 +27,10 @@ SolveStats SolveStats::from_samples(std::span<const double> seconds) {
 
 namespace {
 
-// The one field list of a JSONL round line. `v` is a TraceWriter over a
-// const RoundTrace or a TraceReader over a mutable one: each visits the
-// same (key, member) pairs, so the two directions cannot drift apart.
+// The field list of a JSONL round line's trace part; visit_metrics
+// (core/trainer.h) is its "metrics" block. `v` is a TraceWriter over a
+// const struct or a TraceReader over a mutable one: each visits the same
+// (key, member) pairs, so the two directions cannot drift apart.
 template <typename V, typename Trace>
 void visit_round(V& v, Trace& t) {
   v.field("round", t.round);
@@ -96,6 +99,13 @@ class TraceWriter {
   void field(const char* key, T v) {
     out_[key] = JsonValue(v);
   }
+  void field(const char* key, const std::optional<double>& v) {
+    out_[key] = v ? JsonValue(*v) : JsonValue(nullptr);
+  }
+  template <typename Group>
+  void optionals(Group group) {
+    group(*this);
+  }
   template <typename Fields>
   void object(const char* key, Fields fields) {
     JsonObject inner;
@@ -129,13 +139,17 @@ class TraceReader {
       : in_(in), path_(std::move(path)) {}
 
   // Counts go through as_count(), so a fraction, a sign or a string
-  // is an error naming the dotted key, never a silent cast.
+  // is an error naming the dotted key, never a silent cast. An optional
+  // reads null as unset.
   template <typename T>
   void field(const char* key, T& v) {
     const JsonValue& value = member(key);
     try {
       if constexpr (std::is_same_v<T, bool>) {
         v = value.as_bool();
+      } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+        v.reset();
+        if (!value.is_null()) v = value.as_number();
       } else if constexpr (std::is_floating_point_v<T>) {
         v = value.as_number();
       } else {
@@ -145,6 +159,28 @@ class TraceReader {
       throw std::runtime_error("round line \"" + dotted(key) +
                                "\": " + e.what());
     }
+    if constexpr (std::is_same_v<T, std::optional<double>>) {
+      if (group_first_ == nullptr) {
+        group_first_ = key;
+        group_set_ = v.has_value();
+      } else if (v.has_value() != group_set_) {
+        throw std::runtime_error("round line \"" + dotted(key) + "\" is " +
+                                 (group_set_ ? "null" : "set") + " but \"" +
+                                 dotted(group_first_) + "\" is not");
+      }
+    }
+  }
+  // A group is measured together: its members are all set or all null.
+  template <typename Group>
+  void optionals(Group group) {
+    group_first_ = nullptr;
+    group(*this);
+  }
+  const JsonValue& member(const char* key) const {
+    if (!in_.contains(key)) {
+      throw std::runtime_error("round line lacks \"" + dotted(key) + "\"");
+    }
+    return in_.at(key);
   }
   template <typename Fields>
   void object(const char* key, Fields fields) {
@@ -175,31 +211,45 @@ class TraceReader {
   std::string dotted(const char* key) const {
     return path_.empty() ? key : path_ + "." + key;
   }
-  const JsonValue& member(const char* key) const {
-    if (!in_.contains(key)) {
-      throw std::runtime_error("round line lacks \"" + dotted(key) + "\"");
-    }
-    return in_.at(key);
-  }
 
   const JsonValue& in_;
   std::string path_;
+  const char* group_first_ = nullptr;  // the group's first member read
+  bool group_set_ = false;             // and whether it is set
 };
 
 }  // namespace
 
-JsonValue trace_to_json(const RoundTrace& trace) {
+// The line is visit_round's keys plus visit_metrics' under "metrics";
+// a key both write (round, contributors, stragglers) is the trace's,
+// stated once at the top level: the writer drops it from the block and
+// the reader takes it from the line.
+JsonValue round_line_to_json(const RoundMetrics& metrics,
+                             const RoundTrace& trace) {
   JsonObject out;
+  JsonObject block;
   TraceWriter writer(out);
+  TraceWriter block_writer(block);
   visit_round(writer, trace);
+  visit_metrics(block_writer, metrics);
+  for (const auto& entry : out) block.erase(entry.first);
+  out["metrics"] = std::move(block);
   return JsonValue(std::move(out));
 }
 
-RoundTrace trace_from_json(const JsonValue& value) {
-  RoundTrace trace;
+RoundLine round_line_from_json(const JsonValue& value) {
+  RoundLine line;
   TraceReader reader(value, "");
-  visit_round(reader, trace);
-  return trace;
+  visit_round(reader, line.trace);
+  JsonValue block = reader.member("metrics");
+  if (block.is_object()) {
+    for (const auto& [key, item] : value.as_object()) {
+      if (key != "metrics") block.as_object()[key] = item;
+    }
+  }
+  TraceReader block_reader(block, "metrics");
+  visit_metrics(block_reader, line.metrics);
+  return line;
 }
 
 namespace {
@@ -298,6 +348,21 @@ std::string check_round_trace(const RoundTrace& t) {
   };
   for (const auto& [violated, message] : invariants) {
     if (violated) return message;
+  }
+  return "";
+}
+
+std::string check_round_line(const RoundLine& line) {
+  const RoundMetrics& m = line.metrics;
+  const std::string trace_error = check_round_trace(line.trace);
+  if (!trace_error.empty()) return trace_error;
+  if (m.evaluated() != line.trace.evaluated) {
+    return cat("evaluated=", line.trace.evaluated ? "true" : "false",
+               " but the evaluation metrics are ",
+               m.evaluated() ? "set" : "null");
+  }
+  if (!(m.mu >= 0.0 && std::isfinite(m.mu))) {
+    return cat("metrics.mu=", m.mu, " is not finite and >= 0");
   }
   return "";
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/trainer.h"
 #include "support/json.h"
 
 namespace fed {
@@ -117,14 +118,25 @@ struct RoundTrace {
   std::uint64_t bytes_up = 0;    // update bytes, over contributors only
 };
 
-// One JSONL round line (the sink adds "metrics"), both ways, from one
-// field list in obs/trace.cpp. The "checkpoint" block is present only
-// when checkpoint.written. trace_from_json ignores unknown keys and
-// throws std::runtime_error naming the dotted key ("faults.drops",
-// "shards[1].bytes_up") that is missing, mistyped, or a count outside
-// the integers [0, 2^53].
-JsonValue trace_to_json(const RoundTrace& trace);
-RoundTrace trace_from_json(const JsonValue& value);
+// What one JSONL round line holds.
+struct RoundLine {
+  RoundMetrics metrics;
+  RoundTrace trace;
+};
+
+// One JSONL round line, both ways, through two field lists: the trace's
+// keys (obs/trace.cpp), then visit_metrics' (core/trainer.h) under
+// "metrics", an unset optional as null. A metrics key the trace part
+// holds (round, contributors, stragglers) is written once, there. The
+// "checkpoint" block is present only when checkpoint.written.
+// round_line_from_json ignores unknown keys and throws
+// std::runtime_error naming the dotted key ("faults.drops",
+// "shards[1].bytes_up", "metrics.mu") that is missing, mistyped, or a
+// count outside the integers [0, 2^53], or a member of a metrics group
+// that is set while another is null.
+JsonValue round_line_to_json(const RoundMetrics& metrics,
+                             const RoundTrace& trace);
+RoundLine round_line_from_json(const JsonValue& value);
 
 // The accounting every trainer-produced trace obeys, or the first
 // violation ("" when none): attempts cover the selected devices and
@@ -134,8 +146,12 @@ RoundTrace trace_from_json(const JsonValue& value);
 // contributors; bytes move iff attempts / charged deliveries do and
 // split evenly over them; shards are dense, each ships an FPS2 partial,
 // and their columns sum to the round's; a checkpoint names its own
-// round, is non-empty and keeps generations <= retain. tools/trace_lint
-// applies it.
+// round, is non-empty and keeps generations <= retain.
 std::string check_round_trace(const RoundTrace& trace);
+
+// check_round_trace, then the metrics: evaluated exactly when the
+// evaluation metrics are set, and mu finite and >= 0. tools/trace_lint
+// applies it.
+std::string check_round_line(const RoundLine& line);
 
 }  // namespace fed

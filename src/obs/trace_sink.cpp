@@ -11,10 +11,6 @@ namespace fed {
 
 namespace {
 
-JsonValue opt_json(const std::optional<double>& v) {
-  return v ? JsonValue(*v) : JsonValue(nullptr);
-}
-
 JsonObject run_info_json(const RunInfo& info) {
   JsonObject run;
   run["rounds"] = info.rounds;
@@ -104,17 +100,7 @@ void JsonlTraceSink::begin_run(const RunInfo& info) {
 
 void JsonlTraceSink::write(const RoundMetrics& metrics,
                            const RoundTrace& trace) {
-  JsonValue value = trace_to_json(trace);
-  JsonObject m;
-  m["mu"] = metrics.mu;
-  m["train_loss"] = opt_json(metrics.train_loss);
-  m["train_accuracy"] = opt_json(metrics.train_accuracy);
-  m["test_accuracy"] = opt_json(metrics.test_accuracy);
-  m["grad_variance"] = opt_json(metrics.grad_variance);
-  m["dissimilarity_b"] = opt_json(metrics.dissimilarity_b);
-  m["mean_gamma"] = opt_json(metrics.mean_gamma);
-  value.as_object()["metrics"] = std::move(m);
-  emit(serialize_json(value));
+  emit(serialize_json(round_line_to_json(metrics, trace)));
   ++round_lines_;
 }
 

@@ -21,8 +21,9 @@ namespace fed {
 // One JSON object per line (JSONL). Each run starts with a header line
 // {"run":{...}} whose "config" object holds every TrainerConfig leaf
 // (core/config.h; "rounds" outside it counts this segment's rounds);
-// every round then gets {"round":...,"phases":{...},"metrics":{...}}. Reuses support/json serialization; numbers
-// round-trip exactly. The sink has one writer: TraceObserver calls it
+// every round then gets one round line, {"round":...,"phases":{...},
+// "metrics":{...}} (round_line_to_json, obs/trace.h). Numbers round-trip
+// exactly. The sink has one writer: TraceObserver calls it
 // from the Trainer's round thread.
 class JsonlTraceSink final {
  public:

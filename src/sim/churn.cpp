@@ -8,20 +8,16 @@
 namespace fed {
 
 DeviceRegistry::DeviceRegistry(std::size_t population, ChurnConfig config,
-                               std::uint64_t seed)
-    : config_(config), seed_(seed) {
+                               std::size_t min_active, std::uint64_t seed)
+    : config_(config), min_active_(min_active), seed_(seed) {
   if (population == 0) {
     throw std::invalid_argument("DeviceRegistry: empty population");
   }
-  if (config_.initial > population || config_.min_active > population) {
+  if (min_active_ > population) {
     throw std::invalid_argument(
-        "DeviceRegistry: initial/min_active exceed the population");
+        "DeviceRegistry: min_active exceeds the population");
   }
-  const std::size_t initially_active =
-      config_.initial == 0 ? population
-                           : std::max(config_.initial, config_.min_active);
-  active_.assign(population, 0);
-  for (std::size_t k = 0; k < initially_active; ++k) active_[k] = 1;
+  active_.assign(population, 1);
   departing_.assign(population, 0);
   rebuild_active_ids();
 }
@@ -49,7 +45,7 @@ void DeviceRegistry::begin_round(std::uint64_t round) {
   // "make room" for a departure — still a pure function of the draws).
   std::size_t live = 0;
   for (std::size_t k = 0; k < active_.size(); ++k) live += active_[k] ? 1u : 0u;
-  const std::size_t floor = std::max<std::size_t>(config_.min_active, 1);
+  const std::size_t floor = std::max<std::size_t>(min_active_, 1);
   departing_ids_.clear();
   for (std::size_t k = 0; k < active_.size() && live > floor; ++k) {
     if (!active_[k] || arrived[k]) continue;

@@ -18,12 +18,13 @@
 //   ...selection, exchanges, aggregation over active_devices()...
 //   end_round(t)    departures take effect; the device is gone next round
 //
-// Departures are capped so the population never falls below
-// max(min_active, 1): the cap is applied in ascending device order, so
-// the capped set is itself deterministic. With a zero ChurnConfig the
-// registry is inert — everyone active forever, begin_round/end_round
-// return at once — so the round driver needs no second path for a fixed
-// population. The trainer always builds one.
+// Every device starts active. Departures are capped so the population
+// never falls below max(min_active, 1): the cap is applied in ascending
+// device order, so the capped set is itself deterministic. With a zero
+// ChurnConfig the registry is inert — everyone active forever,
+// begin_round/end_round return at once — so the round driver needs no
+// second path for a fixed population. The trainer always builds one,
+// with min_active = devices_per_round so selection stays well-defined.
 //
 // The registry is driven from the round thread only; pool workers may
 // call the const accessors during the exchange barrier (the round thread
@@ -39,24 +40,18 @@
 namespace fed {
 
 // Per-round, per-device churn probabilities. Parsed from the --churn
-// flag: "arrive=0.05,depart=0.02[,initial=100][,min_active=10]".
+// flag: "arrive=0.05,depart=0.02".
 struct ChurnConfig {
   double arrive = 0.0;   // P(inactive device joins this round)
   double depart = 0.0;   // P(active device leaves mid-round)
-  // Devices [0, initial) start active; 0 means the whole population does
-  // (the default, so an all-zero config changes nothing).
-  std::size_t initial = 0;
-  // Departure floor: the active population never drops below this. The
-  // trainer raises it to devices_per_round so sampling stays well-defined.
-  std::size_t min_active = 0;
 
-  bool any() const { return arrive > 0.0 || depart > 0.0 || initial > 0; }
+  bool any() const { return arrive > 0.0 || depart > 0.0; }
 };
 
 // Parses "key=value[,key=value...]" over the config's entries in the
-// config field list (core/config.h, where both are defined): arrive/
-// depart in [0, 1], initial/min_active whole counts. Throws
-// std::invalid_argument on unknown keys or out-of-range values.
+// config field list (core/config.h, where both are defined): arrive and
+// depart in [0, 1]. Throws std::invalid_argument on unknown keys or
+// out-of-range values.
 ChurnConfig parse_churn_config(const std::string& spec);
 // Canonical "arrive=0.05,depart=0.02,..." form (only the non-zero knobs).
 std::string to_string(const ChurnConfig& config);
@@ -64,11 +59,11 @@ std::string to_string(const ChurnConfig& config);
 // The live device population under a churn schedule. See file comment.
 class DeviceRegistry {
  public:
-  // `population` is the dataset's device count. Throws when initial or
-  // min_active exceeds it; the probabilities are the Trainer's to check
-  // (core/config.h).
+  // `population` is the dataset's device count and `min_active` the
+  // departure floor. Throws when min_active exceeds the population; the
+  // probabilities are the Trainer's to check (core/config.h).
   DeviceRegistry(std::size_t population, ChurnConfig config,
-                 std::uint64_t seed);
+                 std::size_t min_active, std::uint64_t seed);
 
   // Draws this round's arrivals (effective immediately) and the capped
   // set of mid-round departures. Idempotent per round is NOT promised;
@@ -105,6 +100,7 @@ class DeviceRegistry {
   void rebuild_active_ids();
 
   ChurnConfig config_;
+  std::size_t min_active_;
   std::uint64_t seed_;
   std::vector<std::uint8_t> active_;     // 1 = device is live
   std::vector<std::uint8_t> departing_;  // 1 = leaves at end_round

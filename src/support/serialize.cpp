@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 
@@ -18,8 +19,10 @@ namespace {
 //   magic(m) 4 bytes | version(v) u64 | u64 | f64 | flag u8 (0 or 1)
 //   packed(v)        u64 n | n elements (f64 or u8)
 //   registers(v, n)  n canonical ExactSum registers (tensor/exact_sum.h)
-//   optionals(o...)  one flag, set if any o is present | each o as f64
 //   array(v, f)      u64 n | n * the fields f of one element
+// and visit_metrics' (core/trainer.h): field(key, v) a count as u64, a
+// double as f64 and an optional as f64 (0 when unset); optionals(group)
+// one flag, set if any member of the group is, then the group.
 
 constexpr char kBroadcastMagic[4] = {'F', 'P', 'B', '1'};
 constexpr char kUpdateMagic[4] = {'F', 'P', 'U', '1'};
@@ -95,13 +98,7 @@ constexpr auto kPartialFields = [](auto& w, auto& f) {
 
 // One FPC1 round record: a RoundMetrics, doubles bit-exact.
 constexpr auto kRoundRecordFields = [](auto& w, auto& m) {
-  w.u64(m.round);
-  w.optionals(m.train_loss, m.train_accuracy, m.test_accuracy);
-  w.optionals(m.grad_variance, m.dissimilarity_b);
-  w.f64(m.mu);
-  w.optionals(m.mean_gamma);
-  w.u64(m.contributors);
-  w.u64(m.stragglers);
+  visit_metrics(w, m);
 };
 
 // FPC1: a CheckpointState, before its u64 FNV-1a trailer over every
@@ -160,15 +157,25 @@ class ByteWriter {
   void registers(std::span<const std::uint8_t> v, std::uint64_t) {
     raw(v.data(), v.size());
   }
-  template <typename... O>
-  void optionals(const O&... group) {
-    flag((group.has_value() || ...));
-    (f64(group.value_or(0.0)), ...);
-  }
   template <typename T, typename Fields>
   void array(const std::vector<T>& v, const Fields& fields) {
     u64(v.size());
     for (const T& element : v) fields(*this, element);
+  }
+  void field(const char*, std::uint64_t v) { u64(v); }
+  void field(const char*, double v) { f64(v); }
+  void field(const char*, const std::optional<double>& v) {
+    any_set_ = any_set_ || v.has_value();
+    f64(v.value_or(0.0));
+  }
+  // The flag goes first: written as 0, then set once the group is.
+  void optionals(const auto& group) {
+    std::size_t at = 0;
+    if constexpr (kBytes) at = out_.size();
+    flag(false);
+    any_set_ = false;
+    group(*this);
+    if constexpr (kBytes) out_[at] = any_set_ ? 1 : 0;
   }
 
  private:
@@ -181,6 +188,7 @@ class ByteWriter {
     }
   }
   Out& out_;
+  bool any_set_ = false;  // a member of the open optionals group is set
 };
 
 using ByteCounter = ByteWriter<std::size_t>;
@@ -243,17 +251,6 @@ class ByteReader {
     }
     v = buffer_.subspan(start, pos_ - start);
   }
-  template <typename... O>
-  void optionals(O&... group) {
-    bool present = false;
-    flag(present);
-    const auto read = [&](auto& o) {
-      double value = 0.0;
-      f64(value);
-      if (present) o = value;
-    };
-    (read(group), ...);
-  }
   template <typename T, typename Fields>
   void array(std::vector<T>& v, const Fields& fields) {
     std::uint64_t n = 0;
@@ -261,6 +258,17 @@ class ByteReader {
     v.clear();
     v.reserve(std::min<std::uint64_t>(n, 1 << 20));
     for (std::uint64_t i = 0; i < n; ++i) fields(*this, v.emplace_back());
+  }
+  void field(const char*, std::size_t& v) { u64(v); }
+  void field(const char*, double& v) { f64(v); }
+  void field(const char*, std::optional<double>& v) {
+    double value = 0.0;
+    f64(value);
+    if (present_) v = value;
+  }
+  void optionals(const auto& group) {
+    flag(present_);
+    group(*this);
   }
   void finish() const {
     if (pos_ != buffer_.size()) fail("trailing bytes");
@@ -279,6 +287,7 @@ class ByteReader {
   }
   std::span<const std::uint8_t> buffer_;
   std::size_t pos_ = 0;
+  bool present_ = false;  // the open optionals group's flag
   const char* what_;
 };
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
 #include "support/log.h"
 
 namespace fed::bench {
@@ -87,6 +90,77 @@ TEST_F(BenchCommonTest, RenderSeriesSkipsUnmeasuredVariance) {
 TEST_F(BenchCommonTest, MetricNames) {
   EXPECT_STREQ(metric_name(Metric::kTrainLoss), "training loss");
   EXPECT_STREQ(metric_name(Metric::kMu), "mu");
+}
+
+// Changes the `target`-th field visit_metrics walks (from 0) by its
+// last bit: a count by one, a double to the next one up, and an optional
+// the same way or, with `presence`, to unset. Records the field's key.
+struct FieldChange {
+  std::size_t target;
+  bool presence = false;
+  std::size_t seen = 0;
+  const char* key = nullptr;
+  bool optional = false;
+
+  bool hit(const char* k) {
+    if (seen++ != target) return false;
+    key = k;
+    return true;
+  }
+  void field(const char* k, std::size_t& v) {
+    if (hit(k)) ++v;
+  }
+  void field(const char* k, double& v) {
+    if (hit(k)) v = std::nextafter(v, 1e300);
+  }
+  void field(const char* k, std::optional<double>& v) {
+    if (!hit(k)) return;
+    optional = true;
+    if (presence) {
+      v.reset();
+    } else {
+      v = std::nextafter(*v, 1e300);
+    }
+  }
+  template <typename Group>
+  void optionals(Group group) {
+    group(*this);
+  }
+};
+
+TEST_F(BenchCommonTest, HistoryDivergenceNamesEveryFieldThatChanges) {
+  TrainHistory a;
+  for (std::size_t r = 0; r < 2; ++r) {
+    a.rounds.push_back({.round = r, .train_loss = 0.5, .train_accuracy = 0.25,
+                        .test_accuracy = 0.75, .grad_variance = 2.5,
+                        .dissimilarity_b = 1.5, .mu = 0.1,
+                        .mean_gamma = 0.3, .contributors = 7,
+                        .stragglers = 2});
+  }
+  a.final_parameters = Vector{1.0, -2.0, 3.0};
+  ASSERT_EQ(history_divergence(a, a), "");
+
+  constexpr std::size_t kFields = 10;  // every RoundMetrics field
+  for (std::size_t target = 0; target <= kFields; ++target) {
+    for (const bool presence : {false, true}) {
+      TrainHistory b = a;
+      FieldChange change{.target = target, .presence = presence};
+      visit_metrics(change, b.rounds[1]);
+      if (target == kFields) {
+        EXPECT_EQ(change.key, nullptr) << "a field past the " << kFields;
+      } else if (!presence || change.optional) {
+        EXPECT_EQ(history_divergence(a, b),
+                  std::string("round 1: ") + change.key + " diverged")
+            << (presence ? "presence of " : "value of ") << change.key;
+      }
+    }
+  }
+
+  TrainHistory b = a;
+  b.final_parameters[2] = std::nextafter(3.0, 4.0);
+  EXPECT_EQ(history_divergence(a, b), "final parameters diverged at index 2");
+  b.rounds.pop_back();
+  EXPECT_EQ(history_divergence(a, b), "round count 2 != 1");
 }
 
 }  // namespace

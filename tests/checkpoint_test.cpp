@@ -519,7 +519,7 @@ TEST_F(CheckpointTest, FingerprintCoversEveryTrajectoryKnob) {
       EXPECT_EQ(fingerprint(c), base) << leaf.path << " blocks a resume";
     }
   }
-  EXPECT_EQ(relevant, 26u);  // 33 leaves less threads, shards, transport,
+  EXPECT_EQ(relevant, 24u);  // 31 leaves less threads, shards, transport,
                              // the checkpoint plan and the crash plan
   EXPECT_NE(config_fingerprint(config(), 13, 100), base) << "population";
   EXPECT_NE(config_fingerprint(config(), 12, 101), base) << "parameter count";

@@ -50,12 +50,9 @@ class ChurnTest : public ::testing::Test {
 };
 
 TEST_F(ChurnTest, ParseRoundTripsAndRejectsBadSpecs) {
-  const ChurnConfig parsed =
-      parse_churn_config("arrive=0.05,depart=0.02,initial=100,min_active=10");
+  const ChurnConfig parsed = parse_churn_config("arrive=0.05,depart=0.02");
   EXPECT_EQ(parsed.arrive, 0.05);
   EXPECT_EQ(parsed.depart, 0.02);
-  EXPECT_EQ(parsed.initial, 100u);
-  EXPECT_EQ(parsed.min_active, 10u);
   EXPECT_TRUE(parsed.any());
   EXPECT_EQ(parse_churn_config(to_string(parsed)).arrive, parsed.arrive);
   EXPECT_FALSE(ChurnConfig{}.any());
@@ -65,23 +62,23 @@ TEST_F(ChurnTest, ParseRoundTripsAndRejectsBadSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_churn_config("arrive"), std::invalid_argument);
   EXPECT_THROW((void)parse_churn_config("leave=0.1"), std::invalid_argument);
-  // NaN fails every comparison, so a plain range check would pass it;
-  // a count cast from NaN or inf is undefined.
-  for (const char* spec : {"arrive=nan", "depart=nan", "initial=nan",
-                           "min_active=nan", "initial=inf", "min_active=-inf",
-                           "initial=-1"}) {
+  // The population starts whole and the floor is K: neither is a key.
+  EXPECT_THROW((void)parse_churn_config("initial=100"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_churn_config("min_active=10"),
+               std::invalid_argument);
+  // NaN fails every comparison, so a plain range check would pass it.
+  for (const char* spec : {"arrive=nan", "depart=nan", "arrive=inf",
+                           "depart=-inf", "arrive=-1"}) {
     EXPECT_THROW((void)parse_churn_config(spec), std::invalid_argument)
         << spec;
   }
 }
 
 TEST_F(ChurnTest, RegistryRejectsImpossibleConfigs) {
-  ChurnConfig oversize;
-  oversize.initial = 20;
-  EXPECT_THROW((void)DeviceRegistry(10, oversize, 1), std::invalid_argument);
-  ChurnConfig floor_too_high;
-  floor_too_high.min_active = 11;
-  EXPECT_THROW((void)DeviceRegistry(10, floor_too_high, 1),
+  EXPECT_THROW((void)DeviceRegistry(0, ChurnConfig{}, 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)DeviceRegistry(10, ChurnConfig{}, /*min_active=*/11, 1),
                std::invalid_argument);
 }
 
@@ -89,11 +86,9 @@ TEST_F(ChurnTest, ScheduleIsAPureFunctionOfSeedAndRound) {
   ChurnConfig config;
   config.arrive = 0.1;
   config.depart = 0.15;
-  config.initial = 20;
-  config.min_active = 3;
-  DeviceRegistry a(40, config, 11);
-  DeviceRegistry b(40, config, 11);
-  DeviceRegistry other_seed(40, config, 12);
+  DeviceRegistry a(40, config, 3, 11);
+  DeviceRegistry b(40, config, 3, 11);
+  DeviceRegistry other_seed(40, config, 3, 12);
   bool diverged_from_other_seed = false;
   for (std::uint64_t round = 1; round <= 60; ++round) {
     a.begin_round(round);
@@ -118,51 +113,51 @@ TEST_F(ChurnTest, ScheduleIsAPureFunctionOfSeedAndRound) {
 TEST_F(ChurnTest, DepartureFloorHolds) {
   ChurnConfig config;
   config.depart = 0.9;  // nearly everyone wants to leave every round
-  config.min_active = 5;
-  DeviceRegistry registry(12, config, 3);
+  constexpr std::size_t kFloor = 5;
+  DeviceRegistry registry(12, config, kFloor, 3);
   for (std::uint64_t round = 1; round <= 40; ++round) {
     registry.begin_round(round);
     // Departures are capped so end_round never goes below the floor.
-    EXPECT_GE(registry.active_count() - registry.departing_count(),
-              config.min_active);
+    EXPECT_GE(registry.active_count() - registry.departing_count(), kFloor);
     registry.end_round(round);
-    EXPECT_GE(registry.active_count(), config.min_active);
+    EXPECT_GE(registry.active_count(), kFloor);
   }
   EXPECT_GT(registry.total_departures(), 0u);
 }
 
 TEST_F(ChurnTest, ArrivalsAreSelectableImmediatelyAndCannotDepartSameRound) {
   ChurnConfig config;
-  config.arrive = 1.0;  // every inactive device joins round 1
+  config.arrive = 1.0;  // every inactive device joins
   config.depart = 1.0;  // every active device tries to leave
-  config.initial = 2;
-  config.min_active = 1;
-  DeviceRegistry registry(8, config, 5);
+  DeviceRegistry registry(8, config, /*min_active=*/1, 5);
+  // Round 1: everyone starts active; devices 0-6 leave, down to the floor.
   registry.begin_round(1);
-  // All 6 inactive devices arrived and are active mid-round.
-  EXPECT_EQ(registry.active_count(), 8u);
-  for (std::size_t device = 0; device < 8; ++device) {
-    // This round's arrivals may not depart in the same round.
-    if (registry.departing(device)) {
-      EXPECT_LT(device, 2u) << "same-round arrival " << device
-                            << " was marked departing";
-    }
-  }
+  EXPECT_EQ(registry.departing_count(), 7u);
   registry.end_round(1);
-  EXPECT_EQ(registry.total_arrivals(), 6u);
+  EXPECT_EQ(registry.active_devices(), std::vector<std::size_t>{7});
+  // Round 2: devices 0-6 arrive and are active mid-round.
+  registry.begin_round(2);
+  EXPECT_EQ(registry.active_count(), 8u);
+  for (std::size_t device = 0; device < 7; ++device) {
+    // This round's arrivals may not depart in the same round.
+    EXPECT_FALSE(registry.departing(device))
+        << "same-round arrival " << device << " was marked departing";
+  }
+  EXPECT_TRUE(registry.departing(7));
+  registry.end_round(2);
+  EXPECT_EQ(registry.total_arrivals(), 7u);
 }
 
 TEST_F(ChurnTest, PackAndRestoreResumeTheSameSchedule) {
   ChurnConfig config;
   config.arrive = 0.2;
   config.depart = 0.2;
-  config.min_active = 2;
-  DeviceRegistry original(16, config, 9);
+  DeviceRegistry original(16, config, 2, 9);
   for (std::uint64_t round = 1; round <= 10; ++round) {
     original.begin_round(round);
     original.end_round(round);
   }
-  DeviceRegistry restored(16, config, 9);
+  DeviceRegistry restored(16, config, 2, 9);
   restored.restore(original.pack_active(), original.total_arrivals(),
                    original.total_departures());
   EXPECT_EQ(restored.active_devices(), original.active_devices());

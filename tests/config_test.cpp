@@ -120,21 +120,21 @@ TEST_F(ConfigTest, ParserRejectsEveryBadFlagValueNamingTheFlag) {
       }
     }
   }
-  EXPECT_EQ(flags, 21u);  // 15 flags; two are key=value specs of 4 keys
+  EXPECT_EQ(flags, 19u);  // 15 flags; --faults has 4 keys, --churn 2
 }
 
 TEST_F(ConfigTest, ParserReadsEveryFlagIntoItsLeaf) {
   TrainerConfig config = valid_config();
   const char* argv[] = {"prog",           "--rounds=7",
                         "--stragglers=0.9", "--faults=corrupt=0.25",
-                        "--churn",        "initial=3,arrive=0.5",
+                        "--churn",        "depart=0.25,arrive=0.5",
                         "--retries=16",   "--transport=serialized",
                         "--checkpoint-dir", "ckpt"};
   read_config_flags(CliFlags(10, argv), config);
   EXPECT_EQ(config.rounds, 7u);
   EXPECT_EQ(config.systems.straggler_fraction, 0.9);
   EXPECT_EQ(config.faults.corrupt, 0.25);
-  EXPECT_EQ(config.churn.initial, 3u);
+  EXPECT_EQ(config.churn.depart, 0.25);
   EXPECT_EQ(config.churn.arrive, 0.5);
   EXPECT_EQ(config.recovery.max_retries, 16u);
   EXPECT_EQ(name_of(config.transport), "serialized");
@@ -204,7 +204,7 @@ TEST_F(ConfigTest, RunHeaderConfigHoldsEveryLeaf) {
   config.seed = std::uint64_t{1} << 53;  // the largest seed it holds exactly
   const JsonValue json = config_to_json(config);
   const std::vector<ConfigLeaf> leaves = config_leaves();
-  EXPECT_LE(leaves.size(), 33u) << "a new settable field: is it needed?";
+  EXPECT_LE(leaves.size(), 31u) << "a new settable field: is it needed?";
   for (const ConfigLeaf& leaf : leaves) {
     const JsonValue* node = &json;
     std::string rest = leaf.path;
@@ -238,14 +238,14 @@ TEST_F(ConfigTest, HelpListsEveryOfferedFlagWithItsDefault) {
 }
 
 TEST_F(ConfigTest, SpecsParseAndPrintOverTheirEntries) {
-  const ChurnConfig churn = parse_churn_config("min_active=4,arrive=0.25");
-  EXPECT_EQ(churn.min_active, 4u);
-  EXPECT_EQ(to_string(churn), "arrive=0.25,min_active=4");
+  const ChurnConfig churn = parse_churn_config("depart=0.5,arrive=0.25");
+  EXPECT_EQ(churn.depart, 0.5);
+  EXPECT_EQ(to_string(churn), "arrive=0.25,depart=0.5");
   EXPECT_EQ(to_string(parse_fault_profile(to_string(FaultProfile{
                 .drop = 0.5, .delay_ms = 20}))),
             "drop=0.5,delay_ms=20");
-  EXPECT_THROW(parse_churn_config("initial=1.5"), std::invalid_argument);
-  EXPECT_THROW(parse_churn_config("initial=1e2"), std::invalid_argument);
+  EXPECT_THROW(parse_churn_config("arrive=0.5x"), std::invalid_argument);
+  EXPECT_THROW(parse_churn_config("depart=2"), std::invalid_argument);
 }
 
 }  // namespace

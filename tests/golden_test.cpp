@@ -47,6 +47,16 @@ class Fnv {
     value(v.has_value());
     if (v) value(*v);
   }
+  // The walker visit_metrics (core/trainer.h) calls.
+  template <typename T>
+  void field(const char*, const T& v) {
+    value(v);
+  }
+  void field(const char*, const std::optional<double>& v) { optional(v); }
+  template <typename Group>
+  void optionals(Group group) {
+    group(*this);
+  }
   std::uint64_t hash() const { return hash_; }
 
  private:
@@ -80,22 +90,11 @@ std::uint64_t dataset_digest(const FederatedDataset& data) {
   return d.hash();
 }
 
-// The same fields, in the same order, as fedbench/rep.cpp's
-// history_digest: equal digests mean bit-identical TrainHistory.
+// visit_metrics' order is fedbench/rep.cpp's history_digest order:
+// equal digests mean bit-identical TrainHistory.
 std::uint64_t history_digest(const TrainHistory& history) {
   Fnv d;
-  for (const RoundMetrics& m : history.rounds) {
-    d.value(m.round);
-    d.optional(m.train_loss);
-    d.optional(m.train_accuracy);
-    d.optional(m.test_accuracy);
-    d.optional(m.grad_variance);
-    d.optional(m.dissimilarity_b);
-    d.value(m.mu);
-    d.optional(m.mean_gamma);
-    d.value(m.contributors);
-    d.value(m.stragglers);
-  }
+  for (const RoundMetrics& m : history.rounds) visit_metrics(d, m);
   d.bytes(history.final_parameters.data(),
           history.final_parameters.size() * sizeof(double));
   return d.hash();

@@ -227,6 +227,48 @@ TEST_F(HealthTest, StallReportedOnceAfterPatienceRunsOut) {
   EXPECT_EQ(health.incidents().size(), 2u);
 }
 
+// A dead channel degrades every round; the log keeps the first
+// kMaxIncidents, the report and the counters account for every one, and
+// a fatal incident past the cap is still kept and thrown.
+TEST_F(HealthTest, IncidentLogIsBoundedOnADeadChannel) {
+  constexpr std::size_t kExtra = 5;
+  LogisticRegression model(data().input_dim, data().num_classes);
+  TrainerConfig cfg = config();
+  cfg.rounds = HealthMonitor::kMaxIncidents + kExtra;
+  cfg.eval_every = cfg.rounds;
+  cfg.faults = FaultProfile{.drop = 1.0};
+  Trainer trainer(model, data(), cfg);
+  MetricsRegistry registry;
+  HealthMonitor health(HealthConfig{}, &registry);
+  trainer.add_observer(health);
+  trainer.run();
+
+  ASSERT_EQ(health.incidents().size(), HealthMonitor::kMaxIncidents);
+  EXPECT_EQ(health.incidents().back().round, HealthMonitor::kMaxIncidents);
+  EXPECT_FALSE(health.healthy());
+  EXPECT_EQ(registry.counter("health_incidents_total").value(), cfg.rounds);
+  EXPECT_EQ(registry.counter("health_degraded_round_total").value(),
+            cfg.rounds);
+  const std::string report = health.report();
+  EXPECT_NE(report.find("health: " + std::to_string(cfg.rounds) +
+                        " incidents detected, " + std::to_string(kExtra) +
+                        " not listed\n"),
+            std::string::npos)
+      << report;
+
+  const std::vector<double> weights = {
+      std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW(health.on_aggregate(cfg.rounds + 1, weights), HealthError);
+  ASSERT_EQ(health.incidents().size(), HealthMonitor::kMaxIncidents + 1);
+  EXPECT_EQ(health.incidents().back().kind,
+            HealthIncident::Kind::kNonFiniteWeights);
+  EXPECT_EQ(registry.counter("health_incidents_total").value(),
+            cfg.rounds + 1);
+  EXPECT_NE(health.report().find(", " + std::to_string(kExtra) +
+                                 " not listed\n"),
+            std::string::npos);
+}
+
 TEST_F(HealthTest, RunStartResetsState) {
   HealthMonitor health;
   feed_loss(health, 1, 1.0);

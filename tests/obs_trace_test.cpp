@@ -10,6 +10,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,10 +113,15 @@ TEST_F(TraceTest, JsonlSinkWritesHeaderPlusOneLinePerRecord) {
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const JsonValue v = parse_json(lines[i]);  // every line parses
-    const RoundTrace t = trace_from_json(v);    // with every trace key
-    EXPECT_EQ(t.round, i - 1);
-    EXPECT_GE(t.round_seconds, 0.0);
-    EXPECT_TRUE(v.contains("metrics"));
+    const RoundLine line = round_line_from_json(v);  // with every key
+    EXPECT_EQ(line.trace.round, i - 1);
+    EXPECT_EQ(line.metrics.round, i - 1);
+    EXPECT_GE(line.trace.round_seconds, 0.0);
+    EXPECT_EQ(check_round_line(line), "");
+    // Counts the trace part holds are not repeated under "metrics".
+    for (const char* key : {"round", "contributors", "stragglers"}) {
+      EXPECT_FALSE(v.at("metrics").contains(key)) << key;
+    }
   }
 }
 
@@ -205,7 +211,8 @@ TEST_F(TraceTest, SlowestSolveNamesItsDeviceAndIterationBudget) {
     EXPECT_EQ(t.solve.max_iterations, slowest->iterations) << "round " << r;
     EXPECT_GT(t.solve.max_iterations, 0u);
 
-    const JsonValue solve = trace_to_json(t).at("phases").at("solve");
+    const JsonValue solve =
+        round_line_to_json(RoundMetrics{}, t).at("phases").at("solve");
     EXPECT_DOUBLE_EQ(solve.at("max_device").as_number(),
                      static_cast<double>(t.solve.max_device));
     EXPECT_DOUBLE_EQ(solve.at("max_iterations").as_number(),
@@ -343,10 +350,9 @@ TEST_F(TraceTest, RoundAccountingIsPinned) {
   open.recovery.quorum = 0.7;
   open.churn.arrive = 0.2;
   open.churn.depart = 0.2;
-  open.churn.initial = 9;
   AccountingRecorder open_rec;
   record_accounting(open, open_rec);
-  EXPECT_EQ(open_rec.digest(), 0x97d27c670d0943eeull) << open_rec.text();
+  EXPECT_EQ(open_rec.digest(), 0xbcd631b987c195b4ull) << open_rec.text();
   // The pin covers every per-device incident kind.
   for (const FaultEvent::Kind kind :
        {FaultEvent::Kind::kDrop, FaultEvent::Kind::kCorrupt,
@@ -373,16 +379,28 @@ RoundTrace distinct_trace() {
       .bytes_up = 50};
 }
 
+// Every RoundMetrics field distinct, its counts those of distinct_trace().
+RoundMetrics distinct_metrics() {
+  return RoundMetrics{.round = 1, .train_loss = 51.5, .train_accuracy = 52.5,
+                      .test_accuracy = 53.5, .grad_variance = 54.5,
+                      .dissimilarity_b = 55.5, .mu = 56.5,
+                      .mean_gamma = 57.5, .contributors = 3,
+                      .stragglers = 4};
+}
+
 TEST_F(TraceTest, JsonlFormatIsPinned) {
   EXPECT_EQ(
-      serialize_json(trace_to_json(distinct_trace())),
+      serialize_json(round_line_to_json(distinct_metrics(), distinct_trace())),
       R"({"active_devices":28,"arrivals":29,"bytes_down":49,"bytes_up":50,)"
       R"("checkpoint":{"bytes":32,"generations":33,"retain":34,"round":31,)"
       R"("write_s":35.5},"contributors":3,"degraded":true,"departures":30,)"
       R"("evaluated":true,"faults":{"attempts":5,"corruptions":8,)"
       R"("delay_ms":15.5,"departs":12,"drops":7,"duplicates":10,)"
       R"("failed_devices":13,"quorum_drops":11,"retries":6,"timeouts":9,)"
-      R"("up_deliveries":14},"phases":{"aggregate_s":46.5,)"
+      R"("up_deliveries":14},"metrics":{"dissimilarity_b":55.5,)"
+      R"("grad_variance":54.5,"mean_gamma":57.5,"mu":56.5,)"
+      R"("test_accuracy":53.5,"train_accuracy":52.5,"train_loss":51.5},)"
+      R"("phases":{"aggregate_s":46.5,)"
       R"("correction_s":37.5,"eval_s":47.5,"sampling_s":36.5,"solve":)"
       R"({"count":38,"max_device":43,"max_iterations":44,"max_s":42.5,)"
       R"("mean_s":41.5,"min_s":40.5,"total_s":39.5},"solve_wall_s":45.5},)"
@@ -391,21 +409,38 @@ TEST_F(TraceTest, JsonlFormatIsPinned) {
       R"("shard":16},{"bytes_down":25,"bytes_up":26,"contributors":24,)"
       R"("devices":23,"partial_bytes":27,"shard":22}],"stragglers":4})");
   // The reader walks the same field list back: with every value
-  // distinct, a dropped or swapped field would change the line.
+  // distinct, a dropped or swapped field would change the line. Unset
+  // optionals are null and read back unset.
   RoundTrace unwritten = distinct_trace();
   unwritten.checkpoint = CheckpointStat{};
+  RoundMetrics unmeasured;
+  unmeasured.round = 1;
+  unmeasured.mu = 0.25;
+  unmeasured.contributors = 3;
+  unmeasured.stragglers = 4;
   for (const RoundTrace& t : {distinct_trace(), unwritten}) {
-    const JsonValue line = trace_to_json(t);
-    EXPECT_EQ(trace_to_json(trace_from_json(line)), line);
+    for (const RoundMetrics& m : {distinct_metrics(), unmeasured}) {
+      const JsonValue line = round_line_to_json(m, t);
+      const RoundLine back = round_line_from_json(line);
+      EXPECT_EQ(round_line_to_json(back.metrics, back.trace), line);
+      EXPECT_EQ(back.metrics.train_loss, m.train_loss);
+      EXPECT_EQ(back.metrics.mean_gamma, m.mean_gamma);
+      EXPECT_EQ(back.metrics.contributors, m.contributors);
+    }
   }
-  EXPECT_FALSE(trace_from_json(trace_to_json(unwritten)).checkpoint.written);
+  EXPECT_TRUE(round_line_to_json(unmeasured, unwritten)
+                  .at("metrics")
+                  .at("train_loss")
+                  .is_null());
+  EXPECT_FALSE(round_line_from_json(round_line_to_json(unmeasured, unwritten))
+                   .trace.checkpoint.written);
 }
 
 TEST_F(TraceTest, TraceFromJsonNamesTheDottedKeyItRejects) {
-  JsonValue v = trace_to_json(distinct_trace());
+  JsonValue v = round_line_to_json(distinct_metrics(), distinct_trace());
   const auto rejection = [&v]() -> std::string {
     try {
-      (void)trace_from_json(v);
+      (void)round_line_from_json(v);
     } catch (const std::runtime_error& e) {
       return e.what();
     }
@@ -424,7 +459,51 @@ TEST_F(TraceTest, TraceFromJsonNamesTheDottedKeyItRejects) {
                            "is not a count (an integer in [0, 2^53])");
   }
   bytes_up = JsonValue(9007199254740992.0);  // 2^53 is still exact
-  EXPECT_EQ(trace_from_json(v).shards[1].bytes_up, 9007199254740992u);
+  EXPECT_EQ(round_line_from_json(v).trace.shards[1].bytes_up,
+            9007199254740992u);
+
+  // The metrics block: present, every key, and each group set together.
+  JsonObject& metrics = v.as_object()["metrics"].as_object();
+  metrics["train_loss"] = JsonValue(nullptr);
+  EXPECT_EQ(rejection(),
+            "round line \"metrics.train_accuracy\" is set but "
+            "\"metrics.train_loss\" is not");
+  metrics["train_loss"] = JsonValue(51.5);
+  metrics["dissimilarity_b"] = JsonValue(nullptr);
+  EXPECT_EQ(rejection(),
+            "round line \"metrics.dissimilarity_b\" is null but "
+            "\"metrics.grad_variance\" is not");
+  metrics["dissimilarity_b"] = JsonValue("55.5");
+  EXPECT_EQ(rejection(), "round line \"metrics.dissimilarity_b\": json: "
+                         "value is not a number");
+  metrics.erase("dissimilarity_b");
+  EXPECT_EQ(rejection(), "round line lacks \"metrics.dissimilarity_b\"");
+  metrics["dissimilarity_b"] = JsonValue(55.5);
+  metrics.erase("mu");
+  EXPECT_EQ(rejection(), "round line lacks \"metrics.mu\"");
+  v.as_object().erase("metrics");
+  EXPECT_EQ(rejection(), "round line lacks \"metrics\"");
+}
+
+TEST_F(TraceTest, RoundLineMetricsAgreeWithTheTrace) {
+  RoundLine line{distinct_metrics(), RoundTrace{}};
+  line.trace.round = 1;
+  line.trace.evaluated = true;
+  ASSERT_EQ(check_round_line(line), "");
+  line.trace.evaluated = false;
+  EXPECT_EQ(check_round_line(line),
+            "evaluated=false but the evaluation metrics are set");
+  line.trace.evaluated = true;
+  line.metrics.train_loss.reset();
+  EXPECT_EQ(check_round_line(line),
+            "evaluated=true but the evaluation metrics are null");
+  line.metrics = distinct_metrics();
+  line.metrics.mu = -0.5;
+  EXPECT_EQ(check_round_line(line), "metrics.mu=-0.5 is not finite and >= 0");
+  line.metrics.mu = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(check_round_line(line), "metrics.mu=inf is not finite and >= 0");
+  line.trace.contributors = 5;  // the trace's own invariants come first
+  EXPECT_NE(check_round_line(line).find("contributors=5"), std::string::npos);
 }
 
 TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {

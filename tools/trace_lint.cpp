@@ -11,8 +11,8 @@
 //
 // Every per-round fact comes from src/obs; this tool only applies it.
 // JSONL: the first line is a run header ({"run":{...}}); every later
-// line is a round line that trace_from_json reads and check_round_trace
-// accepts (obs/trace.h), or a later run header: a resumed segment's
+// line is a round line that round_line_from_json reads and
+// check_round_line accepts (obs/trace.h), or a later run header: a resumed segment's
 // ("resumed": true, "first_round" F), whose first round line must be
 // F + 1, or an unmarked one that starts another run in the same file (a
 // figure driver's variants), allowed only right after a run whose round
@@ -20,8 +20,9 @@
 // Every header carries the run's "config" (obs/trace_sink.h), and each
 // round line must agree with it: evaluated exactly on the rounds that
 // eval_every picks (and round 0 and the final round), selected ==
-// devices_per_round on every training round, and a written checkpoint's
-// retain equal to checkpoint.retain.
+// devices_per_round on every training round, a written checkpoint's
+// retain equal to checkpoint.retain, and under mu_policy fixed, the
+// metrics' mu equal to config.mu.
 // --checkpoint: checkpoint rounds increase within a segment, each
 // resumed segment starts from a round an earlier segment checkpointed,
 // and at least one checkpoint was written.
@@ -79,6 +80,8 @@ struct HeaderConfig {
   std::uint64_t eval_every = 1;
   std::uint64_t devices_per_round = 0;
   std::uint64_t retain = 0;
+  double mu = 0.0;
+  bool fixed_mu = true;  // mu_policy "fixed": every round runs at mu
 };
 
 HeaderConfig read_header_config(const JsonValue& run,
@@ -90,15 +93,18 @@ HeaderConfig read_header_config(const JsonValue& run,
         .rounds = c.at("rounds").as_count(),
         .eval_every = c.at("eval_every").as_count(),
         .devices_per_round = c.at("devices_per_round").as_count(),
-        .retain = c.at("checkpoint").at("retain").as_count()};
+        .retain = c.at("checkpoint").at("retain").as_count(),
+        .mu = c.at("mu").as_number(),
+        .fixed_mu = c.at("mu_policy").as_string() == "fixed"};
   });
   if (config.eval_every == 0) fail(where + ": config.eval_every is 0");
   return config;
 }
 
-// The first way `trace` disagrees with its header's config, or "".
-std::string check_against_config(const fed::RoundTrace& trace,
+// The first way `line` disagrees with its header's config, or "".
+std::string check_against_config(const fed::RoundLine& line,
                                  const HeaderConfig& config) {
+  const fed::RoundTrace& trace = line.trace;
   const auto n = [](std::uint64_t v) { return std::to_string(v); };
   const bool due = trace.round == 0 || trace.round % config.eval_every == 0 ||
                    trace.round == config.rounds;
@@ -115,6 +121,11 @@ std::string check_against_config(const fed::RoundTrace& trace,
   if (trace.checkpoint.written && trace.checkpoint.retain != config.retain) {
     return "checkpoint.retain=" + n(trace.checkpoint.retain) +
            " != config.checkpoint.retain=" + n(config.retain);
+  }
+  if (config.fixed_mu && line.metrics.mu != config.mu) {
+    return "metrics.mu=" + fed::serialize_json(line.metrics.mu) +
+           " but mu_policy fixed runs at config.mu=" +
+           fed::serialize_json(config.mu);
   }
   return "";
 }
@@ -207,8 +218,9 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
       continue;
     }
     if (segments == 0) fail(path + ":1: header line lacks \"run\"");
-    const fed::RoundTrace trace =
-        checked(where, [&] { return fed::trace_from_json(value); });
+    const fed::RoundLine round_line =
+        checked(where, [&] { return fed::round_line_from_json(value); });
+    const fed::RoundTrace& trace = round_line.trace;
     ++rounds;
     finished = trace.round == segment_end;
     if (expect_resume_round) {
@@ -221,7 +233,8 @@ CounterTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
       expect_resume_round = false;
     }
     for (const std::string& broken :
-         {check_against_config(trace, config), fed::check_round_trace(trace)}) {
+         {check_against_config(round_line, config),
+          fed::check_round_line(round_line)}) {
       if (!broken.empty()) fail(where + ": " + broken);
     }
     if (trace.checkpoint.written) {
@@ -393,11 +406,8 @@ void cross_check(const std::string& path, const Exposition& exposition,
   for (std::size_t i = 0; i < counters.size(); ++i) {
     const fed::TraceCounter& counter = counters[i];
     MetricLabels labels;
-    std::string selector = counter.name;
-    if (counter.kind) {
-      labels.emplace_back("kind", counter.kind);
-      selector += std::string("{kind=\"") + counter.kind + "\"}";
-    }
+    if (counter.kind) labels.emplace_back("kind", counter.kind);
+    const std::string selector = counter.series();
     const auto sample = std::find_if(
         exposition.samples.begin(), exposition.samples.end(),
         [&](const ExpositionLine& s) {
