@@ -130,6 +130,9 @@ int main(int argc, char** argv) try {
   std::cout << "\nfinal loss " << *history.final_metrics().train_loss
             << ", final test accuracy "
             << *history.final_metrics().test_accuracy << "\n";
+  // Non-fatal incidents (degraded rounds, say) do not stop the run, but
+  // the run says so.
+  if (!health.healthy()) std::cerr << health.report();
   return 0;
 } catch (const std::invalid_argument& error) {
   fed::bench::exit_bad_flag(error);

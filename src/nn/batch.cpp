@@ -12,6 +12,11 @@ DenseScratch& dense_scratch() {
   return scratch;
 }
 
+ConstMatrixView row_range(const ConstMatrixView& m, std::size_t begin,
+                          std::size_t count) {
+  return {{m.data() + begin * m.cols(), count * m.cols()}, count, m.cols()};
+}
+
 MatrixView gather_columns(const Matrix& features,
                           std::span<const std::size_t> chunk, Vector& buf) {
   MatrixView x_t = shape(buf, features.cols(), chunk.size());
@@ -39,6 +44,14 @@ MatrixView gather_rows(const Matrix& features,
     copy(features.row(chunk[i]), x.row(i));
   }
   return x;
+}
+
+ConstMatrixView chunk_rows(const Matrix& features,
+                           std::span<const std::size_t> chunk, Vector& buf) {
+  for (std::size_t i = 1; i < chunk.size(); ++i) {
+    if (chunk[i] != chunk[0] + i) return gather_rows(features, chunk, buf);
+  }
+  return row_range(features, chunk.empty() ? 0 : chunk[0], chunk.size());
 }
 
 MatrixView add_bias_transposed(const ConstMatrixView& product,

@@ -2,6 +2,11 @@
 // the synthetic, MNIST, and FEMNIST tasks (y = argmax softmax(Wx + b)).
 //
 // Parameter layout in the flat vector: [W (classes x dim, row-major) | b].
+//
+// Two layouts, one set of bits (nn/batch.h): training runs chunks
+// feature-major, gemm(W, X^T), because W changes on every step;
+// loss(), predict() and evaluation run sample-major, gemm(X, W^T) under
+// a W^T transposed once per call or per evaluation.
 
 #pragma once
 
@@ -32,21 +37,16 @@ class LogisticRegression final : public Model {
   void predict(std::span<const double> w, const Dataset& data,
                std::span<const std::size_t> batch,
                std::vector<std::int32_t>& out) const override;
-  double loss_and_predict(std::span<const double> w, const Dataset& data,
-                          std::span<const std::size_t> batch,
-                          std::vector<std::int32_t>& out) const override;
+  // Transposes W once; each split then runs as the sample-major pass.
+  std::unique_ptr<const Evaluation> evaluation(
+      std::span<const double> w) const override;
 
  private:
-  // The chunk's B x C logits: (W X^T)^T + b, each logit summed as
-  // gemv(W, x) sums it (nn/batch.h).
+  // Training's B x C chunk logits: (W X^T)^T + b, feature-major, each
+  // logit summed as gemv(W, x) sums it (nn/batch.h).
   MatrixView forward(std::span<const double> w, const Dataset& data,
                      std::span<const std::size_t> chunk,
                      DenseScratch& s) const;
-  // Mean loss (when `loss` is set) and predictions (when `out` is set)
-  // from one forward pass.
-  double evaluate(std::span<const double> w, const Dataset& data,
-                  std::span<const std::size_t> batch, bool loss,
-                  std::vector<std::int32_t>* out) const;
 
   std::size_t input_dim_;
   std::size_t num_classes_;

@@ -32,12 +32,6 @@ std::size_t layer_param_count(const LstmConfig& c, std::size_t layer) {
   return 4 * h * layer_input_dim(c, layer) + 4 * h * h + 4 * h;
 }
 
-// Rows [begin, begin + count) of `m`.
-ConstMatrixView row_range(const ConstMatrixView& m, std::size_t begin,
-                          std::size_t count) {
-  return {{m.data() + begin * m.cols(), count * m.cols()}, count, m.cols()};
-}
-
 Matrix transposed(const ConstMatrixView& a) {
   Matrix at(a.cols(), a.rows());
   transpose(a, at);
@@ -363,6 +357,39 @@ void LstmPass::backward(const Dataset& data,
   }
 }
 
+// Calls fn(k, logits of sample k) for each sample k of `batch`, in
+// order, running its forward passes through `pass`.
+template <class Fn>
+void for_each_logits(LstmPass& pass, const Dataset& data,
+                     std::span<const std::size_t> batch, Fn&& fn) {
+  for_each_run(data, batch,
+               [&](std::span<const std::size_t> run, std::size_t length) {
+                 const MatrixView logits = pass.forward(data, run, length);
+                 for (std::size_t s = 0; s < run.size(); ++s) {
+                   fn(run[s], logits.row(s));
+                 }
+               });
+}
+
+class LstmEvaluation final : public Model::Evaluation {
+ public:
+  LstmEvaluation(const LstmConfig& config, std::span<const double> w)
+      : config_(config), w_(w) {}
+
+  // One pass, so one copy of the transposed weights, serves both
+  // splits.
+  ClientEval client(const ClientData& client) const override {
+    LstmPass pass(config_, w_, /*train=*/false);
+    return score_client(client, [&](const Dataset& split, auto&& fn) {
+      for_each_logits(pass, split, full_batch(split.size()), fn);
+    });
+  }
+
+ private:
+  const LstmConfig& config_;
+  std::span<const double> w_;
+};
+
 }  // namespace
 
 LstmClassifier::LstmClassifier(LstmConfig config) : config_(std::move(config)) {
@@ -441,49 +468,33 @@ double LstmClassifier::loss_and_grad(std::span<const double> w,
   return total_loss * inv;
 }
 
-double LstmClassifier::evaluate(std::span<const double> w, const Dataset& data,
-                                std::span<const std::size_t> batch, bool loss,
-                                std::vector<std::int32_t>* out) const {
-  LstmPass pass(config_, w, /*train=*/false);
-  if (out) out->resize(batch.size());
-  double total = 0.0;
-  std::size_t done = 0;
-  for_each_run(data, batch,
-               [&](std::span<const std::size_t> run, std::size_t length) {
-                 const MatrixView logits = pass.forward(data, run, length);
-                 for (std::size_t s = 0; s < run.size(); ++s) {
-                   if (loss) {
-                     total += softmax_cross_entropy(logits.row(s),
-                                                    data.labels[run[s]]);
-                   }
-                   if (out) {
-                     (*out)[done + s] =
-                         static_cast<std::int32_t>(argmax(logits.row(s)));
-                   }
-                 }
-                 done += run.size();
-               });
-  return loss ? total / static_cast<double>(batch.size()) : 0.0;
-}
-
 double LstmClassifier::loss(std::span<const double> w, const Dataset& data,
                             std::span<const std::size_t> batch) const {
   assert(!batch.empty());
-  return evaluate(w, data, batch, /*loss=*/true, nullptr);
+  LstmPass pass(config_, w, /*train=*/false);
+  double total = 0.0;
+  for_each_logits(pass, data, batch,
+                  [&](std::size_t k, std::span<const double> z) {
+                    total += softmax_cross_entropy(z, data.labels[k]);
+                  });
+  return total / static_cast<double>(batch.size());
 }
 
 void LstmClassifier::predict(std::span<const double> w, const Dataset& data,
                              std::span<const std::size_t> batch,
                              std::vector<std::int32_t>& out) const {
-  evaluate(w, data, batch, /*loss=*/false, &out);
+  LstmPass pass(config_, w, /*train=*/false);
+  out.resize(batch.size());
+  std::size_t next = 0;
+  for_each_logits(pass, data, batch,
+                  [&](std::size_t, std::span<const double> z) {
+                    out[next++] = static_cast<std::int32_t>(argmax(z));
+                  });
 }
 
-double LstmClassifier::loss_and_predict(std::span<const double> w,
-                                        const Dataset& data,
-                                        std::span<const std::size_t> batch,
-                                        std::vector<std::int32_t>& out) const {
-  assert(!batch.empty());
-  return evaluate(w, data, batch, /*loss=*/true, &out);
+std::unique_ptr<const Model::Evaluation> LstmClassifier::evaluation(
+    std::span<const double> w) const {
+  return std::make_unique<LstmEvaluation>(config_, w);
 }
 
 }  // namespace fed

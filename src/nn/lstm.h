@@ -63,17 +63,11 @@ class LstmClassifier final : public Model {
   void predict(std::span<const double> w, const Dataset& data,
                std::span<const std::size_t> batch,
                std::vector<std::int32_t>& out) const override;
-  double loss_and_predict(std::span<const double> w, const Dataset& data,
-                          std::span<const std::size_t> batch,
-                          std::vector<std::int32_t>& out) const override;
+  // One forward pass per client serves both of its splits.
+  std::unique_ptr<const Evaluation> evaluation(
+      std::span<const double> w) const override;
 
  private:
-  // Mean loss (when `loss` is set) and predictions (when `out` is set)
-  // from one forward pass over the batch.
-  double evaluate(std::span<const double> w, const Dataset& data,
-                  std::span<const std::size_t> batch, bool loss,
-                  std::vector<std::int32_t>* out) const;
-
   LstmConfig config_;
   std::size_t param_count_ = 0;
 };

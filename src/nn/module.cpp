@@ -18,21 +18,49 @@ double Model::loss(std::span<const double> w, const Dataset& data,
   return loss_and_grad(w, data, batch, scratch);
 }
 
-std::size_t count_correct(const Dataset& data,
-                          std::span<const std::size_t> batch,
-                          std::span<const std::int32_t> pred) {
+namespace {
+
+// Number of samples of `data` that predict() labels correctly.
+std::size_t correct_predictions(const Model& model, std::span<const double> w,
+                                const Dataset& data) {
+  if (data.empty()) return 0;
+  const auto batch = full_batch(data.size());
+  std::vector<std::int32_t> pred;
+  model.predict(w, data, batch, pred);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (pred[i] == data.labels[batch[i]]) ++correct;
+    if (pred[i] == data.labels[i]) ++correct;
   }
   return correct;
 }
 
-double Model::loss_and_predict(std::span<const double> w, const Dataset& data,
-                               std::span<const std::size_t> batch,
-                               std::vector<std::int32_t>& out) const {
-  predict(w, data, batch, out);
-  return loss(w, data, batch);
+class DefaultEvaluation final : public Model::Evaluation {
+ public:
+  DefaultEvaluation(const Model& model, std::span<const double> w)
+      : model_(model), w_(w) {}
+
+  ClientEval client(const ClientData& client) const override {
+    ClientEval out;
+    if (!client.train.empty()) {
+      const auto batch = full_batch(client.train.size());
+      out.train_loss_sum = model_.loss(w_, client.train, batch) *
+                           static_cast<double>(batch.size());
+    }
+    out.train_correct = correct_predictions(model_, w_, client.train);
+    out.test_correct = correct_predictions(model_, w_, client.test);
+    return out;
+  }
+
+ private:
+  const Model& model_;
+  std::span<const double> w_;
+};
+
+}  // namespace
+
+std::unique_ptr<const Model::Evaluation> Model::evaluation(
+    std::span<const double> w) const {
+  return std::make_unique<DefaultEvaluation>(*this, w);
 }
 
 double Model::dataset_loss(std::span<const double> w,
@@ -51,18 +79,9 @@ double Model::dataset_loss_and_grad(std::span<const double> w,
   return loss_and_grad(w, data, batch, grad);
 }
 
-std::size_t Model::correct_count(std::span<const double> w,
-                                 const Dataset& data) const {
-  if (data.empty()) return 0;
-  const auto batch = full_batch(data.size());
-  std::vector<std::int32_t> pred;
-  predict(w, data, batch, pred);
-  return count_correct(data, batch, pred);
-}
-
 double Model::accuracy(std::span<const double> w, const Dataset& data) const {
   if (data.empty()) return 0.0;
-  return static_cast<double>(correct_count(w, data)) /
+  return static_cast<double>(correct_predictions(*this, w, data)) /
          static_cast<double>(data.size());
 }
 

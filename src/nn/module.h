@@ -20,6 +20,14 @@
 
 namespace fed {
 
+// One client's global-evaluation terms (sim/server.h sums them).
+struct ClientEval {
+  // loss(train) * n_train, bit for bit; 0.0 on an empty split.
+  double train_loss_sum = 0.0;
+  std::size_t train_correct = 0;
+  std::size_t test_correct = 0;
+};
+
 class Model {
  public:
   virtual ~Model() = default;
@@ -47,14 +55,22 @@ class Model {
                        std::span<const std::size_t> batch,
                        std::vector<std::int32_t>& out) const = 0;
 
-  // Mean loss and predicted labels of the batch, bitwise what loss() and
-  // predict() return. The default calls both; a model overrides it to
-  // share one forward pass (global evaluation calls it on every train
-  // split).
-  virtual double loss_and_predict(std::span<const double> w,
-                                  const Dataset& data,
-                                  std::span<const std::size_t> batch,
-                                  std::vector<std::int32_t>& out) const;
+  // The model at fixed weights `w`, as global evaluation sees it. The
+  // weights are prepared once, when the evaluation is made; the model
+  // and `w` must outlive it. client() is const and thread-safe
+  // (per-thread scratch), so one evaluation serves every client of a
+  // pool-wide sweep.
+  class Evaluation {
+   public:
+    virtual ~Evaluation() = default;
+    // One client's terms over both of its splits, bitwise what loss()
+    // and predict() give on each whole split.
+    virtual ClientEval client(const ClientData& client) const = 0;
+  };
+  // The default runs loss() and predict() per split; a model overrides
+  // it to prepare its weights once and share one pass per split.
+  virtual std::unique_ptr<const Evaluation> evaluation(
+      std::span<const double> w) const;
 
   // ---- convenience over whole datasets ----
 
@@ -65,18 +81,9 @@ class Model {
                                std::span<double> grad) const;
   // Fraction of correct predictions (0.0 when empty).
   double accuracy(std::span<const double> w, const Dataset& data) const;
-  // Number of correct predictions over the whole dataset.
-  std::size_t correct_count(std::span<const double> w,
-                            const Dataset& data) const;
 };
 
 // Returns 0..size-1 as a batch covering a whole dataset.
 std::vector<std::size_t> full_batch(std::size_t size);
-
-// Number of predictions equal to their sample's label (pred[i] is the
-// prediction for sample batch[i]).
-std::size_t count_correct(const Dataset& data,
-                          std::span<const std::size_t> batch,
-                          std::span<const std::int32_t> pred);
 
 }  // namespace fed

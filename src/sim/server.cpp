@@ -4,60 +4,32 @@
 
 namespace fed {
 
-namespace {
-
-struct PerClientEval {
-  double train_loss_sum = 0.0;   // loss * n_train
-  std::size_t train_correct = 0;
-  std::size_t train_total = 0;
-  std::size_t test_correct = 0;
-  std::size_t test_total = 0;
-};
-
-PerClientEval evaluate_client(const Model& model, const ClientData& client,
-                              std::span<const double> w) {
-  PerClientEval out;
-  out.train_total = client.train.size();
-  out.test_total = client.test.size();
-  if (out.train_total > 0) {
-    // One pass gives both the loss and the predictions.
-    const auto batch = full_batch(out.train_total);
-    std::vector<std::int32_t> pred;
-    out.train_loss_sum = model.loss_and_predict(w, client.train, batch, pred) *
-                         static_cast<double>(out.train_total);
-    out.train_correct = count_correct(client.train, batch, pred);
-  }
-  if (out.test_total > 0) {
-    out.test_correct = model.correct_count(w, client.test);
-  }
-  return out;
-}
-
-}  // namespace
-
 GlobalEval evaluate_global(const Model& model, const FederatedDataset& data,
                            std::span<const double> w, ThreadPool* pool) {
   const std::size_t n_clients = data.num_clients();
-  std::vector<PerClientEval> per_client(n_clients);
+  const auto evaluation = model.evaluation(w);
+  std::vector<ClientEval> per_client(n_clients);
   if (pool) {
     pool->parallel_for(n_clients, [&](std::size_t k) {
-      per_client[k] = evaluate_client(model, data.clients[k], w);
+      per_client[k] = evaluation->client(data.clients[k]);
     });
   } else {
     for (std::size_t k = 0; k < n_clients; ++k) {
-      per_client[k] = evaluate_client(model, data.clients[k], w);
+      per_client[k] = evaluation->client(data.clients[k]);
     }
   }
 
+  // Summed in client order, whatever the pool's schedule.
   GlobalEval eval;
   double loss_sum = 0.0;
   std::size_t train_total = 0, train_correct = 0;
   std::size_t test_total = 0, test_correct = 0;
-  for (const auto& c : per_client) {
+  for (std::size_t k = 0; k < n_clients; ++k) {
+    const ClientEval& c = per_client[k];
     loss_sum += c.train_loss_sum;
-    train_total += c.train_total;
+    train_total += data.clients[k].train.size();
     train_correct += c.train_correct;
-    test_total += c.test_total;
+    test_total += data.clients[k].test.size();
     test_correct += c.test_correct;
   }
   if (train_total > 0) {

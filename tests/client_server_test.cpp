@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "core/registry.h"
 #include "optim/sgd.h"
 #include "sim/client.h"
 #include "sim/server.h"
@@ -112,6 +115,69 @@ TEST(EvaluateGlobal, ParallelMatchesSerial) {
   const GlobalEval parallel = evaluate_global(model, fed, w, &pool);
   EXPECT_NEAR(serial.train_loss, parallel.train_loss, 1e-12);
   EXPECT_DOUBLE_EQ(serial.test_accuracy, parallel.test_accuracy);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Sample `i` of `data` alone.
+Dataset one_sample(const Dataset& data, std::size_t i) {
+  Dataset d;
+  d.append_from(data, i);
+  return d;
+}
+
+// A model's own evaluation() against the default one, reached through a
+// forwarding wrapper that overrides loss() and predict() only (as a
+// timing wrapper does): every client's terms, and every field of
+// GlobalEval serial and on a 4-thread pool, must agree bit for bit. The
+// per-client check is the sharp one: a client's loss sum absorbs a
+// last-bit change of one logit less often than the federation's does.
+void expect_default_evaluation_bitwise(const Model& model,
+                                       const FederatedDataset& fed,
+                                       std::uint64_t seed) {
+  Vector w(model.parameter_count());
+  Rng gen = make_stream(seed, StreamKind::kTest);
+  model.init_parameters(w, gen);
+  for (double& v : w) v += gen.normal(0.0, 0.3);  // off the init
+  const testing::ConstantInitModel forwarding(model, 0.0);
+  const auto own = model.evaluation(w);
+  const auto fallback = forwarding.evaluation(w);
+  for (std::size_t k = 0; k < fed.num_clients(); ++k) {
+    const ClientEval got = own->client(fed.clients[k]);
+    const ClientEval want = fallback->client(fed.clients[k]);
+    EXPECT_EQ(bits(got.train_loss_sum), bits(want.train_loss_sum))
+        << "client " << k;
+    EXPECT_EQ(got.train_correct, want.train_correct) << "client " << k;
+    EXPECT_EQ(got.test_correct, want.test_correct) << "client " << k;
+  }
+  ThreadPool pool(4);
+  const GlobalEval want = evaluate_global(forwarding, fed, w, nullptr);
+  EXPECT_GT(want.train_loss, 0.0);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const Model* m : {&model, static_cast<const Model*>(&forwarding)}) {
+      const GlobalEval got = evaluate_global(*m, fed, w, p);
+      EXPECT_EQ(bits(got.train_loss), bits(want.train_loss));
+      EXPECT_EQ(bits(got.train_accuracy), bits(want.train_accuracy));
+      EXPECT_EQ(bits(got.test_accuracy), bits(want.test_accuracy));
+    }
+  }
+}
+
+TEST(EvaluateGlobal, LogisticEvaluationIsBitwiseTheDefault) {
+  Workload work = make_workload("synthetic_1_1", 3, 0.2);
+  auto& clients = work.data.clients;
+  ASSERT_GE(clients.size(), 4u);
+  clients[0].train = Dataset{};  // no train split
+  clients[1].test = Dataset{};   // no test split
+  clients[2].train = one_sample(clients[2].train, 0);
+  clients[2].test = one_sample(clients[2].test, 0);
+  clients[3].train = one_sample(clients[3].train, 1);
+  expect_default_evaluation_bitwise(*work.model, work.data, 5);
+}
+
+TEST(EvaluateGlobal, LstmEvaluationIsBitwiseTheDefault) {
+  const Workload work = make_workload("shakespeare", 3, 0.1);
+  expect_default_evaluation_bitwise(*work.model, work.data, 6);
 }
 
 }  // namespace

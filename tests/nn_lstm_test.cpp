@@ -359,10 +359,15 @@ TEST_P(LstmOracleTest, BatchedPassIsBitwiseTheSampleBySampleOracle) {
   std::vector<std::int32_t> pred;
   model.predict(w, data, batch, pred);
   EXPECT_EQ(pred, want_pred);
-  std::vector<std::int32_t> both;
-  EXPECT_EQ(bits(model.loss_and_predict(w, data, batch, both)),
-            bits(eval_loss));
-  EXPECT_EQ(both, want_pred);
+  // The evaluation entry sees the batch as a client's whole splits.
+  const ClientEval e =
+      model.evaluation(w)->client(testing::client_of(data, batch));
+  EXPECT_EQ(bits(e.train_loss_sum),
+            bits(eval_loss * static_cast<double>(batch.size())));
+  const std::size_t want_correct =
+      testing::count_correct(data, batch, want_pred);
+  EXPECT_EQ(e.train_correct, want_correct);
+  EXPECT_EQ(e.test_correct, want_correct);
 }
 
 // Batch sizes cross the gemm row block (2), the ger_batch block (4) and

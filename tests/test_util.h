@@ -68,7 +68,8 @@ class QuadraticModel final : public Model {
 };
 
 // Forwards every call to `inner` except init_parameters, which fills
-// `value`: a run that starts from a chosen, non-zero model.
+// `value`: a run that starts from a chosen, non-zero model. It keeps the
+// default evaluation(), over the forwarded loss() and predict().
 class ConstantInitModel final : public Model {
  public:
   ConstantInitModel(const Model& inner, double value)
@@ -94,11 +95,6 @@ class ConstantInitModel final : public Model {
                std::span<const std::size_t> batch,
                std::vector<std::int32_t>& out) const override {
     inner_.predict(w, data, batch, out);
-  }
-  double loss_and_predict(std::span<const double> w, const Dataset& data,
-                          std::span<const std::size_t> batch,
-                          std::vector<std::int32_t>& out) const override {
-    return inner_.loss_and_predict(w, data, batch, out);
   }
 
  private:
@@ -184,6 +180,31 @@ inline Dataset make_random_sequences(std::size_t n, std::size_t seq_len,
     d.labels[i] = static_cast<std::int32_t>(rng.uniform_int(classes));
   }
   return d;
+}
+
+// A client whose train split holds the batch's samples in batch order
+// and whose test split holds them reversed, so a model's evaluation()
+// sees the batch as whole splits.
+inline ClientData client_of(const Dataset& data,
+                            std::span<const std::size_t> batch) {
+  ClientData client;
+  for (std::size_t idx : batch) client.train.append_from(data, idx);
+  for (std::size_t i = batch.size(); i > 0; --i) {
+    client.test.append_from(data, batch[i - 1]);
+  }
+  return client;
+}
+
+// Number of predictions equal to their sample's label (pred[i] is the
+// prediction for sample batch[i]).
+inline std::size_t count_correct(const Dataset& data,
+                                 std::span<const std::size_t> batch,
+                                 std::span<const std::int32_t> pred) {
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (pred[i] == data.labels[batch[i]]) ++correct;
+  }
+  return correct;
 }
 
 // The three-coordinate partial the FPS2 frames below are cut from.
