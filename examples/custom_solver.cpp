@@ -9,7 +9,6 @@
 // A bad --rounds value exits 1 with the reason.
 
 #include <iostream>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/config.h"
@@ -26,7 +25,8 @@ using namespace fed;
 
 // Mini-batch SGD with heavy-ball momentum on the proximal objective.
 // Only `solve` is required; the framework supplies the subproblem
-// (model, data, anchor w^t, mu) and a deterministic mini-batch stream.
+// (model, data, anchor w^t, mu), a deterministic rng and `Minibatches`,
+// which draws batch order from it as the built-in solvers do.
 class MomentumSgdSolver final : public LocalSolver {
  public:
   explicit MomentumSgdSolver(double beta) : beta_(beta) {}
@@ -38,18 +38,9 @@ class MomentumSgdSolver final : public LocalSolver {
     const std::size_t n = objective.num_samples();
     if (n == 0 || budget.iterations == 0) return;
     Vector grad(objective.dimension()), velocity(objective.dimension(), 0.0);
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::size_t cursor = n;
+    Minibatches batches(n, budget.batch_size, rng);
     for (std::size_t it = 0; it < budget.iterations; ++it) {
-      if (cursor >= n) {
-        rng.shuffle(order);
-        cursor = 0;
-      }
-      const std::size_t take = std::min(budget.batch_size, n - cursor);
-      std::span<const std::size_t> batch(order.data() + cursor, take);
-      cursor += take;
-      objective.loss_and_grad(w, batch, grad);
+      objective.loss_and_grad(w, batches.next(), grad);
       for (std::size_t i = 0; i < w.size(); ++i) {
         velocity[i] = beta_ * velocity[i] - budget.learning_rate * grad[i];
         w[i] += velocity[i];

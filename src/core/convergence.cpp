@@ -111,17 +111,12 @@ SmoothnessEstimate estimate_federated_smoothness(
     std::uint64_t seed, ThreadPool* pool) {
   const std::size_t n = data.num_clients();
   std::vector<SmoothnessEstimate> per_client(n);
-  auto compute = [&](std::size_t k) {
+  parallel_for(pool, n, [&](std::size_t k) {
     if (data.clients[k].train.empty()) return;
     Rng rng = make_stream(seed, StreamKind::kTest, k);
     per_client[k] =
         estimate_smoothness(model, data.clients[k].train, w, probes, step, rng);
-  };
-  if (pool) {
-    pool->parallel_for(n, compute);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) compute(k);
-  }
+  });
   SmoothnessEstimate pooled;
   for (const auto& e : per_client) {
     pooled.l = std::max(pooled.l, e.l);

@@ -15,14 +15,9 @@ DissimilarityMetrics measure_dissimilarity(const Model& model,
   const auto pk = data.client_weights();
 
   std::vector<Vector> grads(n_clients, Vector(d));
-  auto compute = [&](std::size_t k) {
+  parallel_for(pool, n_clients, [&](std::size_t k) {
     model.dataset_loss_and_grad(w, data.clients[k].train, grads[k]);
-  };
-  if (pool) {
-    pool->parallel_for(n_clients, compute);
-  } else {
-    for (std::size_t k = 0; k < n_clients; ++k) compute(k);
-  }
+  });
 
   Vector grad_f(d, 0.0);
   for (std::size_t k = 0; k < n_clients; ++k) axpy(pk[k], grads[k], grad_f);

@@ -18,14 +18,9 @@ std::vector<Vector> feddane_corrections(const Model& model,
   const std::size_t k = selected.size();
 
   std::vector<Vector> grads(k, Vector(d));
-  auto compute = [&](std::size_t i) {
+  parallel_for(pool, k, [&](std::size_t i) {
     model.dataset_loss_and_grad(w, data.clients[selected[i]].train, grads[i]);
-  };
-  if (pool) {
-    pool->parallel_for(k, compute);
-  } else {
-    for (std::size_t i = 0; i < k; ++i) compute(i);
-  }
+  });
 
   // grad~f = sum n_k grad F_k / sum n_k over the sampled devices.
   double total = 0.0;

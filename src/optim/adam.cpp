@@ -1,7 +1,6 @@
 #include "optim/adam.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "optim/prox_sgd.h"
 #include "tensor/ops.h"
@@ -16,21 +15,10 @@ void AdamSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
 
   const std::size_t d = objective.dimension();
   Vector grad(d), m(d, 0.0), v(d, 0.0);
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  std::size_t cursor = n;
+  Minibatches batches(n, budget.batch_size, rng);
   double beta1_t = 1.0, beta2_t = 1.0;
   for (std::size_t it = 0; it < budget.iterations; ++it) {
-    if (cursor >= n) {
-      rng.shuffle(order);
-      cursor = 0;
-    }
-    const std::size_t take = std::min(budget.batch_size, n - cursor);
-    std::span<const std::size_t> batch(order.data() + cursor, take);
-    cursor += take;
-
-    objective.loss_and_grad(w, batch, grad);
+    objective.loss_and_grad(w, batches.next(), grad);
     beta1_t *= kBeta1;
     beta2_t *= kBeta2;
     for (std::size_t i = 0; i < d; ++i) {

@@ -71,11 +71,4 @@ double LocalObjective::full_grad_norm(std::span<const double> w) const {
   return norm2(grad);
 }
 
-std::size_t iterations_for_epochs(std::size_t epochs, std::size_t n,
-                                  std::size_t batch_size) {
-  if (batch_size == 0) throw std::invalid_argument("batch_size must be > 0");
-  const std::size_t per_epoch = (n + batch_size - 1) / batch_size;
-  return epochs * per_epoch;
-}
-
 }  // namespace fed

@@ -1,7 +1,5 @@
 #include "optim/sgd.h"
 
-#include <numeric>
-
 #include "optim/prox_sgd.h"
 #include "tensor/ops.h"
 
@@ -14,19 +12,9 @@ void SgdSolver::solve(const LocalProblem& problem, const SolveBudget& budget,
   if (n == 0 || budget.iterations == 0) return;
 
   Vector grad(objective.dimension());
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  std::size_t cursor = n;  // forces a shuffle on the first iteration
+  Minibatches batches(n, budget.batch_size, rng);
   for (std::size_t it = 0; it < budget.iterations; ++it) {
-    if (cursor >= n) {
-      rng.shuffle(order);
-      cursor = 0;
-    }
-    const std::size_t take = std::min(budget.batch_size, n - cursor);
-    std::span<const std::size_t> batch(order.data() + cursor, take);
-    cursor += take;
-    objective.loss_and_grad(w, batch, grad);
+    objective.loss_and_grad(w, batches.next(), grad);
     axpy(-budget.learning_rate, grad, w);
   }
 }

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "nn/module.h"
@@ -41,6 +42,24 @@ struct SolveBudget {
 // Iterations corresponding to `epochs` full passes over n samples.
 std::size_t iterations_for_epochs(std::size_t epochs, std::size_t n,
                                   std::size_t batch_size);
+
+// The mini-batch stream every solver draws: each pass over the n samples
+// starts with one rng.shuffle of the sample order (the first on the first
+// next()), then hands out consecutive batches of batch_size; a pass's
+// last batch may be shorter. Drawing through this one type keeps solvers
+// paired: the same rng calls in the same order, whatever the solver.
+class Minibatches {
+ public:
+  Minibatches(std::size_t n, std::size_t batch_size, Rng& rng);
+
+  std::span<const std::size_t> next();
+
+ private:
+  std::vector<std::size_t> order_;
+  std::size_t batch_size_;
+  Rng& rng_;
+  std::size_t cursor_;  // == n: the next call starts a pass
+};
 
 class LocalSolver {
  public:

@@ -9,15 +9,9 @@ GlobalEval evaluate_global(const Model& model, const FederatedDataset& data,
   const std::size_t n_clients = data.num_clients();
   const auto evaluation = model.evaluation(w);
   std::vector<ClientEval> per_client(n_clients);
-  if (pool) {
-    pool->parallel_for(n_clients, [&](std::size_t k) {
-      per_client[k] = evaluation->client(data.clients[k]);
-    });
-  } else {
-    for (std::size_t k = 0; k < n_clients; ++k) {
-      per_client[k] = evaluation->client(data.clients[k]);
-    }
-  }
+  parallel_for(pool, n_clients, [&](std::size_t k) {
+    per_client[k] = evaluation->client(data.clients[k]);
+  });
 
   // Summed in client order, whatever the pool's schedule.
   GlobalEval eval;

@@ -73,15 +73,10 @@ bool ShardedServer::reduce(std::size_t round, std::span<double> w) {
         tasks.emplace_back(s, b);
       }
     }
-    const auto fold = [&](std::size_t t) {
+    parallel_for(pool_, tasks.size(), [&](std::size_t t) {
       const auto [s, b] = tasks[t];
       folds[s].run(b);
-    };
-    if (pool_ != nullptr && tasks.size() > 1) {
-      pool_->parallel_for(tasks.size(), fold);
-    } else {
-      for (std::size_t t = 0; t < tasks.size(); ++t) fold(t);
-    }
+    });
     for (ColumnFold& f : folds) f.commit();
   }
 

@@ -65,4 +65,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;  // last: they use every member above
 };
 
+// Runs fn(i) for i in [0, n): on `pool`, or on the caller in index order
+// when there is no pool or fewer than two indices.
+template <typename Fn>
+void parallel_for(ThreadPool* pool, std::size_t n, const Fn& fn) {
+  if (pool == nullptr || n < 2) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  } else {
+    pool->parallel_for(n, fn);
+  }
+}
+
 }  // namespace fed

@@ -100,6 +100,8 @@ TEST(EvaluateGlobal, PoolsTestAccuracyOverDevices) {
   EXPECT_DOUBLE_EQ(eval.train_accuracy, 1.0);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(EvaluateGlobal, ParallelMatchesSerial) {
   QuadraticModel model(2);
   FederatedDataset fed;
@@ -113,11 +115,10 @@ TEST(EvaluateGlobal, ParallelMatchesSerial) {
   ThreadPool pool(4);
   const GlobalEval serial = evaluate_global(model, fed, w, nullptr);
   const GlobalEval parallel = evaluate_global(model, fed, w, &pool);
-  EXPECT_NEAR(serial.train_loss, parallel.train_loss, 1e-12);
-  EXPECT_DOUBLE_EQ(serial.test_accuracy, parallel.test_accuracy);
+  EXPECT_EQ(bits(serial.train_loss), bits(parallel.train_loss));
+  EXPECT_EQ(bits(serial.train_accuracy), bits(parallel.train_accuracy));
+  EXPECT_EQ(bits(serial.test_accuracy), bits(parallel.test_accuracy));
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // Sample `i` of `data` alone.
 Dataset one_sample(const Dataset& data, std::size_t i) {

@@ -187,6 +187,24 @@ TEST(ThreadPoolTest, SeveralThrowingIndicesRunEveryIndexAndRethrowTheLowest) {
   EXPECT_EQ(sum.load(), 45u);
 }
 
+TEST(ThreadPoolTest, FreeParallelForRunsOnTheCallerWithoutAPoolOrASecondIndex) {
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const auto record = [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  };
+  parallel_for(nullptr, 5, record);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  ThreadPool pool(2);
+  order.clear();
+  parallel_for(&pool, 1, record);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0}));
+  std::vector<std::atomic<int>> visits(50);
+  parallel_for(&pool, visits.size(), [&](std::size_t i) { visits[i]++; });
+  for (auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
 TEST(ThreadPoolTest, TenThousandBackToBackCalls) {
   ThreadPool pool(3);
   std::atomic<std::size_t> total{0};
